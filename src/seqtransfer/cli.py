@@ -30,7 +30,7 @@ from .harness import (
     write_csv,
     write_json,
 )
-from .mdp import policy_evaluation, value_iteration
+from .mdp import is_eps_optimal
 from .ptum import ApproxModelSet, run_ptum, theta_eps_and_bound
 from .sequential import SequentialConfig, run_sequential
 from .spectral import (
@@ -51,11 +51,6 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
     return out
 
 
-def _eps_optimal(truth, v_star, policy, eps, tol=1e-6) -> bool:
-    v_pi = policy_evaluation(truth, policy)
-    return bool(np.max(v_star - v_pi) <= eps + tol)
-
-
 def cmd_run_ptum(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     family, _ = build_family(cfg)
@@ -72,7 +67,7 @@ def cmd_run_ptum(args) -> int:
         g = GenerativeModel(family[star])
         res = run_ptum(approx, g, eps, delta, budget, rng)
         star_survived = all(star in step for step in res.survived_trace)
-        opt = _eps_optimal(family[star], values[star], res.policy, eps)
+        opt = is_eps_optimal(family[star], values[star], res.policy, eps)
         return (i, res.tau, res.mode, int(opt), int(star_survived), res.queries_total)
 
     rows = sweep(one_run, cfg.num_runs)

@@ -2,7 +2,7 @@
 the Markov chain over tasks, and the generative-model query interface."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

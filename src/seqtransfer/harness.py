@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,24 +100,9 @@ def run_rng(base_seed: int, run_index: int) -> np.random.Generator:
     )
 
 
-def worker_count() -> int:
-    """Worker cap from SEQTRANSFER_THREADS; defaults to 1 (serial)."""
-    raw = os.environ.get("SEQTRANSFER_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("SEQTRANSFER_THREADS must be an integer") from None
-    return max(n, 1)
-
-
 def sweep(fn, num_runs: int):
     """Run fn(run_index) for each run; results ordered by run index."""
-    workers = worker_count()
-    indices = list(range(num_runs))
-    if workers == 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices))
+    return [fn(i) for i in range(num_runs)]
 
 
 @dataclass(frozen=True)

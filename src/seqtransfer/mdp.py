@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,6 +145,13 @@ def policy_evaluation(mdp: TabularMdp, pi: np.ndarray, tol: float = 1e-8) -> np.
     p_pi, r_pi = _policy_matrices(mdp, np.asarray(pi, dtype=int))
     S = mdp.num_states
     return np.linalg.solve(np.eye(S) - mdp.gamma * p_pi, r_pi)
+
+
+def is_eps_optimal(mdp: TabularMdp, v_star: np.ndarray, pi: np.ndarray,
+                   eps: float, tol: float = 1e-6) -> bool:
+    """True iff policy ``pi`` is within eps (plus ``tol``) of ``v_star``
+    at every state of ``mdp``."""
+    return bool(np.max(v_star - policy_evaluation(mdp, pi)) <= eps + tol)
 
 
 def value_iteration(mdp: TabularMdp, tol: float = 1e-8):

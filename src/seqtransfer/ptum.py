@@ -7,7 +7,8 @@ sampling fallback, and the sample-complexity diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +65,8 @@ class ApproxModelSet:
     policies, the cross-evaluation table xval[i, j] = value of model i's
     optimal policy evaluated in model j, reward/transition-value standard
     deviations, pairwise gap tables, and the uncertainty bounds.
-    Immutable once built; safe to share across concurrent runs.
+    Immutable once built; the information-index table is computed on
+    first use.
     """
 
     def __init__(self, models, bounds: UncertaintyBounds = UncertaintyBounds(),
@@ -128,6 +130,11 @@ class ApproxModelSet:
     def delta(self) -> float:
         return self.bounds.overall
 
+    @cached_property
+    def info_table(self) -> np.ndarray:
+        """``info_index_table(self)``, shape (k, k, S, A)."""
+        return info_index_table(self)
+
 
 class EmpiricalModel:
     """Per-(s, a) sufficient statistics collected from generative queries."""
@@ -175,23 +182,20 @@ class EmpiricalModel:
         ss = float(self.reward_counts[s, a] @ (self.reward_support - mean) ** 2)
         return math.sqrt(max(ss / (n - 1), 0.0))
 
-    def transition_probs(self, s: int, a: int) -> np.ndarray:
-        n = self.counts[s, a]
-        if n < 1:
-            raise ValueError("no samples at this state-action pair")
-        return self.next_counts[s, a] / n
+    def transition_value_std(self, s: int, a: int, v):
+        """Empirical std of v(S') with N-1 denominator; 0 when N <= 1.
 
-    def transition_value_mean(self, s: int, a: int, v) -> float:
-        return float(self.next_counts[s, a] @ v) / self.counts[s, a]
-
-    def transition_value_std(self, s: int, a: int, v) -> float:
-        """Empirical std of v(S') with N-1 denominator; 0 when N <= 1."""
+        ``v`` is one value function (S,) or a stack (k, S), giving one std
+        per row.
+        """
+        v = np.asarray(v, dtype=float)
         n = int(self.counts[s, a])
         if n <= 1:
-            return 0.0
-        mean = self.transition_value_mean(s, a, v)
-        ss = float(self.next_counts[s, a] @ (np.asarray(v) - mean) ** 2)
-        return math.sqrt(max(ss / (n - 1), 0.0))
+            return np.zeros(v.shape[:-1])
+        p_hat = self.next_counts[s, a] / n
+        mean = v @ p_hat
+        var = (v - mean[..., None]) ** 2 @ p_hat * n / (n - 1)
+        return np.sqrt(np.maximum(var, 0.0))
 
     def min_count(self) -> int:
         return int(self.counts.min())
@@ -235,8 +239,9 @@ def confidence_radii(emp: EmpiricalModel, s: int, a: int, v_ref, params: Confide
     """The four Bernstein radii (reward, transition, reward-std,
     transition-std) at (s, a); all infinite when N <= 1.
 
-    ``v_ref`` is the optimal value function of the comparison model; it
-    enters only through the empirical transition-value std.
+    ``v_ref`` is the optimal value function of the comparison model, or a
+    stack (k, S) of them, giving one transition radius per row; it enters
+    only through the empirical transition-value std.
     """
     n = int(emp.counts[s, a])
     if n <= 1:
@@ -249,7 +254,7 @@ def confidence_radii(emp: EmpiricalModel, s: int, a: int, v_ref, params: Confide
     sp = emp.transition_value_std(s, a, v_ref)
     c_r = math.sqrt(2.0 * sr * sr * l_mean / n) + 7.0 * l_mean / (3.0 * (n - 1)) + b.reward
     c_p = (
-        math.sqrt(2.0 * sp * sp * l_mean / n)
+        np.sqrt(2.0 * sp * sp * l_mean / n)
         + 7.0 * l_mean / (3.0 * (n - 1) * (1.0 - gamma))
         + b.transition
     )
@@ -258,55 +263,13 @@ def confidence_radii(emp: EmpiricalModel, s: int, a: int, v_ref, params: Confide
     return c_r, c_p, c_sr, c_sp
 
 
-def _model_consistent_at(
-    theta: int, s: int, a: int, emp: EmpiricalModel, approx: ApproxModelSet,
-    params: ConfidenceParams,
-) -> bool:
-    """All four compatibility conditions for model theta at one (s, a).
-
-    The transition conditions quantify over every model in the full set,
-    not just the survivors.
-    """
-    n = int(emp.counts[s, a])
-    if n <= 1:
-        return True
-    k = approx.num_models
-    S, A = emp.num_states, emp.num_actions
-    l_mean, l_std = _log_terms(S, A, params)
-    gamma, b = params.gamma, params.bounds
-
-    r_hat = emp.reward_mean(s, a)
-    sr_hat = emp.reward_std(s, a)
-    c_r = math.sqrt(2.0 * sr_hat * sr_hat * l_mean / n) + 7.0 * l_mean / (3.0 * (n - 1)) + b.reward
-    if abs(r_hat - approx.rewards[theta, s, a]) > c_r:
-        return False
-    c_sr = math.sqrt(2.0 * l_std / (n - 1)) + b.reward_std
-    if abs(sr_hat - approx.sigma_r[theta, s, a]) > c_sr:
-        return False
-
-    c_sp = math.sqrt(2.0 * l_std / (n - 1)) / (1.0 - gamma) + b.transition_std
-    p_hat = emp.next_counts[s, a] / n
-    for j in range(k):
-        v = approx.values[j]
-        mean = float(p_hat @ v)
-        var = float(p_hat @ (v - mean) ** 2) * n / (n - 1)
-        sp_hat = math.sqrt(max(var, 0.0))
-        c_p = (
-            math.sqrt(2.0 * sp_hat * sp_hat * l_mean / n)
-            + 7.0 * l_mean / (3.0 * (n - 1) * (1.0 - gamma))
-            + b.transition
-        )
-        if abs(mean - approx.pv[theta, j, s, a]) > c_p:
-            return False
-        if abs(sp_hat - approx.sigma_p[theta, j, s, a]) > c_sp:
-            return False
-    return True
-
-
 def prune_confidence_set(active, emp: EmpiricalModel, approx: ApproxModelSet,
                          params: ConfidenceParams, pairs=None):
     """Models from ``active`` still compatible with the empirical MDP.
 
+    At each pair, every active model is tested at once against the four
+    compatibility conditions; the transition conditions quantify over
+    every reference model j of the full set, not just the survivors.
     ``pairs`` optionally restricts the (s, a) pairs re-checked; conditions at
     unvisited pairs hold vacuously, and eliminations are permanent, so
     callers updating one pair per step may pass just that pair.
@@ -314,14 +277,24 @@ def prune_confidence_set(active, emp: EmpiricalModel, approx: ApproxModelSet,
     if not active:
         raise ValueError("active set must be non-empty")
     if pairs is None:
-        S, A = emp.num_states, emp.num_actions
-        visited = np.argwhere(emp.counts > 1)
-        pairs = [tuple(x) for x in visited]
-    survivors = set()
-    for theta in sorted(active):
-        if all(_model_consistent_at(theta, s, a, emp, approx, params) for s, a in pairs):
-            survivors.add(theta)
-    return survivors
+        pairs = [tuple(x) for x in np.argwhere(emp.counts > 1)]
+    idx = np.array(sorted(active))
+    keep = np.ones(idx.size, dtype=bool)
+    for s, a in pairs:
+        n = int(emp.counts[s, a])
+        if n <= 1:
+            continue
+        c_r, c_p, c_sr, c_sp = confidence_radii(emp, s, a, approx.values, params)
+        pv_hat = approx.values @ (emp.next_counts[s, a] / n)          # (k,)
+        sp_hat = emp.transition_value_std(s, a, approx.values)       # (k,)
+        fails = (
+            (np.abs(emp.reward_mean(s, a) - approx.rewards[idx, s, a]) > c_r)
+            | (np.abs(emp.reward_std(s, a) - approx.sigma_r[idx, s, a]) > c_sr)
+            | np.any(np.abs(pv_hat - approx.pv[idx, :, s, a]) > c_p, axis=1)
+            | np.any(np.abs(sp_hat - approx.sigma_p[idx, :, s, a]) > c_sp, axis=1)
+        )
+        keep &= ~fails
+    return set(idx[keep].tolist())
 
 
 def stop_margin(eps: float, delta_max: float, gamma: float) -> float:
@@ -332,8 +305,7 @@ def stop_margin(eps: float, delta_max: float, gamma: float) -> float:
     return margin
 
 
-def check_stop(active, approx: ApproxModelSet, eps: float, delta_max: float | None = None,
-               gamma: float | None = None):
+def check_stop(active, approx: ApproxModelSet, eps: float):
     """Lowest-index active model whose optimal policy is good enough for
     every active model, or None.
 
@@ -342,19 +314,14 @@ def check_stop(active, approx: ApproxModelSet, eps: float, delta_max: float | No
     """
     if not active:
         raise ValueError("active set must be non-empty")
-    if delta_max is None:
-        delta_max = approx.delta
-    if gamma is None:
-        gamma = approx.gamma
-    margin = stop_margin(eps, delta_max, gamma)
-    order = sorted(active)
-    for i in order:
-        ok = all(
-            np.all(approx.xval[i, j] >= approx.values[j] - margin) for j in order
-        )
-        if ok:
-            return i, approx.policies[i].copy()
-    return None
+    margin = stop_margin(eps, approx.delta, approx.gamma)
+    idx = sorted(active)
+    good = np.all(approx.xval[np.ix_(idx, idx)] >= approx.values[idx] - margin,
+                  axis=(1, 2))
+    if not good.any():
+        return None
+    theta = idx[int(np.argmax(good))]
+    return theta, approx.policies[theta].copy()
 
 
 def info_index(theta: int, theta2: int, s: int, a: int, approx: ApproxModelSet,
@@ -397,18 +364,15 @@ def info_index_table(approx: ApproxModelSet, delta_max: float | None = None) -> 
     return np.maximum(psi_r, psi_p)
 
 
-def select_query(active, approx: ApproxModelSet, delta_max: float | None = None,
-                 psi_table: np.ndarray | None = None):
+def select_query(active, approx: ApproxModelSet):
     """The (s, a) maximizing the pairwise information over active models.
 
     Ties break toward the lowest flat index s * A + a.
     """
     if not active:
         raise ValueError("active set must be non-empty")
-    if psi_table is None:
-        psi_table = info_index_table(approx, delta_max)
     idx = sorted(active)
-    psi = psi_table[np.ix_(idx, idx)].max(axis=(0, 1))
+    psi = approx.info_table[np.ix_(idx, idx)].max(axis=(0, 1))
     flat = int(np.argmax(psi))
     A = approx.num_actions
     return flat // A, flat % A
@@ -444,14 +408,6 @@ class PtumResult:
         if include_query_log:
             doc["query_log"] = [[t, s, a] for t, s, a in self.query_log]
         return doc
-
-    def trace_csv_rows(self):
-        """Rows (t, s, a, active_size, stopped) for the trace CSV."""
-        rows = []
-        for t, s, a in self.query_log:
-            size = len(self.survived_trace[min(t, len(self.survived_trace) - 1)])
-            rows.append((t, s, a, size, 0))
-        return rows
 
 
 def default_fallback_per_pair(eps: float, delta: float, S: int, A: int, gamma: float) -> int:
@@ -492,7 +448,6 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     k = approx.num_models
     S, A = approx.num_states, approx.num_actions
     gamma = approx.gamma
-    delta_max = approx.delta
     initial = set(range(k)) if active is None else set(active)
     if not initial:
         raise ValueError("initial active set must be non-empty")
@@ -513,59 +468,49 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
             queries_total=g.queries_used, empirical=emp,
         )
 
-    if not transfer_gate(delta_max, eps, gamma):
-        emp = EmpiricalModel(S, A, g.reward_support)
+    emp = EmpiricalModel(S, A, g.reward_support)
+    if not transfer_gate(approx.delta, eps, gamma):
         return _fallback("fallback-gate", emp, [], [sorted(initial)], 0)
 
     params = ConfidenceParams(budget=n, num_models=k, delta=delta, gamma=gamma,
                               bounds=approx.bounds)
-    psi_table = info_index_table(approx, delta_max)
-    margin = stop_margin(eps, delta_max, gamma)
-    # stop_ok[i, j]: policy of i is margin-good in model j at every state.
-    stop_ok = np.all(approx.xval >= approx.values[None, :, :] - margin, axis=2)
-
-    emp = EmpiricalModel(S, A, g.reward_support)
     active_set = set(initial)
     trace = [sorted(active_set)]
     query_log = []
-    psi_active = psi_table[np.ix_(sorted(active_set), sorted(active_set))].max(axis=(0, 1))
-    last_pair = None
+    changed = True
 
     for t in range(n + 1):
-        if last_pair is not None:
+        if query_log:
+            _, s, a = query_log[-1]
             new_active = prune_confidence_set(active_set, emp, approx, params,
-                                              pairs=[last_pair])
+                                              pairs=[(s, a)])
             if not new_active:
                 # Everything eliminated: identification failed outright.
                 break
-            if new_active != active_set:
-                active_set = new_active
-                idx = sorted(active_set)
-                psi_active = psi_table[np.ix_(idx, idx)].max(axis=(0, 1))
+            changed = new_active != active_set
+            active_set = new_active
             trace.append(sorted(active_set))
-        idx = sorted(active_set)
-        stopped = None
-        for i in idx:
-            if all(stop_ok[i, j] for j in idx):
-                stopped = i
-                break
-        if stopped is not None:
-            return PtumResult(
-                policy=approx.policies[stopped].copy(), tau=t, mode="transfer-stopped",
-                chosen_model=stopped, survived_trace=trace, query_log=query_log,
-                queries_total=g.queries_used, empirical=emp,
-            )
+        if changed:
+            # The stop test and the query choice depend only on the active set.
+            stopped = check_stop(active_set, approx, eps)
+            if stopped is not None:
+                theta, policy = stopped
+                return PtumResult(
+                    policy=policy, tau=t, mode="transfer-stopped",
+                    chosen_model=theta, survived_trace=trace, query_log=query_log,
+                    queries_total=g.queries_used, empirical=emp,
+                )
+            query = select_query(active_set, approx)
+            changed = False
         if t == n:
             break
-        flat = int(np.argmax(psi_active))
-        s, a = flat // A, flat % A
+        s, a = query
         try:
             s2, u = g.query(s, a, rng)
         except BudgetExceededError:
             break
         emp.add_sample(s, a, s2, u)
         query_log.append((t, s, a))
-        last_pair = (s, a)
 
     return _fallback("fallback-budget", emp, query_log, trace, len(query_log))
 
@@ -592,8 +537,7 @@ def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: fl
             theta_eps.add(j)
     if not theta_eps:
         return theta_eps, 0.0
-    psi_table = info_index_table(approx)
-    worst = psi_table[star, sorted(theta_eps)].min(axis=0)  # (S, A) min over theta
+    worst = approx.info_table[star, sorted(theta_eps)].min(axis=0)  # (S, A) min over theta
     denom = float(worst.max())
     log_term = math.log(8.0 * S * A * max(n, 1) * (k + 1) / delta)
     if denom <= 0:

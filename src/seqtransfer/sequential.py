@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import GenerativeModel, TaskChain, sample_initial_task, sample_next_task
-from .mdp import TabularMdp, policy_evaluation, value_iteration
+from .mdp import is_eps_optimal, value_iteration
 from .ptum import (
     ApproxModelSet,
     EmpiricalModel,
@@ -99,7 +99,6 @@ class TaskRecord:
     t_err_max: float
     degraded: bool = False
     tau: int | None = None
-    oracle_tau: int | None = None
     true_in_active: bool = True
 
 
@@ -186,12 +185,6 @@ def pre_eliminate(t_hat: np.ndarray, survived, h: int, cfg: SequentialConfig,
     return keep
 
 
-def _eps_optimal(truth: TabularMdp, v_star: np.ndarray, policy: np.ndarray,
-                 eps: float, tol: float = 1e-6) -> bool:
-    v_pi = policy_evaluation(truth, policy)
-    return bool(np.max(v_star - v_pi) <= eps + tol)
-
-
 def _truth_diagnostics(est: HmmEstimate, o_true: np.ndarray, t_true: np.ndarray):
     """Max column errors of the aligned estimates against the ground truth."""
     o_err = float(np.max(np.linalg.norm(est.observation - o_true, axis=0)))
@@ -199,16 +192,12 @@ def _truth_diagnostics(est: HmmEstimate, o_true: np.ndarray, t_true: np.ndarray)
     return o_err, t_err
 
 
-def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng,
-                   oracle: ApproxModelSet | None = None) -> SequenceTrace:
+def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> SequenceTrace:
     """The full per-task loop over ``cfg.num_tasks`` tasks.
 
     ``family`` holds the hidden ground-truth models; they are used to draw
     samples, to evaluate returned policies, and (for diagnostics only) to
-    align the spectral estimates to true task labels.  ``oracle`` optionally
-    provides an exact model set; when given, every transfer-phase task also
-    runs the identification loop with exact models on a forked stream,
-    logging the oracle query count for normalized-complexity plots.
+    align the spectral estimates to true task labels.
     """
     family = list(family)
     k = len(family)
@@ -265,14 +254,6 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng,
             survived = set(range(k))
         solve_queries = g.queries_used
 
-        if oracle is not None and not in_startup:
-            oracle_g = GenerativeModel(truth)
-            oracle_res = run_ptum(oracle, oracle_g, cfg.eps, cfg.delta,
-                                  cfg.budget, rng)
-            oracle_tau = oracle_res.tau
-        else:
-            oracle_tau = None
-
         collect_post_samples(g, emp, cfg.post_sample_per_pair, rng)
         observations.append(vectorize_observation(emp, layout))
 
@@ -307,14 +288,13 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng,
             mode=mode,
             queries=solve_queries,
             queries_total=g.queries_used,
-            eps_optimal=_eps_optimal(truth, true_values[current_task], policy, cfg.eps),
+            eps_optimal=is_eps_optimal(truth, true_values[current_task], policy, cfg.eps),
             active_set_size=len(active),
             delta_h=delta_h,
             o_col_err_max=o_err,
             t_err_max=t_err,
             degraded=degraded,
             tau=tau,
-            oracle_tau=oracle_tau,
             true_in_active=current_task in active,
         )
         trace.append(record)

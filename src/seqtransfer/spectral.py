@@ -175,11 +175,8 @@ def estimate_moments(observations, rank: int | None = None) -> MomentSet:
                              ((3, o3), (1, o1)), ((3, o3), (2, o2))]:
         sigma[(i, j)] = oi.T @ oj / m
 
-    try:
-        pinv_12 = _truncated_pinv(sigma[(1, 2)], rank)
-        pinv_21 = _truncated_pinv(sigma[(2, 1)], rank)
-    except DegenerateMomentsError:
-        raise
+    pinv_12 = _truncated_pinv(sigma[(1, 2)], rank)
+    pinv_21 = _truncated_pinv(sigma[(2, 1)], rank)
     view1 = o1 @ pinv_12.T @ sigma[(3, 2)].T
     view2 = o2 @ pinv_21.T @ sigma[(3, 1)].T
     m2 = view1.T @ view2 / m

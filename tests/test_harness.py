@@ -17,7 +17,6 @@ from seqtransfer.harness import (
     run_rng,
     simulate_hmm_observations,
     sweep,
-    worker_count,
     write_csv,
 )
 from seqtransfer.spectral import ObservationLayout
@@ -71,25 +70,10 @@ class TestRngAndSweep:
         b = run_rng(17, 4).random(5)
         assert not np.array_equal(a, b)
 
-    def test_worker_count_default(self, monkeypatch):
-        monkeypatch.delenv("SEQTRANSFER_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("SEQTRANSFER_THREADS", "4")
-        assert worker_count() == 4
-
-    def test_worker_count_bad(self, monkeypatch):
-        monkeypatch.setenv("SEQTRANSFER_THREADS", "many")
-        with pytest.raises(ConfigError):
-            worker_count()
-
-    def test_sweep_ordering(self, monkeypatch):
-        monkeypatch.setenv("SEQTRANSFER_THREADS", "3")
+    def test_sweep_ordering(self):
         assert sweep(lambda i: i * i, 6) == [0, 1, 4, 9, 16, 25]
 
-    def test_sweep_serial(self, monkeypatch):
-        monkeypatch.delenv("SEQTRANSFER_THREADS", raising=False)
+    def test_sweep_serial(self):
         assert sweep(lambda i: -i, 3) == [0, -1, -2]
 
 

@@ -33,6 +33,26 @@ from seqtransfer.ptum import (
 )
 
 
+def branch_pair(pays, next_a, next_b):
+    """Two models that differ only in where (0, 0) leads.
+
+    State s pays ``pays[s]`` surely in both models, so their reward
+    distributions agree everywhere; states 1.. are absorbing, and
+    ``next_a`` / ``next_b`` are the next-state distributions from (0, 0).
+    """
+    support = np.unique(pays)
+    S = len(pays)
+    q = np.zeros((S, 1, support.size))
+    q[np.arange(S), 0, np.searchsorted(support, pays)] = 1.0
+    models = []
+    for row in (next_a, next_b):
+        p = np.zeros((S, 1, S))
+        p[0, 0] = row
+        p[np.arange(1, S), 0, np.arange(1, S)] = 1.0
+        models.append(TabularMdp(p=p, reward_support=support, q=q, gamma=0.5))
+    return ApproxModelSet(models)
+
+
 def small_family(num_tasks=3, width=4, height=3, gamma=0.9):
     """Tiny two-goal grids differing only in goal rewards."""
     cells = {0: 0.5, width * height - 1: 0.5}
@@ -108,6 +128,22 @@ class TestConfidenceRadii:
                                self.params(S=1, A=1, bounds=bounds))[0]
         assert c_r == pytest.approx(0.03, abs=1e-4)
 
+    def test_value_stack_gives_one_transition_radius_per_row(self):
+        emp = EmpiricalModel(3, 1, [0.0, 1.0])
+        emp.add_batch(0, 0, [2, 5, 3], [10, 0])
+        stack = np.array([[0.0, 1.0, 2.0], [4.0, 0.0, 1.0], [3.0, 3.0, 3.0]])
+        params = self.params(S=3, A=1)
+        c_r, c_p, c_sr, c_sp = confidence_radii(emp, 0, 0, stack, params)
+        assert c_p.shape == (3,)
+        for row, radius in zip(stack, c_p):
+            single = confidence_radii(emp, 0, 0, row, params)
+            assert single[1] == radius
+            assert single[::2] == (c_r, c_sr) and single[3] == c_sp
+        stds = emp.transition_value_std(0, 0, stack)
+        assert stds[2] == 0.0
+        assert stds[0] == pytest.approx(math.sqrt(np.var([0, 0, 1, 1, 1, 1, 1, 2, 2, 2],
+                                                         ddof=1)), rel=1e-12)
+
 
 class TestPruning:
     def test_no_samples_no_elimination(self):
@@ -131,6 +167,41 @@ class TestPruning:
         survivors = prune_confidence_set({0, 1, 2}, emp, approx, params)
         assert 0 in survivors
         assert 2 not in survivors
+
+    @staticmethod
+    def prune_pair(approx, next_counts):
+        """Survivors of {0, 1} after ``next_counts`` draws at (0, 0)."""
+        emp = EmpiricalModel(approx.num_states, 1, approx.models[0].reward_support)
+        reward_counts = np.zeros(approx.models[0].num_rewards, dtype=int)
+        reward_counts[0] = sum(next_counts)
+        emp.add_batch(0, 0, next_counts, reward_counts)
+        params = ConfidenceParams(budget=1000, num_models=2, delta=0.1,
+                                  gamma=0.5, bounds=UncertaintyBounds())
+        return emp, prune_confidence_set({0, 1}, emp, approx, params)
+
+    def test_transition_mean_alone_eliminates(self):
+        # A sure move to the paying state 1 (truth) against one to state 2.
+        # Every std is 0 and the rewards agree, so only p . V_j separates.
+        approx = branch_pair([0.0, 1.0, 0.0], [0, 1, 0], [0, 0, 1])
+        emp, survivors = self.prune_pair(approx, [0, 1000, 0])
+        assert np.array_equal(approx.rewards[0], approx.rewards[1])
+        assert np.all(approx.sigma_p[:, :, 0, 0] == 0.0)
+        assert np.all(emp.transition_value_std(0, 0, approx.values) == 0.0)
+        assert survivors == {0}
+
+    def test_transition_std_alone_eliminates(self):
+        # A fair branch to states 1 / 2 (truth) against a sure move to state
+        # 3, which pays 0.5: under both models V_j(S') after (0, 0) has the
+        # same mean, but only the truth spreads it.
+        approx = branch_pair([0.0, 1.0, 0.0, 0.5], [0, 0.5, 0.5, 0], [0, 0, 0, 1])
+        emp, survivors = self.prune_pair(approx, [0, 500, 500, 0])
+        assert np.array_equal(approx.rewards[0], approx.rewards[1])
+        p_hat = emp.next_counts[0, 0] / 1000
+        for theta in (0, 1):
+            assert approx.pv[theta, :, 0, 0] == pytest.approx(
+                approx.values @ p_hat, abs=1e-9)
+        assert np.all(approx.sigma_p[1, :, 0, 0] == 0.0)
+        assert survivors == {0}
 
     def test_empty_active_rejected(self):
         fam = small_family()
@@ -266,6 +337,20 @@ class TestRunPtum:
         sets = [set(step) for step in a.survived_trace]
         assert all(t1 >= t2 for t1, t2 in zip(sets, sets[1:]))
         assert all(0 in step for step in sets)
+
+    def test_loop_follows_stop_and_select(self):
+        fam = two_rooms_family()
+        approx = ApproxModelSet(fam)
+        res = run_ptum(approx, GenerativeModel(fam[0]), eps=0.1, delta=0.01,
+                       n=100_000, rng=np.random.default_rng(11))
+        assert res.mode == "transfer-stopped"
+        assert res.query_log
+        assert res.chosen_model == check_stop(res.survived, approx, 0.1)[0]
+        assert all(check_stop(set(step), approx, 0.1) is None
+                   for step in res.survived_trace[:-1])
+        # The query at step t is chosen from the active set after t prunes.
+        for t, s, a in res.query_log:
+            assert (s, a) == select_query(set(res.survived_trace[t]), approx)
 
     def test_budget_exhaustion_falls_back(self):
         fam = small_family()
