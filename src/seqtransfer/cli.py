@@ -32,13 +32,8 @@ from .harness import (
 )
 from .mdp import is_eps_optimal
 from .ptum import ApproxModelSet, run_ptum, theta_eps_and_bound
-from .sequential import SequentialConfig, run_sequential
-from .spectral import (
-    ObservationLayout,
-    align_columns,
-    apply_permutation,
-    spectral_estimate,
-)
+from .sequential import SequenceTrace, SequentialConfig, run_sequential
+from .spectral import ObservationLayout, estimate_errors, spectral_estimate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,17 +123,10 @@ def cmd_run_sequential(args) -> int:
         return i, run_sequential(seq_cfg, family, chain, rng)
 
     results = sweep(one_run, cfg.num_runs)
-    rows = []
-    for i, trace in results:
-        for r in trace.records:
-            rows.append((i, r.h, r.true_task, r.mode, r.queries, int(r.eps_optimal),
-                         r.active_set_size, r.delta_h, r.o_col_err_max, r.t_err_max))
+    rows = [(i, *row) for i, trace in results for row in trace.rows()]
     out = _out_dir(cfg, args)
     variant = "static" if args.static else "sequential"
-    write_csv(out / f"{variant}_trace.csv",
-              ["run", "h", "true_task", "mode", "queries", "eps_optimal",
-               "active_set_size", "delta_h", "o_col_err_max", "t_err_max"],
-              rows)
+    write_csv(out / f"{variant}_trace.csv", ["run", *SequenceTrace.COLUMNS], rows)
     transfer_queries = [
         r.queries for _, t in results for r in t.records if r.mode != "startup"
     ]
@@ -178,11 +166,9 @@ def cmd_learn_hmm(args) -> int:
         layout = ObservationLayout(S, A, U)
         o_true = np.stack([layout.vectorize(m.q, m.p) for m in family], axis=1)
         obs, _ = simulate_hmm_observations(family, chain, steps, per_pair, rng)
-        est = spectral_estimate(obs, k, layout, restarts=50, iters=50, rng=rng)
-        est = apply_permutation(est, align_columns(est, o_true))
-        o_err = float(np.max(np.linalg.norm(est.observation - o_true, axis=0)))
-        t_err = float(np.max(np.abs(est.transition - chain.transition)))
-        return i, o_err, t_err
+        est = spectral_estimate(obs, k, layout, restarts=50, iters=50, rng=rng,
+                                reference=o_true)
+        return (i, *estimate_errors(est, o_true, chain.transition))
 
     rows = sweep(one_run, cfg.num_runs)
     out = _out_dir(cfg, args)

@@ -20,10 +20,13 @@ from .envs import (
     build_objectworld_family,
     multi_goal_family,
     paper_objectworld_duplicates,
+    sample_initial_task,
+    sample_next_task,
     successor_chain,
     two_rooms_family,
 )
 from .mdp import TabularMdp, min_gap, value_iteration
+from .spectral import ObservationLayout
 
 SCENARIOS = ("two-rooms", "multi-goal", "objectworld", "synthetic-hmm")
 
@@ -255,9 +258,6 @@ def simulate_hmm_observations(family, chain: TaskChain, steps: int, per_pair: in
     task for speed (equivalent in law to querying one sample at a time).
     Returns (observations array of shape (steps, d), hidden path).
     """
-    from .envs import sample_initial_task, sample_next_task
-    from .spectral import ObservationLayout
-
     base = family[0]
     S, A, U = base.num_states, base.num_actions, base.num_rewards
     layout = ObservationLayout(S, A, U)
@@ -280,7 +280,5 @@ def simulate_hmm_observations(family, chain: TaskChain, steps: int, per_pair: in
                                                  size=rows.size) / per_pair
                 p_hat[:, s, a] = rng.multinomial(per_pair, mdp.p[s, a],
                                                  size=rows.size) / per_pair
-        obs[rows] = np.concatenate(
-            [q_hat.reshape(rows.size, -1), p_hat.reshape(rows.size, -1)], axis=1
-        )
+        obs[rows] = layout.vectorize(q_hat, p_hat)
     return obs, path

@@ -235,13 +235,15 @@ def _log_terms(S: int, A: int, params: ConfidenceParams):
     return l_mean, l_std
 
 
-def confidence_radii(emp: EmpiricalModel, s: int, a: int, v_ref, params: ConfidenceParams):
+def confidence_radii(emp: EmpiricalModel, s: int, a: int, sr: float, sp,
+                     params: ConfidenceParams):
     """The four Bernstein radii (reward, transition, reward-std,
     transition-std) at (s, a); all infinite when N <= 1.
 
-    ``v_ref`` is the optimal value function of the comparison model, or a
-    stack (k, S) of them, giving one transition radius per row; it enters
-    only through the empirical transition-value std.
+    ``sr`` is ``emp.reward_std(s, a)`` and ``sp`` is
+    ``emp.transition_value_std(s, a, v_ref)`` for the optimal value function
+    of the comparison model, or for a stack (k, S) of them, giving one
+    transition radius per row.
     """
     n = int(emp.counts[s, a])
     if n <= 1:
@@ -250,8 +252,6 @@ def confidence_radii(emp: EmpiricalModel, s: int, a: int, v_ref, params: Confide
     l_mean, l_std = _log_terms(S, A, params)
     gamma = params.gamma
     b = params.bounds
-    sr = emp.reward_std(s, a)
-    sp = emp.transition_value_std(s, a, v_ref)
     c_r = math.sqrt(2.0 * sr * sr * l_mean / n) + 7.0 * l_mean / (3.0 * (n - 1)) + b.reward
     c_p = (
         np.sqrt(2.0 * sp * sp * l_mean / n)
@@ -284,12 +284,13 @@ def prune_confidence_set(active, emp: EmpiricalModel, approx: ApproxModelSet,
         n = int(emp.counts[s, a])
         if n <= 1:
             continue
-        c_r, c_p, c_sr, c_sp = confidence_radii(emp, s, a, approx.values, params)
-        pv_hat = approx.values @ (emp.next_counts[s, a] / n)          # (k,)
+        sr_hat = emp.reward_std(s, a)
         sp_hat = emp.transition_value_std(s, a, approx.values)       # (k,)
+        c_r, c_p, c_sr, c_sp = confidence_radii(emp, s, a, sr_hat, sp_hat, params)
+        pv_hat = approx.values @ (emp.next_counts[s, a] / n)          # (k,)
         fails = (
             (np.abs(emp.reward_mean(s, a) - approx.rewards[idx, s, a]) > c_r)
-            | (np.abs(emp.reward_std(s, a) - approx.sigma_r[idx, s, a]) > c_sr)
+            | (np.abs(sr_hat - approx.sigma_r[idx, s, a]) > c_sr)
             | np.any(np.abs(pv_hat - approx.pv[idx, :, s, a]) > c_p, axis=1)
             | np.any(np.abs(sp_hat - approx.sigma_p[idx, :, s, a]) > c_sp, axis=1)
         )
@@ -539,7 +540,8 @@ def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: fl
         return theta_eps, 0.0
     worst = approx.info_table[star, sorted(theta_eps)].min(axis=0)  # (S, A) min over theta
     denom = float(worst.max())
-    log_term = math.log(8.0 * S * A * max(n, 1) * (k + 1) / delta)
+    log_term, _ = _log_terms(S, A, ConfidenceParams(
+        budget=n, num_models=k, delta=delta, gamma=gamma, bounds=approx.bounds))
     if denom <= 0:
         return theta_eps, INF
     bound = 128.0 * min(S * A, k) * log_term / denom

@@ -2,10 +2,17 @@
 
 Each task is solved (by the elimination algorithm when the uncertainty
 gate allows, by uniform sampling otherwise), its samples are turned into
-an observation for the spectral learner, the candidate model set is
-re-estimated, the uncertainty level is refreshed from the error-bound
+an observation for the spectral learner, the task models and the chain
+are re-estimated, the uncertainty level is refreshed from the error-bound
 schedule, and unlikely next tasks are pre-eliminated from the candidate
 set of the following round.
+
+Estimation starts once there are 3k observations (k triples for k
+tasks): with fewer triples the second moment has rank below k and the
+whitening cannot succeed.  A task is ``degraded`` when its attempted
+estimate raised; the last successful estimate, if any, stays in use.  The
+candidate model set is built from the current estimate only for the tasks
+that run the elimination algorithm.
 """
 from __future__ import annotations
 
@@ -15,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import GenerativeModel, TaskChain, sample_initial_task, sample_next_task
+from .harness import format_cell
 from .mdp import is_eps_optimal, value_iteration
 from .ptum import (
     ApproxModelSet,
@@ -29,6 +37,7 @@ from .spectral import (
     DegenerateMomentsError,
     HmmEstimate,
     ObservationLayout,
+    estimate_errors,
     model_error_bound,
     spectral_estimate,
     unpack_models,
@@ -108,10 +117,9 @@ class SequenceTrace:
 
     records: list = field(default_factory=list)
 
-    CSV_HEADER = (
-        "h,true_task,mode,queries,eps_optimal,active_set_size,"
-        "delta_h,o_col_err_max,t_err_max"
-    )
+    COLUMNS = ("h", "true_task", "mode", "queries", "eps_optimal",
+               "active_set_size", "delta_h", "o_col_err_max", "t_err_max")
+    CSV_HEADER = ",".join(COLUMNS)
 
     def append(self, rec: TaskRecord) -> None:
         self.records.append(rec)
@@ -119,17 +127,13 @@ class SequenceTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def csv_rows(self):
-        rows = []
-        for r in self.records:
-            rows.append(
-                f"{r.h},{r.true_task},{r.mode},{r.queries},{int(r.eps_optimal)},"
-                f"{r.active_set_size},{r.delta_h!r},{r.o_col_err_max!r},{r.t_err_max!r}"
-            )
-        return rows
+    def rows(self):
+        """One tuple of ``COLUMNS`` values per task."""
+        return [tuple(getattr(r, c) for c in self.COLUMNS) for r in self.records]
 
     def to_csv(self) -> str:
-        return "\n".join([self.CSV_HEADER] + self.csv_rows()) + "\n"
+        lines = [",".join(format_cell(c) for c in row) for row in self.rows()]
+        return "\n".join([self.CSV_HEADER] + lines) + "\n"
 
     def eps_optimal_fraction(self) -> float:
         if not self.records:
@@ -185,13 +189,6 @@ def pre_eliminate(t_hat: np.ndarray, survived, h: int, cfg: SequentialConfig,
     return keep
 
 
-def _truth_diagnostics(est: HmmEstimate, o_true: np.ndarray, t_true: np.ndarray):
-    """Max column errors of the aligned estimates against the ground truth."""
-    o_err = float(np.max(np.linalg.norm(est.observation - o_true, axis=0)))
-    t_err = float(np.max(np.abs(est.transition - t_true)))
-    return o_err, t_err
-
-
 def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> SequenceTrace:
     """The full per-task loop over ``cfg.num_tasks`` tasks.
 
@@ -217,7 +214,6 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
     trace = SequenceTrace()
     observations: list = []
     estimate: HmmEstimate | None = None
-    approx: ApproxModelSet | None = None
     delta_h = math.inf
     active: set = set(range(k))
     current_task: int | None = None
@@ -233,11 +229,16 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
         in_startup = h < cfg.startup_tasks
         gate_open = (
             not in_startup
-            and approx is not None
+            and estimate is not None
             and transfer_gate(delta_h, cfg.eps, gamma)
         )
         tau = None
         if gate_open:
+            approx = ApproxModelSet(
+                unpack_models(estimate, base.reward_support, gamma),
+                UncertaintyBounds(reward=delta_h, transition=delta_h,
+                                  reward_std=delta_h, transition_std=delta_h),
+            )
             result = run_ptum(
                 approx, g, cfg.eps, cfg.delta, cfg.budget, rng,
                 fallback_per_pair=cfg.fallback_per_pair, active=active,
@@ -258,7 +259,8 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
         observations.append(vectorize_observation(emp, layout))
 
         degraded = False
-        if len(observations) >= 3:
+        # With fewer than k triples M2 has rank below k and whitening fails.
+        if len(observations) >= 3 * k:
             try:
                 estimate = spectral_estimate(
                     observations, k, layout,
@@ -269,15 +271,9 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
                 degraded = True
 
         if estimate is not None:
-            bound = model_error_bound(len(observations), cfg.rho_at(h),
-                                      cfg.delta_prime, S, A, U)
-            delta_next = bound["max"]
-            models = unpack_models(estimate, base.reward_support, gamma)
-            approx = ApproxModelSet(models, UncertaintyBounds(
-                reward=delta_next, transition=delta_next,
-                reward_std=delta_next, transition_std=delta_next,
-            ))
-            o_err, t_err = _truth_diagnostics(estimate, o_true, t_true)
+            delta_next = model_error_bound(len(observations), cfg.rho_at(h),
+                                           cfg.delta_prime, S, A, U)["max"]
+            o_err, t_err = estimate_errors(estimate, o_true, t_true)
         else:
             delta_next = math.inf
             o_err = t_err = math.nan

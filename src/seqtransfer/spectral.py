@@ -49,8 +49,12 @@ class ObservationLayout:
         return self.num_states * self.num_actions * self.num_rewards
 
     def vectorize(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Concatenate [vec(q); vec(p)]."""
-        return np.concatenate([np.ravel(q), np.ravel(p)])
+        """Concatenate [vec(q); vec(p)] over the trailing (S, A, .) axes;
+        leading axes are batch axes."""
+        q, p = np.asarray(q), np.asarray(p)
+        batch = q.shape[:-3]
+        return np.concatenate([q.reshape(batch + (-1,)), p.reshape(batch + (-1,))],
+                              axis=-1)
 
     def unpack(self, vec: np.ndarray):
         """Inverse of vectorize; returns (q, p)."""
@@ -64,9 +68,7 @@ class ObservationLayout:
     def project_column(self, col: np.ndarray) -> np.ndarray:
         """Repair every (s, a)-block of a column onto the simplex."""
         q, p = self.unpack(col)
-        q = np.apply_along_axis(project_simplex, 2, q)
-        p = np.apply_along_axis(project_simplex, 2, p)
-        return self.vectorize(q, p)
+        return self.vectorize(project_simplex(q), project_simplex(p))
 
 
 def vectorize_observation(emp: EmpiricalModel, layout: ObservationLayout) -> np.ndarray:
@@ -81,15 +83,15 @@ def vectorize_observation(emp: EmpiricalModel, layout: ObservationLayout) -> np.
 
 
 def project_simplex(raw: np.ndarray) -> np.ndarray:
-    """Clip negatives and renormalize; uniform if everything clips to zero."""
+    """Clip negatives and renormalize along the last axis; a row that clips
+    to zero everywhere becomes uniform."""
     raw = np.asarray(raw, dtype=float)
     if raw.size == 0:
         raise ValueError("empty vector")
     clipped = np.maximum(raw, 0.0)
-    total = clipped.sum()
-    if total <= 0.0:
-        return np.full(raw.shape, 1.0 / raw.size)
-    return clipped / total
+    total = clipped.sum(axis=-1, keepdims=True)
+    empty = total <= 0.0
+    return np.where(empty, 1.0, clipped) / np.where(empty, raw.shape[-1], total)
 
 
 def _truncated_pinv(mat: np.ndarray, rank: int | None = None) -> np.ndarray:
@@ -253,39 +255,17 @@ def rtp_decompose(t3: np.ndarray, k: int, restarts: int = 100, iters: int = 100,
 
 @dataclass
 class HmmEstimate:
-    """Estimated observation matrix, task-transition matrix and byproducts."""
+    """Estimated observation matrix, task-transition matrix and RTP
+    eigenvalues."""
 
     observation: np.ndarray      # (d, k), columns are flattened models
     transition: np.ndarray       # (k, k), column-stochastic after projection
-    third_view: np.ndarray       # (d, k) conditional third-view means
     eigenvalues: np.ndarray      # (k,)
-    eigenvectors: np.ndarray     # (k, k) whitened-space eigenvectors
     layout: ObservationLayout
-    permutation: np.ndarray | None = None
 
     @property
     def num_tasks(self) -> int:
         return self.observation.shape[1]
-
-    @property
-    def raw_weights(self) -> np.ndarray:
-        """Unnormalized component weights omega_j = lambda_j^-2."""
-        return self.eigenvalues ** -2.0
-
-    @property
-    def stationary_weights(self) -> np.ndarray:
-        """raw_weights normalized to a distribution."""
-        w = self.raw_weights
-        return w / w.sum()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "O": self.observation.T.tolist(),  # column-major: one list per column
-            "T": self.transition.tolist(),
-            "lambda": self.eigenvalues.tolist(),
-            "omega": self.stationary_weights.tolist(),
-            "permutation": None if self.permutation is None else self.permutation.tolist(),
-        }
 
 
 def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
@@ -308,15 +288,13 @@ def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
     obs_proj = np.stack(
         [layout.project_column(obs_full[:, j]) for j in range(k)], axis=1
     )
-    trans_proj = np.stack([project_simplex(trans[:, j]) for j in range(k)], axis=1)
-    return HmmEstimate(
-        observation=obs_proj,
-        transition=trans_proj,
-        third_view=moments.basis @ mu3_reduced,
-        eigenvalues=lams,
-        eigenvectors=vecs,
-        layout=layout,
+    # Rows of a C-contiguous copy of trans.T are its columns; projecting the
+    # strided transpose would sum them in a different order.
+    trans_proj = np.ascontiguousarray(
+        project_simplex(np.ascontiguousarray(trans.T)).T
     )
+    return HmmEstimate(observation=obs_proj, transition=trans_proj,
+                       eigenvalues=lams, layout=layout)
 
 
 def align_columns(new: HmmEstimate, reference) -> np.ndarray:
@@ -342,11 +320,8 @@ def apply_permutation(est: HmmEstimate, perm: np.ndarray) -> HmmEstimate:
     return HmmEstimate(
         observation=est.observation[:, perm],
         transition=est.transition[np.ix_(perm, perm)],
-        third_view=est.third_view[:, perm],
         eigenvalues=est.eigenvalues[perm],
-        eigenvectors=est.eigenvectors[:, perm],
         layout=est.layout,
-        permutation=perm,
     )
 
 
@@ -362,6 +337,15 @@ def spectral_estimate(observations, k: int, layout: ObservationLayout,
     if reference is not None:
         est = apply_permutation(est, align_columns(est, reference))
     return est
+
+
+def estimate_errors(est: HmmEstimate, o_true: np.ndarray, t_true: np.ndarray):
+    """Worst column error of the observation matrix (2-norm) and worst entry
+    error of the transition matrix, of an aligned estimate against the
+    ground truth."""
+    o_err = float(np.max(np.linalg.norm(est.observation - o_true, axis=0)))
+    t_err = float(np.max(np.abs(est.transition - t_true)))
+    return o_err, t_err
 
 
 def unpack_models(est: HmmEstimate, reward_support, gamma: float):

@@ -95,14 +95,19 @@ class TestConfidenceRadii:
         return ConfidenceParams(budget=n, num_models=k, delta=delta, gamma=gamma,
                                 bounds=bounds or UncertaintyBounds())
 
+    @staticmethod
+    def radii(emp, v_ref, params):
+        sr, sp = emp.reward_std(0, 0), emp.transition_value_std(0, 0, v_ref)
+        return confidence_radii(emp, 0, 0, sr, sp, params)
+
     def test_no_samples_gives_infinite_radii(self):
         emp = EmpiricalModel(2, 2, [0.0, 1.0])
-        assert confidence_radii(emp, 0, 0, np.zeros(2), self.params()) == (INF,) * 4
+        assert self.radii(emp, np.zeros(2), self.params()) == (INF,) * 4
 
     def test_one_sample_still_infinite(self):
         emp = EmpiricalModel(2, 2, [0.0, 1.0])
         emp.add_sample(0, 0, 1, 1.0)
-        assert confidence_radii(emp, 0, 0, np.zeros(2), self.params())[0] == INF
+        assert self.radii(emp, np.zeros(2), self.params())[0] == INF
 
     def test_reward_radius_formula(self):
         # S=2, A=2, n=100, |Theta|=3, delta=0.1, N=10 with 5 ones:
@@ -113,7 +118,7 @@ class TestConfidenceRadii:
         L = math.log(8 * 2 * 2 * 100 * 4 / 0.1)
         sigma = math.sqrt(2.5 / 9)
         expected = math.sqrt(2 * sigma * sigma * L / 10) + 7 * L / (3 * 9)
-        c_r, _, c_sr, _ = confidence_radii(emp, 0, 0, np.zeros(2), self.params())
+        c_r, _, c_sr, _ = self.radii(emp, np.zeros(2), self.params())
         assert c_r == pytest.approx(expected, rel=1e-12)
         L2 = math.log(4 * 2 * 2 * 100 * 4 / 0.1)
         assert c_sr == pytest.approx(math.sqrt(2 * L2 / 9), rel=1e-12)
@@ -124,8 +129,7 @@ class TestConfidenceRadii:
         emp.counts[0, 0] = 2_000_000
         emp.reward_counts[0, 0, 0] = 2_000_000
         emp.next_counts[0, 0, 0] = 2_000_000
-        c_r = confidence_radii(emp, 0, 0, np.zeros(1),
-                               self.params(S=1, A=1, bounds=bounds))[0]
+        c_r = self.radii(emp, np.zeros(1), self.params(S=1, A=1, bounds=bounds))[0]
         assert c_r == pytest.approx(0.03, abs=1e-4)
 
     def test_value_stack_gives_one_transition_radius_per_row(self):
@@ -133,10 +137,10 @@ class TestConfidenceRadii:
         emp.add_batch(0, 0, [2, 5, 3], [10, 0])
         stack = np.array([[0.0, 1.0, 2.0], [4.0, 0.0, 1.0], [3.0, 3.0, 3.0]])
         params = self.params(S=3, A=1)
-        c_r, c_p, c_sr, c_sp = confidence_radii(emp, 0, 0, stack, params)
+        c_r, c_p, c_sr, c_sp = self.radii(emp, stack, params)
         assert c_p.shape == (3,)
         for row, radius in zip(stack, c_p):
-            single = confidence_radii(emp, 0, 0, row, params)
+            single = self.radii(emp, row, params)
             assert single[1] == radius
             assert single[::2] == (c_r, c_sr) and single[3] == c_sp
         stds = emp.transition_value_std(0, 0, stack)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from seqtransfer import sequential
 from seqtransfer.envs import GenerativeModel, TaskChain, successor_chain
 from seqtransfer.mdp import TabularMdp
 from seqtransfer.ptum import EmpiricalModel
@@ -269,3 +270,40 @@ class TestRunSequential:
         assert not late.degraded
         assert math.isfinite(late.o_col_err_max)
         assert math.isfinite(late.t_err_max)
+
+    def test_estimates_start_at_3k_and_one_model_set_per_ptum(self, monkeypatch):
+        # Fewer than k triples cannot give a rank-k whitening, so no estimate
+        # is attempted before 3k observations; the candidate model set is
+        # built only for the run_ptum call that reads it.
+        k = 3
+        fam = tiny_family(k, seed=7)
+        calls = {"estimate": [], "approx": 0, "ptum": 0}
+        estimate, approx_cls, ptum = (sequential.spectral_estimate,
+                                      sequential.ApproxModelSet,
+                                      sequential.run_ptum)
+
+        def counting_estimate(observations, *args, **kwargs):
+            calls["estimate"].append(len(observations))
+            return estimate(observations, *args, **kwargs)
+
+        def counting_approx(*args, **kwargs):
+            calls["approx"] += 1
+            return approx_cls(*args, **kwargs)
+
+        def counting_ptum(approx, *args, **kwargs):
+            assert calls["approx"] == calls["ptum"] + 1
+            calls["ptum"] += 1
+            return ptum(approx, *args, **kwargs)
+
+        monkeypatch.setattr(sequential, "spectral_estimate", counting_estimate)
+        monkeypatch.setattr(sequential, "ApproxModelSet", counting_approx)
+        monkeypatch.setattr(sequential, "run_ptum", counting_ptum)
+        cfg = make_cfg(num_tasks=16, startup_tasks=12, startup_per_pair=200,
+                       post_sample_per_pair=200, rho=1e-3)
+        trace = run_sequential(cfg, fam, successor_chain(k),
+                               np.random.default_rng(6))
+        assert calls["estimate"] == list(range(3 * k, 17))
+        assert calls["ptum"] > 0
+        assert calls["approx"] == calls["ptum"]
+        assert calls["ptum"] == sum(r.tau is not None for r in trace.records)
+        assert not any(r.degraded for r in trace.records[:3 * k - 1])
