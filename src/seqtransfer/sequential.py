@@ -10,12 +10,16 @@ set of the following round.
 Estimation starts once there are 3k observations (k triples for k
 tasks): with fewer triples the second moment has rank below k and the
 whitening cannot succeed.  A task is ``degraded`` when its attempted
-estimate raised; the last successful estimate, if any, stays in use.  The
+estimate raised; the last successful estimate, if any, stays in use with
+the error bound and pre-elimination slack of the observation count it was
+computed from.  The whitened moments, which depend only on the number of
+observation triples, are computed once per triple count.  The
 candidate model set is built from the current estimate only for the tasks
 that run the elimination algorithm.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +46,7 @@ from .spectral import (
     spectral_estimate,
     unpack_models,
     vectorize_observation,
+    whitened_moments,
 )
 
 
@@ -214,6 +219,12 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
     trace = SequenceTrace()
     observations: list = []
     estimate: HmmEstimate | None = None
+    # The observation count and error bound the current estimate was
+    # computed with; a stale estimate keeps both.
+    estimate_obs = 0
+    estimate_bound = math.inf
+    # spectral.whitened_moments of the last triple count.
+    moments, moments_triples = None, None
     delta_h = math.inf
     active: set = set(range(k))
     current_task: int | None = None
@@ -261,21 +272,30 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
         degraded = False
         # With fewer than k triples M2 has rank below k and whitening fails.
         if len(observations) >= 3 * k:
+            triples = len(observations) // 3
+            if triples != moments_triples:
+                # Drop the old moments before computing the new ones.  If
+                # they raise they stay None, and spectral_estimate computes
+                # them again and raises, so every degradation leaves that call.
+                moments, moments_triples = None, triples
+                with contextlib.suppress(DegenerateMomentsError):
+                    moments = whitened_moments(observations, k)
             try:
                 estimate = spectral_estimate(
                     observations, k, layout,
                     restarts=cfg.rtp_restarts, iters=cfg.rtp_iters,
-                    rng=rng, reference=o_true,
+                    rng=rng, reference=o_true, moments=moments,
                 )
             except (DegenerateMomentsError, DecompositionFailureError):
                 degraded = True
+            else:
+                estimate_obs = len(observations)
+                estimate_bound = model_error_bound(
+                    estimate_obs, cfg.rho_at(h), cfg.delta_prime, S, A, U)["max"]
 
         if estimate is not None:
-            delta_next = model_error_bound(len(observations), cfg.rho_at(h),
-                                           cfg.delta_prime, S, A, U)["max"]
             o_err, t_err = estimate_errors(estimate, o_true, t_true)
         else:
-            delta_next = math.inf
             o_err = t_err = math.nan
 
         record = TaskRecord(
@@ -297,9 +317,9 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
 
         if cfg.pre_elimination and estimate is not None:
             active = pre_eliminate(estimate.transition, survived,
-                                   len(observations), cfg, layout.dim)
+                                   estimate_obs, cfg, layout.dim)
         else:
             active = set(range(k))
-        delta_h = delta_next
+        delta_h = estimate_bound
 
     return trace

@@ -4,6 +4,13 @@ Multi-view moment estimation, whitening, robust tensor power decomposition,
 parameter recovery with simplex repair, column alignment, and the
 h-dependent error-bound schedule.
 
+The pipeline splits into a deterministic stage and a random one.
+``whitened_moments`` (moments, whitening, whitened third moment) draws no
+random numbers and depends only on the observation triples, so a caller
+whose triple count has not changed can hand its last result back to
+``spectral_estimate``.  ``rtp_decompose`` draws every random start of a
+component in one call and power-iterates all restarts as one stack.
+
 Observations live in dimension d = S*A*(S+U), which can be large; every
 covariance and pseudo-inverse is handled in an orthonormal basis of the
 observation span (rank <= number of observations), which is exact because
@@ -207,21 +214,33 @@ def whiten(m2: np.ndarray, k: int, rank_tol: float = 1e-12):
 
 
 def _power_iterate(t3: np.ndarray, v: np.ndarray, iters: int) -> np.ndarray:
+    """Power-iterate every row of the (r, d) stack ``v`` on the tensor.
+
+    A row whose image is zero keeps its value; its image then stays zero.
+    Row norms are ``sqrt(vecdot)``, which agrees bit for bit with the norm
+    of a single vector.
+    """
     for _ in range(iters):
-        w = np.einsum("ijk,j,k->i", t3, v, v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return v
-        v = w / norm
+        w = np.einsum("ijk,rj,rk->ri", t3, v, v)
+        norms = np.sqrt(np.vecdot(w, w))[:, None]
+        v = np.divide(w, norms, out=v.copy(), where=norms != 0.0)
     return v
+
+
+def _cubic_form(t3: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T(v, v, v) for every row of the (r, d) stack ``v``."""
+    return np.einsum("ijk,ri,rj,rk->r", t3, v, v, v)
 
 
 def rtp_decompose(t3: np.ndarray, k: int, restarts: int = 100, iters: int = 100,
                   rng=None):
     """Robust tensor power method: restarted, deflated power iteration.
 
-    Returns k (eigenvalue, eigenvector) pairs with positive eigenvalues,
-    the sign absorbed into the eigenvector.
+    For each component all restarts are iterated as one (restarts, d)
+    stack; the restart with the largest |eigenvalue| (the first, on a tie)
+    is refined by ``iters`` more iterations and deflated.  Returns k
+    (eigenvalue, eigenvector) pairs with positive eigenvalues, the sign
+    absorbed into the eigenvector.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iterations must be at least 1")
@@ -232,18 +251,17 @@ def rtp_decompose(t3: np.ndarray, k: int, restarts: int = 100, iters: int = 100,
     pairs = []
     work = t3.copy()
     for _ in range(k):
-        best_val, best_vec = -math.inf, None
-        for _ in range(restarts):
-            v0 = rng.standard_normal(dim)
-            v0 /= np.linalg.norm(v0)
-            v = _power_iterate(work, v0, iters)
-            lam = float(np.einsum("ijk,i,j,k->", work, v, v, v))
-            if abs(lam) > best_val:
-                best_val, best_vec = abs(lam), (v if lam >= 0 else -v)
-        if best_vec is None or best_val <= 0.0:
+        v0 = rng.standard_normal((restarts, dim))
+        v0 /= np.sqrt(np.vecdot(v0, v0))[:, None]
+        v = _power_iterate(work, v0, iters)
+        lams = _cubic_form(work, v)
+        best = int(np.argmax(np.abs(lams)))
+        if not abs(lams[best]) > 0.0:   # zero or NaN
             raise DecompositionFailureError("no positive eigenvalue found")
-        v = _power_iterate(work, best_vec, iters)
-        lam = float(np.einsum("ijk,i,j,k->", work, v, v, v))
+        start = v[best] if lams[best] >= 0 else -v[best]
+        v = _power_iterate(work, start[None, :], iters)
+        lam = float(_cubic_form(work, v)[0])
+        v = v[0]
         if lam < 0:
             lam, v = -lam, -v
         if lam <= 0.0:
@@ -325,15 +343,32 @@ def apply_permutation(est: HmmEstimate, perm: np.ndarray) -> HmmEstimate:
     )
 
 
-def spectral_estimate(observations, k: int, layout: ObservationLayout,
-                      restarts: int = 100, iters: int = 100, rng=None,
-                      reference=None) -> HmmEstimate:
-    """Full pipeline: moments, whitening, RTP, recovery, optional alignment."""
+def whitened_moments(observations, k: int):
+    """The deterministic stage of the pipeline: moments, whitening and the
+    whitened third moment.
+
+    Returns ``(moments, W, T3)``.  It draws no random numbers and reads only
+    the first ``3 * (len(observations) // 3)`` observations, so callers may
+    reuse it for every observation count with the same number of triples.
+    """
     moments = estimate_moments(observations, rank=k)
     w = whiten(moments.m2, k)
-    t3 = moments.whitened_third_moment(w)
+    return moments, w, moments.whitened_third_moment(w)
+
+
+def spectral_estimate(observations, k: int, layout: ObservationLayout,
+                      restarts: int = 100, iters: int = 100, rng=None,
+                      reference=None, moments=None) -> HmmEstimate:
+    """Full pipeline: moments, whitening, RTP, recovery, optional alignment.
+
+    ``moments`` is the output of ``whitened_moments`` for the same
+    observations and k, if the caller has it; otherwise it is computed.
+    """
+    if moments is None:
+        moments = whitened_moments(observations, k)
+    moment_set, w, t3 = moments
     pairs = rtp_decompose(t3, k, restarts=restarts, iters=iters, rng=rng)
-    est = recover_parameters(moments, pairs, w, layout)
+    est = recover_parameters(moment_set, pairs, w, layout)
     if reference is not None:
         est = apply_permutation(est, align_columns(est, reference))
     return est

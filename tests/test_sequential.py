@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from seqtransfer import sequential
+from seqtransfer import sequential, spectral
 from seqtransfer.envs import GenerativeModel, TaskChain, successor_chain
 from seqtransfer.mdp import TabularMdp
 from seqtransfer.ptum import EmpiricalModel
@@ -307,3 +307,53 @@ class TestRunSequential:
         assert calls["approx"] == calls["ptum"]
         assert calls["ptum"] == sum(r.tau is not None for r in trace.records)
         assert not any(r.degraded for r in trace.records[:3 * k - 1])
+
+    def test_whitened_moments_once_per_triple_count(self, monkeypatch):
+        # The deterministic stage reads only whole triples, so it is
+        # computed once for each triple count, not once per estimate.
+        k = 3
+        triples = []
+        moments = spectral.estimate_moments
+
+        def counting_moments(observations, *args, **kwargs):
+            triples.append(len(observations) // 3)
+            return moments(observations, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "estimate_moments", counting_moments)
+        cfg = make_cfg(num_tasks=16, startup_tasks=12, startup_per_pair=200,
+                       post_sample_per_pair=200, rho=1e-3)
+        trace = run_sequential(cfg, tiny_family(k, seed=7), successor_chain(k),
+                               np.random.default_rng(6))
+        assert not any(r.degraded for r in trace.records)
+        assert triples == sorted({n // 3 for n in range(3 * k, 17)})
+
+    def test_degraded_estimate_keeps_its_bound(self, monkeypatch):
+        # A stale estimate keeps the error bound and the pre-elimination
+        # observation count it was computed with, so delta_h does not fall
+        # across a degraded task.
+        k, fail_at = 3, 11
+        estimate, eliminate = sequential.spectral_estimate, sequential.pre_eliminate
+        counts = []
+
+        def flaky_estimate(observations, *args, **kwargs):
+            if len(observations) == fail_at + 1:
+                raise spectral.DegenerateMomentsError("forced")
+            return estimate(observations, *args, **kwargs)
+
+        def recording_eliminate(t_hat, survived, h, *args):
+            counts.append(h)
+            return eliminate(t_hat, survived, h, *args)
+
+        monkeypatch.setattr(sequential, "spectral_estimate", flaky_estimate)
+        monkeypatch.setattr(sequential, "pre_eliminate", recording_eliminate)
+        cfg = make_cfg(num_tasks=14, startup_tasks=14, startup_per_pair=200,
+                       post_sample_per_pair=200, rho=2.0, rho_t=0.01,
+                       pre_elimination=True)
+        trace = run_sequential(cfg, tiny_family(k, seed=11), successor_chain(k),
+                               np.random.default_rng(5))
+        assert [r.h for r in trace.records if r.degraded] == [fail_at]
+        deltas = [r.delta_h for r in trace.records]
+        assert deltas[fail_at + 1] == deltas[fail_at]
+        assert deltas[fail_at + 2] < deltas[fail_at + 1]
+        assert counts == [fail_at if n == fail_at + 1 else n
+                          for n in range(3 * k, 15)]

@@ -13,6 +13,7 @@ from seqtransfer.spectral import (
     DegenerateMomentsError,
     HmmEstimate,
     ObservationLayout,
+    _power_iterate,
     align_columns,
     apply_permutation,
     estimate_moments,
@@ -25,6 +26,7 @@ from seqtransfer.spectral import (
     unpack_models,
     vectorize_observation,
     whiten,
+    whitened_moments,
 )
 
 
@@ -156,6 +158,63 @@ class TestRtp:
         with pytest.raises(DecompositionFailureError):
             rtp_decompose(np.zeros((3, 3, 3)), 1, rng=np.random.default_rng(6))
 
+    @staticmethod
+    def reference_rtp(t3, k, restarts, iters, rng):
+        """One restart and one vector at a time: the loop the batched
+        rtp_decompose replaced, kept as its reference."""
+        def power(work, v):
+            for _ in range(iters):
+                w = np.einsum("ijk,j,k->i", work, v, v)
+                norm = np.linalg.norm(w)
+                if norm == 0.0:
+                    return v
+                v = w / norm
+            return v
+
+        pairs, work = [], t3.copy()
+        for _ in range(k):
+            best_val, best_vec = -math.inf, None
+            for _ in range(restarts):
+                v0 = rng.standard_normal(t3.shape[0])
+                v0 /= np.linalg.norm(v0)
+                v = power(work, v0)
+                lam = float(np.einsum("ijk,i,j,k->", work, v, v, v))
+                if abs(lam) > best_val:
+                    best_val, best_vec = abs(lam), (v if lam >= 0 else -v)
+            v = power(work, best_vec)
+            lam = float(np.einsum("ijk,i,j,k->", work, v, v, v))
+            if lam < 0:
+                lam, v = -lam, -v
+            pairs.append((lam, v))
+            work = work - lam * np.einsum("i,j,k->ijk", v, v, v)
+        return pairs
+
+    @pytest.mark.parametrize("k, restarts", [(3, 50), (8, 20)])
+    def test_batched_restarts_match_reference_loop(self, k, restarts):
+        # Bit for bit, with the same number of draws from the generator, on
+        # noisy orthogonal tensors like the whitened third moments.
+        for seed in range(5):
+            rng = np.random.default_rng(100 + seed)
+            basis, _ = np.linalg.qr(rng.normal(size=(k, k)))
+            lams = rng.uniform(0.5, 3.0, size=k)
+            t3 = np.einsum("j,ij,kj,lj->ikl", lams, basis, basis, basis)
+            t3 = t3 + symmetrize_tensor(rng.normal(scale=0.05, size=(k, k, k)))
+            got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+            got = rtp_decompose(t3, k, restarts=restarts, iters=50, rng=got_rng)
+            want = self.reference_rtp(t3, k, restarts, 50, want_rng)
+            assert np.array_equal([lam for lam, _ in got], [lam for lam, _ in want])
+            assert np.array_equal(np.stack([v for _, v in got]),
+                                  np.stack([v for _, v in want]))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_power_iterate_keeps_rows_with_zero_image(self):
+        # e2 is mapped to 0 by e1 x e1 x e1 and stays put, while e1 is a
+        # fixed point; neither row disturbs the other.
+        e1, e2 = np.eye(3)[0], np.eye(3)[1]
+        t3 = np.einsum("i,j,k->ijk", e1, e1, e1)
+        got = _power_iterate(t3, np.stack([e2, e1]), 10)
+        assert np.array_equal(got, np.stack([e2, e1]))
+
     def test_symmetrize(self):
         rng = np.random.default_rng(7)
         t = rng.normal(size=(3, 3, 3))
@@ -256,6 +315,20 @@ class TestRecovery:
                                 rng=rng, reference=o_true)
         assert np.max(np.abs(est.observation - o_true)) < 0.05
         assert np.max(np.abs(est.transition - chain.transition)) < 0.05
+
+    def test_given_moments_match_computed_ones(self):
+        rng = np.random.default_rng(17)
+        fam, chain = random_hmm_family(3, 2, 2, 2, 0.9, rng)
+        layout = ObservationLayout(2, 2, 2)
+        obs, _ = simulate_hmm_observations(fam, chain, 301, 30, rng)
+        plain = spectral_estimate(obs, 3, layout, restarts=20, iters=50,
+                                  rng=np.random.default_rng(18))
+        reused = spectral_estimate(obs, 3, layout, restarts=20, iters=50,
+                                   rng=np.random.default_rng(18),
+                                   moments=whitened_moments(obs, 3))
+        assert np.array_equal(reused.observation, plain.observation)
+        assert np.array_equal(reused.transition, plain.transition)
+        assert np.array_equal(reused.eigenvalues, plain.eigenvalues)
 
     def test_transition_columns_stochastic(self):
         rng = np.random.default_rng(13)
