@@ -409,6 +409,7 @@ class GenerativeModel:
         self._mdp = mdp
         self.budget = budget
         self.queries_used = 0
+        self._cdfs = {}   # (s, a) -> cumulative next-state and reward rows
 
     @property
     def num_states(self) -> int:
@@ -431,12 +432,53 @@ class GenerativeModel:
             raise BudgetExceededError(self.queries_used)
         self.queries_used += count
 
+    def _cumulative_rows(self, s: int, a: int):
+        """The next-state and reward rows at (s, a) as normalized cumulative
+        sums, built on first use: searching one with a uniform double gives
+        what ``rng.choice(n, p=row)`` gives for that double."""
+        if (s, a) not in self._cdfs:
+            cdfs = [np.cumsum(row) for row in (self._mdp.p[s, a], self._mdp.q[s, a])]
+            for cdf in cdfs:
+                cdf /= cdf[-1]
+            self._cdfs[s, a] = cdfs
+        return self._cdfs[s, a]
+
     def query(self, s: int, a: int, rng):
         """One independent draw of (next_state, reward_value) at (s, a)."""
-        self._charge(1)
-        s2 = int(rng.choice(self._mdp.num_states, p=self._mdp.p[s, a]))
-        u = int(rng.choice(self._mdp.num_rewards, p=self._mdp.q[s, a]))
-        return s2, float(self._mdp.reward_support[u])
+        next_states, reward_indices = self.query_many(s, a, 1, rng)
+        return int(next_states[0]), float(self._mdp.reward_support[reward_indices[0]])
+
+    def query_many(self, s: int, a: int, count: int, rng, keep=None):
+        """Up to ``count`` independent draws at (s, a), of which the caller
+        keeps a leading run.
+
+        Returns (next_states, reward_indices), indices into the states and
+        into ``reward_support``; draw j is the j-th of as many ``query``
+        calls.  Draws only as many as the budget leaves, and raises
+        ``BudgetExceededError`` when it leaves none.  ``keep(next_states,
+        reward_indices)`` returns how many m of the drawn queries, from the
+        first, the caller uses (all when ``keep`` is None): only those m are
+        charged and returned, and ``rng`` is left as m ``query`` calls would
+        leave it.
+        """
+        if self.budget is not None:
+            if self.queries_used >= self.budget:
+                raise BudgetExceededError(self.queries_used)
+            count = min(count, self.budget - self.queries_used)
+        cdf_p, cdf_q = self._cumulative_rows(s, a)
+        saved = None if keep is None else rng.bit_generator.state
+        # Two doubles per query, the next state's first, as rng.choice uses.
+        u = rng.random((count, 2))
+        next_states = cdf_p.searchsorted(u[:, 0], side="right")
+        reward_indices = cdf_q.searchsorted(u[:, 1], side="right")
+        used = count if keep is None else keep(next_states, reward_indices)
+        if not 0 <= used <= count:
+            raise ValueError(f"kept {used} of {count} draws")
+        if used < count:
+            rng.bit_generator.state = saved
+            rng.random(2 * used)
+        self.queries_used += used
+        return next_states[:used], reward_indices[:used]
 
     def query_batch(self, s: int, a: int, count: int, rng):
         """count i.i.d. draws at (s, a), returned as count vectors.

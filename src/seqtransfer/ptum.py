@@ -136,6 +136,45 @@ class ApproxModelSet:
         return info_index_table(self)
 
 
+def reward_stats(reward_counts, n, support):
+    """Empirical reward mean and std (N-1 denominator; 0 when N <= 1).
+
+    ``reward_counts`` (..., U) counts the draws of each ``support`` value
+    and ``n`` (...) is their total.  Leading axes stack count snapshots,
+    and each snapshot gets, bit for bit, what it alone would get.
+    """
+    n = np.asarray(n)
+    counts = np.asarray(reward_counts)[..., None, :]
+    mean = (counts @ support[:, None])[..., 0, 0] / np.maximum(n, 1)
+    ss = (counts @ ((support - mean[..., None]) ** 2)[..., None])[..., 0, 0]
+    std = np.sqrt(np.maximum(ss / np.maximum(n - 1, 1), 0.0))
+    return mean, np.where(n > 1, std, 0.0)
+
+
+def transition_value_stats(next_counts, n, v):
+    """Empirical mean p_hat . v and std (N-1 denominator; 0 when N <= 1) of
+    v(S').
+
+    ``next_counts`` (..., S) counts the draws of each next state and ``n``
+    (...) is their total.  Leading axes stack count snapshots, and each
+    snapshot gets, bit for bit, what it alone would get.  ``v`` is one
+    value function (S,) or a stack (k, S), which adds a trailing axis k to
+    both results.
+    """
+    n = np.asarray(n)
+    v = np.asarray(v, dtype=float)
+    stack = np.atleast_2d(v)                                          # (k, S)
+    p_hat = (next_counts / np.maximum(n, 1)[..., None])[..., :, None]   # (..., S, 1)
+    mean = stack @ p_hat                                              # (..., k, 1)
+    var = ((stack - mean) ** 2 @ p_hat)[..., 0] * n[..., None] \
+        / np.maximum(n - 1, 1)[..., None]
+    std = np.where((n > 1)[..., None], np.sqrt(np.maximum(var, 0.0)), 0.0)
+    mean = mean[..., 0]
+    if v.ndim == 1:
+        return mean[..., 0], std[..., 0]
+    return mean, std
+
+
 class EmpiricalModel:
     """Per-(s, a) sufficient statistics collected from generative queries."""
 
@@ -169,18 +208,10 @@ class EmpiricalModel:
         self.next_counts[s, a] += np.asarray(next_state_counts, dtype=np.int64)
         self.reward_counts[s, a] += np.asarray(reward_index_counts, dtype=np.int64)
 
-    def reward_mean(self, s: int, a: int) -> float:
-        n = self.counts[s, a]
-        return float(self.reward_counts[s, a] @ self.reward_support) / n
-
     def reward_std(self, s: int, a: int) -> float:
         """Empirical reward std with N-1 denominator; 0 when N <= 1."""
-        n = int(self.counts[s, a])
-        if n <= 1:
-            return 0.0
-        mean = self.reward_mean(s, a)
-        ss = float(self.reward_counts[s, a] @ (self.reward_support - mean) ** 2)
-        return math.sqrt(max(ss / (n - 1), 0.0))
+        return float(reward_stats(self.reward_counts[s, a], self.counts[s, a],
+                                  self.reward_support)[1])
 
     def transition_value_std(self, s: int, a: int, v):
         """Empirical std of v(S') with N-1 denominator; 0 when N <= 1.
@@ -188,14 +219,19 @@ class EmpiricalModel:
         ``v`` is one value function (S,) or a stack (k, S), giving one std
         per row.
         """
-        v = np.asarray(v, dtype=float)
-        n = int(self.counts[s, a])
-        if n <= 1:
-            return np.zeros(v.shape[:-1])
-        p_hat = self.next_counts[s, a] / n
-        mean = v @ p_hat
-        var = (v - mean[..., None]) ** 2 @ p_hat * n / (n - 1)
-        return np.sqrt(np.maximum(var, 0.0))
+        return transition_value_stats(self.next_counts[s, a], self.counts[s, a], v)[1]
+
+    def snapshots(self, s: int, a: int, next_states, reward_indices):
+        """The counts at (s, a) after each draw of a run of draws there,
+        stacked: (n (B,), reward_counts (B, U), next_counts (B, S))."""
+        steps = np.arange(len(next_states))
+        next_counts = np.zeros((steps.size, self.num_states), dtype=np.int64)
+        next_counts[steps, next_states] = 1
+        reward_counts = np.zeros((steps.size, self.reward_support.size), dtype=np.int64)
+        reward_counts[steps, reward_indices] = 1
+        return (self.counts[s, a] + steps + 1,
+                self.reward_counts[s, a] + reward_counts.cumsum(axis=0),
+                self.next_counts[s, a] + next_counts.cumsum(axis=0))
 
     def min_count(self) -> int:
         return int(self.counts.min())
@@ -235,32 +271,58 @@ def _log_terms(S: int, A: int, params: ConfidenceParams):
     return l_mean, l_std
 
 
-def confidence_radii(emp: EmpiricalModel, s: int, a: int, sr: float, sp,
-                     params: ConfidenceParams):
+def confidence_radii(n, sr, sp, logs, params: ConfidenceParams):
     """The four Bernstein radii (reward, transition, reward-std,
-    transition-std) at (s, a); all infinite when N <= 1.
+    transition-std) after N = ``n`` samples at a pair; all infinite where
+    N <= 1.
 
-    ``sr`` is ``emp.reward_std(s, a)`` and ``sp`` is
-    ``emp.transition_value_std(s, a, v_ref)`` for the optimal value function
-    of the comparison model, or for a stack (k, S) of them, giving one
-    transition radius per row.
+    ``n`` may be a stack of counts.  ``sr`` is the empirical reward std
+    (shape of ``n``) and ``sp`` the empirical std of V(S') for the optimal
+    value function of the comparison model (shape of ``n``), or for a stack
+    of k of them (one more, trailing axis: one transition radius per row).
+    ``logs`` is ``_log_terms(S, A, params)``.
     """
-    n = int(emp.counts[s, a])
-    if n <= 1:
-        return INF, INF, INF, INF
-    S, A = emp.num_states, emp.num_actions
-    l_mean, l_std = _log_terms(S, A, params)
+    n = np.asarray(n)
+    l_mean, l_std = logs
     gamma = params.gamma
     b = params.bounds
-    c_r = math.sqrt(2.0 * sr * sr * l_mean / n) + 7.0 * l_mean / (3.0 * (n - 1)) + b.reward
+    valid = n > 1
+    n0, n1 = np.maximum(n, 1), np.maximum(n - 1, 1)
+    c_r = np.sqrt(2.0 * sr * sr * l_mean / n0) + 7.0 * l_mean / (3.0 * n1) + b.reward
+    c_sr = np.sqrt(2.0 * l_std / n1) + b.reward_std
+    c_sp = np.sqrt(2.0 * l_std / n1) / (1.0 - gamma) + b.transition_std
+    row = (..., *(None,) * (np.ndim(sp) - n.ndim))   # lines n up with sp
     c_p = (
-        np.sqrt(2.0 * sp * sp * l_mean / n)
-        + 7.0 * l_mean / (3.0 * (n - 1) * (1.0 - gamma))
+        np.sqrt(2.0 * sp * sp * l_mean / n0[row])
+        + 7.0 * l_mean / (3.0 * n1[row] * (1.0 - gamma))
         + b.transition
     )
-    c_sr = math.sqrt(2.0 * l_std / (n - 1)) + b.reward_std
-    c_sp = math.sqrt(2.0 * l_std / (n - 1)) / (1.0 - gamma) + b.transition_std
-    return c_r, c_p, c_sr, c_sp
+    return (np.where(valid, c_r, INF), np.where(valid[row], c_p, INF),
+            np.where(valid, c_sr, INF), np.where(valid, c_sp, INF))
+
+
+def compatibility_failures(idx, s, a, n, reward_counts, next_counts, support,
+                           approx: ApproxModelSet, params: ConfidenceParams, logs):
+    """Which of the models ``idx`` break a compatibility condition at
+    (s, a), for each of a stack of count snapshots there.
+
+    The snapshots are ``n`` (B,), ``reward_counts`` (B, U) over
+    ``support`` and ``next_counts`` (B, S); the result is a (B, len(idx))
+    boolean array, False wherever N <= 1.  The transition conditions
+    quantify over every reference model j of the full set, not just
+    ``idx``.
+    """
+    r_mean, sr = reward_stats(reward_counts, n, support)                  # (B,)
+    pv_hat, sp = transition_value_stats(next_counts, n, approx.values)    # (B, k)
+    c_r, c_p, c_sr, c_sp = confidence_radii(n, sr, sp, logs, params)
+    return (
+        (np.abs(r_mean[:, None] - approx.rewards[idx, s, a]) > c_r[:, None])
+        | (np.abs(sr[:, None] - approx.sigma_r[idx, s, a]) > c_sr[:, None])
+        | np.any(np.abs(pv_hat[:, None] - approx.pv[idx, :, s, a]) > c_p[:, None],
+                 axis=2)
+        | np.any(np.abs(sp[:, None] - approx.sigma_p[idx, :, s, a])
+                 > c_sp[:, None, None], axis=2)
+    )
 
 
 def prune_confidence_set(active, emp: EmpiricalModel, approx: ApproxModelSet,
@@ -268,9 +330,8 @@ def prune_confidence_set(active, emp: EmpiricalModel, approx: ApproxModelSet,
     """Models from ``active`` still compatible with the empirical MDP.
 
     At each pair, every active model is tested at once against the four
-    compatibility conditions; the transition conditions quantify over
-    every reference model j of the full set, not just the survivors.
-    ``pairs`` optionally restricts the (s, a) pairs re-checked; conditions at
+    compatibility conditions (``compatibility_failures``).  ``pairs``
+    optionally restricts the (s, a) pairs re-checked; conditions at
     unvisited pairs hold vacuously, and eliminations are permanent, so
     callers updating one pair per step may pass just that pair.
     """
@@ -278,23 +339,13 @@ def prune_confidence_set(active, emp: EmpiricalModel, approx: ApproxModelSet,
         raise ValueError("active set must be non-empty")
     if pairs is None:
         pairs = [tuple(x) for x in np.argwhere(emp.counts > 1)]
+    logs = _log_terms(emp.num_states, emp.num_actions, params)
     idx = np.array(sorted(active))
     keep = np.ones(idx.size, dtype=bool)
     for s, a in pairs:
-        n = int(emp.counts[s, a])
-        if n <= 1:
-            continue
-        sr_hat = emp.reward_std(s, a)
-        sp_hat = emp.transition_value_std(s, a, approx.values)       # (k,)
-        c_r, c_p, c_sr, c_sp = confidence_radii(emp, s, a, sr_hat, sp_hat, params)
-        pv_hat = approx.values @ (emp.next_counts[s, a] / n)          # (k,)
-        fails = (
-            (np.abs(emp.reward_mean(s, a) - approx.rewards[idx, s, a]) > c_r)
-            | (np.abs(sr_hat - approx.sigma_r[idx, s, a]) > c_sr)
-            | np.any(np.abs(pv_hat - approx.pv[idx, :, s, a]) > c_p, axis=1)
-            | np.any(np.abs(sp_hat - approx.sigma_p[idx, :, s, a]) > c_sp, axis=1)
-        )
-        keep &= ~fails
+        keep &= ~compatibility_failures(
+            idx, s, a, emp.counts[s, a][None], emp.reward_counts[s, a][None],
+            emp.next_counts[s, a][None], emp.reward_support, approx, params, logs)[0]
     return set(idx[keep].tolist())
 
 
@@ -435,6 +486,11 @@ def uniform_pac_fallback(g: GenerativeModel, eps: float, delta: float,
     return policy, emp
 
 
+# Queries drawn at once at the current pair; the draws after an elimination
+# are handed back, so this sets only the work thrown away, not the results.
+_RUN_BLOCK = 64
+
+
 def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: float,
              n: int, rng, fallback_per_pair: int | None = None,
              active: set | None = None) -> PtumResult:
@@ -475,43 +531,57 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
 
     params = ConfidenceParams(budget=n, num_models=k, delta=delta, gamma=gamma,
                               bounds=approx.bounds)
+    logs = _log_terms(S, A, params)
     active_set = set(initial)
     trace = [sorted(active_set)]
     query_log = []
-    changed = True
 
-    for t in range(n + 1):
-        if query_log:
-            _, s, a = query_log[-1]
-            new_active = prune_confidence_set(active_set, emp, approx, params,
-                                              pairs=[(s, a)])
-            if not new_active:
-                # Everything eliminated: identification failed outright.
+    while True:
+        # The stop test and the query choice depend only on the active set.
+        stopped = check_stop(active_set, approx, eps)
+        if stopped is not None:
+            theta, policy = stopped
+            return PtumResult(
+                policy=policy, tau=len(query_log), mode="transfer-stopped",
+                chosen_model=theta, survived_trace=trace, query_log=query_log,
+                queries_total=g.queries_used, empirical=emp,
+            )
+        s, a = select_query(active_set, approx)
+        idx = np.array(sorted(active_set))
+        fails = None
+
+        def first_elimination(next_states, reward_indices):
+            # Prunes after every draw of the run at once: the draws past the
+            # first prune that eliminates go back to the oracle unused.
+            nonlocal fails
+            fails = compatibility_failures(
+                idx, s, a, *emp.snapshots(s, a, next_states, reward_indices),
+                emp.reward_support, approx, params, logs)
+            hit = fails.any(axis=1)
+            return int(np.argmax(hit)) + 1 if hit.any() else hit.size
+
+        # Query (s, a) until a prune changes the active set.
+        eliminated = False
+        while not eliminated and len(query_log) < n:
+            try:
+                next_states, reward_indices = g.query_many(
+                    s, a, min(_RUN_BLOCK, n - len(query_log)), rng,
+                    keep=first_elimination)
+            except BudgetExceededError:
                 break
-            changed = new_active != active_set
-            active_set = new_active
-            trace.append(sorted(active_set))
-        if changed:
-            # The stop test and the query choice depend only on the active set.
-            stopped = check_stop(active_set, approx, eps)
-            if stopped is not None:
-                theta, policy = stopped
-                return PtumResult(
-                    policy=policy, tau=t, mode="transfer-stopped",
-                    chosen_model=theta, survived_trace=trace, query_log=query_log,
-                    queries_total=g.queries_used, empirical=emp,
-                )
-            query = select_query(active_set, approx)
-            changed = False
-        if t == n:
+            used = len(next_states)
+            emp.add_batch(s, a, np.bincount(next_states, minlength=S),
+                          np.bincount(reward_indices, minlength=emp.reward_support.size))
+            t0 = len(query_log)
+            query_log.extend((t0 + j, s, a) for j in range(used))
+            eliminated = bool(fails[used - 1].any())
+            trace.extend(idx.tolist() for _ in range(used - 1 if eliminated else used))
+            if eliminated:
+                active_set = set(idx[~fails[used - 1]].tolist())
+        if not eliminated or not active_set:
+            # Out of budget, or everything eliminated: identification failed.
             break
-        s, a = query
-        try:
-            s2, u = g.query(s, a, rng)
-        except BudgetExceededError:
-            break
-        emp.add_sample(s, a, s2, u)
-        query_log.append((t, s, a))
+        trace.append(sorted(active_set))
 
     return _fallback("fallback-budget", emp, query_log, trace, len(query_log))
 

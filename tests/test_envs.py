@@ -19,7 +19,8 @@ from seqtransfer.envs import (
     successor_chain,
     two_rooms_family,
 )
-from seqtransfer.mdp import model_gaps, value_iteration
+from seqtransfer.harness import run_rng
+from seqtransfer.mdp import TabularMdp, model_gaps, value_iteration
 
 
 class TestGrids:
@@ -184,7 +185,6 @@ class TestGenerativeModel:
         p[:, 0, 1] = 1.0
         q = np.zeros((2, 1, 2))
         q[:, 0, 1] = 1.0
-        from seqtransfer.mdp import TabularMdp
         return TabularMdp(p=p, reward_support=np.array([0.0, 1.0]), q=q, gamma=0.9)
 
     def test_deterministic_queries(self):
@@ -214,3 +214,94 @@ class TestGenerativeModel:
         g.query_batch(0, 0, 5, rng)
         with pytest.raises(BudgetExceededError):
             g.query(0, 0, rng)
+
+
+def same_state(rng1, rng2) -> bool:
+    """Whether two generators' bit-generator states are equal."""
+    def equal(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(equal(x[k], y[k]) for k in x)
+        return np.array_equal(x, y)
+    return equal(rng1.bit_generator.state, rng2.bit_generator.state)
+
+
+class TestQueryMany:
+    S, A, U = 7, 4, 3
+
+    @classmethod
+    def sampler_model(cls):
+        """Rows of every kind the sampler meets: random, zero mass at both
+        ends, and one-point rows on the first, a middle and the last entry."""
+        rng = np.random.default_rng(21)
+        p = rng.dirichlet(np.full(cls.S, 0.7), size=(cls.S, cls.A))
+        q = rng.dirichlet(np.ones(cls.U), size=(cls.S, cls.A))
+        p[1, :, [0, -1]] = 0.0
+        q[1, :, [0, -1]] = 0.0
+        q[1, :, 1] = 1.0
+        p /= p.sum(axis=2, keepdims=True)
+        for s, point in ((2, 0), (3, cls.S // 2), (4, cls.S - 1)):
+            p[s] = 0.0
+            p[s, :, point] = 1.0
+            q[s] = 0.0
+            q[s, :, min(point, cls.U - 1)] = 1.0
+        return TabularMdp(p=p, reward_support=np.array([0.0, 0.4, 1.0]), q=q, gamma=0.9)
+
+    def test_draws_match_choice(self):
+        m = self.sampler_model()
+        for s in range(self.S):
+            for a in range(self.A):
+                rng1, rng2 = run_rng(5, s * self.A + a), run_rng(5, s * self.A + a)
+                next_states, rewards = GenerativeModel(m).query_many(s, a, 60, rng1)
+                expected = [(rng2.choice(self.S, p=m.p[s, a]),
+                             rng2.choice(self.U, p=m.q[s, a])) for _ in range(60)]
+                assert list(zip(next_states.tolist(), rewards.tolist())) == expected
+                assert same_state(rng1, rng2)
+
+    def test_run_equals_single_queries(self):
+        m = self.sampler_model()
+        g1, g2 = GenerativeModel(m), GenerativeModel(m)
+        rng1, rng2 = run_rng(6, 0), run_rng(6, 0)
+        for s, a, count in ((0, 1, 25), (1, 3, 1), (4, 0, 9), (0, 1, 40)):
+            next_states, rewards = g1.query_many(s, a, count, rng1)
+            singles = [g2.query(s, a, rng2) for _ in range(count)]
+            assert list(zip(next_states.tolist(),
+                            m.reward_support[rewards].tolist())) == singles
+            assert g1.queries_used == g2.queries_used
+            assert same_state(rng1, rng2)
+        assert g1.queries_used == 75
+
+    def test_keep_charges_and_rewinds_to_the_kept_draws(self):
+        m = self.sampler_model()
+        for used in (0, 1, 13, 20):
+            g1, g2 = GenerativeModel(m), GenerativeModel(m)
+            rng1, rng2 = run_rng(7, used), run_rng(7, used)
+            seen = []
+
+            def keep(next_states, rewards):
+                seen.append(next_states.size)
+                return used
+
+            kept = g1.query_many(0, 2, 20, rng1, keep=keep)
+            expected = g2.query_many(0, 2, used, rng2)
+            assert seen == [20]
+            assert all(np.array_equal(x, y) for x, y in zip(kept, expected))
+            assert g1.queries_used == g2.queries_used == used
+            assert same_state(rng1, rng2)
+        with pytest.raises(ValueError):
+            GenerativeModel(m).query_many(0, 0, 5, run_rng(7, 0), keep=lambda n, r: 6)
+
+    def test_budget_raised_at_the_same_count(self):
+        m = self.sampler_model()
+        g1, g2 = GenerativeModel(m, budget=7), GenerativeModel(m, budget=7)
+        rng1, rng2 = run_rng(8, 0), run_rng(8, 0)
+        sizes = []
+        with pytest.raises(BudgetExceededError) as run_error:
+            while True:
+                sizes.append(g1.query_many(5, 1, 3, rng1)[0].size)
+        with pytest.raises(BudgetExceededError) as single_error:
+            while True:
+                g2.query(5, 1, rng2)
+        assert sizes == [3, 3, 1]
+        assert run_error.value.queries_used == single_error.value.queries_used == 7
+        assert g1.queries_used == g2.queries_used == 7
+        assert same_state(rng1, rng2)

@@ -3,32 +3,41 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtransfer.envs import (
+    BudgetExceededError,
     GenerativeModel,
     GridSpec,
     build_multi_goal_grid,
     multi_goal_family,
     two_rooms_family,
 )
+from seqtransfer.harness import run_rng
 from seqtransfer.mdp import TabularMdp, policy_evaluation, value_iteration
 from seqtransfer.ptum import (
     INF,
     ApproxModelSet,
     ConfidenceParams,
     EmpiricalModel,
+    PtumResult,
     UncertaintyBounds,
+    _log_terms,
     check_stop,
+    compatibility_failures,
     confidence_radii,
     default_fallback_per_pair,
     info_index,
     info_index_table,
     prune_confidence_set,
+    reward_stats,
     run_ptum,
     select_query,
     stop_margin,
     theta_eps_and_bound,
     transfer_gate,
+    transition_value_stats,
     uniform_pac_fallback,
 )
 
@@ -98,7 +107,8 @@ class TestConfidenceRadii:
     @staticmethod
     def radii(emp, v_ref, params):
         sr, sp = emp.reward_std(0, 0), emp.transition_value_std(0, 0, v_ref)
-        return confidence_radii(emp, 0, 0, sr, sp, params)
+        logs = _log_terms(emp.num_states, emp.num_actions, params)
+        return confidence_radii(emp.counts[0, 0], sr, sp, logs, params)
 
     def test_no_samples_gives_infinite_radii(self):
         emp = EmpiricalModel(2, 2, [0.0, 1.0])
@@ -147,6 +157,80 @@ class TestConfidenceRadii:
         assert stds[2] == 0.0
         assert stds[0] == pytest.approx(math.sqrt(np.var([0, 0, 1, 1, 1, 1, 1, 2, 2, 2],
                                                          ddof=1)), rel=1e-12)
+
+
+class TestStackedStatistics:
+    """A stack of count snapshots gets, row by row and bit for bit, what
+    each snapshot gets alone."""
+
+    @staticmethod
+    def snapshots(rng, B, S, U, most=40):
+        n = rng.integers(0, most, size=B)
+        n[:3] = [0, 1, 2]
+        next_counts = np.stack([rng.multinomial(x, rng.dirichlet(np.ones(S))) for x in n])
+        reward_counts = np.stack([rng.multinomial(x, rng.dirichlet(np.ones(U))) for x in n])
+        return n, reward_counts, next_counts
+
+    def test_one_row_equals_its_row_of_a_stack(self):
+        rng = np.random.default_rng(3)
+        S, U, B, k = 9, 4, 30, 5
+        support = np.sort(rng.random(U))
+        values = rng.normal(size=(k, S))
+        n, reward_counts, next_counts = self.snapshots(rng, B, S, U)
+        params = ConfidenceParams(budget=500, num_models=k, delta=0.05, gamma=0.9,
+                                  bounds=UncertaintyBounds(0.01, 0.02, 0.0, 0.03))
+        logs = _log_terms(S, 2, params)
+        r_mean, sr = reward_stats(reward_counts, n, support)
+        pv, sp = transition_value_stats(next_counts, n, values)
+        radii = confidence_radii(n, sr, sp, logs, params)
+        _, sp_first = transition_value_stats(next_counts, n, values[0])
+        assert sp_first == pytest.approx(sp[:, 0], rel=1e-12)
+        for i in range(B):
+            rows = (reward_stats(reward_counts[i], n[i], support),
+                    transition_value_stats(next_counts[i], n[i], values))
+            assert np.array_equal(rows[0], (r_mean[i], sr[i]))
+            assert all(np.array_equal(x, y[i]) for x, y in zip(rows[1], (pv, sp)))
+            one = confidence_radii(n[i], sr[i], sp[i], logs, params)
+            assert all(np.array_equal(x, y[i]) for x, y in zip(one, radii))
+            single = confidence_radii(n[i:i + 1], sr[i:i + 1], sp[i, 0:1][None], logs, params)
+            assert single[1][0, 0] == radii[1][i, 0]
+        assert all(np.all(np.isinf(r[n <= 1])) for r in radii)
+        assert np.all(np.isfinite(radii[0][n > 1]))
+        assert np.all(sr[n <= 1] == 0.0) and np.all(sp[n <= 1] == 0.0)
+
+    def test_empirical_model_reads_the_same_statistics(self):
+        rng = np.random.default_rng(4)
+        emp = EmpiricalModel(6, 1, [0.0, 0.3, 1.0])
+        values = rng.normal(size=(3, 6))
+        n, reward_counts, next_counts = self.snapshots(rng, 8, 6, 3)
+        _, sr = reward_stats(reward_counts, n, emp.reward_support)
+        _, sp = transition_value_stats(next_counts, n, values)
+        for i in range(8):
+            emp.counts[0, 0] = n[i]
+            emp.reward_counts[0, 0] = reward_counts[i]
+            emp.next_counts[0, 0] = next_counts[i]
+            assert emp.reward_std(0, 0) == sr[i]
+            assert np.array_equal(emp.transition_value_std(0, 0, values), sp[i])
+
+    def test_failures_of_a_stack_equal_those_of_each_snapshot(self):
+        fam = small_family()
+        approx = ApproxModelSet(fam, UncertaintyBounds(reward=0.01))
+        S, U = approx.num_states, fam[0].num_rewards
+        rng = np.random.default_rng(5)
+        n, reward_counts, next_counts = self.snapshots(rng, 25, S, U, most=5000)
+        params = ConfidenceParams(budget=1000, num_models=3, delta=0.1, gamma=0.9,
+                                  bounds=approx.bounds)
+        logs = _log_terms(S, approx.num_actions, params)
+        idx = np.array([0, 2])
+        stacked = compatibility_failures(idx, 0, 1, n, reward_counts, next_counts,
+                                         fam[0].reward_support, approx, params, logs)
+        assert stacked.shape == (25, 2) and stacked.any()
+        assert not stacked[n <= 1].any()
+        for i in range(25):
+            one = compatibility_failures(idx, 0, 1, n[i:i + 1], reward_counts[i:i + 1],
+                                         next_counts[i:i + 1], fam[0].reward_support,
+                                         approx, params, logs)
+            assert np.array_equal(one[0], stacked[i])
 
 
 class TestPruning:
@@ -420,3 +504,216 @@ class TestDiagnostics:
         approx = ApproxModelSet(fam, UncertaintyBounds(reward=0.5))
         with pytest.raises(ValueError):
             theta_eps_and_bound(approx, 0, eps=0.1, delta=0.1, n=100)
+
+
+def reference_run_ptum(approx, g, eps, delta, n, rng, fallback_per_pair=None,
+                       active=None):
+    """The identification loop one query at a time, kept as the reference
+    for ``run_ptum``, which draws and prunes whole runs of queries at once:
+    after every query it prunes with ``prune_confidence_set`` at that
+    query's pair."""
+    k = approx.num_models
+    S, A = approx.num_states, approx.num_actions
+    gamma = approx.gamma
+    initial = set(range(k)) if active is None else set(active)
+
+    def fallback(mode, emp, query_log, trace, tau):
+        per_pair = fallback_per_pair
+        if per_pair is None:
+            per_pair = min(default_fallback_per_pair(eps, delta, S, A, gamma),
+                           max(n // (S * A), 1))
+        policy, emp = uniform_pac_fallback(g, eps, delta, per_pair, rng, emp)
+        return PtumResult(policy=policy, tau=tau, mode=mode, chosen_model=None,
+                          survived_trace=trace, query_log=query_log,
+                          queries_total=g.queries_used, empirical=emp)
+
+    emp = EmpiricalModel(S, A, g.reward_support)
+    if not transfer_gate(approx.delta, eps, gamma):
+        return fallback("fallback-gate", emp, [], [sorted(initial)], 0)
+    params = ConfidenceParams(budget=n, num_models=k, delta=delta, gamma=gamma,
+                              bounds=approx.bounds)
+    active_set = set(initial)
+    trace = [sorted(active_set)]
+    query_log = []
+    changed = True
+    for t in range(n + 1):
+        if query_log:
+            _, s, a = query_log[-1]
+            new_active = prune_confidence_set(active_set, emp, approx, params,
+                                              pairs=[(s, a)])
+            if not new_active:
+                break
+            changed = new_active != active_set
+            active_set = new_active
+            trace.append(sorted(active_set))
+        if changed:
+            stopped = check_stop(active_set, approx, eps)
+            if stopped is not None:
+                theta, policy = stopped
+                return PtumResult(policy=policy, tau=t, mode="transfer-stopped",
+                                  chosen_model=theta, survived_trace=trace,
+                                  query_log=query_log, queries_total=g.queries_used,
+                                  empirical=emp)
+            query = select_query(active_set, approx)
+            changed = False
+        if t == n:
+            break
+        s, a = query
+        try:
+            s2, u = g.query(s, a, rng)
+        except BudgetExceededError:
+            break
+        emp.add_sample(s, a, s2, u)
+        query_log.append((t, s, a))
+    return fallback("fallback-budget", emp, query_log, trace, len(query_log))
+
+
+def same_state(rng1, rng2) -> bool:
+    """Whether two generators' bit-generator states are equal."""
+    def equal(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(equal(x[k], y[k]) for k in x)
+        return np.array_equal(x, y)
+    return equal(rng1.bit_generator.state, rng2.bit_generator.state)
+
+
+class SamplesOnly:
+    """An oracle that lets through nothing but its public interface."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._oracle, name)
+
+
+def random_rows(rng, shape, width):
+    """Distributions over ``width`` outcomes, many sparse or one-point."""
+    rows = rng.dirichlet(np.full(width, 0.5), size=shape)
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    empty = rows.sum(axis=-1) == 0.0
+    rows[empty, rng.integers(width, size=int(empty.sum()))] = 1.0
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def identification_cases(draw):
+    """Small random families, uncertainty bounds, budgets and active sets."""
+    S, A = draw(st.integers(1, 6)), draw(st.integers(2, 3))
+    U, k = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    gamma = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    eps = draw(st.sampled_from([0.01, 0.05, 0.2])) / (1.0 - gamma)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    support = np.concatenate([[0.0], np.sort(rng.choice(np.linspace(0.1, 0.9, 9), U - 2,
+                                                        replace=False)), [1.0]])
+
+    sure_rewards = draw(st.booleans())
+
+    def model():
+        q = random_rows(rng, (S, A), U)
+        if sure_rewards:
+            # Every pair pays one value, so the optimal policies differ.
+            q = np.eye(U)[rng.integers(U, size=(S, A))]
+        return TabularMdp(p=random_rows(rng, (S, A), S), reward_support=support,
+                          q=q, gamma=gamma)
+
+    models = [model() for _ in range(k)]
+    if draw(st.booleans()):
+        models[-1] = models[0]
+    truth = models[draw(st.integers(0, k - 1))] if draw(st.booleans()) else model()
+    gate = eps * (1.0 - gamma) / (4.0 * (1.0 + gamma))
+    fractions = draw(st.sampled_from([(0.0,) * 4, (0.2, 0.0, 0.1, 0.0), (0.6,) * 4,
+                                      (0.0, 0.0, 0.0, 1.2)]))
+    bounds = UncertaintyBounds(*(f * gate for f in fractions))
+    n = draw(st.integers(0, 600))
+    budget = draw(st.none() if n == 0 else st.none() | st.integers(0, n - 1))
+    active = draw(st.none() | st.sets(st.integers(0, k - 1), min_size=1))
+    return dict(approx=ApproxModelSet(models, bounds), truth=truth, eps=eps,
+                delta=draw(st.sampled_from([0.05, 0.3])), n=n, budget=budget,
+                active=active, fallback_per_pair=draw(st.sampled_from([None, 1, 2])),
+                seed=draw(st.integers(0, 1000)))
+
+
+def identify(loop, case, wrap=lambda g: g):
+    """``loop``'s result (or its BudgetExceededError), the oracle and rng."""
+    g = GenerativeModel(case["truth"], budget=case["budget"])
+    rng = run_rng(case["seed"], 0)
+    try:
+        result = loop(case["approx"], wrap(g), case["eps"], case["delta"], case["n"],
+                      rng, fallback_per_pair=case["fallback_per_pair"],
+                      active=case["active"])
+    except BudgetExceededError as exc:
+        result = exc
+    return result, g, rng
+
+
+def assert_same_identification(case, wrap=SamplesOnly):
+    """``run_ptum`` and the reference loop agree in every result field, in
+    the oracle's charge and in the generator state; returns the result."""
+    got, g, rng = identify(run_ptum, case, wrap)
+    ref, g_ref, rng_ref = identify(reference_run_ptum, case)
+    assert g.queries_used == g_ref.queries_used
+    assert same_state(rng, rng_ref)
+    if isinstance(ref, BudgetExceededError):
+        # The armed budget ran out, and the fallback could not sample.
+        assert isinstance(got, BudgetExceededError)
+        assert got.queries_used == ref.queries_used
+        return got
+    assert np.array_equal(got.policy, ref.policy)
+    assert (got.tau, got.mode, got.chosen_model, got.survived_trace, got.query_log,
+            got.queries_total) == (ref.tau, ref.mode, ref.chosen_model,
+                                   ref.survived_trace, ref.query_log, ref.queries_total)
+    for name in ("counts", "reward_counts", "next_counts"):
+        assert np.array_equal(getattr(got.empirical, name), getattr(ref.empirical, name))
+    return got
+
+
+class TestRunsOfQueries:
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_two_rooms_runs_equal_the_one_query_loop(self, seed):
+        fam = two_rooms_family()
+        case = dict(approx=ApproxModelSet(fam), truth=fam[0], eps=0.1, delta=0.01,
+                    n=100_000, budget=None, active=None, fallback_per_pair=None,
+                    seed=seed)
+        got = assert_same_identification(case)
+        assert got.mode == "transfer-stopped" and got.tau == 195
+
+    def test_all_eliminated_equals_the_one_query_loop(self):
+        # From state 0, action 0 leads surely to the paying state 1 in one
+        # model and surely to state 2 in the other, which therefore prefers
+        # action 1 (to state 3, paying 0.5): neither policy serves both, and
+        # the truth, branching evenly, matches neither.
+        q = np.zeros((4, 2, 3))
+        q[[0, 1, 2, 3], :, [0, 2, 0, 1]] = 1.0
+        support = np.array([0.0, 0.5, 1.0])
+
+        def model(row):
+            p = np.zeros((4, 2, 4))
+            p[0, 0] = row
+            p[0, 1, 3] = 1.0
+            p[np.arange(1, 4), :, np.arange(1, 4)] = 1.0
+            return TabularMdp(p=p, reward_support=support, q=q, gamma=0.5)
+
+        approx = ApproxModelSet([model([0, 1, 0, 0]), model([0, 0, 1, 0])])
+        case = dict(approx=approx, truth=model([0, 0.5, 0.5, 0]), eps=0.1, delta=0.05,
+                    n=2000, budget=None, active=None, fallback_per_pair=1, seed=3)
+        got = assert_same_identification(case)
+        assert got.mode == "fallback-budget" and got.tau < 2000
+        assert got.survived_trace[-1] == [0, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(identification_cases())
+    def test_runs_equal_the_one_query_loop(self, case):
+        got = assert_same_identification(case)
+        if isinstance(got, BudgetExceededError):
+            return
+        sets = [set(step) for step in got.survived_trace]
+        assert all(later <= earlier for earlier, later in zip(sets, sets[1:]))
+        if got.mode == "transfer-stopped":
+            approx = case["approx"]
+            margin = stop_margin(case["eps"], approx.delta, approx.gamma)
+            for theta in got.survived:
+                value = policy_evaluation(approx.models[theta], got.policy)
+                assert np.all(value >= approx.values[theta] - margin - 1e-6)
