@@ -21,12 +21,10 @@ from .harness import (
     aggregate,
     build_family,
     export_models_json,
-    family_min_gap,
     random_hmm_family,
     run_rng,
     simulate_hmm_observations,
     sweep,
-    true_task_values,
     write_csv,
     write_json,
 )
@@ -53,7 +51,6 @@ def cmd_run_ptum(args) -> int:
     delta = float(cfg.get("delta", 0.01))
     budget = int(cfg.get("budget", 100_000))
     star = int(cfg.get("true_task", 0))
-    values = true_task_values(family)
     approx = ApproxModelSet(family)
     theta_eps, bound = theta_eps_and_bound(approx, star, eps, delta, budget)
 
@@ -62,7 +59,7 @@ def cmd_run_ptum(args) -> int:
         g = GenerativeModel(family[star])
         res = run_ptum(approx, g, eps, delta, budget, rng)
         star_survived = all(star in step for step in res.survived_trace)
-        opt = is_eps_optimal(family[star], values[star], res.policy, eps)
+        opt = is_eps_optimal(family[star], approx.values[star], res.policy, eps)
         return (i, res.tau, res.mode, int(opt), int(star_survived), res.queries_total)
 
     rows = sweep(one_run, cfg.num_runs)
@@ -193,7 +190,7 @@ def cmd_diagnose(args) -> int:
     star = int(cfg.get("true_task", 0))
     approx = ApproxModelSet(family)
     theta_eps, bound = theta_eps_and_bound(approx, star, eps, delta, budget)
-    gap = family_min_gap(family)
+    gap = approx.min_gap(star)
     report = {
         "scenario": cfg.scenario,
         "true_task": star,

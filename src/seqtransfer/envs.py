@@ -13,14 +13,6 @@ ACTION_DELTAS = ((-1, 0), (1, 0), (0, 1), (0, -1))
 NUM_ACTIONS = 4
 
 
-class BudgetExceededError(RuntimeError):
-    """A generative query was requested past the armed sample budget."""
-
-    def __init__(self, queries_used: int):
-        super().__init__(f"generative budget exhausted after {queries_used} queries")
-        self.queries_used = queries_used
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Layout of a rectangular gridworld task.
@@ -405,9 +397,8 @@ class GenerativeModel:
     hidden transition and reward tables never leave this object.
     """
 
-    def __init__(self, mdp: TabularMdp, budget: int | None = None):
+    def __init__(self, mdp: TabularMdp):
         self._mdp = mdp
-        self.budget = budget
         self.queries_used = 0
         self._cdfs = {}   # (s, a) -> cumulative next-state and reward rows
 
@@ -427,11 +418,6 @@ class GenerativeModel:
     def gamma(self) -> float:
         return self._mdp.gamma
 
-    def _charge(self, count: int) -> None:
-        if self.budget is not None and self.queries_used + count > self.budget:
-            raise BudgetExceededError(self.queries_used)
-        self.queries_used += count
-
     def _cumulative_rows(self, s: int, a: int):
         """The next-state and reward rows at (s, a) as normalized cumulative
         sums, built on first use: searching one with a uniform double gives
@@ -449,22 +435,16 @@ class GenerativeModel:
         return int(next_states[0]), float(self._mdp.reward_support[reward_indices[0]])
 
     def query_many(self, s: int, a: int, count: int, rng, keep=None):
-        """Up to ``count`` independent draws at (s, a), of which the caller
-        keeps a leading run.
+        """``count`` independent draws at (s, a), of which the caller keeps a
+        leading run.
 
         Returns (next_states, reward_indices), indices into the states and
         into ``reward_support``; draw j is the j-th of as many ``query``
-        calls.  Draws only as many as the budget leaves, and raises
-        ``BudgetExceededError`` when it leaves none.  ``keep(next_states,
-        reward_indices)`` returns how many m of the drawn queries, from the
-        first, the caller uses (all when ``keep`` is None): only those m are
-        charged and returned, and ``rng`` is left as m ``query`` calls would
-        leave it.
+        calls.  ``keep(next_states, reward_indices)`` returns how many m of
+        the drawn queries, from the first, the caller uses (all when
+        ``keep`` is None): only those m are charged and returned, and
+        ``rng`` is left as m ``query`` calls would leave it.
         """
-        if self.budget is not None:
-            if self.queries_used >= self.budget:
-                raise BudgetExceededError(self.queries_used)
-            count = min(count, self.budget - self.queries_used)
         cdf_p, cdf_q = self._cumulative_rows(s, a)
         saved = None if keep is None else rng.bit_generator.state
         # Two doubles per query, the next state's first, as rng.choice uses.
@@ -486,7 +466,7 @@ class GenerativeModel:
         Returns (next_state_counts, reward_index_counts); equivalent in law
         to count repeated single queries.
         """
-        self._charge(count)
+        self.queries_used += count
         next_counts = rng.multinomial(count, self._mdp.p[s, a])
         reward_counts = rng.multinomial(count, self._mdp.q[s, a])
         return next_counts, reward_counts

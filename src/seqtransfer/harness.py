@@ -25,7 +25,7 @@ from .envs import (
     successor_chain,
     two_rooms_family,
 )
-from .mdp import TabularMdp, min_gap, value_iteration
+from .mdp import TabularMdp
 from .spectral import ObservationLayout
 
 SCENARIOS = ("two-rooms", "multi-goal", "objectworld", "synthetic-hmm")
@@ -88,12 +88,6 @@ class ExperimentConfig:
 
     def get(self, key, default=None):
         return self.params.get(key, default)
-
-    def require(self, key):
-        try:
-            return self.params[key]
-        except KeyError:
-            raise ConfigError(f"config must set {key!r}") from None
 
 
 def run_rng(base_seed: int, run_index: int) -> np.random.Generator:
@@ -212,16 +206,6 @@ def build_family(cfg: ExperimentConfig):
         )
         return family, chain
     raise ConfigError(f"scenario {cfg.scenario!r} has no task family")
-
-
-def true_task_values(family):
-    """Optimal value function of every task, for policy evaluation."""
-    return [value_iteration(m)[0] for m in family]
-
-
-def family_min_gap(family) -> float:
-    values = true_task_values(family)
-    return min_gap(family, values, star=0)
 
 
 def export_models_json(family) -> dict:

@@ -1,4 +1,5 @@
-"""Tabular MDP representation, exact planning, and gap/variance statistics.
+"""Tabular MDP representation, exact planning, variance statistics and the
+simulation-lemma bound.
 
 All operations are pure functions over immutable arrays; a ``TabularMdp``
 is never mutated after construction.
@@ -6,7 +7,6 @@ is never mutated after construction.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,17 +112,13 @@ class TabularMdp:
         return cls.from_json_dict(json.loads(text))
 
 
-def same_shape(a: TabularMdp, b: TabularMdp) -> bool:
-    return (
+def require_same_shape(a: TabularMdp, b: TabularMdp) -> None:
+    if not (
         a.p.shape == b.p.shape
         and a.q.shape == b.q.shape
         and np.array_equal(a.reward_support, b.reward_support)
         and a.gamma == b.gamma
-    )
-
-
-def _require_same_shape(a: TabularMdp, b: TabularMdp) -> None:
-    if not same_shape(a, b):
+    ):
         raise ShapeMismatchError("models must share (S, A, U, gamma)")
 
 
@@ -135,23 +131,19 @@ def _policy_matrices(mdp: TabularMdp, pi: np.ndarray):
     return p_pi, r_pi
 
 
-def policy_evaluation(mdp: TabularMdp, pi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Value function of a deterministic policy, via direct linear solve.
-
-    The solve is exact up to floating point, well inside any tol > 0.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def policy_evaluation(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:
+    """Value function of a deterministic policy, via direct linear solve
+    (exact up to floating point)."""
     p_pi, r_pi = _policy_matrices(mdp, np.asarray(pi, dtype=int))
     S = mdp.num_states
     return np.linalg.solve(np.eye(S) - mdp.gamma * p_pi, r_pi)
 
 
 def is_eps_optimal(mdp: TabularMdp, v_star: np.ndarray, pi: np.ndarray,
-                   eps: float, tol: float = 1e-6) -> bool:
-    """True iff policy ``pi`` is within eps (plus ``tol``) of ``v_star``
-    at every state of ``mdp``."""
-    return bool(np.max(v_star - policy_evaluation(mdp, pi)) <= eps + tol)
+                   eps: float) -> bool:
+    """True iff policy ``pi`` is within eps (plus 1e-6 for round-off) of
+    ``v_star`` at every state of ``mdp``."""
+    return bool(np.max(v_star - policy_evaluation(mdp, pi)) <= eps + 1e-6)
 
 
 def value_iteration(mdp: TabularMdp, tol: float = 1e-8):
@@ -188,14 +180,6 @@ def value_iteration(mdp: TabularMdp, tol: float = 1e-8):
     raise RuntimeError("policy iteration failed to converge")  # pragma: no cover
 
 
-def reward_mean_and_std(mdp: TabularMdp, s: int, a: int):
-    """Mean and standard deviation of the reward distribution at (s, a)."""
-    dist = mdp.q[s, a]
-    mean = float(dist @ mdp.reward_support)
-    var = float(dist @ (mdp.reward_support - mean) ** 2)
-    return mean, float(np.sqrt(max(var, 0.0)))
-
-
 def transition_value_std(mdp: TabularMdp, s: int, a: int, v: np.ndarray) -> float:
     """Standard deviation of v(S') under the transition at (s, a)."""
     v = np.asarray(v, dtype=float)
@@ -213,60 +197,6 @@ def transition_value_std_table(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
     mean = mdp.p @ v
     second = mdp.p @ (v ** 2)
     return np.sqrt(np.maximum(second - mean ** 2, 0.0))
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Componentwise reward/transition gaps between two models.
-
-    ``min_gap`` is this pair's contribution to the minimum-gap statistic:
-    the larger of the two sup-norm gap components.
-    """
-
-    reward_gap: np.ndarray
-    transition_gap: np.ndarray
-    min_gap: float
-
-
-def model_gaps(theta: TabularMdp, theta2: TabularMdp, v_ref: np.ndarray) -> GapReport:
-    """Reward gaps |r - r'| and transition gaps |(p - p')^T v_ref| per (s, a).
-
-    ``v_ref`` is the reference optimal value function; callers pick whose
-    (see the different uses in the stopping vs. index computations).
-    """
-    _require_same_shape(theta, theta2)
-    v_ref = np.asarray(v_ref, dtype=float)
-    if v_ref.shape != (theta.num_states,):
-        raise ShapeMismatchError("v_ref length must equal the state count")
-    reward_gap = np.abs(theta.reward_means() - theta2.reward_means())
-    transition_gap = np.abs((theta.p - theta2.p) @ v_ref)
-    pair_gap = float(max(reward_gap.max(), transition_gap.max()))
-    return GapReport(reward_gap=reward_gap, transition_gap=transition_gap, min_gap=pair_gap)
-
-
-def min_gap(models, values, star: int = 0) -> float:
-    """Minimum over non-target models of the max reward/transition gap.
-
-    Parameters
-    ----------
-    models : sequence of TabularMdp
-    values : sequence of ndarray
-        Optimal value functions, one per model; ``values[star]`` is used as
-        the reference in the transition gaps.
-    star : int
-        Index of the designated target model.
-    """
-    if len(models) < 2:
-        raise ValueError("need at least 2 models")
-    gaps = []
-    for j, m in enumerate(models):
-        if j == star:
-            continue
-        gaps.append(model_gaps(m, models[star], values[star]).min_gap)
-    gamma = min(gaps)
-    if gamma == 0.0:
-        warnings.warn("two identical models in the set; minimum gap is 0", stacklevel=2)
-    return gamma
 
 
 def discounted_occupancy(mdp: TabularMdp, pi: np.ndarray, start_state: int) -> np.ndarray:
@@ -291,7 +221,7 @@ def simulation_gap_bound(
     Diagnostic only: the occupancy is taken under theta2 and the value
     function under theta, matching the first simulation inequality.
     """
-    _require_same_shape(theta, theta2)
+    require_same_shape(theta, theta2)
     pi = np.asarray(pi, dtype=int)
     nu = discounted_occupancy(theta2, pi, start_state)
     v_pi = policy_evaluation(theta, pi)

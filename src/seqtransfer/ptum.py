@@ -7,16 +7,17 @@ sampling fallback, and the sample-complexity diagnostics.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .envs import BudgetExceededError, GenerativeModel
+from .envs import GenerativeModel
 from .mdp import (
     TabularMdp,
     policy_evaluation,
-    same_shape,
+    require_same_shape,
     transition_value_std_table,
     value_iteration,
 )
@@ -64,21 +65,19 @@ class ApproxModelSet:
     Holds, for k models over shared (S, A, U, gamma): optimal values and
     policies, the cross-evaluation table xval[i, j] = value of model i's
     optimal policy evaluated in model j, reward/transition-value standard
-    deviations, pairwise gap tables, and the uncertainty bounds.
+    deviations, pairwise gap tables, and the uncertainty bounds.  It is the
+    one source of these tables for the loop, the diagnostics and the CLI.
     Immutable once built; the information-index table is computed on
     first use.
     """
 
-    def __init__(self, models, bounds: UncertaintyBounds = UncertaintyBounds(),
-                 planning_tol: float = 1e-8):
+    def __init__(self, models, bounds: UncertaintyBounds = UncertaintyBounds()):
         if len(models) < 1:
             raise ValueError("need at least one model")
         for m in models[1:]:
-            if not same_shape(models[0], m):
-                raise ValueError("models must share (S, A, U, gamma)")
+            require_same_shape(models[0], m)
         self.models = list(models)
         self.bounds = bounds
-        self.planning_tol = planning_tol
         k = len(models)
         S, A = models[0].num_states, models[0].num_actions
         self.gamma = models[0].gamma
@@ -86,7 +85,7 @@ class ApproxModelSet:
         self.values = np.empty((k, S))
         self.policies = np.empty((k, S), dtype=int)
         for i, m in enumerate(models):
-            self.values[i], self.policies[i] = value_iteration(m, planning_tol)
+            self.values[i], self.policies[i] = value_iteration(m)
 
         self.xval = np.empty((k, k, S))
         for i in range(k):
@@ -107,12 +106,11 @@ class ApproxModelSet:
                 self.sigma_p[i, j] = transition_value_std_table(models[i], self.values[j])
                 self.pv[i, j] = models[i].p @ self.values[j]
 
-        # Gap tables; the transition gap of (i, j) is referenced to V*_i.
+        # Gap tables; the transition gap of (i, j) is referenced to V*_i:
+        # trans_gap[i, j] = |p_i . V*_i - p_j . V*_i|.
         self.reward_gap = np.abs(self.rewards[:, None] - self.rewards[None, :])
-        self.trans_gap = np.empty((k, k, S, A))
-        for i in range(k):
-            for j in range(k):
-                self.trans_gap[i, j] = np.abs(self.pv[i, i] - self.pv[j, i])
+        own = self.pv[np.arange(k), np.arange(k)]                       # (k, S, A)
+        self.trans_gap = np.abs(own[:, None] - self.pv.transpose(1, 0, 2, 3))
 
     @property
     def num_models(self) -> int:
@@ -134,6 +132,23 @@ class ApproxModelSet:
     def info_table(self) -> np.ndarray:
         """``info_index_table(self)``, shape (k, k, S, A)."""
         return info_index_table(self)
+
+    def sup_gaps(self, star: int):
+        """Per model j, the sup-norm reward and transition gaps to model
+        ``star``, the transition gap referenced to V*_star: two (k,) arrays."""
+        return (self.reward_gap[star].max(axis=(1, 2)),
+                self.trans_gap[star].max(axis=(1, 2)))
+
+    def min_gap(self, star: int) -> float:
+        """Minimum over the models other than ``star`` of the larger of
+        their two sup-norm gaps to it."""
+        if self.num_models < 2:
+            raise ValueError("need at least 2 models")
+        r_dev, p_dev = self.sup_gaps(star)
+        gap = float(np.delete(np.maximum(r_dev, p_dev), star).min())
+        if gap == 0.0:
+            warnings.warn("two identical models in the set; minimum gap is 0", stacklevel=2)
+        return gap
 
 
 def reward_stats(reward_counts, n, support):
@@ -207,19 +222,6 @@ class EmpiricalModel:
         self.counts[s, a] += total
         self.next_counts[s, a] += np.asarray(next_state_counts, dtype=np.int64)
         self.reward_counts[s, a] += np.asarray(reward_index_counts, dtype=np.int64)
-
-    def reward_std(self, s: int, a: int) -> float:
-        """Empirical reward std with N-1 denominator; 0 when N <= 1."""
-        return float(reward_stats(self.reward_counts[s, a], self.counts[s, a],
-                                  self.reward_support)[1])
-
-    def transition_value_std(self, s: int, a: int, v):
-        """Empirical std of v(S') with N-1 denominator; 0 when N <= 1.
-
-        ``v`` is one value function (S,) or a stack (k, S), giving one std
-        per row.
-        """
-        return transition_value_stats(self.next_counts[s, a], self.counts[s, a], v)[1]
 
     def snapshots(self, s: int, a: int, next_states, reward_indices):
         """The counts at (s, a) after each draw of a run of draws there,
@@ -400,10 +402,9 @@ def info_index(theta: int, theta2: int, s: int, a: int, approx: ApproxModelSet,
     return max(psi_r, psi_p)
 
 
-def info_index_table(approx: ApproxModelSet, delta_max: float | None = None) -> np.ndarray:
+def info_index_table(approx: ApproxModelSet) -> np.ndarray:
     """Vectorized info_index over all ordered pairs, shape (k, k, S, A)."""
-    if delta_max is None:
-        delta_max = approx.delta
+    delta_max = approx.delta
     gamma = approx.gamma
     dr = np.maximum(approx.reward_gap - 8.0 * delta_max, 0.0)
     dp = np.maximum(approx.trans_gap - 8.0 * delta_max, 0.0)
@@ -436,7 +437,7 @@ class PtumResult:
 
     policy: np.ndarray
     tau: int
-    mode: str  # transfer-stopped | fallback-gate | fallback-budget
+    mode: str  # transfer-stopped | fallback-gate | fallback-budget | fallback-eliminated
     chosen_model: int | None
     survived_trace: list
     query_log: list
@@ -446,20 +447,6 @@ class PtumResult:
     @property
     def survived(self) -> set:
         return set(self.survived_trace[-1]) if self.survived_trace else set()
-
-    def to_json_dict(self, include_query_log: bool = False) -> dict:
-        doc = {
-            "policy": self.policy.tolist(),
-            "tau": self.tau,
-            "mode": self.mode,
-            "chosen_model": self.chosen_model,
-            "queries_total": self.queries_total,
-            "survived_sizes": [len(s) for s in self.survived_trace],
-            "final_survivors": sorted(self.survived),
-        }
-        if include_query_log:
-            doc["query_log"] = [[t, s, a] for t, s, a in self.query_log]
-        return doc
 
 
 def default_fallback_per_pair(eps: float, delta: float, S: int, A: int, gamma: float) -> int:
@@ -496,9 +483,17 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
              active: set | None = None) -> PtumResult:
     """Full identification loop: gate, elimination, stop, query selection.
 
-    ``active`` restricts the initial candidate set (indices into the model
-    set); pruning still quantifies over the full set.  On gate failure or
-    budget exhaustion the uniform fallback provides the policy.
+    ``n`` bounds the queries of the elimination phase.  ``active`` restricts
+    the initial candidate set (indices into the model set); pruning still
+    quantifies over the full set.  The result's ``mode`` is
+    ``transfer-stopped`` when a candidate's policy serves every survivor;
+    otherwise the uniform fallback provides the policy, after a failed
+    gate (``fallback-gate``), once the n queries are spent
+    (``fallback-budget``), or once every candidate is eliminated
+    (``fallback-eliminated``).  The fallback queries every pair
+    ``fallback_per_pair`` times, by default min(theory count, n // (S*A)),
+    on top of what elimination spent, so a run may charge about 2n queries
+    in all.
     """
     if n < 0:
         raise ValueError("budget must be non-negative")
@@ -512,8 +507,8 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     def _fallback(mode: str, emp, query_log, trace, tau):
         per_pair = fallback_per_pair
         if per_pair is None:
-            # The theory count is often far past any practical budget; spend
-            # the remaining budget uniformly instead.
+            # The theory count is often far past any practical budget; cap
+            # it at n spread over the pairs, whatever elimination spent.
             per_pair = min(
                 default_fallback_per_pair(eps, delta, S, A, gamma),
                 max(n // (S * A), 1),
@@ -563,12 +558,8 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
         # Query (s, a) until a prune changes the active set.
         eliminated = False
         while not eliminated and len(query_log) < n:
-            try:
-                next_states, reward_indices = g.query_many(
-                    s, a, min(_RUN_BLOCK, n - len(query_log)), rng,
-                    keep=first_elimination)
-            except BudgetExceededError:
-                break
+            next_states, reward_indices = g.query_many(
+                s, a, min(_RUN_BLOCK, n - len(query_log)), rng, keep=first_elimination)
             used = len(next_states)
             emp.add_batch(s, a, np.bincount(next_states, minlength=S),
                           np.bincount(reward_indices, minlength=emp.reward_support.size))
@@ -578,12 +569,11 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
             trace.extend(idx.tolist() for _ in range(used - 1 if eliminated else used))
             if eliminated:
                 active_set = set(idx[~fails[used - 1]].tolist())
-        if not eliminated or not active_set:
-            # Out of budget, or everything eliminated: identification failed.
-            break
+        if not eliminated:
+            return _fallback("fallback-budget", emp, query_log, trace, len(query_log))
+        if not active_set:
+            return _fallback("fallback-eliminated", emp, query_log, trace, len(query_log))
         trace.append(sorted(active_set))
-
-    return _fallback("fallback-budget", emp, query_log, trace, len(query_log))
 
 
 def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: float,
@@ -597,15 +587,10 @@ def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: fl
         raise ValueError("transfer gate fails for these parameters")
     k = approx.num_models
     S, A = approx.num_states, approx.num_actions
-    theta_eps = set()
-    for j in range(k):
-        if j == star:
-            continue
-        r_dev = float(np.max(np.abs(approx.rewards[j] - approx.rewards[star])))
-        p_dev = float(np.max(np.abs(approx.pv[j, star] - approx.pv[star, star])))
-        p_thresh = kappa / gamma if gamma > 0 else INF
-        if r_dev > kappa or p_dev > p_thresh:
-            theta_eps.add(j)
+    r_dev, p_dev = approx.sup_gaps(star)
+    p_thresh = kappa / gamma if gamma > 0 else INF
+    theta_eps = {j for j in range(k)
+                 if j != star and (r_dev[j] > kappa or p_dev[j] > p_thresh)}
     if not theta_eps:
         return theta_eps, 0.0
     worst = approx.info_table[star, sorted(theta_eps)].min(axis=0)  # (S, A) min over theta

@@ -150,12 +150,6 @@ class SequenceTrace:
             return 0.0
         return sum(r.degraded for r in self.records) / len(self.records)
 
-    def queries_by_mode(self) -> dict:
-        out: dict = {}
-        for r in self.records:
-            out.setdefault(r.mode, []).append(r.queries)
-        return out
-
 
 def collect_post_samples(g: GenerativeModel, emp: EmpiricalModel, per_pair: int, rng):
     """Top every (s, a) count up to per_pair with extra uniform queries."""

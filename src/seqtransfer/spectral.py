@@ -28,6 +28,8 @@ from .mdp import TabularMdp
 from .ptum import EmpiricalModel
 
 PINV_RCOND = 1e-10
+# Whitening needs k eigenvalues of M2 above this fraction of the largest.
+WHITEN_RTOL = 1e-12
 
 
 class DegenerateMomentsError(RuntimeError):
@@ -72,11 +74,6 @@ class ObservationLayout:
         p = vec[self.reward_dim:].reshape(S, A, S)
         return q, p
 
-    def project_column(self, col: np.ndarray) -> np.ndarray:
-        """Repair every (s, a)-block of a column onto the simplex."""
-        q, p = self.unpack(col)
-        return self.vectorize(project_simplex(q), project_simplex(p))
-
 
 def vectorize_observation(emp: EmpiricalModel, layout: ObservationLayout) -> np.ndarray:
     """Flatten the empirical reward and transition distributions.
@@ -119,8 +116,7 @@ class MomentSet:
     """Second/third-moment estimates from m observation triples.
 
     All matrices are stored in the reduced orthonormal basis ``basis``
-    (d x r); ``sigma_full(i, j)`` reconstitutes the full covariance when d
-    is small enough to want it.
+    (d x r): ``basis @ sigma[(i, j)] @ basis.T`` is the full covariance.
     """
 
     basis: np.ndarray            # (d, r)
@@ -130,12 +126,6 @@ class MomentSet:
     view3: np.ndarray            # (m, r) raw third views
     m2: np.ndarray               # (r, r) symmetrized second cross moment
     num_triples: int
-
-    def sigma_full(self, i: int, j: int) -> np.ndarray:
-        return self.basis @ self.sigma[(i, j)] @ self.basis.T
-
-    def m2_full(self) -> np.ndarray:
-        return self.basis @ self.m2 @ self.basis.T
 
     def whitened_third_moment(self, w_reduced: np.ndarray) -> np.ndarray:
         """Contract the implicit third moment with W on all modes, then
@@ -196,17 +186,17 @@ def estimate_moments(observations, rank: int | None = None) -> MomentSet:
     )
 
 
-def whiten(m2: np.ndarray, k: int, rank_tol: float = 1e-12):
+def whiten(m2: np.ndarray, k: int):
     """Whitening matrix from the top-k eigenpairs of a symmetric PSD matrix.
 
     Returns W with W^T m2 W = I_k.  Raises when fewer than k eigenvalues
-    clear the rank tolerance (empirical rank deficiency).
+    clear ``WHITEN_RTOL`` (empirical rank deficiency).
     """
     sym = (m2 + m2.T) / 2.0
     vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(vals)[::-1][:k]
     top_vals = vals[order]
-    if top_vals.size < k or np.any(top_vals <= rank_tol * max(vals.max(), 1.0)):
+    if top_vals.size < k or np.any(top_vals <= WHITEN_RTOL * max(vals.max(), 1.0)):
         raise DegenerateMomentsError(
             f"second moment has fewer than {k} usable eigenvalues"
         )
@@ -291,7 +281,8 @@ def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
     """Back out the observation and transition matrices from RTP eigenpairs.
 
     ``w_reduced`` must be the whitening matrix in the moment set's reduced
-    coordinates.  Columns are repaired onto the simplex blockwise.
+    coordinates.  Every (s, a) block of every column is repaired onto the
+    simplex.
     """
     lams = np.array([lam for lam, _ in eigpairs])
     vecs = np.stack([v for _, v in eigpairs], axis=1)  # (k, k)
@@ -303,11 +294,13 @@ def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
     obs_full = moments.basis @ obs_reduced             # (d, k)
     trans = _truncated_pinv(obs_reduced, k) @ mu3_reduced
 
-    obs_proj = np.stack(
-        [layout.project_column(obs_full[:, j]) for j in range(k)], axis=1
-    )
-    # Rows of a C-contiguous copy of trans.T are its columns; projecting the
-    # strided transpose would sum them in a different order.
+    # Rows of C-contiguous copies of obs_full.T and trans.T are their
+    # columns; projecting a strided transpose would sum in another order.
+    cols = np.ascontiguousarray(obs_full.T)            # (k, d)
+    S, A, U = layout.num_states, layout.num_actions, layout.num_rewards
+    rewards = project_simplex(cols[:, :layout.reward_dim].reshape(k, S, A, U))
+    moves = project_simplex(cols[:, layout.reward_dim:].reshape(k, S, A, S))
+    obs_proj = np.ascontiguousarray(layout.vectorize(rewards, moves).T)
     trans_proj = np.ascontiguousarray(
         project_simplex(np.ascontiguousarray(trans.T)).T
     )

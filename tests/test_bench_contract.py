@@ -1,0 +1,32 @@
+"""The benchmark's contract with the package.
+
+``bench/`` reaches into the package by name: ``tracing.TRACED`` wraps the
+layer boundaries it reports, and each workload's ``setup`` builds its
+inputs through the public API.  These tests fail when a change to the
+package breaks either, before a benchmark run would.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_session_installs_and_removes_every_traced_wrapper():
+    originals = [getattr(owner, attr) for _, owner, attr in tracing.TRACED]
+    with tracing.session():
+        for (name, owner, attr), original in zip(tracing.TRACED, originals):
+            wrapper = getattr(owner, attr)
+            assert wrapper is not original, name
+            assert wrapper.__wrapped__ is original, name
+    for (name, owner, attr), original in zip(tracing.TRACED, originals):
+        assert getattr(owner, attr) is original, name
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_setup_runs_against_the_package(name):
+    assert workloads.WORKLOADS[name](101).setup()

@@ -4,7 +4,6 @@ import pytest
 from scipy import stats
 
 from seqtransfer.envs import (
-    BudgetExceededError,
     GenerativeModel,
     GridSpec,
     ObjectworldSpec,
@@ -20,7 +19,8 @@ from seqtransfer.envs import (
     two_rooms_family,
 )
 from seqtransfer.harness import run_rng
-from seqtransfer.mdp import TabularMdp, model_gaps, value_iteration
+from seqtransfer.mdp import TabularMdp, value_iteration
+from seqtransfer.ptum import ApproxModelSet
 
 
 class TestGrids:
@@ -77,15 +77,13 @@ class TestMultiGoal:
     def test_equal_rewards_give_zero_gaps(self):
         spec = GridSpec(width=3, height=3, goal_cells={0: 0.5, 8: 0.5})
         fam = build_multi_goal_grid(spec, [{0: 0.5, 8: 0.5}] * 2)
-        v, _ = value_iteration(fam[0])
-        report = model_gaps(fam[0], fam[1], v)
-        assert report.min_gap == 0.0
+        with pytest.warns(UserWarning):
+            assert ApproxModelSet(fam).min_gap(0) == 0.0
 
     def test_reward_gap_at_goal(self):
         spec = GridSpec(width=3, height=1, goal_cells={2: 0.3})
         fam = build_multi_goal_grid(spec, [{2: 0.3}, {2: 0.7}])
-        report = model_gaps(fam[0], fam[1], np.zeros(fam[0].num_states))
-        assert report.reward_gap[2, 0] == pytest.approx(0.4)
+        assert ApproxModelSet(fam).reward_gap[0, 1, 2, 0] == pytest.approx(0.4)
 
     def test_mismatched_goal_positions_rejected(self):
         spec = GridSpec(width=3, height=1, goal_cells={2: 0.3})
@@ -193,11 +191,6 @@ class TestGenerativeModel:
         assert all(g.query(0, 0, rng) == (1, 1.0) for _ in range(10))
         assert g.queries_used == 10
 
-    def test_zero_budget(self):
-        g = GenerativeModel(self.deterministic_model(), budget=0)
-        with pytest.raises(BudgetExceededError):
-            g.query(0, 0, np.random.default_rng(10))
-
     def test_empirical_frequencies(self):
         fam = two_rooms_family(num_tasks=1)
         g = GenerativeModel(fam[0])
@@ -207,13 +200,6 @@ class TestGenerativeModel:
         hidden_row = fam[0].p[13, 2]
         assert np.max(np.abs(freq - hidden_row)) < 0.01
         assert g.queries_used == 100_000
-
-    def test_batch_respects_budget(self):
-        g = GenerativeModel(self.deterministic_model(), budget=5)
-        rng = np.random.default_rng(12)
-        g.query_batch(0, 0, 5, rng)
-        with pytest.raises(BudgetExceededError):
-            g.query(0, 0, rng)
 
 
 def same_state(rng1, rng2) -> bool:
@@ -289,19 +275,3 @@ class TestQueryMany:
             assert same_state(rng1, rng2)
         with pytest.raises(ValueError):
             GenerativeModel(m).query_many(0, 0, 5, run_rng(7, 0), keep=lambda n, r: 6)
-
-    def test_budget_raised_at_the_same_count(self):
-        m = self.sampler_model()
-        g1, g2 = GenerativeModel(m, budget=7), GenerativeModel(m, budget=7)
-        rng1, rng2 = run_rng(8, 0), run_rng(8, 0)
-        sizes = []
-        with pytest.raises(BudgetExceededError) as run_error:
-            while True:
-                sizes.append(g1.query_many(5, 1, 3, rng1)[0].size)
-        with pytest.raises(BudgetExceededError) as single_error:
-            while True:
-                g2.query(5, 1, rng2)
-        assert sizes == [3, 3, 1]
-        assert run_error.value.queries_used == single_error.value.queries_used == 7
-        assert g1.queries_used == g2.queries_used == 7
-        assert same_state(rng1, rng2)

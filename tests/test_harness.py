@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from seqtransfer.cli import EXIT_CONFIG, EXIT_OK, main
+from seqtransfer.envs import two_rooms_family
 from seqtransfer.harness import (
     AggregateResult,
     ConfigError,
@@ -19,6 +20,7 @@ from seqtransfer.harness import (
     sweep,
     write_csv,
 )
+from seqtransfer.ptum import ApproxModelSet
 from seqtransfer.spectral import ObservationLayout
 
 
@@ -45,8 +47,6 @@ class TestConfig:
         )
         assert cfg.get("eps") == 0.1
         assert cfg.get("missing", 7) == 7
-        with pytest.raises(ConfigError):
-            cfg.require("delta")
 
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -207,6 +207,17 @@ class TestCli:
         # in the true task, so the true task itself never appears.
         assert 0 not in report["theta_eps"]
         assert report["min_gap"] > 0
+
+    def test_diagnose_reports_the_gap_to_the_true_task(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, {"scenario": "two-rooms", "true_task": 3})
+        assert main(["diagnose", cfg, "--output-dir", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "diagnose.json").read_text())
+        assert report["true_task"] == 3 and 3 not in report["theta_eps"]
+        approx = ApproxModelSet(two_rooms_family())
+        assert report["min_gap"] == approx.min_gap(3)
+        # Referenced to task 3 the gap is about 1.14; to task 0, about 2.98.
+        assert report["min_gap"] == pytest.approx(1.1375, abs=1e-4)
+        assert approx.min_gap(0) == pytest.approx(2.9779, abs=1e-4)
 
     def test_run_ptum_and_rerun_identical(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {

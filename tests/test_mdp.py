@@ -1,4 +1,9 @@
-"""Unit tests for the MDP core: planning, statistics, gaps, serialization."""
+"""Unit tests for the MDP core: planning, statistics, gaps, serialization.
+
+The gap tables and the minimum gap live on ``ptum.ApproxModelSet``, the one
+place that plans a family; their tests sit here beside the statistics they
+are built from.
+"""
 import json
 import math
 
@@ -6,19 +11,16 @@ import numpy as np
 import pytest
 
 from seqtransfer.mdp import (
-    GapReport,
     ShapeMismatchError,
     TabularMdp,
     discounted_occupancy,
-    min_gap,
-    model_gaps,
     policy_evaluation,
-    reward_mean_and_std,
     simulation_gap_bound,
     transition_value_std,
     transition_value_std_table,
     value_iteration,
 )
+from seqtransfer.ptum import ApproxModelSet
 
 
 def single_state_mdp(reward=1.0, gamma=0.9):
@@ -145,13 +147,13 @@ class TestStatistics:
             q=np.ones((1, 1, 1)),
             gamma=0.9,
         )
-        assert reward_mean_and_std(m, 0, 0) == (0.5, 0.0)
+        assert (m.reward_means()[0, 0], m.reward_stds()[0, 0]) == (0.5, 0.0)
 
     def test_reward_fair_coin(self):
         m = two_state_chain()
         q = np.array([[[0.5, 0.5]], [[0.5, 0.5]]])
         m = TabularMdp(p=m.p, reward_support=m.reward_support, q=q, gamma=0.5)
-        mean, std = reward_mean_and_std(m, 0, 0)
+        mean, std = m.reward_means()[0, 0], m.reward_stds()[0, 0]
         assert mean == pytest.approx(0.5)
         assert std == pytest.approx(0.5)
 
@@ -159,7 +161,7 @@ class TestStatistics:
         m = two_state_chain()
         q = np.array([[[0.7, 0.3]], [[0.7, 0.3]]])
         m = TabularMdp(p=m.p, reward_support=m.reward_support, q=q, gamma=0.5)
-        mean, std = reward_mean_and_std(m, 0, 0)
+        mean, std = m.reward_means()[0, 0], m.reward_stds()[0, 0]
         assert mean == pytest.approx(0.3)
         assert std == pytest.approx(math.sqrt(0.21))
 
@@ -200,10 +202,11 @@ class TestStatistics:
 class TestGaps:
     def test_identity_gaps(self):
         m = single_state_mdp()
-        report = model_gaps(m, m, np.zeros(1))
-        assert np.all(report.reward_gap == 0)
-        assert np.all(report.transition_gap == 0)
-        assert report.min_gap == 0.0
+        approx = ApproxModelSet([m, m])
+        assert np.all(approx.reward_gap == 0)
+        assert np.all(approx.trans_gap == 0)
+        with pytest.warns(UserWarning):
+            assert approx.min_gap(0) == 0.0
 
     def test_constant_reward_shift(self):
         rng = np.random.default_rng(6)
@@ -216,48 +219,47 @@ class TestGaps:
         q2 = np.zeros_like(q)
         q2[:, :, 1] = 1.0
         m2 = TabularMdp(p=a.p, reward_support=support, q=q2, gamma=a.gamma)
-        report = model_gaps(m1, m2, np.zeros(m1.num_states))
-        assert np.allclose(report.reward_gap, 0.1)
-        assert np.allclose(report.transition_gap, 0.0)
+        approx = ApproxModelSet([m1, m2])
+        assert np.allclose(approx.reward_gap[0, 1], 0.1)
+        assert np.all(approx.trans_gap[0, 1] == 0.0)
 
     def test_opposite_point_mass_transitions(self):
+        # base moves 0 -> 1 (V* = [1, 2]); other stays at 0 (V* = [0, 2]).
         base = two_state_chain()
         p2 = np.zeros((2, 1, 2))
         p2[0, 0, 0] = 1.0
         p2[1, 0, 1] = 1.0
         other = TabularMdp(p=p2, reward_support=base.reward_support, q=base.q, gamma=0.5)
-        report = model_gaps(base, other, np.array([0.0, 1.0]))
-        assert report.transition_gap[0, 0] == pytest.approx(1.0)
+        approx = ApproxModelSet([base, other])
+        # The gap of (i, j) is referenced to V*_i.
+        assert approx.trans_gap[0, 1, 0, 0] == pytest.approx(1.0)
+        assert approx.trans_gap[1, 0, 0, 0] == pytest.approx(2.0)
 
     def test_reward_gap_symmetry(self):
         rng = np.random.default_rng(7)
         a = random_mdp(rng)
         b = TabularMdp(p=a.p, reward_support=a.reward_support,
                        q=np.ascontiguousarray(a.q[:, ::-1]), gamma=a.gamma)
-        v = rng.uniform(0, 1, a.num_states)
-        ab = model_gaps(a, b, v)
-        ba = model_gaps(b, a, v)
-        assert np.allclose(ab.reward_gap, ba.reward_gap)
+        approx = ApproxModelSet([a, b])
+        assert np.array_equal(approx.reward_gap[0, 1], approx.reward_gap[1, 0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            model_gaps(single_state_mdp(), two_state_chain(), np.zeros(1))
+            ApproxModelSet([single_state_mdp(), two_state_chain()])
 
 
 class TestMinGap:
     def test_duplicate_model_warns_and_returns_zero(self):
         m = two_state_chain()
-        v, _ = value_iteration(m)
         with pytest.warns(UserWarning):
-            assert min_gap([m, m], [v, v]) == 0.0
+            assert ApproxModelSet([m, m]).min_gap(0) == 0.0
 
     def test_single_reward_difference(self):
         base = two_state_chain()
         q2 = base.q.copy()
         q2[1, 0] = [0.2, 0.8]  # reward mean 0.8 instead of 1.0
         other = TabularMdp(p=base.p, reward_support=base.reward_support, q=q2, gamma=0.5)
-        values = [value_iteration(m)[0] for m in (base, other)]
-        got = min_gap([base, other], values, star=0)
+        got = ApproxModelSet([base, other]).min_gap(0)
         # Reward gap 0.2 at (s1, a0); the transition gap referenced to V*_base
         # is 0 since transitions are identical.
         assert got == pytest.approx(0.2)
@@ -266,20 +268,21 @@ class TestMinGap:
         rng = np.random.default_rng(8)
         models = [random_mdp(rng, S=3, A=2) for _ in range(3)]
         values = [value_iteration(m)[0] for m in models]
-        star = 0
-        expected = min(
-            max(
-                np.max(np.abs(models[j].reward_means() - models[star].reward_means())),
-                np.max(np.abs((models[j].p - models[star].p) @ values[star])),
+        approx = ApproxModelSet(models)
+        for star in range(3):
+            expected = min(
+                max(
+                    np.max(np.abs(models[j].reward_means() - models[star].reward_means())),
+                    np.max(np.abs((models[j].p - models[star].p) @ values[star])),
+                )
+                for j in range(3) if j != star
             )
-            for j in range(3) if j != star
-        )
-        assert min_gap(models, values, star) == pytest.approx(expected)
+            assert approx.min_gap(star) == pytest.approx(expected)
 
     def test_needs_two_models(self):
         m = single_state_mdp()
         with pytest.raises(ValueError):
-            min_gap([m], [np.zeros(1)])
+            ApproxModelSet([m]).min_gap(0)
 
 
 class TestSimulationLemma:

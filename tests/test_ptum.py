@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtransfer.envs import (
-    BudgetExceededError,
     GenerativeModel,
     GridSpec,
     build_multi_goal_grid,
@@ -106,7 +105,8 @@ class TestConfidenceRadii:
 
     @staticmethod
     def radii(emp, v_ref, params):
-        sr, sp = emp.reward_std(0, 0), emp.transition_value_std(0, 0, v_ref)
+        _, sr = reward_stats(emp.reward_counts[0, 0], emp.counts[0, 0], emp.reward_support)
+        _, sp = transition_value_stats(emp.next_counts[0, 0], emp.counts[0, 0], v_ref)
         logs = _log_terms(emp.num_states, emp.num_actions, params)
         return confidence_radii(emp.counts[0, 0], sr, sp, logs, params)
 
@@ -153,7 +153,7 @@ class TestConfidenceRadii:
             single = self.radii(emp, row, params)
             assert single[1] == radius
             assert single[::2] == (c_r, c_sr) and single[3] == c_sp
-        stds = emp.transition_value_std(0, 0, stack)
+        _, stds = transition_value_stats(emp.next_counts[0, 0], emp.counts[0, 0], stack)
         assert stds[2] == 0.0
         assert stds[0] == pytest.approx(math.sqrt(np.var([0, 0, 1, 1, 1, 1, 1, 2, 2, 2],
                                                          ddof=1)), rel=1e-12)
@@ -197,20 +197,6 @@ class TestStackedStatistics:
         assert all(np.all(np.isinf(r[n <= 1])) for r in radii)
         assert np.all(np.isfinite(radii[0][n > 1]))
         assert np.all(sr[n <= 1] == 0.0) and np.all(sp[n <= 1] == 0.0)
-
-    def test_empirical_model_reads_the_same_statistics(self):
-        rng = np.random.default_rng(4)
-        emp = EmpiricalModel(6, 1, [0.0, 0.3, 1.0])
-        values = rng.normal(size=(3, 6))
-        n, reward_counts, next_counts = self.snapshots(rng, 8, 6, 3)
-        _, sr = reward_stats(reward_counts, n, emp.reward_support)
-        _, sp = transition_value_stats(next_counts, n, values)
-        for i in range(8):
-            emp.counts[0, 0] = n[i]
-            emp.reward_counts[0, 0] = reward_counts[i]
-            emp.next_counts[0, 0] = next_counts[i]
-            assert emp.reward_std(0, 0) == sr[i]
-            assert np.array_equal(emp.transition_value_std(0, 0, values), sp[i])
 
     def test_failures_of_a_stack_equal_those_of_each_snapshot(self):
         fam = small_family()
@@ -274,7 +260,8 @@ class TestPruning:
         emp, survivors = self.prune_pair(approx, [0, 1000, 0])
         assert np.array_equal(approx.rewards[0], approx.rewards[1])
         assert np.all(approx.sigma_p[:, :, 0, 0] == 0.0)
-        assert np.all(emp.transition_value_std(0, 0, approx.values) == 0.0)
+        _, sp = transition_value_stats(emp.next_counts[0, 0], emp.counts[0, 0], approx.values)
+        assert np.all(sp == 0.0)
         assert survivors == {0}
 
     def test_transition_std_alone_eliminates(self):
@@ -542,7 +529,8 @@ def reference_run_ptum(approx, g, eps, delta, n, rng, fallback_per_pair=None,
             new_active = prune_confidence_set(active_set, emp, approx, params,
                                               pairs=[(s, a)])
             if not new_active:
-                break
+                return fallback("fallback-eliminated", emp, query_log, trace,
+                                len(query_log))
             changed = new_active != active_set
             active_set = new_active
             trace.append(sorted(active_set))
@@ -559,10 +547,7 @@ def reference_run_ptum(approx, g, eps, delta, n, rng, fallback_per_pair=None,
         if t == n:
             break
         s, a = query
-        try:
-            s2, u = g.query(s, a, rng)
-        except BudgetExceededError:
-            break
+        s2, u = g.query(s, a, rng)
         emp.add_sample(s, a, s2, u)
         query_log.append((t, s, a))
     return fallback("fallback-budget", emp, query_log, trace, len(query_log))
@@ -600,7 +585,8 @@ def random_rows(rng, shape, width):
 
 @st.composite
 def identification_cases(draw):
-    """Small random families, uncertainty bounds, budgets and active sets."""
+    """Small random families, uncertainty bounds, query budgets n and active
+    sets."""
     S, A = draw(st.integers(1, 6)), draw(st.integers(2, 3))
     U, k = draw(st.integers(2, 4)), draw(st.integers(2, 5))
     gamma = draw(st.sampled_from([0.0, 0.5, 0.9]))
@@ -628,24 +614,19 @@ def identification_cases(draw):
                                       (0.0, 0.0, 0.0, 1.2)]))
     bounds = UncertaintyBounds(*(f * gate for f in fractions))
     n = draw(st.integers(0, 600))
-    budget = draw(st.none() if n == 0 else st.none() | st.integers(0, n - 1))
     active = draw(st.none() | st.sets(st.integers(0, k - 1), min_size=1))
     return dict(approx=ApproxModelSet(models, bounds), truth=truth, eps=eps,
-                delta=draw(st.sampled_from([0.05, 0.3])), n=n, budget=budget,
+                delta=draw(st.sampled_from([0.05, 0.3])), n=n,
                 active=active, fallback_per_pair=draw(st.sampled_from([None, 1, 2])),
                 seed=draw(st.integers(0, 1000)))
 
 
 def identify(loop, case, wrap=lambda g: g):
-    """``loop``'s result (or its BudgetExceededError), the oracle and rng."""
-    g = GenerativeModel(case["truth"], budget=case["budget"])
+    """``loop``'s result, the oracle and rng."""
+    g = GenerativeModel(case["truth"])
     rng = run_rng(case["seed"], 0)
-    try:
-        result = loop(case["approx"], wrap(g), case["eps"], case["delta"], case["n"],
-                      rng, fallback_per_pair=case["fallback_per_pair"],
-                      active=case["active"])
-    except BudgetExceededError as exc:
-        result = exc
+    result = loop(case["approx"], wrap(g), case["eps"], case["delta"], case["n"],
+                  rng, fallback_per_pair=case["fallback_per_pair"], active=case["active"])
     return result, g, rng
 
 
@@ -656,11 +637,6 @@ def assert_same_identification(case, wrap=SamplesOnly):
     ref, g_ref, rng_ref = identify(reference_run_ptum, case)
     assert g.queries_used == g_ref.queries_used
     assert same_state(rng, rng_ref)
-    if isinstance(ref, BudgetExceededError):
-        # The armed budget ran out, and the fallback could not sample.
-        assert isinstance(got, BudgetExceededError)
-        assert got.queries_used == ref.queries_used
-        return got
     assert np.array_equal(got.policy, ref.policy)
     assert (got.tau, got.mode, got.chosen_model, got.survived_trace, got.query_log,
             got.queries_total) == (ref.tau, ref.mode, ref.chosen_model,
@@ -675,7 +651,7 @@ class TestRunsOfQueries:
     def test_two_rooms_runs_equal_the_one_query_loop(self, seed):
         fam = two_rooms_family()
         case = dict(approx=ApproxModelSet(fam), truth=fam[0], eps=0.1, delta=0.01,
-                    n=100_000, budget=None, active=None, fallback_per_pair=None,
+                    n=100_000, active=None, fallback_per_pair=None,
                     seed=seed)
         got = assert_same_identification(case)
         assert got.mode == "transfer-stopped" and got.tau == 195
@@ -698,17 +674,16 @@ class TestRunsOfQueries:
 
         approx = ApproxModelSet([model([0, 1, 0, 0]), model([0, 0, 1, 0])])
         case = dict(approx=approx, truth=model([0, 0.5, 0.5, 0]), eps=0.1, delta=0.05,
-                    n=2000, budget=None, active=None, fallback_per_pair=1, seed=3)
+                    n=2000, active=None, fallback_per_pair=1, seed=3)
         got = assert_same_identification(case)
-        assert got.mode == "fallback-budget" and got.tau < 2000
+        assert got.mode == "fallback-eliminated" and got.tau < 2000
         assert got.survived_trace[-1] == [0, 1]
 
     @settings(max_examples=300, deadline=None)
     @given(identification_cases())
     def test_runs_equal_the_one_query_loop(self, case):
         got = assert_same_identification(case)
-        if isinstance(got, BudgetExceededError):
-            return
+        assert got.tau <= case["n"]
         sets = [set(step) for step in got.survived_trace]
         assert all(later <= earlier for earlier, later in zip(sets, sets[1:]))
         if got.mode == "transfer-stopped":

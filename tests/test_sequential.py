@@ -192,15 +192,6 @@ class TestTrace:
         assert trace.eps_optimal_fraction() == pytest.approx(0.5)
         assert trace.degraded_fraction() == 0.0
 
-    def test_queries_by_mode(self):
-        trace = SequenceTrace()
-        trace.append(self.record(0, mode="startup", queries=100))
-        trace.append(self.record(1, queries=8))
-        trace.append(self.record(2, queries=12))
-        by_mode = trace.queries_by_mode()
-        assert by_mode["startup"] == [100]
-        assert by_mode["transfer-stopped"] == [8, 12]
-
     def test_empty_fraction_is_nan(self):
         assert math.isnan(SequenceTrace().eps_optimal_fraction())
 

@@ -78,7 +78,8 @@ class TestMoments:
         o = np.array([1.0, 2.0, 3.0])
         mom = estimate_moments(np.tile(o, (6, 1)))
         for key in ((1, 2), (2, 1), (3, 1), (3, 2)):
-            assert np.allclose(mom.sigma_full(*key), np.outer(o, o))
+            full = mom.basis @ mom.sigma[key] @ mom.basis.T
+            assert np.allclose(full, np.outer(o, o))
 
     def test_leftover_observations_discarded(self):
         rng = np.random.default_rng(1)
@@ -101,13 +102,14 @@ class TestMoments:
         s21 = o2.T @ o1 / m
         s31 = o3.T @ o1 / m
         s32 = o3.T @ o2 / m
-        assert np.allclose(mom.sigma_full(1, 2), s12, atol=1e-10)
-        assert np.allclose(mom.sigma_full(3, 1), s31, atol=1e-10)
+        for key, dense in (((1, 2), s12), ((3, 1), s31)):
+            full = mom.basis @ mom.sigma[key] @ mom.basis.T
+            assert np.allclose(full, dense, atol=1e-10)
         v1 = (s32 @ np.linalg.pinv(s12) @ o1.T).T
         v2 = (s31 @ np.linalg.pinv(s21) @ o2.T).T
         m2 = v1.T @ v2 / m
         m2 = (m2 + m2.T) / 2
-        assert np.allclose(mom.m2_full(), m2, atol=1e-8)
+        assert np.allclose(mom.basis @ mom.m2 @ mom.basis.T, m2, atol=1e-8)
 
 
 class TestWhiten:
