@@ -2,7 +2,9 @@
 the Markov chain over tasks, and the generative-model query interface."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -328,6 +330,20 @@ def paper_objectworld_duplicates() -> dict:
     return {1: 0, 7: 0, 4: 5, 6: 5}
 
 
+def _normalized_cumsum(p) -> np.ndarray:
+    """Cumulative sums of ``p`` scaled to end at 1, the array that
+    ``rng.choice(len(p), p=p)`` searches its one uniform double in
+    (``side="right"``).
+
+    Entries are clipped at 0 first, which changes no bit for a non-negative
+    ``p`` and lets the entries down to ``-PROB_TOL`` that the models and
+    the chain accept be sampled, where ``rng.choice`` would raise.
+    """
+    cdf = np.cumsum(np.maximum(p, 0.0))
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass(frozen=True)
 class TaskChain:
     """Markov chain over task indices; column j holds P(next | current=j)."""
@@ -357,13 +373,13 @@ class TaskChain:
     def num_tasks(self) -> int:
         return self.transition.shape[0]
 
-    def stationary(self) -> np.ndarray:
-        """Stationary distribution via the leading eigenvector."""
-        vals, vecs = np.linalg.eig(self.transition)
-        j = int(np.argmin(np.abs(vals - 1.0)))
-        w = np.real(vecs[:, j])
-        w = np.abs(w)
-        return w / w.sum()
+    @cached_property
+    def _cumulative_rows(self):
+        """The initial row and each column as normalized cumulative sums in
+        Python lists, built on first use: ``bisect_right`` on one with a
+        uniform double gives what ``rng.choice`` gives for that double."""
+        return (_normalized_cumsum(self.initial).tolist(),
+                [_normalized_cumsum(col).tolist() for col in self.transition.T])
 
 
 def successor_chain(k: int, p_succ: float = 0.97, p_skip: float = 0.015) -> TaskChain:
@@ -383,11 +399,27 @@ def sample_next_task(chain: TaskChain, current: int, rng) -> int:
     """Draw the next task index from the chain column of the current task."""
     if not 0 <= current < chain.num_tasks:
         raise IndexError("task index out of range")
-    return int(rng.choice(chain.num_tasks, p=chain.transition[:, current]))
+    return bisect_right(chain._cumulative_rows[1][current], rng.random())
 
 
 def sample_initial_task(chain: TaskChain, rng) -> int:
-    return int(rng.choice(chain.num_tasks, p=chain.initial))
+    return bisect_right(chain._cumulative_rows[0], rng.random())
+
+
+def sample_task_path(chain: TaskChain, steps: int, rng) -> np.ndarray:
+    """The first ``steps`` tasks of a chain rollout, the initial task first.
+
+    One double per step, all drawn at once: the path and the state ``rng``
+    is left in are those of ``sample_initial_task`` followed by
+    ``steps - 1`` calls of ``sample_next_task``.
+    """
+    row, columns = chain._cumulative_rows
+    path = []
+    for u in rng.random(steps).tolist():
+        task = bisect_right(row, u)
+        path.append(task)
+        row = columns[task]
+    return np.array(path, dtype=int)
 
 
 class GenerativeModel:
@@ -423,10 +455,8 @@ class GenerativeModel:
         sums, built on first use: searching one with a uniform double gives
         what ``rng.choice(n, p=row)`` gives for that double."""
         if (s, a) not in self._cdfs:
-            cdfs = [np.cumsum(row) for row in (self._mdp.p[s, a], self._mdp.q[s, a])]
-            for cdf in cdfs:
-                cdf /= cdf[-1]
-            self._cdfs[s, a] = cdfs
+            self._cdfs[s, a] = [_normalized_cumsum(row)
+                                for row in (self._mdp.p[s, a], self._mdp.q[s, a])]
         return self._cdfs[s, a]
 
     def query(self, s: int, a: int, rng):

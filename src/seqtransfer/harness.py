@@ -20,8 +20,7 @@ from .envs import (
     build_objectworld_family,
     multi_goal_family,
     paper_objectworld_duplicates,
-    sample_initial_task,
-    sample_next_task,
+    sample_task_path,
     successor_chain,
     two_rooms_family,
 )
@@ -237,6 +236,8 @@ def random_hmm_family(k: int, S: int, A: int, U: int, gamma: float, rng):
 def simulate_hmm_observations(family, chain: TaskChain, steps: int, per_pair: int, rng):
     """Hidden chain rollout with one empirical-model observation per step.
 
+    The path takes one double per step, all drawn at once by
+    ``sample_task_path``, bit-identical to one ``rng.choice`` per step.
     Each observation holds the empirical reward and transition frequencies
     from per_pair independent draws at every (s, a); draws are batched per
     task for speed (equivalent in law to querying one sample at a time).
@@ -245,12 +246,7 @@ def simulate_hmm_observations(family, chain: TaskChain, steps: int, per_pair: in
     base = family[0]
     S, A, U = base.num_states, base.num_actions, base.num_rewards
     layout = ObservationLayout(S, A, U)
-    path = np.empty(steps, dtype=int)
-    task = None
-    for t in range(steps):
-        task = (sample_initial_task(chain, rng) if task is None
-                else sample_next_task(chain, task, rng))
-        path[t] = task
+    path = sample_task_path(chain, steps, rng)
     obs = np.empty((steps, layout.dim))
     for j, mdp in enumerate(family):
         rows = np.flatnonzero(path == j)

@@ -1,6 +1,8 @@
 """Unit tests for the benchmark environments and the query interface."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from seqtransfer.envs import (
@@ -15,6 +17,7 @@ from seqtransfer.envs import (
     paper_objectworld_duplicates,
     sample_initial_task,
     sample_next_task,
+    sample_task_path,
     successor_chain,
     two_rooms_family,
 )
@@ -173,7 +176,70 @@ class TestTaskChain:
             task = sample_next_task(chain, task, rng)
             counts[task] += 1
         freq = counts / counts.sum()
-        assert np.max(np.abs(freq - chain.stationary())) < 0.02
+        vals, vecs = np.linalg.eig(chain.transition)
+        stationary = np.abs(np.real(vecs[:, np.argmin(np.abs(vals - 1.0))]))
+        assert np.max(np.abs(freq - stationary / stationary.sum())) < 0.02
+
+    def test_entries_just_below_zero_are_sampled(self):
+        # Entries down to -PROB_TOL are accepted, so they must be sampleable.
+        chain = TaskChain(transition=np.array([[1 + 1e-10, 0.5], [-1e-10, 0.5]]),
+                          initial=np.array([1 + 1e-10, -1e-10]))
+        rng = np.random.default_rng(9)
+        assert sample_initial_task(chain, rng) == 0
+        assert all(sample_next_task(chain, 0, rng) == 0 for _ in range(50))
+        assert np.array_equal(sample_task_path(chain, 50, rng), np.zeros(50))
+
+
+def reference_task_path(chain, steps, rng):
+    """The rollout as one ``rng.choice`` per step, which the chain's
+    samplers must reproduce bit for bit."""
+    path, task = [], None
+    for _ in range(steps):
+        p = chain.initial if task is None else chain.transition[:, task]
+        task = int(rng.choice(chain.num_tasks, p=p))
+        path.append(task)
+    return path
+
+
+@st.composite
+def task_chains(draw):
+    """Random chains with zero entries and absorbing columns."""
+    k = draw(st.integers(1, 6))
+    weights = st.sampled_from([0.0, 0.0, 1e-3, 0.3, 1.0, 7.0])
+
+    def distribution():
+        p = np.array(draw(st.lists(weights, min_size=k, max_size=k)))
+        p[draw(st.integers(0, k - 1))] += 1.0
+        return p / p.sum()
+
+    t = np.stack([np.eye(k)[j] if draw(st.booleans()) else distribution()
+                  for j in range(k)], axis=1)
+    return TaskChain(transition=t, initial=distribution())
+
+
+class TestChainSamplers:
+    @settings(max_examples=200, deadline=None)
+    @given(task_chains(), st.integers(0, 400), st.integers(0, 2 ** 32 - 1))
+    def test_path_equals_one_choice_per_step(self, chain, steps, seed):
+        rng, rng_ref = run_rng(seed, 0), run_rng(seed, 0)
+        path = sample_task_path(chain, steps, rng)
+        assert path.shape == (steps,)
+        assert path.tolist() == reference_task_path(chain, steps, rng_ref)
+        assert same_state(rng, rng_ref)
+
+    @pytest.mark.parametrize("chain", [successor_chain(8), TaskChain(
+        transition=np.array([[0.2, 0.0, 1.0], [0.0, 1.0, 0.0], [0.8, 0.0, 0.0]]),
+        initial=np.array([0.0, 0.3, 0.7]))])
+    def test_single_draws_equal_choice(self, chain):
+        rng, rng_ref = run_rng(11, 0), run_rng(11, 0)
+        k = chain.num_tasks
+        assert all(sample_initial_task(chain, rng)
+                   == rng_ref.choice(k, p=chain.initial) for _ in range(200))
+        for current in range(k):
+            for _ in range(200):
+                assert (sample_next_task(chain, current, rng)
+                        == rng_ref.choice(k, p=chain.transition[:, current]))
+        assert same_state(rng, rng_ref)
 
 
 class TestGenerativeModel:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seqtransfer import harness
 from seqtransfer.cli import EXIT_CONFIG, EXIT_OK, main
 from seqtransfer.envs import two_rooms_family
 from seqtransfer.harness import (
@@ -165,6 +166,35 @@ class TestFamilies:
             true_vec = layout.vectorize(family[j].q, family[j].p)
             err = np.abs(obs[rows].mean(axis=0) - true_vec).max()
             assert err < 0.02
+
+
+def one_choice_per_step(chain, steps, rng):
+    """The chain path as one ``rng.choice`` per step."""
+    path, task = [], None
+    for _ in range(steps):
+        p = chain.initial if task is None else chain.transition[:, task]
+        task = int(rng.choice(chain.num_tasks, p=p))
+        path.append(task)
+    return np.array(path, dtype=int)
+
+
+class TestSimulationStream:
+    @pytest.mark.parametrize("steps", [0, 1, 2, 1500])
+    def test_equals_one_choice_per_step(self, steps, monkeypatch):
+        def criterion_7_run():
+            # Criterion 7's first run: its family, then its stream.
+            rng = run_rng(707, 0)
+            family, chain = random_hmm_family(3, 2, 3, 3, 0.9, rng)
+            obs, path = simulate_hmm_observations(family, chain, steps, 20, rng)
+            return obs, path, repr(rng.bit_generator.state)
+
+        obs, path, state = criterion_7_run()
+        monkeypatch.setattr(harness, "sample_task_path", one_choice_per_step)
+        obs_ref, path_ref, state_ref = criterion_7_run()
+        assert path.shape == (steps,)
+        assert np.array_equal(path, path_ref) and path.dtype == path_ref.dtype
+        assert obs.tobytes() == obs_ref.tobytes()
+        assert state == state_ref
 
 
 class TestCli:
