@@ -344,6 +344,26 @@ def _normalized_cumsum(p) -> np.ndarray:
     return cdf
 
 
+def _multinomial_pvals(p) -> np.ndarray:
+    """``p`` with each row (last axis) that ``rng.multinomial`` rejects
+    clipped at 0 and renormalised.
+
+    ``rng.multinomial`` rejects an entry outside [0, 1] and a row whose
+    first n-1 entries sum past 1 + 1e-12, both of which a model's rows may
+    hold within ``PROB_TOL``.  Every other row is passed through as it is,
+    so a valid model keeps its draws bit for bit.
+    """
+    p = np.asarray(p, dtype=float)
+    bad = (np.any((p < 0.0) | (p > 1.0), axis=-1)
+           | (p[..., :-1].sum(axis=-1) > 1.0 + 1e-12))
+    if not bad.any():
+        return p
+    clipped = np.maximum(p[bad], 0.0)
+    fixed = p.copy()
+    fixed[bad] = clipped / clipped.sum(axis=-1, keepdims=True)
+    return fixed
+
+
 @dataclass(frozen=True)
 class TaskChain:
     """Markov chain over task indices; column j holds P(next | current=j)."""
@@ -459,6 +479,12 @@ class GenerativeModel:
                                 for row in (self._mdp.p[s, a], self._mdp.q[s, a])]
         return self._cdfs[s, a]
 
+    @cached_property
+    def _pvals(self):
+        """The transition and reward tables as ``rng.multinomial`` takes
+        them, built on first use."""
+        return _multinomial_pvals(self._mdp.p), _multinomial_pvals(self._mdp.q)
+
     def query(self, s: int, a: int, rng):
         """One independent draw of (next_state, reward_value) at (s, a)."""
         next_states, reward_indices = self.query_many(s, a, 1, rng)
@@ -497,6 +523,7 @@ class GenerativeModel:
         to count repeated single queries.
         """
         self.queries_used += count
-        next_counts = rng.multinomial(count, self._mdp.p[s, a])
-        reward_counts = rng.multinomial(count, self._mdp.q[s, a])
+        p, q = self._pvals
+        next_counts = rng.multinomial(count, p[s, a])
+        reward_counts = rng.multinomial(count, q[s, a])
         return next_counts, reward_counts

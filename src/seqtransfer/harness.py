@@ -17,6 +17,7 @@ from scipy import stats
 from .envs import (
     ObjectworldSpec,
     TaskChain,
+    _multinomial_pvals,
     build_objectworld_family,
     multi_goal_family,
     paper_objectworld_duplicates,
@@ -240,7 +241,8 @@ def simulate_hmm_observations(family, chain: TaskChain, steps: int, per_pair: in
     ``sample_task_path``, bit-identical to one ``rng.choice`` per step.
     Each observation holds the empirical reward and transition frequencies
     from per_pair independent draws at every (s, a); draws are batched per
-    task for speed (equivalent in law to querying one sample at a time).
+    task for speed (equivalent in law to querying one sample at a time),
+    from the rows ``GenerativeModel.query_batch`` draws from.
     Returns (observations array of shape (steps, d), hidden path).
     """
     base = family[0]
@@ -252,13 +254,14 @@ def simulate_hmm_observations(family, chain: TaskChain, steps: int, per_pair: in
         rows = np.flatnonzero(path == j)
         if rows.size == 0:
             continue
+        q, p = _multinomial_pvals(mdp.q), _multinomial_pvals(mdp.p)
         q_hat = np.empty((rows.size, S, A, U))
         p_hat = np.empty((rows.size, S, A, S))
         for s in range(S):
             for a in range(A):
-                q_hat[:, s, a] = rng.multinomial(per_pair, mdp.q[s, a],
+                q_hat[:, s, a] = rng.multinomial(per_pair, q[s, a],
                                                  size=rows.size) / per_pair
-                p_hat[:, s, a] = rng.multinomial(per_pair, mdp.p[s, a],
+                p_hat[:, s, a] = rng.multinomial(per_pair, p[s, a],
                                                  size=rows.size) / per_pair
         obs[rows] = layout.vectorize(q_hat, p_hat)
     return obs, path

@@ -6,7 +6,6 @@ is never mutated after construction.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,22 +93,6 @@ class TabularMdp:
             "p": self.p.tolist(),
             "q": self.q.tolist(),
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TabularMdp":
-        return cls(
-            p=np.array(doc["p"], dtype=float),
-            reward_support=np.array(doc["reward_support"], dtype=float),
-            q=np.array(doc["q"], dtype=float),
-            gamma=float(doc["gamma"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "TabularMdp":
-        return cls.from_json_dict(json.loads(text))
 
 
 def require_same_shape(a: TabularMdp, b: TabularMdp) -> None:

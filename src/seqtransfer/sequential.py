@@ -7,15 +7,26 @@ are re-estimated, the uncertainty level is refreshed from the error-bound
 schedule, and unlikely next tasks are pre-eliminated from the candidate
 set of the following round.
 
-Estimation starts once there are 3k observations (k triples for k
-tasks): with fewer triples the second moment has rank below k and the
-whitening cannot succeed.  A task is ``degraded`` when its attempted
-estimate raised; the last successful estimate, if any, stays in use with
-the error bound and pre-elimination slack of the observation count it was
-computed from.  The whitened moments, which depend only on the number of
-observation triples, are computed once per triple count.  The
-candidate model set is built from the current estimate only for the tasks
-that run the elimination algorithm.
+Estimation starts at max(3k, startup_tasks) observations.  With fewer than
+k triples (3k observations for k tasks) the second moment has rank below k
+and the whitening cannot succeed, and the start-up tasks, solved by uniform
+sampling, read no estimate: the first one read is the one made after the
+last start-up task.  Each skipped start-up estimate draws the normals its
+RTP starts would have drawn, so from the first transfer task on the run
+is the same as one that made every start-up estimate (when none of those
+would have raised).  Start-up rows before the first estimate carry NaN
+error columns, an infinite ``delta_h`` and the full candidate set.
+
+A task is ``degraded`` when its attempted estimate raised; the last
+successful estimate, if any, stays in use with the error bound and
+pre-elimination slack of the observation count it was computed from.  As
+no estimate is made before the last start-up task, a stale estimate is
+kept only once the transfer phase has started; when the first estimate
+raises, the first transfer task falls back with an infinite ``delta_h``.
+The whitened moments, which depend only on the number of observation
+triples, are computed once per triple count.  The candidate model set is
+built from the current estimate only for the tasks that run the
+elimination algorithm.
 """
 from __future__ import annotations
 
@@ -146,6 +157,8 @@ class SequenceTrace:
         return sum(r.eps_optimal for r in self.records) / len(self.records)
 
     def degraded_fraction(self) -> float:
+        """Share of tasks whose estimate raised; only the estimates a later
+        task reads are made, so only those can count."""
         if not self.records:
             return 0.0
         return sum(r.degraded for r in self.records) / len(self.records)
@@ -193,7 +206,11 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
 
     ``family`` holds the hidden ground-truth models; they are used to draw
     samples, to evaluate returned policies, and (for diagnostics only) to
-    align the spectral estimates to true task labels.
+    align the spectral estimates to true task labels.  Estimates are made
+    after each task from ``max(3k, cfg.startup_tasks)`` observations on,
+    so ``degraded`` marks only estimates that a later task reads; the
+    start-up rows before the first estimate have NaN ``o_col_err_max`` and
+    ``t_err_max``.
     """
     family = list(family)
     k = len(family)
@@ -264,8 +281,12 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
         observations.append(vectorize_observation(emp, layout))
 
         degraded = False
-        # With fewer than k triples M2 has rank below k and whitening fails.
-        if len(observations) >= 3 * k:
+        # With fewer than k triples M2 has rank below k and whitening fails,
+        # and no solve reads an estimate made before the last start-up task.
+        if 3 * k <= len(observations) < cfg.startup_tasks:
+            # Spend the skipped estimate's RTP draws, to keep the stream.
+            rng.standard_normal((k, cfg.rtp_restarts, k))
+        elif len(observations) >= 3 * k:
             triples = len(observations) // 3
             if triples != moments_triples:
                 # Drop the old moments before computing the new ones.  If

@@ -10,6 +10,7 @@ from seqtransfer.envs import (
     GridSpec,
     ObjectworldSpec,
     TaskChain,
+    _multinomial_pvals,
     build_multi_goal_grid,
     build_objectworld_family,
     build_two_rooms,
@@ -266,6 +267,50 @@ class TestGenerativeModel:
         hidden_row = fam[0].p[13, 2]
         assert np.max(np.abs(freq - hidden_row)) < 0.01
         assert g.queries_used == 100_000
+
+    @staticmethod
+    def tolerance_model():
+        """Rows that TabularMdp accepts within PROB_TOL but rng.multinomial
+        rejects: a negative entry and entries just above 1.  The reward row
+        of state 1 is valid."""
+        p = np.array([[[1 + 1e-10, -1e-10]], [[1 + 5e-10, 0.0]]])
+        q = np.array([[[0.0, 1 + 5e-10]], [[0.5, 0.5]]])
+        return TabularMdp(p=p, reward_support=np.array([0.0, 1.0]), q=q, gamma=0.9)
+
+    def test_batch_samples_rows_within_tolerance(self):
+        g = GenerativeModel(self.tolerance_model())
+        rng = np.random.default_rng(5)
+        for s in range(2):
+            next_counts, reward_counts = g.query_batch(s, 0, 50, rng)
+            assert next_counts.tolist() == [50, 0]
+            assert reward_counts.sum() == 50
+        assert g.queries_used == 100
+
+    def test_pvals_fix_only_rejected_rows(self):
+        m = self.tolerance_model()
+        p, q = _multinomial_pvals(m.p), _multinomial_pvals(m.q)
+        assert p[:, 0].tolist() == [[1.0, 0.0], [1.0, 0.0]]
+        assert q[0, 0].tolist() == [0.0, 1.0]
+        assert q[1, 0].tobytes() == m.q[1, 0].tobytes()
+        # All entries in [0, 1], but the first n-1 sum past 1 + 1e-12.
+        rows = np.array([[0.6, 0.4 + 5e-10, 0.0], [0.2, 0.3, 0.5]])
+        fixed = _multinomial_pvals(rows)
+        assert fixed[0].sum() == pytest.approx(1.0, abs=1e-15)
+        assert fixed[0, :2].sum() <= 1.0 + 1e-12
+        assert fixed[1].tobytes() == rows[1].tobytes()
+        np.random.default_rng(0).multinomial(10, fixed)
+
+    def test_valid_rows_keep_their_draws(self):
+        mdp = two_rooms_family(num_tasks=1)[0]
+        assert _multinomial_pvals(mdp.p) is mdp.p
+        assert _multinomial_pvals(mdp.q) is mdp.q
+        g = GenerativeModel(mdp)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for s, a in ((0, 0), (13, 2), (143, 3)):
+            next_counts, reward_counts = g.query_batch(s, a, 40, rng)
+            assert next_counts.tolist() == ref.multinomial(40, mdp.p[s, a]).tolist()
+            assert reward_counts.tolist() == ref.multinomial(40, mdp.q[s, a]).tolist()
+        assert same_state(rng, ref)
 
 
 def same_state(rng1, rng2) -> bool:

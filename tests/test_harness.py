@@ -7,7 +7,7 @@ import pytest
 
 from seqtransfer import harness
 from seqtransfer.cli import EXIT_CONFIG, EXIT_OK, main
-from seqtransfer.envs import two_rooms_family
+from seqtransfer.envs import successor_chain, two_rooms_family
 from seqtransfer.harness import (
     AggregateResult,
     ConfigError,
@@ -21,6 +21,7 @@ from seqtransfer.harness import (
     sweep,
     write_csv,
 )
+from seqtransfer.mdp import TabularMdp
 from seqtransfer.ptum import ApproxModelSet
 from seqtransfer.spectral import ObservationLayout
 
@@ -166,6 +167,21 @@ class TestFamilies:
             true_vec = layout.vectorize(family[j].q, family[j].p)
             err = np.abs(obs[rows].mean(axis=0) - true_vec).max()
             assert err < 0.02
+
+    def test_simulates_rows_within_tolerance(self):
+        # Rows that TabularMdp accepts within PROB_TOL (a negative entry, an
+        # entry above 1) are drawn from as clipped, renormalised rows.
+        p = np.array([[[1 + 1e-10, -1e-10]], [[1 + 5e-10, 0.0]]])
+        q = np.array([[[0.0, 1 + 5e-10]], [[0.5, 0.5]]])
+        family = [TabularMdp(p=p, reward_support=np.array([0.0, 1.0]), q=q,
+                             gamma=0.9)] * 2
+        obs, path = simulate_hmm_observations(family, successor_chain(2), 6, 5,
+                                              np.random.default_rng(2))
+        layout = ObservationLayout(2, 1, 2)
+        for row in obs:
+            q_hat, p_hat = layout.unpack(row)
+            assert p_hat[:, 0].tolist() == [[1.0, 0.0], [1.0, 0.0]]
+            assert q_hat[0, 0].tolist() == [0.0, 1.0]
 
 
 def one_choice_per_step(chain, steps, rng):

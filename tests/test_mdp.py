@@ -1,10 +1,9 @@
-"""Unit tests for the MDP core: planning, statistics, gaps, serialization.
+"""Unit tests for the MDP core: planning, statistics and gaps.
 
 The gap tables and the minimum gap live on ``ptum.ApproxModelSet``, the one
 place that plans a family; their tests sit here beside the statistics they
 are built from.
 """
-import json
 import math
 
 import numpy as np
@@ -70,17 +69,6 @@ class TestTabularMdp:
         m = single_state_mdp()
         with pytest.raises(ValueError):
             m.p[0, 0, 0] = 0.5
-
-    def test_json_roundtrip_bit_stable(self):
-        rng = np.random.default_rng(3)
-        m = random_mdp(rng)
-        back = TabularMdp.from_json(m.to_json())
-        assert np.array_equal(back.p, m.p)
-        assert np.array_equal(back.q, m.q)
-        assert np.array_equal(back.reward_support, m.reward_support)
-        assert back.gamma == m.gamma
-        # Serializing again gives the identical document.
-        assert back.to_json() == m.to_json()
 
 
 class TestPlanning:

@@ -263,9 +263,12 @@ class TestRunSequential:
         assert math.isfinite(late.t_err_max)
 
     def test_estimates_start_at_3k_and_one_model_set_per_ptum(self, monkeypatch):
-        # Fewer than k triples cannot give a rank-k whitening, so no estimate
-        # is attempted before 3k observations; the candidate model set is
-        # built only for the run_ptum call that reads it.
+        # Fewer than k triples cannot give a rank-k whitening, and no solve
+        # reads an estimate made before the last start-up task, so no
+        # estimate is attempted before max(3k, startup_tasks) observations
+        # and the start-up rows before it carry no error columns; the
+        # candidate model set is built only for the run_ptum call that
+        # reads it.
         k = 3
         fam = tiny_family(k, seed=7)
         calls = {"estimate": [], "approx": 0, "ptum": 0}
@@ -293,11 +296,17 @@ class TestRunSequential:
                        post_sample_per_pair=200, rho=1e-3)
         trace = run_sequential(cfg, fam, successor_chain(k),
                                np.random.default_rng(6))
-        assert calls["estimate"] == list(range(3 * k, 17))
+        assert calls["estimate"] == list(range(cfg.startup_tasks, 17))
         assert calls["ptum"] > 0
         assert calls["approx"] == calls["ptum"]
         assert calls["ptum"] == sum(r.tau is not None for r in trace.records)
-        assert not any(r.degraded for r in trace.records[:3 * k - 1])
+        assert not any(r.degraded for r in trace.records)
+        first = cfg.startup_tasks - 1
+        assert all(math.isnan(r.o_col_err_max) and math.isnan(r.t_err_max)
+                   and r.delta_h == math.inf and r.active_set_size == k
+                   for r in trace.records[:first])
+        assert all(math.isfinite(r.o_col_err_max) and math.isfinite(r.t_err_max)
+                   for r in trace.records[first:])
 
     def test_whitened_moments_once_per_triple_count(self, monkeypatch):
         # The deterministic stage reads only whole triples, so it is
@@ -316,12 +325,13 @@ class TestRunSequential:
         trace = run_sequential(cfg, tiny_family(k, seed=7), successor_chain(k),
                                np.random.default_rng(6))
         assert not any(r.degraded for r in trace.records)
-        assert triples == sorted({n // 3 for n in range(3 * k, 17)})
+        assert triples == sorted({n // 3 for n in range(cfg.startup_tasks, 17)})
 
     def test_degraded_estimate_keeps_its_bound(self, monkeypatch):
         # A stale estimate keeps the error bound and the pre-elimination
         # observation count it was computed with, so delta_h does not fall
-        # across a degraded task.
+        # across a degraded task.  With startup_tasks = 3k every estimate is
+        # read, the stale one by the task after the degraded one.
         k, fail_at = 3, 11
         estimate, eliminate = sequential.spectral_estimate, sequential.pre_eliminate
         counts = []
@@ -337,14 +347,50 @@ class TestRunSequential:
 
         monkeypatch.setattr(sequential, "spectral_estimate", flaky_estimate)
         monkeypatch.setattr(sequential, "pre_eliminate", recording_eliminate)
-        cfg = make_cfg(num_tasks=14, startup_tasks=14, startup_per_pair=200,
+        cfg = make_cfg(num_tasks=14, startup_tasks=3 * k, startup_per_pair=200,
                        post_sample_per_pair=200, rho=2.0, rho_t=0.01,
                        pre_elimination=True)
         trace = run_sequential(cfg, tiny_family(k, seed=11), successor_chain(k),
                                np.random.default_rng(5))
-        assert [r.h for r in trace.records if r.degraded] == [fail_at]
-        deltas = [r.delta_h for r in trace.records]
+        records = trace.records
+        assert [r.h for r in records if r.degraded] == [fail_at]
+        assert all(r.mode == "fallback-gate" for r in records[3 * k:])
+        # The degraded task reports the stale estimate's errors.
+        assert records[fail_at].o_col_err_max == records[fail_at - 1].o_col_err_max
+        assert records[fail_at].t_err_max == records[fail_at - 1].t_err_max
+        deltas = [r.delta_h for r in records]
+        assert math.isfinite(deltas[fail_at])
         assert deltas[fail_at + 1] == deltas[fail_at]
         assert deltas[fail_at + 2] < deltas[fail_at + 1]
         assert counts == [fail_at if n == fail_at + 1 else n
                           for n in range(3 * k, 15)]
+
+    def test_failed_first_read_estimate_closes_the_gate(self, monkeypatch):
+        # No estimate is made during start-up, so when the one made after
+        # the last start-up task raises there is no stale estimate to keep:
+        # the first transfer task falls back with an infinite delta_h and
+        # the full candidate set.
+        k, startup = 3, 12
+        estimate = sequential.spectral_estimate
+
+        def flaky_estimate(observations, *args, **kwargs):
+            if len(observations) == startup:
+                raise spectral.DecompositionFailureError("forced")
+            return estimate(observations, *args, **kwargs)
+
+        monkeypatch.setattr(sequential, "spectral_estimate", flaky_estimate)
+        cfg = make_cfg(num_tasks=15, startup_tasks=startup, startup_per_pair=200,
+                       post_sample_per_pair=200, rho=1e-3, rho_t=0.01,
+                       pre_elimination=True)
+        trace = run_sequential(cfg, tiny_family(k, seed=7), successor_chain(k),
+                               np.random.default_rng(6))
+        records = trace.records
+        assert [r.h for r in records if r.degraded] == [startup - 1]
+        assert math.isnan(records[startup - 1].o_col_err_max)
+        first = records[startup]
+        assert first.mode == "fallback-gate"
+        assert first.delta_h == math.inf
+        assert first.active_set_size == k
+        assert math.isfinite(records[startup + 1].delta_h)
+        assert records[startup + 1].tau is not None
+        assert trace.degraded_fraction() == pytest.approx(1 / 15)

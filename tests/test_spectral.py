@@ -1,8 +1,11 @@
 """Unit tests for the spectral learner: moments, RTP, recovery, alignment."""
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtransfer.envs import TaskChain
 from seqtransfer.harness import random_hmm_family, simulate_hmm_observations
@@ -331,6 +334,30 @@ class TestRecovery:
         assert np.array_equal(reused.observation, plain.observation)
         assert np.array_equal(reused.transition, plain.transition)
         assert np.array_equal(reused.eigenvalues, plain.eigenvalues)
+
+    @staticmethod
+    @functools.cache
+    def hmm_moments(k):
+        """Observations of a k-task synthetic HMM and their whitened moments."""
+        rng = np.random.default_rng(40 + k)
+        fam, chain = random_hmm_family(k, 2, 2, 2, 0.9, rng)
+        obs, _ = simulate_hmm_observations(fam, chain, 600, 50, rng)
+        return obs, whitened_moments(obs, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+    def test_estimate_draws_one_normal_block(self, k, restarts, seed):
+        # A successful estimate's only draws are the RTP starts, k blocks of
+        # (restarts, k) normals: a caller that skips an estimate keeps the
+        # stream by drawing the same block.
+        obs, moments = self.hmm_moments(k)
+        rng = np.random.default_rng(seed)
+        spectral_estimate(obs, k, ObservationLayout(2, 2, 2), restarts=restarts,
+                          iters=5, rng=rng, moments=moments)
+        skipped = np.random.default_rng(seed)
+        skipped.standard_normal((k, restarts, k))
+        assert rng.bit_generator.state == skipped.bit_generator.state
+        assert rng.random() == skipped.random()
 
     def test_transition_columns_stochastic(self):
         rng = np.random.default_rng(13)
