@@ -67,8 +67,8 @@ class ApproxModelSet:
     optimal policy evaluated in model j, reward/transition-value standard
     deviations, pairwise gap tables, and the uncertainty bounds.  It is the
     one source of these tables for the loop, the diagnostics and the CLI.
-    Immutable once built; the information-index table is computed on
-    first use.
+    Immutable once built; the information-index table and the tables'
+    extremes are computed on first use.
     """
 
     def __init__(self, models, bounds: UncertaintyBounds = UncertaintyBounds()):
@@ -133,6 +133,26 @@ class ApproxModelSet:
         """``info_index_table(self)``, shape (k, k, S, A)."""
         return info_index_table(self)
 
+    @cached_property
+    def extremes(self) -> dict:
+        """What bounds how far samples can stray from the model tables
+        (read by ``_may_fail``): the (low, high) of ``rewards``, ``sigma_r``
+        and ``sigma_p``; ``pv_dev``, the widest gap between an entry of
+        ``pv[:, j]`` and one of V*_j; ``v_range``, the widest range of a
+        V*_j; and ``v_scale``, the largest magnitude in ``values``, ``pv``
+        and ``sigma_p``."""
+        v_lo, v_hi = self.values.min(axis=1), self.values.max(axis=1)
+        pv_lo, pv_hi = self.pv.min(axis=(0, 2, 3)), self.pv.max(axis=(0, 2, 3))
+        return dict(
+            rewards=(float(self.rewards.min()), float(self.rewards.max())),
+            sigma_r=(float(self.sigma_r.min()), float(self.sigma_r.max())),
+            sigma_p=(float(self.sigma_p.min()), float(self.sigma_p.max())),
+            pv_dev=float(max((v_hi - pv_lo).max(), (pv_hi - v_lo).max())),
+            v_range=float((v_hi - v_lo).max()),
+            v_scale=float(max(np.abs(self.values).max(), np.abs(self.pv).max(),
+                              self.sigma_p.max())),
+        )
+
     def sup_gaps(self, star: int):
         """Per model j, the sup-norm reward and transition gaps to model
         ``star``, the transition gap referenced to V*_star: two (k,) arrays."""
@@ -174,15 +194,21 @@ def transition_value_stats(next_counts, n, v):
     (...) is their total.  Leading axes stack count snapshots, and each
     snapshot gets, bit for bit, what it alone would get.  ``v`` is one
     value function (S,) or a stack (k, S), which adds a trailing axis k to
-    both results.
+    both results.  The squared deviations are formed only at the next
+    states some snapshot has seen and are 0 elsewhere, where p_hat is 0
+    and the dense product term is 0 too, so every sum is that of the
+    dense formula for finite squares.
     """
     n = np.asarray(n)
+    next_counts = np.asarray(next_counts)
     v = np.asarray(v, dtype=float)
     stack = np.atleast_2d(v)                                          # (k, S)
     p_hat = (next_counts / np.maximum(n, 1)[..., None])[..., :, None]   # (..., S, 1)
     mean = stack @ p_hat                                              # (..., k, 1)
-    var = ((stack - mean) ** 2 @ p_hat)[..., 0] * n[..., None] \
-        / np.maximum(n - 1, 1)[..., None]
+    seen = np.flatnonzero(next_counts.any(axis=tuple(range(next_counts.ndim - 1))))
+    sq_dev = np.zeros(mean.shape[:-1] + stack.shape[-1:])             # (..., k, S)
+    sq_dev[..., seen] = (stack[:, seen] - mean) ** 2
+    var = (sq_dev @ p_hat)[..., 0] * n[..., None] / np.maximum(n - 1, 1)[..., None]
     std = np.where((n > 1)[..., None], np.sqrt(np.maximum(var, 0.0)), 0.0)
     mean = mean[..., 0]
     if v.ndim == 1:
@@ -301,6 +327,45 @@ def confidence_radii(n, sr, sp, logs, params: ConfidenceParams):
     )
     return (np.where(valid, c_r, INF), np.where(valid[row], c_p, INF),
             np.where(valid, c_sr, INF), np.where(valid, c_sp, INF))
+
+
+def _may_fail(n, support, approx: ApproxModelSet, params: ConfidenceParams, logs):
+    """Where, for a stack of counts ``n`` at one pair, some samples could
+    make some model break a compatibility condition; False where none can.
+
+    Each radius of ``confidence_radii`` is at least its data-free part,
+    written here with the same expression and operand order: the dropped
+    sqrt term is >= 0 and rounding is monotone.  A condition cannot fail
+    while that part is at least the widest deviation the samples could
+    show against the model tables' extremes (``approx.extremes``): for the
+    reward mean, the range of ``support`` and ``rewards`` together; for
+    the transition means, ``pv_dev``; for an N-1 sample std, half the
+    range of ``support`` or of a V*_j times sqrt(N/(N-1)) (Popoviciu),
+    against ``sigma_r`` or ``sigma_p``.  Each deviation is widened by 1e-9
+    of the largest magnitude involved, for round-off.
+    """
+    n = np.asarray(n)
+    l_mean, l_std = logs
+    gamma = params.gamma
+    b = params.bounds
+    ext = approx.extremes
+    (r_lo, r_hi), (sr_lo, sr_hi) = ext["rewards"], ext["sigma_r"]
+    sp_lo, sp_hi = ext["sigma_p"]
+    s_lo, s_hi = float(support.min()), float(support.max())
+    tol_r = 1e-9 * max(abs(s_lo), abs(s_hi), abs(r_lo), abs(r_hi), sr_hi)
+    tol_p = 1e-9 * ext["v_scale"]
+    n1 = np.maximum(n - 1, 1)
+    half_spread = np.sqrt(n / n1) / 2.0
+    root = np.sqrt(2.0 * l_std / n1)
+    return (n > 1) & (
+        (7.0 * l_mean / (3.0 * n1) + b.reward < max(s_hi - r_lo, r_hi - s_lo) + tol_r)
+        | (root + b.reward_std
+           < np.maximum((s_hi - s_lo) * half_spread - sr_lo, sr_hi) + tol_r)
+        | (7.0 * l_mean / (3.0 * n1 * (1.0 - gamma)) + b.transition
+           < ext["pv_dev"] + tol_p)
+        | (root / (1.0 - gamma) + b.transition_std
+           < np.maximum(ext["v_range"] * half_spread - sp_lo, sp_hi) + tol_p)
+    )
 
 
 def compatibility_failures(idx, s, a, n, reward_counts, next_counts, support,
@@ -456,8 +521,7 @@ def default_fallback_per_pair(eps: float, delta: float, S: int, A: int, gamma: f
     return math.ceil(2.0 * math.log(4.0 * S * A / delta) / (eps ** 2 * (1.0 - gamma) ** 3))
 
 
-def uniform_pac_fallback(g: GenerativeModel, eps: float, delta: float,
-                         per_pair_budget: int, rng,
+def uniform_pac_fallback(g: GenerativeModel, per_pair_budget: int, rng,
                          emp: EmpiricalModel | None = None):
     """Query every (s, a) a fixed number of times and plan on the empirical
     MDP.  Returns (policy, empirical_model)."""
@@ -494,6 +558,11 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     ``fallback_per_pair`` times, by default min(theory count, n // (S*A)),
     on top of what elimination spent, so a run may charge about 2n queries
     in all.
+
+    Each run of queries at the chosen pair is drawn at once and pruned
+    after every draw in one stacked pass (``compatibility_failures``),
+    which starts at the first count where ``_may_fail`` lets some model
+    fail; the prunes before it keep the whole set, as the pass would.
     """
     if n < 0:
         raise ValueError("budget must be non-negative")
@@ -513,7 +582,7 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
                 default_fallback_per_pair(eps, delta, S, A, gamma),
                 max(n // (S * A), 1),
             )
-        policy, emp = uniform_pac_fallback(g, eps, delta, per_pair, rng, emp)
+        policy, emp = uniform_pac_fallback(g, per_pair, rng, emp)
         return PtumResult(
             policy=policy, tau=tau, mode=mode, chosen_model=None,
             survived_trace=trace, query_log=query_log,
@@ -530,6 +599,9 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     active_set = set(initial)
     trace = [sorted(active_set)]
     query_log = []
+    # may_fail[N]: whether some model can fail a condition after N draws at
+    # a pair.  It depends on N alone, so it grows only as counts pass it.
+    may_fail = np.zeros(0, dtype=bool)
 
     while True:
         # The stop test and the query choice depend only on the active set.
@@ -547,11 +619,23 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
 
         def first_elimination(next_states, reward_indices):
             # Prunes after every draw of the run at once: the draws past the
-            # first prune that eliminates go back to the oracle unused.
-            nonlocal fails
-            fails = compatibility_failures(
-                idx, s, a, *emp.snapshots(s, a, next_states, reward_indices),
-                emp.reward_support, approx, params, logs)
+            # first prune that eliminates go back to the oracle unused.  The
+            # pass starts at the first count where a model may fail; every
+            # prune before it keeps the whole set.
+            nonlocal fails, may_fail
+            last = emp.counts[s, a] + len(next_states)
+            if last >= may_fail.size:
+                may_fail = np.append(may_fail, _may_fail(
+                    np.arange(may_fail.size, last + 1), emp.reward_support, approx,
+                    params, logs))
+            open_ = may_fail[emp.counts[s, a] + 1:last + 1]
+            fails = np.zeros((open_.size, idx.size), dtype=bool)
+            if open_.any():
+                f = int(np.argmax(open_))
+                fails[f:] = compatibility_failures(
+                    idx, s, a, *(x[f:] for x in emp.snapshots(s, a, next_states,
+                                                              reward_indices)),
+                    emp.reward_support, approx, params, logs)
             hit = fails.any(axis=1)
             return int(np.argmax(hit)) + 1 if hit.any() else hit.size
 

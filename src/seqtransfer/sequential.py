@@ -272,7 +272,7 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
             per_pair = cfg.startup_per_pair if in_startup else (
                 cfg.fallback_per_pair or cfg.startup_per_pair
             )
-            policy, emp = uniform_pac_fallback(g, cfg.eps, cfg.delta, per_pair, rng)
+            policy, emp = uniform_pac_fallback(g, per_pair, rng)
             mode = "startup" if in_startup else "fallback-gate"
             survived = set(range(k))
         solve_queries = g.queries_used

@@ -1,11 +1,13 @@
 """Unit tests for the identification loop and its pieces."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqtransfer import ptum
 from seqtransfer.envs import (
     GenerativeModel,
     GridSpec,
@@ -14,7 +16,7 @@ from seqtransfer.envs import (
     two_rooms_family,
 )
 from seqtransfer.harness import run_rng
-from seqtransfer.mdp import TabularMdp, policy_evaluation, value_iteration
+from seqtransfer.mdp import PROB_TOL, TabularMdp, policy_evaluation, value_iteration
 from seqtransfer.ptum import (
     INF,
     ApproxModelSet,
@@ -23,6 +25,7 @@ from seqtransfer.ptum import (
     PtumResult,
     UncertaintyBounds,
     _log_terms,
+    _may_fail,
     check_stop,
     compatibility_failures,
     confidence_radii,
@@ -159,9 +162,49 @@ class TestConfidenceRadii:
                                                          ddof=1)), rel=1e-12)
 
 
+def dense_transition_value_stats(next_counts, n, v):
+    """``transition_value_stats`` with (v - mean)^2 formed at every next
+    state, seen or not: the dense formula, kept as the reference."""
+    n = np.asarray(n)
+    v = np.asarray(v, dtype=float)
+    stack = np.atleast_2d(v)
+    p_hat = (next_counts / np.maximum(n, 1)[..., None])[..., :, None]
+    mean = stack @ p_hat
+    var = ((stack - mean) ** 2 @ p_hat)[..., 0] * n[..., None] \
+        / np.maximum(n - 1, 1)[..., None]
+    std = np.where((n > 1)[..., None], np.sqrt(np.maximum(var, 0.0)), 0.0)
+    mean = mean[..., 0]
+    if v.ndim == 1:
+        return mean[..., 0], std[..., 0]
+    return mean, std
+
+
 class TestStackedStatistics:
     """A stack of count snapshots gets, row by row and bit for bit, what
     each snapshot gets alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(S=st.integers(1, 12), B=st.integers(0, 40), k=st.none() | st.integers(1, 5),
+           stacked=st.booleans(), start=st.integers(0, 3), seen=st.integers(1, 12),
+           scale=st.sampled_from([1.0, 1e-3, 1e6, 1e100]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_values_equal_the_dense_formula(self, S, B, k, stacked, start, seen, scale,
+                                            seed):
+        # Cumulative counts of a run of draws that reach only ``seen`` of the
+        # S next states, from ``start`` earlier draws, N = 0 rows included.
+        rng = np.random.default_rng(seed)
+        states = rng.choice(S, size=min(seen, S), replace=False)
+        base = rng.multinomial(start, np.bincount(states, minlength=S) / states.size)
+        draws = np.zeros((B + 1, S), dtype=np.int64)
+        draws[np.arange(1, B + 1), rng.choice(states, size=B)] = 1
+        next_counts = base + draws.cumsum(axis=0)
+        n = next_counts.sum(axis=1)
+        v = (rng.normal(size=(S,) if k is None else (k, S)) - rng.normal()) * scale
+        if not stacked:
+            next_counts, n = next_counts[-1], n[-1]
+        got = transition_value_stats(next_counts, n, v)
+        want = dense_transition_value_stats(next_counts, n, v)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
     @staticmethod
     def snapshots(rng, B, S, U, most=40):
@@ -448,7 +491,7 @@ class TestFallback:
         q[1, 1] = [0.0, 1.0]
         truth = TabularMdp(p=p, reward_support=support, q=q, gamma=0.9)
         g = GenerativeModel(truth)
-        policy, emp = uniform_pac_fallback(g, 0.1, 0.1, 1, np.random.default_rng(3))
+        policy, emp = uniform_pac_fallback(g, 1, np.random.default_rng(3))
         v_star, pi_star = value_iteration(truth)
         assert np.allclose(policy_evaluation(truth, policy), v_star)
 
@@ -461,7 +504,7 @@ class TestFallback:
             gamma=0.9,
         )
         g = GenerativeModel(truth)
-        policy, _ = uniform_pac_fallback(g, 0.01, 0.1, 10_000, rng)
+        policy, _ = uniform_pac_fallback(g, 10_000, rng)
         v_star, _ = value_iteration(truth)
         assert np.max(v_star - policy_evaluation(truth, policy)) < 0.01
 
@@ -509,7 +552,7 @@ def reference_run_ptum(approx, g, eps, delta, n, rng, fallback_per_pair=None,
         if per_pair is None:
             per_pair = min(default_fallback_per_pair(eps, delta, S, A, gamma),
                            max(n // (S * A), 1))
-        policy, emp = uniform_pac_fallback(g, eps, delta, per_pair, rng, emp)
+        policy, emp = uniform_pac_fallback(g, per_pair, rng, emp)
         return PtumResult(policy=policy, tau=tau, mode=mode, chosen_model=None,
                           survived_trace=trace, query_log=query_log,
                           queries_total=g.queries_used, empirical=emp)
@@ -583,8 +626,15 @@ def random_rows(rng, shape, width):
     return rows / rows.sum(axis=-1, keepdims=True)
 
 
+# Budgets of at most 12 queries end before any count where a model can
+# fail: up to there 7L/(3(N-1)) alone is past the unit reward range and
+# past V's range times (1 - gamma), and sqrt(2L'/(N-1)) past half of either
+# range times sqrt(N/(N-1)).
+SHORT_BUDGETS = st.integers(2, 12)
+
+
 @st.composite
-def identification_cases(draw):
+def identification_cases(draw, budgets=st.integers(0, 600) | SHORT_BUDGETS):
     """Small random families, uncertainty bounds, query budgets n and active
     sets."""
     S, A = draw(st.integers(1, 6)), draw(st.integers(2, 3))
@@ -613,7 +663,7 @@ def identification_cases(draw):
     fractions = draw(st.sampled_from([(0.0,) * 4, (0.2, 0.0, 0.1, 0.0), (0.6,) * 4,
                                       (0.0, 0.0, 0.0, 1.2)]))
     bounds = UncertaintyBounds(*(f * gate for f in fractions))
-    n = draw(st.integers(0, 600))
+    n = draw(budgets)
     active = draw(st.none() | st.sets(st.integers(0, k - 1), min_size=1))
     return dict(approx=ApproxModelSet(models, bounds), truth=truth, eps=eps,
                 delta=draw(st.sampled_from([0.05, 0.3])), n=n,
@@ -692,3 +742,117 @@ class TestRunsOfQueries:
             for theta in got.survived:
                 value = policy_evaluation(approx.models[theta], got.policy)
                 assert np.all(value >= approx.values[theta] - margin - 1e-6)
+
+
+@st.composite
+def certificate_cases(draw):
+    """Random model sets, some with rows off by up to PROB_TOL, bounds up to
+    and past the gate, and stacks of count snapshots at one pair: counts
+    near the first one ``_may_fail`` allows and at random, piled on the
+    extremes of the reward support and of a V*_j, split evenly between
+    them, or spread at random."""
+    S, A = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    U, k = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    gamma = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    eps = draw(st.sampled_from([0.05, 0.2, 1.0])) / (1.0 - gamma)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    support = np.sort(rng.choice(np.linspace(0.0, 1.0, 11), U, replace=False))
+
+    def rows(shape, width, off):
+        r = random_rows(rng, shape, width)
+        if off:
+            # Entries down to -PROB_TOL and sums off by up to PROB_TOL / 2.
+            r = r + rng.uniform(-1.0, 1.0, r.shape) * PROB_TOL / (2 * width)
+        return r
+
+    models = []
+    for _ in range(k):
+        off = draw(st.booleans())
+        q = rows((S, A), U, off)
+        if draw(st.booleans()):
+            q = np.eye(U)[rng.integers(U, size=(S, A))]
+        models.append(TabularMdp(p=rows((S, A), S, off), reward_support=support,
+                                 q=q, gamma=gamma))
+    gate = eps * (1.0 - gamma) / (4.0 * (1.0 + gamma))
+    # A bound of 100 keeps its condition from ever failing, so that the
+    # others, the std conditions too, decide the first count allowed.
+    bounds = UncertaintyBounds(*(draw(st.sampled_from([0.0, 100.0, gate * f]))
+                                 for f in rng.uniform(0.0, 1.5, 4)))
+    approx = ApproxModelSet(models, bounds)
+    params = ConfidenceParams(budget=draw(st.integers(1, 5000)), num_models=k,
+                              delta=draw(st.sampled_from([0.01, 0.05, 0.3])),
+                              gamma=gamma, bounds=bounds)
+    logs = _log_terms(S, A, params)
+    s, a = int(rng.integers(S)), int(rng.integers(A))
+
+    may = _may_fail(np.arange(20_000), support, approx, params, logs)
+    first = int(np.argmax(may)) if may.any() else 20_000
+    B = 40
+    n = np.concatenate([np.arange(max(first - 4, 0), first + 6),
+                        rng.integers(0, 4 * first + 10, B - 10)])
+    widest = np.argmax(np.ptp(approx.values, axis=1))
+    v = approx.values[widest if draw(st.booleans()) else rng.integers(k)]
+    lo, hi = np.argmin(v), np.argmax(v)
+    next_counts = np.zeros((B, S), dtype=np.int64)
+    reward_counts = np.zeros((B, U), dtype=np.int64)
+    for b, count in enumerate(n):
+        half = count // 2
+        next_counts[b] = [rng.multinomial(count, np.full(S, 1.0 / S)),
+                          np.bincount([lo], [count], minlength=S),
+                          np.bincount([hi], [count], minlength=S),
+                          np.bincount([lo, hi], [half, count - half], minlength=S)
+                          ][rng.integers(4)]
+        reward_counts[b] = [rng.multinomial(count, np.full(U, 1.0 / U)),
+                            np.bincount([0], [count], minlength=U),
+                            np.bincount([U - 1], [count], minlength=U),
+                            np.bincount([0, U - 1], [half, count - half], minlength=U)
+                            ][rng.integers(4)]
+    return dict(approx=approx, params=params, logs=logs, pair=(s, a), n=n,
+                reward_counts=reward_counts, next_counts=next_counts, support=support)
+
+
+class TestPassOnlyWhereAModelCanFail:
+    """``run_ptum`` runs the stacked pass only from the first count of a run
+    where ``_may_fail`` lets some model fail; the rows before it are the
+    all-False rows the pass would give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_cases())
+    def test_every_failure_is_allowed(self, case):
+        approx = case["approx"]
+        fails = compatibility_failures(
+            np.arange(approx.num_models), *case["pair"], case["n"], case["reward_counts"],
+            case["next_counts"], case["support"], approx, case["params"], case["logs"])
+        may = _may_fail(case["n"], case["support"], approx, case["params"], case["logs"])
+        assert may.shape == case["n"].shape
+        assert not may[case["n"] <= 1].any()
+        assert np.all(may[fails.any(axis=1)])
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_two_rooms_pass_starts_where_the_elimination_falls(self, seed):
+        # Each of the three queried pairs eliminates at N = 65, the first
+        # count the certificate allows: the pass runs once per pair.
+        fam = two_rooms_family()
+        case = dict(approx=ApproxModelSet(fam), truth=fam[0], eps=0.1, delta=0.01,
+                    n=100_000, active=None, fallback_per_pair=None, seed=seed)
+        starts = []
+
+        def spy(idx, s, a, n, *rest):
+            starts.append(int(n[0]))
+            return compatibility_failures(idx, s, a, n, *rest)
+
+        with mock.patch.object(ptum, "compatibility_failures", spy):
+            got, _, _ = identify(run_ptum, case, SamplesOnly)
+        assert starts == [65, 65, 65]
+        assert got.mode == "transfer-stopped" and got.tau == 195
+        ref = assert_same_identification(case)
+        assert ref.query_log == got.query_log and ref.survived_trace == got.survived_trace
+
+    @settings(max_examples=100, deadline=None)
+    @given(identification_cases(budgets=SHORT_BUDGETS))
+    def test_short_budgets_never_start_the_pass(self, case):
+        with mock.patch.object(ptum, "compatibility_failures",
+                               side_effect=AssertionError("pass started")):
+            got, _, _ = identify(run_ptum, case, SamplesOnly)
+        assert got.mode in ("fallback-gate", "fallback-budget") or got.tau == 0
+        assert_same_identification(case)
