@@ -527,3 +527,22 @@ class GenerativeModel:
         next_counts = rng.multinomial(count, p[s, a])
         reward_counts = rng.multinomial(count, q[s, a])
         return next_counts, reward_counts
+
+    def query_table(self, need, rng):
+        """``need[s, a]`` i.i.d. draws at every (s, a), as count tables.
+
+        Returns (next_counts (S, A, S), reward_counts (S, A, U)).  The draws
+        are those of one ``query_batch`` call per pair with ``need > 0``, in
+        row-major order, so the counts and the state ``rng`` is left in are
+        those of that loop.
+        """
+        need = np.asarray(need)
+        S, A = self.num_states, self.num_actions
+        if need.shape != (S, A):
+            raise ValueError(f"need must have shape {(S, A)}")
+        next_counts = np.zeros((S, A, S), dtype=np.int64)
+        reward_counts = np.zeros((S, A, self.reward_support.size), dtype=np.int64)
+        for s, a in zip(*np.nonzero(need > 0)):
+            next_counts[s, a], reward_counts[s, a] = self.query_batch(
+                s, a, int(need[s, a]), rng)
+        return next_counts, reward_counts

@@ -145,7 +145,9 @@ def aggregate(values, level: float = 0.99) -> AggregateResult:
 
 
 def format_cell(value) -> str:
-    """CSV cell with full round-trip float formatting."""
+    """CSV cell with full round-trip float formatting; None is empty."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):

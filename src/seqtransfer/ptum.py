@@ -249,6 +249,15 @@ class EmpiricalModel:
         self.next_counts[s, a] += np.asarray(next_state_counts, dtype=np.int64)
         self.reward_counts[s, a] += np.asarray(reward_index_counts, dtype=np.int64)
 
+    def add_table(self, next_counts, reward_counts) -> None:
+        """Add an (S, A, S) next-state and an (S, A, U) reward count table."""
+        total = next_counts.sum(axis=2)
+        if not np.array_equal(total, reward_counts.sum(axis=2)):
+            raise ValueError("inconsistent batch counts")
+        self.counts += total
+        self.next_counts += next_counts
+        self.reward_counts += reward_counts
+
     def snapshots(self, s: int, a: int, next_states, reward_indices):
         """The counts at (s, a) after each draw of a run of draws there,
         stacked: (n (B,), reward_counts (B, U), next_counts (B, S))."""
@@ -529,10 +538,8 @@ def uniform_pac_fallback(g: GenerativeModel, per_pair_budget: int, rng,
         raise ValueError("per-pair budget must be at least 1")
     if emp is None:
         emp = EmpiricalModel(g.num_states, g.num_actions, g.reward_support)
-    for s in range(g.num_states):
-        for a in range(g.num_actions):
-            next_counts, reward_counts = g.query_batch(s, a, per_pair_budget, rng)
-            emp.add_batch(s, a, next_counts, reward_counts)
+    need = np.full((g.num_states, g.num_actions), per_pair_budget)
+    emp.add_table(*g.query_table(need, rng))
     _, policy = value_iteration(emp.to_mdp(g.gamma))
     return policy, emp
 

@@ -134,7 +134,8 @@ class SequenceTrace:
     records: list = field(default_factory=list)
 
     COLUMNS = ("h", "true_task", "mode", "queries", "eps_optimal",
-               "active_set_size", "delta_h", "o_col_err_max", "t_err_max")
+               "active_set_size", "delta_h", "o_col_err_max", "t_err_max",
+               "degraded", "tau", "true_in_active")
     CSV_HEADER = ",".join(COLUMNS)
 
     def append(self, rec: TaskRecord) -> None:
@@ -168,12 +169,7 @@ def collect_post_samples(g: GenerativeModel, emp: EmpiricalModel, per_pair: int,
     """Top every (s, a) count up to per_pair with extra uniform queries."""
     if per_pair < 1:
         raise ValueError("per_pair must be at least 1")
-    for s in range(emp.num_states):
-        for a in range(emp.num_actions):
-            need = per_pair - int(emp.counts[s, a])
-            if need > 0:
-                next_counts, reward_counts = g.query_batch(s, a, need, rng)
-                emp.add_batch(s, a, next_counts, reward_counts)
+    emp.add_table(*g.query_table(np.maximum(per_pair - emp.counts, 0), rng))
     return emp
 
 
@@ -306,7 +302,7 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
             else:
                 estimate_obs = len(observations)
                 estimate_bound = model_error_bound(
-                    estimate_obs, cfg.rho_at(h), cfg.delta_prime, S, A, U)["max"]
+                    estimate_obs, cfg.rho_at(h), cfg.delta_prime, S, A, U)
 
         if estimate is not None:
             o_err, t_err = estimate_errors(estimate, o_true, t_true)

@@ -12,9 +12,15 @@ whose triple count has not changed can hand its last result back to
 component in one call and power-iterates all restarts as one stack.
 
 Observations live in dimension d = S*A*(S+U), which can be large; every
-covariance and pseudo-inverse is handled in an orthonormal basis of the
+covariance and pseudo-inverse is handled in reduced coordinates of the
 observation span (rank <= number of observations), which is exact because
-all estimated moments live in that span.
+all estimated moments live in that span.  Everything downstream (the
+covariances, their pseudo-inverses, M2 and the whitened third moment) is
+invariant under an orthogonal change of these coordinates, so any
+coordinates whose Gram matrix is the observations' one serve.  With fewer
+observations than dimensions they come from the eigendecomposition of the
+small Gram matrix X X^T; otherwise they are the observations themselves.
+The d-dimensional basis behind them is never formed.
 """
 from __future__ import annotations
 
@@ -115,17 +121,28 @@ def _truncated_pinv(mat: np.ndarray, rank: int | None = None) -> np.ndarray:
 class MomentSet:
     """Second/third-moment estimates from m observation triples.
 
-    All matrices are stored in the reduced orthonormal basis ``basis``
-    (d x r): ``basis @ sigma[(i, j)] @ basis.T`` is the full covariance.
+    All matrices are stored in reduced coordinates of the observation span:
+    the full covariance of ``sigma[(i, j)]`` is
+    ``to_full(to_full(sigma[(i, j)]).T).T``.  The orthonormal basis behind
+    the coordinates is ``observations.T @ basis_weights`` (d x r), or the
+    identity when ``basis_weights`` is None; it is never formed.
     """
 
-    basis: np.ndarray            # (d, r)
+    observations: np.ndarray     # (3m, d) the observations of the triples
+    basis_weights: np.ndarray | None  # (3m, r), or None for the identity
     sigma: dict                  # (i, j) -> (r, r) covariance in reduced coords
     view1: np.ndarray            # (m, r) transformed first views
     view2: np.ndarray            # (m, r) transformed second views
     view3: np.ndarray            # (m, r) raw third views
     m2: np.ndarray               # (r, r) symmetrized second cross moment
     num_triples: int
+
+    def to_full(self, reduced: np.ndarray) -> np.ndarray:
+        """Map the rows of an (r, ...) array from reduced to observation
+        coordinates."""
+        if self.basis_weights is None:
+            return reduced
+        return self.observations.T @ (self.basis_weights @ reduced)
 
     def whitened_third_moment(self, w_reduced: np.ndarray) -> np.ndarray:
         """Contract the implicit third moment with W on all modes, then
@@ -149,6 +166,25 @@ def symmetrize_tensor(t: np.ndarray) -> np.ndarray:
     ) / 6.0
 
 
+def _span_coordinates(obs: np.ndarray):
+    """Coordinates of the rows of ``obs`` (n x d) in an orthonormal basis of
+    their span, and the weights that give that basis from the rows.
+
+    With n < d the coordinates are ``V sqrt(L)`` from the eigenpairs of the
+    n x n Gram matrix ``obs @ obs.T`` above ``n * eps`` of the largest, and
+    the basis is ``obs.T @ V / sqrt(L)``; otherwise the coordinates are the
+    rows themselves and the weights None (the identity basis).
+    """
+    n, d = obs.shape
+    if n >= d:
+        return obs, None
+    vals, vecs = np.linalg.eigh(obs @ obs.T)
+    keep = vals > n * np.finfo(float).eps * vals[-1]
+    vals, vecs = vals[keep], vecs[:, keep]
+    roots = np.sqrt(vals)
+    return vecs * roots, vecs / roots
+
+
 def estimate_moments(observations, rank: int | None = None) -> MomentSet:
     """Cross-view covariances and cross moments from consecutive triples.
 
@@ -163,10 +199,7 @@ def estimate_moments(observations, rank: int | None = None) -> MomentSet:
     m = h // 3
     trimmed = obs[: 3 * m]
 
-    # Orthonormal basis of the observation span; everything downstream is
-    # exact in these coordinates.
-    q_basis, _ = np.linalg.qr(trimmed.T)
-    coords = trimmed @ q_basis  # (3m, r)
+    coords, weights = _span_coordinates(trimmed)  # (3m, r), (3m, r) or None
     o1, o2, o3 = coords[0::3], coords[1::3], coords[2::3]
 
     sigma = {}
@@ -181,8 +214,8 @@ def estimate_moments(observations, rank: int | None = None) -> MomentSet:
     m2 = view1.T @ view2 / m
     m2 = (m2 + m2.T) / 2.0
     return MomentSet(
-        basis=q_basis, sigma=sigma, view1=view1, view2=view2, view3=o3,
-        m2=m2, num_triples=m,
+        observations=trimmed, basis_weights=weights, sigma=sigma,
+        view1=view1, view2=view2, view3=o3, m2=m2, num_triples=m,
     )
 
 
@@ -263,12 +296,10 @@ def rtp_decompose(t3: np.ndarray, k: int, restarts: int = 100, iters: int = 100,
 
 @dataclass
 class HmmEstimate:
-    """Estimated observation matrix, task-transition matrix and RTP
-    eigenvalues."""
+    """Estimated observation matrix and task-transition matrix."""
 
     observation: np.ndarray      # (d, k), columns are flattened models
     transition: np.ndarray       # (k, k), column-stochastic after projection
-    eigenvalues: np.ndarray      # (k,)
     layout: ObservationLayout
 
     @property
@@ -291,7 +322,7 @@ def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
     mu3_reduced = wt_pinv @ (vecs * lams[None, :])     # (r, k)
     pinv_31 = _truncated_pinv(moments.sigma[(3, 1)], k)
     obs_reduced = moments.sigma[(2, 1)] @ pinv_31 @ mu3_reduced
-    obs_full = moments.basis @ obs_reduced             # (d, k)
+    obs_full = moments.to_full(obs_reduced)            # (d, k)
     trans = _truncated_pinv(obs_reduced, k) @ mu3_reduced
 
     # Rows of C-contiguous copies of obs_full.T and trans.T are their
@@ -304,8 +335,7 @@ def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
     trans_proj = np.ascontiguousarray(
         project_simplex(np.ascontiguousarray(trans.T)).T
     )
-    return HmmEstimate(observation=obs_proj, transition=trans_proj,
-                       eigenvalues=lams, layout=layout)
+    return HmmEstimate(observation=obs_proj, transition=trans_proj, layout=layout)
 
 
 def align_columns(new: HmmEstimate, reference) -> np.ndarray:
@@ -331,7 +361,6 @@ def apply_permutation(est: HmmEstimate, perm: np.ndarray) -> HmmEstimate:
     return HmmEstimate(
         observation=est.observation[:, perm],
         transition=est.transition[np.ix_(perm, perm)],
-        eigenvalues=est.eigenvalues[perm],
         layout=est.layout,
     )
 
@@ -388,36 +417,15 @@ def unpack_models(est: HmmEstimate, reward_support, gamma: float):
     return models
 
 
-def model_error_bound(h: int, rho, delta_prime: float, S: int, A: int, U: int):
-    """The four h-dependent error bounds and the burn-in check.
-
-    ``rho`` is either a scalar applied to all four channels or a 4-tuple
-    (reward, transition, reward-std, transition-std); returns a dict with
-    the bounds, their max, and whether the burn-in condition holds.
-    """
+def model_error_bound(h: int, rho: float, delta_prime: float, S: int, A: int,
+                      U: int) -> float:
+    """The h-dependent error bound of every channel of the estimated models:
+    rho * sqrt(log(pi^2 h^2 S A (S+U) / delta_prime) / h)."""
     if h < 1:
         raise ValueError("h must be at least 1")
     if not 0.0 < delta_prime < 1.0:
         raise ValueError("delta_prime must be in (0, 1)")
-    if np.ndim(rho) == 0:
-        rhos = (float(rho),) * 4
-    else:
-        rhos = tuple(float(x) for x in rho)
-        if len(rhos) != 4:
-            raise ValueError("rho must be scalar or length 4")
-    if any(r < 0 for r in rhos):
-        raise ValueError("rho constants must be non-negative")
-    d = S * A * (S + U)
+    if rho < 0:
+        raise ValueError("rho must be non-negative")
     c = math.pi ** 2 * h * h * S * A * (S + U) / delta_prime
-    rate = math.sqrt(math.log(c) / h)
-    bounds = tuple(r * rate for r in rhos)
-    burn_in_ok = h > rhos[0] * math.log(2.0 * h * h * S * A * (S + U) / delta_prime)
-    return {
-        "reward": bounds[0],
-        "transition": bounds[1],
-        "reward_std": bounds[2],
-        "transition_std": bounds[3],
-        "max": max(bounds),
-        "burn_in_ok": burn_in_ok,
-        "dim": d,
-    }
+    return float(rho) * math.sqrt(math.log(c) / h)

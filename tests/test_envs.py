@@ -24,7 +24,7 @@ from seqtransfer.envs import (
 )
 from seqtransfer.harness import run_rng
 from seqtransfer.mdp import TabularMdp, value_iteration
-from seqtransfer.ptum import ApproxModelSet
+from seqtransfer.ptum import ApproxModelSet, EmpiricalModel
 
 
 class TestGrids:
@@ -311,6 +311,33 @@ class TestGenerativeModel:
             assert next_counts.tolist() == ref.multinomial(40, mdp.p[s, a]).tolist()
             assert reward_counts.tolist() == ref.multinomial(40, mdp.q[s, a]).tolist()
         assert same_state(rng, ref)
+
+    def test_table_equals_the_per_pair_loop(self):
+        # query_table plus add_table against one query_batch plus add_batch
+        # per pair with need > 0, in row order: the same counts, charges and
+        # generator state, bit for bit, added on top of counts already held.
+        mdp = two_rooms_family(num_tasks=1)[0]
+        S, A = mdp.num_states, mdp.num_actions
+        for seed in range(3):
+            need = np.random.default_rng(seed).integers(-2, 6, size=(S, A))
+            g, ref_g = GenerativeModel(mdp), GenerativeModel(mdp)
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            emp, ref_emp = (EmpiricalModel(S, A, mdp.reward_support)
+                            for _ in range(2))
+            emp.add_table(*g.query_table(need, rng))
+            emp.add_table(*g.query_table(need, rng))
+            for _ in range(2):
+                for s in range(S):
+                    for a in range(A):
+                        if need[s, a] > 0:
+                            ref_emp.add_batch(s, a, *ref_g.query_batch(
+                                s, a, int(need[s, a]), ref))
+            for name in ("counts", "next_counts", "reward_counts"):
+                assert np.array_equal(getattr(emp, name), getattr(ref_emp, name))
+            assert g.queries_used == ref_g.queries_used == 2 * need.clip(0).sum()
+            assert same_state(rng, ref)
+        with pytest.raises(ValueError):
+            emp.add_table(np.ones((S, A, S)), np.ones((S, A, mdp.num_rewards)))
 
 
 def same_state(rng1, rng2) -> bool:

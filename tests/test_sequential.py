@@ -179,11 +179,16 @@ class TestTrace:
         trace = SequenceTrace()
         trace.append(self.record(0))
         trace.append(self.record(1, eps_optimal=False))
+        trace.records[1].degraded = True
+        trace.records[1].tau = 7
+        trace.records[1].true_in_active = False
         text = trace.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == SequenceTrace.CSV_HEADER
+        assert lines[0].endswith(",t_err_max,degraded,tau,true_in_active")
         assert len(lines) == 3
-        assert lines[1].startswith("0,0,transfer-stopped,10,1,3,")
+        assert lines[1] == "0,0,transfer-stopped,10,1,3,0.25,0.1,0.05,0,,1"
+        assert lines[2].endswith(",1,7,0")
 
     def test_fractions(self):
         trace = SequenceTrace()

@@ -17,6 +17,7 @@ from seqtransfer.spectral import (
     HmmEstimate,
     ObservationLayout,
     _power_iterate,
+    _truncated_pinv,
     align_columns,
     apply_permutation,
     estimate_moments,
@@ -76,13 +77,19 @@ class TestLayout:
         assert np.array_equal(vec, [0.5, 0.5, 1.0])
 
 
+def full_matrix(mom, reduced):
+    """An (r, r) matrix of reduced coordinates in observation coordinates."""
+    return mom.to_full(mom.to_full(reduced).T).T
+
+
 class TestMoments:
     def test_identical_observations(self):
-        o = np.array([1.0, 2.0, 3.0])
-        mom = estimate_moments(np.tile(o, (6, 1)))
-        for key in ((1, 2), (2, 1), (3, 1), (3, 2)):
-            full = mom.basis @ mom.sigma[key] @ mom.basis.T
-            assert np.allclose(full, np.outer(o, o))
+        # Fewer observations than dimensions, then more.
+        o = np.arange(1.0, 9.0)
+        for obs in (np.tile(o, (6, 1)), np.tile(o, (9, 1))):
+            mom = estimate_moments(obs)
+            for key in ((1, 2), (2, 1), (3, 1), (3, 2)):
+                assert np.allclose(full_matrix(mom, mom.sigma[key]), np.outer(o, o))
 
     def test_leftover_observations_discarded(self):
         rng = np.random.default_rng(1)
@@ -95,24 +102,45 @@ class TestMoments:
 
     def test_reduced_basis_matches_dense_oracle(self):
         # The reduced-coordinate pipeline must agree with a naive dense
-        # computation of the covariances and M2.
+        # computation of the covariances and M2, with more observations
+        # than dimensions (the observations are the coordinates) and with
+        # fewer (Gram coordinates), there with duplicated observations.
         rng = np.random.default_rng(2)
-        obs = rng.normal(size=(30, 12)) + 3.0
+        tall = rng.normal(size=(30, 12)) + 3.0
+        wide = rng.normal(size=(30, 50)) + 3.0
+        wide[[3, 9, 10, 27]] = wide[[0, 0, 4, 1]]
+        for obs in (tall, wide):
+            mom = estimate_moments(obs)
+            assert (mom.basis_weights is None) == (obs is tall)
+            m = 10
+            o1, o2, o3 = obs[0::3], obs[1::3], obs[2::3]
+            s12 = o1.T @ o2 / m
+            s21 = o2.T @ o1 / m
+            s31 = o3.T @ o1 / m
+            s32 = o3.T @ o2 / m
+            for key, dense in (((1, 2), s12), ((2, 1), s21), ((3, 1), s31),
+                               ((3, 2), s32)):
+                assert np.allclose(full_matrix(mom, mom.sigma[key]), dense,
+                                   atol=1e-10)
+            v1 = (s32 @ np.linalg.pinv(s12, rcond=1e-10) @ o1.T).T
+            v2 = (s31 @ np.linalg.pinv(s21, rcond=1e-10) @ o2.T).T
+            m2 = v1.T @ v2 / m
+            m2 = (m2 + m2.T) / 2
+            assert np.allclose(full_matrix(mom, mom.m2), m2, atol=1e-8)
+
+    def test_gram_coordinates_drop_the_null_space(self):
+        # Ten distinct rows among 30 in dimension 50: the coordinates have
+        # rank 10, and their basis is orthonormal.
+        rng = np.random.default_rng(19)
+        obs = rng.normal(size=(10, 50))[rng.integers(0, 10, size=30)]
         mom = estimate_moments(obs)
-        m = 10
-        o1, o2, o3 = obs[0::3], obs[1::3], obs[2::3]
-        s12 = o1.T @ o2 / m
-        s21 = o2.T @ o1 / m
-        s31 = o3.T @ o1 / m
-        s32 = o3.T @ o2 / m
-        for key, dense in (((1, 2), s12), ((3, 1), s31)):
-            full = mom.basis @ mom.sigma[key] @ mom.basis.T
-            assert np.allclose(full, dense, atol=1e-10)
-        v1 = (s32 @ np.linalg.pinv(s12) @ o1.T).T
-        v2 = (s31 @ np.linalg.pinv(s21) @ o2.T).T
-        m2 = v1.T @ v2 / m
-        m2 = (m2 + m2.T) / 2
-        assert np.allclose(mom.basis @ mom.m2 @ mom.basis.T, m2, atol=1e-8)
+        basis = mom.to_full(np.eye(mom.basis_weights.shape[1]))
+        assert basis.shape == (50, 10)
+        assert np.allclose(basis.T @ basis, np.eye(10), atol=1e-10)
+
+    def test_zero_observations_lose_the_rank(self):
+        with pytest.raises(DegenerateMomentsError):
+            estimate_moments(np.zeros((6, 10)), rank=2)
 
 
 class TestWhiten:
@@ -268,7 +296,6 @@ class TestAlignment:
         return HmmEstimate(
             observation=obs_matrix,
             transition=np.eye(k),
-            eigenvalues=np.arange(1.0, k + 1),
             layout=ObservationLayout(1, 1, obs_matrix.shape[0] - 1),
         )
 
@@ -331,9 +358,49 @@ class TestRecovery:
         reused = spectral_estimate(obs, 3, layout, restarts=20, iters=50,
                                    rng=np.random.default_rng(18),
                                    moments=whitened_moments(obs, 3))
-        assert np.array_equal(reused.observation, plain.observation)
-        assert np.array_equal(reused.transition, plain.transition)
-        assert np.array_equal(reused.eigenvalues, plain.eigenvalues)
+        assert reused.observation.tobytes() == plain.observation.tobytes()
+        assert reused.transition.tobytes() == plain.transition.tobytes()
+
+    @staticmethod
+    def qr_reference_observation(obs, k, layout, rng, restarts, iters):
+        """The pipeline in an explicit orthonormal QR basis of the observation
+        span, as ``estimate_moments`` once ran it, kept as the reference for
+        the Gram coordinates: the projected observation matrix."""
+        m = len(obs) // 3
+        x = obs[:3 * m]
+        basis, _ = np.linalg.qr(x.T)
+        coords = x @ basis
+        o1, o2, o3 = coords[0::3], coords[1::3], coords[2::3]
+        s12, s21 = o1.T @ o2 / m, o2.T @ o1 / m
+        s31, s32 = o3.T @ o1 / m, o3.T @ o2 / m
+        view1 = o1 @ _truncated_pinv(s12, k).T @ s32.T
+        view2 = o2 @ _truncated_pinv(s21, k).T @ s31.T
+        m2 = view1.T @ view2 / m
+        w = whiten((m2 + m2.T) / 2.0, k)
+        a, b, c = view1 @ w, view2 @ w, o3 @ w
+        t3 = symmetrize_tensor(np.einsum("li,lj,lk->ijk", a, b, c) / m)
+        pairs = rtp_decompose(t3, k, restarts=restarts, iters=iters, rng=rng)
+        mu3 = _truncated_pinv(w.T) @ np.stack([lam * v for lam, v in pairs], axis=1)
+        cols = (basis @ s21 @ _truncated_pinv(s31, k) @ mu3).T
+        S, A, U = layout.num_states, layout.num_actions, layout.num_rewards
+        rewards = project_simplex(cols[:, :layout.reward_dim].reshape(k, S, A, U))
+        moves = project_simplex(cols[:, layout.reward_dim:].reshape(k, S, A, S))
+        return layout.vectorize(rewards, moves).T
+
+    def test_gram_coordinates_match_the_qr_basis(self):
+        # Objectworld-sized observations (d = 3700) from fewer triples than
+        # dimensions: the Gram coordinates recover the observation matrix
+        # of the QR basis to rounding.
+        rng = np.random.default_rng(20)
+        fam, chain = random_hmm_family(3, 25, 4, 12, 0.9, rng)
+        layout = ObservationLayout(25, 4, 12)
+        obs, _ = simulate_hmm_observations(fam, chain, 91, 20, rng)
+        assert layout.dim == obs.shape[1] == 3700
+        want = self.qr_reference_observation(obs, 3, layout,
+                                             np.random.default_rng(21), 20, 50)
+        est = spectral_estimate(obs, 3, layout, restarts=20, iters=50,
+                                rng=np.random.default_rng(21), reference=want)
+        assert np.max(np.abs(est.observation - want)) < 1e-9
 
     @staticmethod
     @functools.cache
@@ -376,28 +443,20 @@ class TestRecovery:
 
 class TestErrorBound:
     def test_zero_rho(self):
-        out = model_error_bound(10, 0.0, 0.1, 5, 4, 12)
-        assert out["max"] == 0.0
+        assert model_error_bound(10, 0.0, 0.1, 5, 4, 12) == 0.0
 
     def test_rate_improves(self):
-        b1 = model_error_bound(100, 1.0, 0.1, 5, 4, 12)["max"]
-        b4 = model_error_bound(400, 1.0, 0.1, 5, 4, 12)["max"]
+        b1 = model_error_bound(100, 1.0, 0.1, 5, 4, 12)
+        b4 = model_error_bound(400, 1.0, 0.1, 5, 4, 12)
         assert b4 / b1 < 0.6
-
-    def test_per_channel_rhos(self):
-        out = model_error_bound(50, (1.0, 2.0, 3.0, 4.0), 0.1, 5, 4, 12)
-        assert out["transition"] == pytest.approx(2 * out["reward"])
-        assert out["max"] == out["transition_std"]
-
-    def test_burn_in_flag(self):
-        assert model_error_bound(10_000, 0.1, 0.1, 5, 4, 12)["burn_in_ok"]
-        assert not model_error_bound(2, 100.0, 0.1, 5, 4, 12)["burn_in_ok"]
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             model_error_bound(0, 1.0, 0.1, 5, 4, 12)
         with pytest.raises(ValueError):
             model_error_bound(10, 1.0, 1.5, 5, 4, 12)
+        with pytest.raises(ValueError):
+            model_error_bound(10, -1.0, 0.1, 5, 4, 12)
 
 
 class TestUnpack:
@@ -406,8 +465,7 @@ class TestUnpack:
         fam, _ = random_hmm_family(3, 2, 2, 3, 0.8, rng)
         layout = ObservationLayout(2, 2, 3)
         o = np.stack([layout.vectorize(m.q, m.p) for m in fam], axis=1)
-        est = HmmEstimate(observation=o, transition=np.eye(3),
-                          eigenvalues=np.ones(3), layout=layout)
+        est = HmmEstimate(observation=o, transition=np.eye(3), layout=layout)
         models = unpack_models(est, fam[0].reward_support, 0.8)
         for got, want in zip(models, fam):
             assert np.allclose(got.p, want.p)
