@@ -2,7 +2,7 @@
 
 from .mdp import TabularMdp, policy_evaluation, value_iteration
 from .envs import GenerativeModel, TaskChain
-from .ptum import ApproxModelSet, UncertaintyBounds, run_ptum
+from .ptum import ApproxModelSet, run_ptum
 from .sequential import SequentialConfig, run_sequential
 from .spectral import ObservationLayout, spectral_estimate
 
@@ -13,7 +13,6 @@ __all__ = [
     "GenerativeModel",
     "TaskChain",
     "ApproxModelSet",
-    "UncertaintyBounds",
     "run_ptum",
     "SequentialConfig",
     "run_sequential",

@@ -44,8 +44,10 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
     return out
 
 
-def cmd_run_ptum(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def _identification(cfg: ExperimentConfig):
+    """What ``run-ptum`` and ``diagnose`` share: the family, eps, delta,
+    budget and true task of the config, the family's exact model set, and
+    ``theta_eps_and_bound`` for the true task."""
     family, _ = build_family(cfg)
     eps = float(cfg.get("eps", 0.1))
     delta = float(cfg.get("delta", 0.01))
@@ -53,6 +55,12 @@ def cmd_run_ptum(args) -> int:
     star = int(cfg.get("true_task", 0))
     approx = ApproxModelSet(family)
     theta_eps, bound = theta_eps_and_bound(approx, star, eps, delta, budget)
+    return family, eps, delta, budget, star, approx, theta_eps, bound
+
+
+def cmd_run_ptum(args) -> int:
+    cfg = ExperimentConfig.from_file(args.config)
+    family, eps, delta, budget, star, approx, theta_eps, bound = _identification(cfg)
 
     def one_run(i):
         rng = run_rng(cfg.base_seed, i)
@@ -183,13 +191,7 @@ def cmd_learn_hmm(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    family, _ = build_family(cfg)
-    eps = float(cfg.get("eps", 0.1))
-    delta = float(cfg.get("delta", 0.01))
-    budget = int(cfg.get("budget", 100_000))
-    star = int(cfg.get("true_task", 0))
-    approx = ApproxModelSet(family)
-    theta_eps, bound = theta_eps_and_bound(approx, star, eps, delta, budget)
+    _, eps, delta, _, star, approx, theta_eps, bound = _identification(cfg)
     gap = approx.min_gap(star)
     report = {
         "scenario": cfg.scenario,

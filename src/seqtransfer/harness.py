@@ -155,12 +155,17 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
-    """Comma-separated with a header row and LF line endings."""
+def format_csv(header, rows) -> str:
+    """Comma-separated text with a header row and LF line endings."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_cell(c) for c in row))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header, rows) -> None:
+    """``format_csv(header, rows)`` written to ``path``."""
+    Path(path).write_text(format_csv(header, rows), newline="\n")
 
 
 def write_json(path, doc) -> None:

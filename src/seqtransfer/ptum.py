@@ -3,6 +3,12 @@
 Implements the elimination loop (empirical model, Bernstein confidence
 pruning, stopping check, information-index query selection), the uniform
 sampling fallback, and the sample-complexity diagnostics.
+
+The candidate models form a Delta-approximate set: one uncertainty level
+``ApproxModelSet.delta`` bounds how far the true task's reward and
+transition statistics may lie from those of the model that approximates
+it.  That level decides the transfer gate, widens every confidence radius,
+narrows the stop margin and clips the gaps of the information index.
 """
 from __future__ import annotations
 
@@ -41,43 +47,29 @@ def transfer_gate(delta_max: float, eps: float, gamma: float) -> bool:
     return delta_max < eps * (1.0 - gamma) / (4.0 * (1.0 + gamma))
 
 
-@dataclass(frozen=True)
-class UncertaintyBounds:
-    """Known upper bounds on the approximation error of the model set."""
-
-    reward: float = 0.0
-    transition: float = 0.0
-    reward_std: float = 0.0
-    transition_std: float = 0.0
-
-    def __post_init__(self):
-        if min(self.reward, self.transition, self.reward_std, self.transition_std) < 0:
-            raise ValueError("uncertainty bounds must be non-negative")
-
-    @property
-    def overall(self) -> float:
-        return max(self.reward, self.transition, self.reward_std, self.transition_std)
-
-
 class ApproxModelSet:
     """Candidate models with their planning byproducts, all precomputed.
 
     Holds, for k models over shared (S, A, U, gamma): optimal values and
     policies, the cross-evaluation table xval[i, j] = value of model i's
     optimal policy evaluated in model j, reward/transition-value standard
-    deviations, pairwise gap tables, and the uncertainty bounds.  It is the
-    one source of these tables for the loop, the diagnostics and the CLI.
-    Immutable once built; the information-index table and the tables'
-    extremes are computed on first use.
+    deviations, pairwise gap tables, and the uncertainty level ``delta``:
+    the largest error, in any reward or transition mean or standard
+    deviation, of the model that approximates the true task (0 for exact
+    models).  It is the one source of these tables for the loop, the
+    diagnostics and the CLI.  Immutable once built; the information-index
+    table and the tables' extremes are computed on first use.
     """
 
-    def __init__(self, models, bounds: UncertaintyBounds = UncertaintyBounds()):
+    def __init__(self, models, delta: float = 0.0):
         if len(models) < 1:
             raise ValueError("need at least one model")
+        if not delta >= 0.0:
+            raise ValueError("the uncertainty level must be non-negative")
         for m in models[1:]:
             require_same_shape(models[0], m)
         self.models = list(models)
-        self.bounds = bounds
+        self.delta = float(delta)
         k = len(models)
         S, A = models[0].num_states, models[0].num_actions
         self.gamma = models[0].gamma
@@ -123,10 +115,6 @@ class ApproxModelSet:
     @property
     def num_actions(self) -> int:
         return self.models[0].num_actions
-
-    @property
-    def delta(self) -> float:
-        return self.bounds.overall
 
     @cached_property
     def info_table(self) -> np.ndarray:
@@ -286,29 +274,33 @@ class EmpiricalModel:
         )
 
 
-@dataclass(frozen=True)
-class ConfidenceParams:
-    """Inputs shared by all Bernstein confidence radii of one run."""
-
-    budget: int
-    num_models: int
-    delta: float
-    gamma: float
-    bounds: UncertaintyBounds
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-
-
-def _log_terms(S: int, A: int, params: ConfidenceParams):
-    base = S * A * max(params.budget, 1) * (params.num_models + 1)
-    l_mean = math.log(8.0 * base / params.delta)
-    l_std = math.log(4.0 * base / params.delta)
+def _log_terms(approx: ApproxModelSet, budget: int, delta: float):
+    """The log terms (L for the means, L' for the standard deviations) of
+    every confidence radius of a run with ``budget`` queries and
+    confidence ``delta``."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    base = (approx.num_states * approx.num_actions * max(budget, 1)
+            * (approx.num_models + 1))
+    l_mean = math.log(8.0 * base / delta)
+    l_std = math.log(4.0 * base / delta)
     return l_mean, l_std
 
 
-def confidence_radii(n, sr, sp, logs, params: ConfidenceParams):
+def _data_free_parts(n1, gamma: float, logs):
+    """The parts of the four radii (reward, transition, reward-std,
+    transition-std) that read no sample statistic, for N - 1 = ``n1``:
+    7L/(3(N-1)), 7L/(3(N-1)(1-gamma)), sqrt(2L'/(N-1)) and that root over
+    (1-gamma).  ``confidence_radii`` adds them to the data terms and
+    ``_may_fail`` compares them with the widest deviations, so both see
+    the same floats."""
+    l_mean, l_std = logs
+    root = np.sqrt(2.0 * l_std / n1)
+    return (7.0 * l_mean / (3.0 * n1), 7.0 * l_mean / (3.0 * n1 * (1.0 - gamma)),
+            root, root / (1.0 - gamma))
+
+
+def confidence_radii(n, sr, sp, approx: ApproxModelSet, logs):
     """The four Bernstein radii (reward, transition, reward-std,
     transition-std) after N = ``n`` samples at a pair; all infinite where
     N <= 1.
@@ -317,46 +309,43 @@ def confidence_radii(n, sr, sp, logs, params: ConfidenceParams):
     (shape of ``n``) and ``sp`` the empirical std of V(S') for the optimal
     value function of the comparison model (shape of ``n``), or for a stack
     of k of them (one more, trailing axis: one transition radius per row).
-    ``logs`` is ``_log_terms(S, A, params)``.
+    ``logs`` is ``_log_terms(approx, budget, delta)``.  Each radius is a
+    data term (none for the stds), plus its data-free part, plus the
+    uncertainty level.
     """
     n = np.asarray(n)
-    l_mean, l_std = logs
-    gamma = params.gamma
-    b = params.bounds
+    l_mean, _ = logs
     valid = n > 1
     n0, n1 = np.maximum(n, 1), np.maximum(n - 1, 1)
-    c_r = np.sqrt(2.0 * sr * sr * l_mean / n0) + 7.0 * l_mean / (3.0 * n1) + b.reward
-    c_sr = np.sqrt(2.0 * l_std / n1) + b.reward_std
-    c_sp = np.sqrt(2.0 * l_std / n1) / (1.0 - gamma) + b.transition_std
+    part_r, part_p, part_sr, part_sp = _data_free_parts(n1, approx.gamma, logs)
+    c_r = np.sqrt(2.0 * sr * sr * l_mean / n0) + part_r + approx.delta
     row = (..., *(None,) * (np.ndim(sp) - n.ndim))   # lines n up with sp
-    c_p = (
-        np.sqrt(2.0 * sp * sp * l_mean / n0[row])
-        + 7.0 * l_mean / (3.0 * n1[row] * (1.0 - gamma))
-        + b.transition
-    )
+    c_p = np.sqrt(2.0 * sp * sp * l_mean / n0[row]) + part_p[row] + approx.delta
     return (np.where(valid, c_r, INF), np.where(valid[row], c_p, INF),
-            np.where(valid, c_sr, INF), np.where(valid, c_sp, INF))
+            np.where(valid, part_sr + approx.delta, INF),
+            np.where(valid, part_sp + approx.delta, INF))
 
 
-def _may_fail(n, support, approx: ApproxModelSet, params: ConfidenceParams, logs):
+def _may_fail(n, support, approx: ApproxModelSet, logs):
     """Where, for a stack of counts ``n`` at one pair, some samples could
     make some model break a compatibility condition; False where none can.
 
-    Each radius of ``confidence_radii`` is at least its data-free part,
-    written here with the same expression and operand order: the dropped
-    sqrt term is >= 0 and rounding is monotone.  A condition cannot fail
-    while that part is at least the widest deviation the samples could
-    show against the model tables' extremes (``approx.extremes``): for the
+    Each radius of ``confidence_radii`` is at least its data-free part
+    (``_data_free_parts``) plus the uncertainty level: the dropped sqrt
+    term is >= 0 and rounding is monotone.  A condition cannot fail while
+    that sum is at least the widest deviation the samples could show
+    against the model tables' extremes (``approx.extremes``): for the
     reward mean, the range of ``support`` and ``rewards`` together; for
     the transition means, ``pv_dev``; for an N-1 sample std, half the
     range of ``support`` or of a V*_j times sqrt(N/(N-1)) (Popoviciu),
     against ``sigma_r`` or ``sigma_p``.  Each deviation is widened by 1e-9
-    of the largest magnitude involved, for round-off.
+    of the largest magnitude involved, for round-off.  With rewards and
+    ``support`` in [0, 1], a std condition cannot open before a mean
+    condition does; the std conditions stay so that soundness does not
+    rest on that.
     """
     n = np.asarray(n)
-    l_mean, l_std = logs
-    gamma = params.gamma
-    b = params.bounds
+    delta = approx.delta
     ext = approx.extremes
     (r_lo, r_hi), (sr_lo, sr_hi) = ext["rewards"], ext["sigma_r"]
     sp_lo, sp_hi = ext["sigma_p"]
@@ -365,20 +354,19 @@ def _may_fail(n, support, approx: ApproxModelSet, params: ConfidenceParams, logs
     tol_p = 1e-9 * ext["v_scale"]
     n1 = np.maximum(n - 1, 1)
     half_spread = np.sqrt(n / n1) / 2.0
-    root = np.sqrt(2.0 * l_std / n1)
+    part_r, part_p, part_sr, part_sp = _data_free_parts(n1, approx.gamma, logs)
     return (n > 1) & (
-        (7.0 * l_mean / (3.0 * n1) + b.reward < max(s_hi - r_lo, r_hi - s_lo) + tol_r)
-        | (root + b.reward_std
+        (part_r + delta < max(s_hi - r_lo, r_hi - s_lo) + tol_r)
+        | (part_sr + delta
            < np.maximum((s_hi - s_lo) * half_spread - sr_lo, sr_hi) + tol_r)
-        | (7.0 * l_mean / (3.0 * n1 * (1.0 - gamma)) + b.transition
-           < ext["pv_dev"] + tol_p)
-        | (root / (1.0 - gamma) + b.transition_std
+        | (part_p + delta < ext["pv_dev"] + tol_p)
+        | (part_sp + delta
            < np.maximum(ext["v_range"] * half_spread - sp_lo, sp_hi) + tol_p)
     )
 
 
 def compatibility_failures(idx, s, a, n, reward_counts, next_counts, support,
-                           approx: ApproxModelSet, params: ConfidenceParams, logs):
+                           approx: ApproxModelSet, logs):
     """Which of the models ``idx`` break a compatibility condition at
     (s, a), for each of a stack of count snapshots there.
 
@@ -390,7 +378,7 @@ def compatibility_failures(idx, s, a, n, reward_counts, next_counts, support,
     """
     r_mean, sr = reward_stats(reward_counts, n, support)                  # (B,)
     pv_hat, sp = transition_value_stats(next_counts, n, approx.values)    # (B, k)
-    c_r, c_p, c_sr, c_sp = confidence_radii(n, sr, sp, logs, params)
+    c_r, c_p, c_sr, c_sp = confidence_radii(n, sr, sp, approx, logs)
     return (
         (np.abs(r_mean[:, None] - approx.rewards[idx, s, a]) > c_r[:, None])
         | (np.abs(sr[:, None] - approx.sigma_r[idx, s, a]) > c_sr[:, None])
@@ -402,11 +390,12 @@ def compatibility_failures(idx, s, a, n, reward_counts, next_counts, support,
 
 
 def prune_confidence_set(active, emp: EmpiricalModel, approx: ApproxModelSet,
-                         params: ConfidenceParams, pairs=None):
+                         logs, pairs=None):
     """Models from ``active`` still compatible with the empirical MDP.
 
     At each pair, every active model is tested at once against the four
-    compatibility conditions (``compatibility_failures``).  ``pairs``
+    compatibility conditions (``compatibility_failures``), with the log
+    terms ``logs`` of ``_log_terms``.  ``pairs``
     optionally restricts the (s, a) pairs re-checked; conditions at
     unvisited pairs hold vacuously, and eliminations are permanent, so
     callers updating one pair per step may pass just that pair.
@@ -415,13 +404,12 @@ def prune_confidence_set(active, emp: EmpiricalModel, approx: ApproxModelSet,
         raise ValueError("active set must be non-empty")
     if pairs is None:
         pairs = [tuple(x) for x in np.argwhere(emp.counts > 1)]
-    logs = _log_terms(emp.num_states, emp.num_actions, params)
     idx = np.array(sorted(active))
     keep = np.ones(idx.size, dtype=bool)
     for s, a in pairs:
         keep &= ~compatibility_failures(
             idx, s, a, emp.counts[s, a][None], emp.reward_counts[s, a][None],
-            emp.next_counts[s, a][None], emp.reward_support, approx, params, logs)[0]
+            emp.next_counts[s, a][None], emp.reward_support, approx, logs)[0]
     return set(idx[keep].tolist())
 
 
@@ -452,19 +440,16 @@ def check_stop(active, approx: ApproxModelSet, eps: float):
     return theta, approx.policies[theta].copy()
 
 
-def info_index(theta: int, theta2: int, s: int, a: int, approx: ApproxModelSet,
-               delta_max: float | None = None) -> float:
+def info_index(theta: int, theta2: int, s: int, a: int, approx: ApproxModelSet) -> float:
     """Information for discriminating theta from theta2 at (s, a).
 
     Clipped gaps [gap - 8*delta]_+ over the first model's standard
     deviations; zero-variance components with a positive gap fall back to
     the linear term.
     """
-    if delta_max is None:
-        delta_max = approx.delta
     gamma = approx.gamma
-    dr = max(approx.reward_gap[theta, theta2, s, a] - 8.0 * delta_max, 0.0)
-    dp = max(approx.trans_gap[theta, theta2, s, a] - 8.0 * delta_max, 0.0)
+    dr = max(approx.reward_gap[theta, theta2, s, a] - 8.0 * approx.delta, 0.0)
+    dp = max(approx.trans_gap[theta, theta2, s, a] - 8.0 * approx.delta, 0.0)
     psi_r = 0.0
     if dr > 0.0:
         sr = approx.sigma_r[theta, s, a]
@@ -478,10 +463,9 @@ def info_index(theta: int, theta2: int, s: int, a: int, approx: ApproxModelSet,
 
 def info_index_table(approx: ApproxModelSet) -> np.ndarray:
     """Vectorized info_index over all ordered pairs, shape (k, k, S, A)."""
-    delta_max = approx.delta
     gamma = approx.gamma
-    dr = np.maximum(approx.reward_gap - 8.0 * delta_max, 0.0)
-    dp = np.maximum(approx.trans_gap - 8.0 * delta_max, 0.0)
+    dr = np.maximum(approx.reward_gap - 8.0 * approx.delta, 0.0)
+    dp = np.maximum(approx.trans_gap - 8.0 * approx.delta, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_r = np.where(approx.sigma_r[:, None] > 0, dr / approx.sigma_r[:, None], INF) ** 2
         sp_own = approx.sigma_p[np.arange(approx.num_models), np.arange(approx.num_models)]
@@ -564,7 +548,8 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     (``fallback-eliminated``).  The fallback queries every pair
     ``fallback_per_pair`` times, by default min(theory count, n // (S*A)),
     on top of what elimination spent, so a run may charge about 2n queries
-    in all.
+    in all.  The oracle ``g`` must share the model set's states, actions,
+    reward support and discount.
 
     Each run of queries at the chosen pair is drawn at once and pruned
     after every draw in one stacked pass (``compatibility_failures``),
@@ -573,6 +558,11 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     """
     if n < 0:
         raise ValueError("budget must be non-negative")
+    if (g.num_states, g.num_actions, g.gamma) != (
+            approx.num_states, approx.num_actions, approx.gamma) \
+            or not np.array_equal(g.reward_support, approx.models[0].reward_support):
+        raise ValueError("the oracle's states, actions, reward support or discount "
+                         "differ from the model set's")
     k = approx.num_models
     S, A = approx.num_states, approx.num_actions
     gamma = approx.gamma
@@ -600,9 +590,7 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     if not transfer_gate(approx.delta, eps, gamma):
         return _fallback("fallback-gate", emp, [], [sorted(initial)], 0)
 
-    params = ConfidenceParams(budget=n, num_models=k, delta=delta, gamma=gamma,
-                              bounds=approx.bounds)
-    logs = _log_terms(S, A, params)
+    logs = _log_terms(approx, n, delta)
     active_set = set(initial)
     trace = [sorted(active_set)]
     query_log = []
@@ -633,8 +621,7 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
             last = emp.counts[s, a] + len(next_states)
             if last >= may_fail.size:
                 may_fail = np.append(may_fail, _may_fail(
-                    np.arange(may_fail.size, last + 1), emp.reward_support, approx,
-                    params, logs))
+                    np.arange(may_fail.size, last + 1), emp.reward_support, approx, logs))
             open_ = may_fail[emp.counts[s, a] + 1:last + 1]
             fails = np.zeros((open_.size, idx.size), dtype=bool)
             if open_.any():
@@ -642,7 +629,7 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
                 fails[f:] = compatibility_failures(
                     idx, s, a, *(x[f:] for x in emp.snapshots(s, a, next_states,
                                                               reward_indices)),
-                    emp.reward_support, approx, params, logs)
+                    emp.reward_support, approx, logs)
             hit = fails.any(axis=1)
             return int(np.argmax(hit)) + 1 if hit.any() else hit.size
 
@@ -672,8 +659,7 @@ def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: fl
     """The set of models that must be eliminated before stopping, and the
     worst-case query bound for doing so.  Diagnostic only."""
     gamma = approx.gamma
-    delta_max = approx.delta
-    kappa = (1.0 - gamma) * eps / 4.0 - delta_max * (1.0 + gamma) / 2.0
+    kappa = (1.0 - gamma) * eps / 4.0 - approx.delta * (1.0 + gamma) / 2.0
     if eps > 0 and kappa <= 0:
         raise ValueError("transfer gate fails for these parameters")
     k = approx.num_models
@@ -686,8 +672,7 @@ def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: fl
         return theta_eps, 0.0
     worst = approx.info_table[star, sorted(theta_eps)].min(axis=0)  # (S, A) min over theta
     denom = float(worst.max())
-    log_term, _ = _log_terms(S, A, ConfidenceParams(
-        budget=n, num_models=k, delta=delta, gamma=gamma, bounds=approx.bounds))
+    log_term, _ = _log_terms(approx, n, delta)
     if denom <= 0:
         return theta_eps, INF
     bound = 128.0 * min(S * A, k) * log_term / denom

@@ -37,12 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envs import GenerativeModel, TaskChain, sample_initial_task, sample_next_task
-from .harness import format_cell
 from .mdp import is_eps_optimal, value_iteration
 from .ptum import (
     ApproxModelSet,
     EmpiricalModel,
-    UncertaintyBounds,
     run_ptum,
     transfer_gate,
     uniform_pac_fallback,
@@ -116,7 +114,6 @@ class TaskRecord:
     true_task: int
     mode: str
     queries: int
-    queries_total: int
     eps_optimal: bool
     active_set_size: int
     delta_h: float
@@ -136,7 +133,6 @@ class SequenceTrace:
     COLUMNS = ("h", "true_task", "mode", "queries", "eps_optimal",
                "active_set_size", "delta_h", "o_col_err_max", "t_err_max",
                "degraded", "tau", "true_in_active")
-    CSV_HEADER = ",".join(COLUMNS)
 
     def append(self, rec: TaskRecord) -> None:
         self.records.append(rec)
@@ -147,10 +143,6 @@ class SequenceTrace:
     def rows(self):
         """One tuple of ``COLUMNS`` values per task."""
         return [tuple(getattr(r, c) for c in self.COLUMNS) for r in self.records]
-
-    def to_csv(self) -> str:
-        lines = [",".join(format_cell(c) for c in row) for row in self.rows()]
-        return "\n".join([self.CSV_HEADER] + lines) + "\n"
 
     def eps_optimal_fraction(self) -> float:
         if not self.records:
@@ -253,10 +245,7 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
         tau = None
         if gate_open:
             approx = ApproxModelSet(
-                unpack_models(estimate, base.reward_support, gamma),
-                UncertaintyBounds(reward=delta_h, transition=delta_h,
-                                  reward_std=delta_h, transition_std=delta_h),
-            )
+                unpack_models(estimate, base.reward_support, gamma), delta_h)
             result = run_ptum(
                 approx, g, cfg.eps, cfg.delta, cfg.budget, rng,
                 fallback_per_pair=cfg.fallback_per_pair, active=active,
@@ -314,7 +303,6 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
             true_task=current_task,
             mode=mode,
             queries=solve_queries,
-            queries_total=g.queries_used,
             eps_optimal=is_eps_optimal(truth, true_values[current_task], policy, cfg.eps),
             active_set_size=len(active),
             delta_h=delta_h,

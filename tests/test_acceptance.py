@@ -24,7 +24,7 @@ from seqtransfer.envs import (
 )
 from seqtransfer.harness import (
     aggregate,
-    format_cell,
+    format_csv,
     random_hmm_family,
     run_rng,
     simulate_hmm_observations,
@@ -59,13 +59,6 @@ def report(criterion: int, ok: bool, detail: str = "") -> None:
     suffix = f"  ({detail})" if detail else ""
     print(f"CRITERION {criterion}: {status}{suffix}")
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-def to_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +106,7 @@ def two_rooms_sweep(two_rooms_setup):
         row, elapsed = two_rooms_run(i, two_rooms_setup)
         rows.append(row)
         times.append(elapsed)
-    return to_csv(TWO_ROOMS_HEADER, rows), rows, times
+    return format_csv(TWO_ROOMS_HEADER, rows), rows, times
 
 
 def test_criterion_01_ptum_correctness(two_rooms_sweep):
@@ -196,7 +189,7 @@ def multi_goal_run(i, setup):
 @pytest.fixture(scope="module")
 def multi_goal_sweep(multi_goal_setup):
     rows = [multi_goal_run(i, multi_goal_setup) for i in range(20)]
-    return to_csv(MULTI_GOAL_HEADER, rows), rows
+    return format_csv(MULTI_GOAL_HEADER, rows), rows
 
 
 def test_criterion_05_informative_queries(multi_goal_sweep, multi_goal_setup):
@@ -244,7 +237,7 @@ def eps_sweep(two_rooms_setup):
         for e in range(len(EPS_GRID))
         for i in range(10)
     ]
-    return to_csv(EPS_SWEEP_HEADER, rows), rows
+    return format_csv(EPS_SWEEP_HEADER, rows), rows
 
 
 def test_criterion_06_eps_monotonicity(eps_sweep):
@@ -288,7 +281,7 @@ def spectral_sweep():
     start = time.perf_counter()
     rows = [spectral_run(i) for i in range(20)]
     elapsed = time.perf_counter() - start
-    return to_csv(SPECTRAL_HEADER, rows), rows, elapsed
+    return format_csv(SPECTRAL_HEADER, rows), rows, elapsed
 
 
 def test_criterion_07_spectral_rate(spectral_sweep):
@@ -324,7 +317,7 @@ def rtp_run(i):
 @pytest.fixture(scope="module")
 def rtp_sweep():
     rows = [rtp_run(i) for i in range(100)]
-    return to_csv(RTP_HEADER, rows), rows
+    return format_csv(RTP_HEADER, rows), rows
 
 
 def test_criterion_08_rtp_exactness(rtp_sweep):
@@ -377,7 +370,7 @@ def pre_elim_run(i, cfg):
 @pytest.fixture(scope="module")
 def pre_elim_sweep(pre_elim_cfg):
     rows = [pre_elim_run(i, pre_elim_cfg) for i in range(100)]
-    return to_csv(PRE_ELIM_HEADER, rows), rows
+    return format_csv(PRE_ELIM_HEADER, rows), rows
 
 
 def test_criterion_09_pre_elimination_safety(pre_elim_sweep):
@@ -433,7 +426,7 @@ def seq_static_sweep(objectworld_setup):
     start = time.perf_counter()
     rows = [seq_static_run(i, objectworld_setup) for i in range(5)]
     elapsed = time.perf_counter() - start
-    return to_csv(SEQ_HEADER, rows), rows, elapsed
+    return format_csv(SEQ_HEADER, rows), rows, elapsed
 
 
 def test_criterion_10_sequential_vs_static(seq_static_sweep):
@@ -474,7 +467,7 @@ def sim_lemma_run(i):
 @pytest.fixture(scope="module")
 def sim_lemma_sweep():
     rows = [sim_lemma_run(i) for i in range(200)]
-    return to_csv(SIM_HEADER, rows), rows
+    return format_csv(SIM_HEADER, rows), rows
 
 
 def test_criterion_11_simulation_lemma(sim_lemma_sweep):
@@ -505,7 +498,7 @@ def test_criterion_12_determinism(two_rooms_setup, two_rooms_sweep,
 
     def check(name, fresh_rows, stored_csv, header, count=None):
         stored_lines = stored_csv.strip().split("\n")
-        fresh_csv = to_csv(header, fresh_rows).strip().split("\n")
+        fresh_csv = format_csv(header, fresh_rows).strip().split("\n")
         expected = [stored_lines[0]] + stored_lines[1:1 + len(fresh_rows)]
         if fresh_csv != expected:
             mismatches.append(name)

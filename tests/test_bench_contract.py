@@ -12,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+import speed  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -30,3 +31,13 @@ def test_session_installs_and_removes_every_traced_wrapper():
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_setup_runs_against_the_package(name):
     assert workloads.WORKLOADS[name](101).setup()
+
+
+def test_identification_round_reads_the_result_fields():
+    # A round reads PtumResult.survived_trace, tau, queries_total and policy
+    # by name.
+    workload = workloads.WORKLOADS["identify-two-rooms"](101)
+    state = workload.prepare(workload.setup())
+    ops = workload.run_round(state, trace=False, probe=speed.SpeedProbe())
+    assert len(ops) == workload.ROUND
+    assert not [op for op in ops if op.failed or op.problems]

@@ -20,10 +20,8 @@ from seqtransfer.mdp import PROB_TOL, TabularMdp, policy_evaluation, value_itera
 from seqtransfer.ptum import (
     INF,
     ApproxModelSet,
-    ConfidenceParams,
     EmpiricalModel,
     PtumResult,
-    UncertaintyBounds,
     _log_terms,
     _may_fail,
     check_stop,
@@ -100,27 +98,42 @@ class TestTransferGate:
             transfer_gate(-0.1, 0.1, 0.9)
 
 
+def uniform_set(S, A, k=3, gamma=0.9, delta=0.0):
+    """k copies of one S-state, A-action model: what the radii read of a
+    model set (its sizes, discount and uncertainty level) and nothing
+    else."""
+    m = TabularMdp(p=np.full((S, A, S), 1.0 / S), reward_support=np.array([0.0, 1.0]),
+                   q=np.full((S, A, 2), 0.5), gamma=gamma)
+    return ApproxModelSet([m] * k, delta)
+
+
+class TestUncertaintyLevel:
+    def test_level_is_stored(self):
+        assert ApproxModelSet(small_family(), 0.01).delta == 0.01
+        assert ApproxModelSet(small_family()).delta == 0.0
+
+    @pytest.mark.parametrize("level", [-0.01, math.nan])
+    def test_negative_or_nan_level_rejected(self, level):
+        with pytest.raises(ValueError):
+            ApproxModelSet(small_family(), level)
+
+
 class TestConfidenceRadii:
     @staticmethod
-    def params(S=2, A=2, n=100, k=3, delta=0.1, gamma=0.9, bounds=None):
-        return ConfidenceParams(budget=n, num_models=k, delta=delta, gamma=gamma,
-                                bounds=bounds or UncertaintyBounds())
-
-    @staticmethod
-    def radii(emp, v_ref, params):
+    def radii(emp, v_ref, approx, n=100, delta=0.1):
         _, sr = reward_stats(emp.reward_counts[0, 0], emp.counts[0, 0], emp.reward_support)
         _, sp = transition_value_stats(emp.next_counts[0, 0], emp.counts[0, 0], v_ref)
-        logs = _log_terms(emp.num_states, emp.num_actions, params)
-        return confidence_radii(emp.counts[0, 0], sr, sp, logs, params)
+        return confidence_radii(emp.counts[0, 0], sr, sp, approx,
+                                _log_terms(approx, n, delta))
 
     def test_no_samples_gives_infinite_radii(self):
         emp = EmpiricalModel(2, 2, [0.0, 1.0])
-        assert self.radii(emp, np.zeros(2), self.params()) == (INF,) * 4
+        assert self.radii(emp, np.zeros(2), uniform_set(2, 2)) == (INF,) * 4
 
     def test_one_sample_still_infinite(self):
         emp = EmpiricalModel(2, 2, [0.0, 1.0])
         emp.add_sample(0, 0, 1, 1.0)
-        assert self.radii(emp, np.zeros(2), self.params())[0] == INF
+        assert self.radii(emp, np.zeros(2), uniform_set(2, 2))[0] == INF
 
     def test_reward_radius_formula(self):
         # S=2, A=2, n=100, |Theta|=3, delta=0.1, N=10 with 5 ones:
@@ -131,29 +144,29 @@ class TestConfidenceRadii:
         L = math.log(8 * 2 * 2 * 100 * 4 / 0.1)
         sigma = math.sqrt(2.5 / 9)
         expected = math.sqrt(2 * sigma * sigma * L / 10) + 7 * L / (3 * 9)
-        c_r, _, c_sr, _ = self.radii(emp, np.zeros(2), self.params())
+        c_r, _, c_sr, _ = self.radii(emp, np.zeros(2), uniform_set(2, 2))
         assert c_r == pytest.approx(expected, rel=1e-12)
         L2 = math.log(4 * 2 * 2 * 100 * 4 / 0.1)
         assert c_sr == pytest.approx(math.sqrt(2 * L2 / 9), rel=1e-12)
 
     def test_large_n_limit_is_model_uncertainty(self):
-        bounds = UncertaintyBounds(reward=0.03)
         emp = EmpiricalModel(1, 1, [0.5])
         emp.counts[0, 0] = 2_000_000
         emp.reward_counts[0, 0, 0] = 2_000_000
         emp.next_counts[0, 0, 0] = 2_000_000
-        c_r = self.radii(emp, np.zeros(1), self.params(S=1, A=1, bounds=bounds))[0]
+        c_r, c_p, _, _ = self.radii(emp, np.zeros(1), uniform_set(1, 1, delta=0.03))
         assert c_r == pytest.approx(0.03, abs=1e-4)
+        assert c_p == pytest.approx(0.03, abs=1e-3)
 
     def test_value_stack_gives_one_transition_radius_per_row(self):
         emp = EmpiricalModel(3, 1, [0.0, 1.0])
         emp.add_batch(0, 0, [2, 5, 3], [10, 0])
         stack = np.array([[0.0, 1.0, 2.0], [4.0, 0.0, 1.0], [3.0, 3.0, 3.0]])
-        params = self.params(S=3, A=1)
-        c_r, c_p, c_sr, c_sp = self.radii(emp, stack, params)
+        approx = uniform_set(3, 1)
+        c_r, c_p, c_sr, c_sp = self.radii(emp, stack, approx)
         assert c_p.shape == (3,)
         for row, radius in zip(stack, c_p):
-            single = self.radii(emp, row, params)
+            single = self.radii(emp, row, approx)
             assert single[1] == radius
             assert single[::2] == (c_r, c_sr) and single[3] == c_sp
         _, stds = transition_value_stats(emp.next_counts[0, 0], emp.counts[0, 0], stack)
@@ -220,12 +233,11 @@ class TestStackedStatistics:
         support = np.sort(rng.random(U))
         values = rng.normal(size=(k, S))
         n, reward_counts, next_counts = self.snapshots(rng, B, S, U)
-        params = ConfidenceParams(budget=500, num_models=k, delta=0.05, gamma=0.9,
-                                  bounds=UncertaintyBounds(0.01, 0.02, 0.0, 0.03))
-        logs = _log_terms(S, 2, params)
+        approx = uniform_set(S, 2, k=k, delta=0.02)
+        logs = _log_terms(approx, 500, 0.05)
         r_mean, sr = reward_stats(reward_counts, n, support)
         pv, sp = transition_value_stats(next_counts, n, values)
-        radii = confidence_radii(n, sr, sp, logs, params)
+        radii = confidence_radii(n, sr, sp, approx, logs)
         _, sp_first = transition_value_stats(next_counts, n, values[0])
         assert sp_first == pytest.approx(sp[:, 0], rel=1e-12)
         for i in range(B):
@@ -233,9 +245,9 @@ class TestStackedStatistics:
                     transition_value_stats(next_counts[i], n[i], values))
             assert np.array_equal(rows[0], (r_mean[i], sr[i]))
             assert all(np.array_equal(x, y[i]) for x, y in zip(rows[1], (pv, sp)))
-            one = confidence_radii(n[i], sr[i], sp[i], logs, params)
+            one = confidence_radii(n[i], sr[i], sp[i], approx, logs)
             assert all(np.array_equal(x, y[i]) for x, y in zip(one, radii))
-            single = confidence_radii(n[i:i + 1], sr[i:i + 1], sp[i, 0:1][None], logs, params)
+            single = confidence_radii(n[i:i + 1], sr[i:i + 1], sp[i, 0:1][None], approx, logs)
             assert single[1][0, 0] == radii[1][i, 0]
         assert all(np.all(np.isinf(r[n <= 1])) for r in radii)
         assert np.all(np.isfinite(radii[0][n > 1]))
@@ -243,22 +255,20 @@ class TestStackedStatistics:
 
     def test_failures_of_a_stack_equal_those_of_each_snapshot(self):
         fam = small_family()
-        approx = ApproxModelSet(fam, UncertaintyBounds(reward=0.01))
+        approx = ApproxModelSet(fam, 0.01)
         S, U = approx.num_states, fam[0].num_rewards
         rng = np.random.default_rng(5)
         n, reward_counts, next_counts = self.snapshots(rng, 25, S, U, most=5000)
-        params = ConfidenceParams(budget=1000, num_models=3, delta=0.1, gamma=0.9,
-                                  bounds=approx.bounds)
-        logs = _log_terms(S, approx.num_actions, params)
+        logs = _log_terms(approx, 1000, 0.1)
         idx = np.array([0, 2])
         stacked = compatibility_failures(idx, 0, 1, n, reward_counts, next_counts,
-                                         fam[0].reward_support, approx, params, logs)
+                                         fam[0].reward_support, approx, logs)
         assert stacked.shape == (25, 2) and stacked.any()
         assert not stacked[n <= 1].any()
         for i in range(25):
             one = compatibility_failures(idx, 0, 1, n[i:i + 1], reward_counts[i:i + 1],
                                          next_counts[i:i + 1], fam[0].reward_support,
-                                         approx, params, logs)
+                                         approx, logs)
             assert np.array_equal(one[0], stacked[i])
 
 
@@ -267,9 +277,8 @@ class TestPruning:
         fam = small_family()
         approx = ApproxModelSet(fam)
         emp = EmpiricalModel(approx.num_states, approx.num_actions, fam[0].reward_support)
-        params = ConfidenceParams(budget=100, num_models=3, delta=0.1,
-                                  gamma=0.9, bounds=UncertaintyBounds())
-        assert prune_confidence_set({0, 1, 2}, emp, approx, params) == {0, 1, 2}
+        logs = _log_terms(approx, 100, 0.1)
+        assert prune_confidence_set({0, 1, 2}, emp, approx, logs) == {0, 1, 2}
 
     def test_gross_reward_deviation_eliminates(self):
         fam = small_family()
@@ -279,9 +288,8 @@ class TestPruning:
         # large sample exactly matching task 0.
         for _ in range(5000):
             emp.add_sample(0, 0, 0, 0.5)
-        params = ConfidenceParams(budget=10_000, num_models=3, delta=0.1,
-                                  gamma=0.9, bounds=UncertaintyBounds())
-        survivors = prune_confidence_set({0, 1, 2}, emp, approx, params)
+        survivors = prune_confidence_set({0, 1, 2}, emp, approx,
+                                         _log_terms(approx, 10_000, 0.1))
         assert 0 in survivors
         assert 2 not in survivors
 
@@ -292,9 +300,8 @@ class TestPruning:
         reward_counts = np.zeros(approx.models[0].num_rewards, dtype=int)
         reward_counts[0] = sum(next_counts)
         emp.add_batch(0, 0, next_counts, reward_counts)
-        params = ConfidenceParams(budget=1000, num_models=2, delta=0.1,
-                                  gamma=0.5, bounds=UncertaintyBounds())
-        return emp, prune_confidence_set({0, 1}, emp, approx, params)
+        return emp, prune_confidence_set({0, 1}, emp, approx,
+                                         _log_terms(approx, 1000, 0.1))
 
     def test_transition_mean_alone_eliminates(self):
         # A sure move to the paying state 1 (truth) against one to state 2.
@@ -325,10 +332,8 @@ class TestPruning:
         fam = small_family()
         approx = ApproxModelSet(fam)
         emp = EmpiricalModel(approx.num_states, approx.num_actions, fam[0].reward_support)
-        params = ConfidenceParams(budget=10, num_models=3, delta=0.1,
-                                  gamma=0.9, bounds=UncertaintyBounds())
         with pytest.raises(ValueError):
-            prune_confidence_set(set(), emp, approx, params)
+            prune_confidence_set(set(), emp, approx, _log_terms(approx, 10, 0.1))
 
 
 class TestStopping:
@@ -380,21 +385,20 @@ class TestInfoIndex:
 
     def test_clipped_gap_vanishes(self):
         fam = small_family()
-        approx = ApproxModelSet(fam, UncertaintyBounds(reward=0.02))
+        approx = ApproxModelSet(fam, 0.02)
         # Tasks 0 and 1 differ by 0.1 < 8 * 0.02 at the distinguishing cell,
         # so the clipped gap [0.1 - 0.16]+ vanishes.
         assert info_index(0, 1, 0, 0, approx) == 0.0
 
     def test_monotone_in_delta(self):
         fam = small_family()
-        approx = ApproxModelSet(fam)
         deltas = [0.0, 0.002, 0.005, 0.01, 0.02]
-        vals = [info_index(0, 2, 0, 0, approx, delta_max=d) for d in deltas]
+        vals = [info_index(0, 2, 0, 0, ApproxModelSet(fam, d)) for d in deltas]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_table_matches_scalar(self):
         fam = small_family()
-        approx = ApproxModelSet(fam, UncertaintyBounds(reward=0.001))
+        approx = ApproxModelSet(fam, 0.001)
         table = info_index_table(approx)
         rng = np.random.default_rng(0)
         for _ in range(40):
@@ -432,7 +436,7 @@ class TestRunPtum:
 
     def test_gate_failure_falls_back(self):
         fam = small_family()
-        approx = ApproxModelSet(fam, UncertaintyBounds(reward=0.5))
+        approx = ApproxModelSet(fam, 0.5)
         g = GenerativeModel(fam[0])
         res = run_ptum(approx, g, eps=0.1, delta=0.05, n=200,
                        rng=np.random.default_rng(1), fallback_per_pair=2)
@@ -469,6 +473,23 @@ class TestRunPtum:
         # The query at step t is chosen from the active set after t prunes.
         for t, s, a in res.query_log:
             assert (s, a) == select_query(set(res.survived_trace[t]), approx)
+
+    @pytest.mark.parametrize("change", ["states", "actions", "reward_support", "gamma"])
+    def test_oracle_must_match_the_model_set(self, change):
+        fam = small_family()
+        approx = ApproxModelSet(fam)
+        m = fam[0]
+        spec = dict(p=m.p, reward_support=m.reward_support, q=m.q, gamma=m.gamma)
+        spec.update({
+            "states": dict(p=np.ones((1, m.num_actions, 1)), q=m.q[:1]),
+            "actions": dict(p=m.p[:, :1], q=m.q[:, :1]),
+            "reward_support": dict(reward_support=m.reward_support / 2),
+            "gamma": dict(gamma=0.5),
+        }[change])
+        g = GenerativeModel(TabularMdp(**spec))
+        with pytest.raises(ValueError, match="oracle"):
+            run_ptum(approx, g, eps=0.1, delta=0.05, n=100, rng=np.random.default_rng(0))
+        assert g.queries_used == 0
 
     def test_budget_exhaustion_falls_back(self):
         fam = small_family()
@@ -531,7 +552,7 @@ class TestDiagnostics:
 
     def test_gate_failure_raises(self):
         fam = small_family()
-        approx = ApproxModelSet(fam, UncertaintyBounds(reward=0.5))
+        approx = ApproxModelSet(fam, 0.5)
         with pytest.raises(ValueError):
             theta_eps_and_bound(approx, 0, eps=0.1, delta=0.1, n=100)
 
@@ -560,8 +581,7 @@ def reference_run_ptum(approx, g, eps, delta, n, rng, fallback_per_pair=None,
     emp = EmpiricalModel(S, A, g.reward_support)
     if not transfer_gate(approx.delta, eps, gamma):
         return fallback("fallback-gate", emp, [], [sorted(initial)], 0)
-    params = ConfidenceParams(budget=n, num_models=k, delta=delta, gamma=gamma,
-                              bounds=approx.bounds)
+    logs = _log_terms(approx, n, delta)
     active_set = set(initial)
     trace = [sorted(active_set)]
     query_log = []
@@ -569,7 +589,7 @@ def reference_run_ptum(approx, g, eps, delta, n, rng, fallback_per_pair=None,
     for t in range(n + 1):
         if query_log:
             _, s, a = query_log[-1]
-            new_active = prune_confidence_set(active_set, emp, approx, params,
+            new_active = prune_confidence_set(active_set, emp, approx, logs,
                                               pairs=[(s, a)])
             if not new_active:
                 return fallback("fallback-eliminated", emp, query_log, trace,
@@ -635,8 +655,8 @@ SHORT_BUDGETS = st.integers(2, 12)
 
 @st.composite
 def identification_cases(draw, budgets=st.integers(0, 600) | SHORT_BUDGETS):
-    """Small random families, uncertainty bounds, query budgets n and active
-    sets."""
+    """Small random families, uncertainty levels, query budgets n and
+    active sets."""
     S, A = draw(st.integers(1, 6)), draw(st.integers(2, 3))
     U, k = draw(st.integers(2, 4)), draw(st.integers(2, 5))
     gamma = draw(st.sampled_from([0.0, 0.5, 0.9]))
@@ -660,12 +680,10 @@ def identification_cases(draw, budgets=st.integers(0, 600) | SHORT_BUDGETS):
         models[-1] = models[0]
     truth = models[draw(st.integers(0, k - 1))] if draw(st.booleans()) else model()
     gate = eps * (1.0 - gamma) / (4.0 * (1.0 + gamma))
-    fractions = draw(st.sampled_from([(0.0,) * 4, (0.2, 0.0, 0.1, 0.0), (0.6,) * 4,
-                                      (0.0, 0.0, 0.0, 1.2)]))
-    bounds = UncertaintyBounds(*(f * gate for f in fractions))
+    level = draw(st.sampled_from([0.0, 0.2, 0.6, 1.2])) * gate
     n = draw(budgets)
     active = draw(st.none() | st.sets(st.integers(0, k - 1), min_size=1))
-    return dict(approx=ApproxModelSet(models, bounds), truth=truth, eps=eps,
+    return dict(approx=ApproxModelSet(models, level), truth=truth, eps=eps,
                 delta=draw(st.sampled_from([0.05, 0.3])), n=n,
                 active=active, fallback_per_pair=draw(st.sampled_from([None, 1, 2])),
                 seed=draw(st.integers(0, 1000)))
@@ -746,10 +764,11 @@ class TestRunsOfQueries:
 
 @st.composite
 def certificate_cases(draw):
-    """Random model sets, some with rows off by up to PROB_TOL, bounds up to
-    and past the gate, and stacks of count snapshots at one pair: counts
-    near the first one ``_may_fail`` allows and at random, piled on the
-    extremes of the reward support and of a V*_j, split evenly between
+    """Random model sets, some with rows off by up to PROB_TOL, an
+    uncertainty level up to and past the gate, and stacks of count snapshots
+    at one pair over the models' reward support or one ten times wider:
+    counts near the first one ``_may_fail`` allows and at random, piled on
+    the extremes of the reward support and of a V*_j, split evenly between
     them, or spread at random."""
     S, A = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     U, k = draw(st.integers(1, 4)), draw(st.integers(1, 5))
@@ -757,6 +776,9 @@ def certificate_cases(draw):
     eps = draw(st.sampled_from([0.05, 0.2, 1.0])) / (1.0 - gamma)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     support = np.sort(rng.choice(np.linspace(0.0, 1.0, 11), U, replace=False))
+    # The samples' support may be wider than the models', so that the
+    # reward-std condition can open first.
+    samples = support * draw(st.sampled_from([1.0, 10.0]))
 
     def rows(shape, width, off):
         r = random_rows(rng, shape, width)
@@ -774,22 +796,16 @@ def certificate_cases(draw):
         models.append(TabularMdp(p=rows((S, A), S, off), reward_support=support,
                                  q=q, gamma=gamma))
     gate = eps * (1.0 - gamma) / (4.0 * (1.0 + gamma))
-    # A bound of 100 keeps its condition from ever failing, so that the
-    # others, the std conditions too, decide the first count allowed.
-    bounds = UncertaintyBounds(*(draw(st.sampled_from([0.0, 100.0, gate * f]))
-                                 for f in rng.uniform(0.0, 1.5, 4)))
-    approx = ApproxModelSet(models, bounds)
-    params = ConfidenceParams(budget=draw(st.integers(1, 5000)), num_models=k,
-                              delta=draw(st.sampled_from([0.01, 0.05, 0.3])),
-                              gamma=gamma, bounds=bounds)
-    logs = _log_terms(S, A, params)
+    approx = ApproxModelSet(models, draw(st.sampled_from([0.0, gate * rng.uniform(0.0, 1.5)])))
+    logs = _log_terms(approx, draw(st.integers(1, 5000)),
+                      draw(st.sampled_from([0.01, 0.05, 0.3])))
     s, a = int(rng.integers(S)), int(rng.integers(A))
 
-    may = _may_fail(np.arange(20_000), support, approx, params, logs)
+    may = _may_fail(np.arange(20_000), samples, approx, logs)
     first = int(np.argmax(may)) if may.any() else 20_000
-    B = 40
     n = np.concatenate([np.arange(max(first - 4, 0), first + 6),
-                        rng.integers(0, 4 * first + 10, B - 10)])
+                        rng.integers(0, 4 * first + 10, 30)])
+    B = n.size
     widest = np.argmax(np.ptp(approx.values, axis=1))
     v = approx.values[widest if draw(st.booleans()) else rng.integers(k)]
     lo, hi = np.argmin(v), np.argmax(v)
@@ -807,8 +823,8 @@ def certificate_cases(draw):
                             np.bincount([U - 1], [count], minlength=U),
                             np.bincount([0, U - 1], [half, count - half], minlength=U)
                             ][rng.integers(4)]
-    return dict(approx=approx, params=params, logs=logs, pair=(s, a), n=n,
-                reward_counts=reward_counts, next_counts=next_counts, support=support)
+    return dict(approx=approx, logs=logs, pair=(s, a), n=n,
+                reward_counts=reward_counts, next_counts=next_counts, support=samples)
 
 
 class TestPassOnlyWhereAModelCanFail:
@@ -822,11 +838,54 @@ class TestPassOnlyWhereAModelCanFail:
         approx = case["approx"]
         fails = compatibility_failures(
             np.arange(approx.num_models), *case["pair"], case["n"], case["reward_counts"],
-            case["next_counts"], case["support"], approx, case["params"], case["logs"])
-        may = _may_fail(case["n"], case["support"], approx, case["params"], case["logs"])
+            case["next_counts"], case["support"], approx, case["logs"])
+        may = _may_fail(case["n"], case["support"], approx, case["logs"])
         assert may.shape == case["n"].shape
         assert not may[case["n"] <= 1].any()
         assert np.all(may[fails.any(axis=1)])
+
+    # One uncertainty level widens all four radii alike, so a case where one
+    # condition fails before any other can must come from the tables.  The
+    # models pay surely and never leave a state.  The N samples at (0, 0)
+    # move to ``next_state`` and split their rewards evenly between the two
+    # ``rewards`` indices of ``support`` (one index: all on it).
+    #   reward: the model pays 0, every sample 1.
+    #   transition: states pay 0 and 1; the model stays in state 0, every
+    #     sample moves to state 1.  Only with delta > 0 does the transition
+    #     mean open first: its radius carries delta, not delta (1 - gamma).
+    #   reward-std: the model pays 0.5, the samples half 0 and half 5, on a
+    #     support five times the models'.
+    # With the models' own support in [0, 1] the std conditions cannot fail
+    # before a mean condition can, so the transition std has no case.
+    LONE_CASES = {  # pays, the models' support, delta, support, rewards, next_state
+        "reward": ([0.0], [0.0, 1.0], 0.0, [0.0, 1.0], (1, 1), 0),
+        "transition": ([0.0, 1.0], [0.0, 1.0], 0.3, [0.0, 1.0], (0, 0), 1),
+        "reward-std": ([0.5], [0.0, 0.5, 1.0], 0.0, [0.0, 2.5, 5.0], (0, 2), 0),
+    }
+
+    @pytest.mark.parametrize("condition", sorted(LONE_CASES))
+    def test_a_lone_condition_opens_the_pass_where_it_fails(self, condition):
+        pays, model_support, level, support, (lo, hi), next_state = \
+            self.LONE_CASES[condition]
+        S = len(pays)
+        q = np.zeros((S, 1, len(model_support)))
+        q[np.arange(S), 0, np.searchsorted(model_support, pays)] = 1.0
+        p = np.zeros((S, 1, S))
+        p[np.arange(S), 0, np.arange(S)] = 1.0
+        approx = ApproxModelSet([TabularMdp(p=p, reward_support=np.array(model_support),
+                                            q=q, gamma=0.5)], level)
+        n = np.arange(300)
+        reward_counts = np.zeros((n.size, len(support)), dtype=np.int64)
+        reward_counts[:, lo] += n - n // 2
+        reward_counts[:, hi] += n // 2
+        next_counts = np.zeros((n.size, S), dtype=np.int64)
+        next_counts[:, next_state] = n
+        logs = _log_terms(approx, 1000, 0.1)
+        fails = compatibility_failures(np.arange(1), 0, 0, n, reward_counts, next_counts,
+                                       np.array(support), approx, logs).any(axis=1)
+        may = _may_fail(n, np.array(support), approx, logs)
+        assert fails.any() and np.all(may[fails])
+        assert np.argmax(fails) == np.argmax(may)
 
     @pytest.mark.parametrize("seed", [101, 102])
     def test_two_rooms_pass_starts_where_the_elimination_falls(self, seed):
