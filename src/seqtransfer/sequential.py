@@ -97,6 +97,8 @@ class SequentialConfig:
                 )
         if self.rho < 0 or (self.rho_final is not None and self.rho_final < 0):
             raise ValueError("rho constants must be non-negative")
+        if self.rtp_restarts < 1 or self.rtp_iters < 1:
+            raise ValueError("rtp_restarts and rtp_iters must be at least 1")
 
     def rho_at(self, h: int) -> float:
         """Linear decay of rho over the first ``rho_decay_tasks`` tasks."""

@@ -8,8 +8,13 @@ The pipeline splits into a deterministic stage and a random one.
 ``whitened_moments`` (moments, whitening, whitened third moment) draws no
 random numbers and depends only on the observation triples, so a caller
 whose triple count has not changed can hand its last result back to
-``spectral_estimate``.  ``rtp_decompose`` draws every random start of a
-component in one call and power-iterates all restarts as one stack.
+``spectral_estimate``.  It signs each whitening column by the whitened
+third moment, so the result does not depend on the signs ``eigh`` picks.
+``rtp_decompose`` draws every random start of a component in one call,
+before any iteration, and power-iterates all restarts as one stack.  Each
+restart stops at the first step that moves none of its entries by more
+than ``RTP_STEP_TOL``; the iteration count is only a cap, and no draw
+depends on when a restart stops.
 
 Observations live in dimension d = S*A*(S+U), which can be large; every
 covariance and pseudo-inverse is handled in reduced coordinates of the
@@ -36,6 +41,9 @@ from .ptum import EmpiricalModel
 PINV_RCOND = 1e-10
 # Whitening needs k eigenvalues of M2 above this fraction of the largest.
 WHITEN_RTOL = 1e-12
+# A power-iteration step that moves no entry of a vector by more than this
+# leaves the vector at its fixed point, up to rounding.
+RTP_STEP_TOL = 1e-12
 
 
 class DegenerateMomentsError(RuntimeError):
@@ -135,6 +143,9 @@ class MomentSet:
     view2: np.ndarray            # (m, r) transformed second views
     view3: np.ndarray            # (m, r) raw third views
     m2: np.ndarray               # (r, r) symmetrized second cross moment
+    # (r, r) sigma[(2, 1)] @ pinv(sigma[(3, 1)]) at the rank cap: maps the
+    # third views' conditional means to the observation matrix.
+    recovery: np.ndarray
     num_triples: int
 
     def to_full(self, reduced: np.ndarray) -> np.ndarray:
@@ -189,8 +200,8 @@ def estimate_moments(observations, rank: int | None = None) -> MomentSet:
     """Cross-view covariances and cross moments from consecutive triples.
 
     ``rank`` caps the pseudo-inverse rank of the view-transformation
-    covariances (low-rank pre-truncation); pass the number of hidden tasks
-    for stability.
+    covariances and of the recovery map (low-rank pre-truncation); pass the
+    number of hidden tasks, which ``recover_parameters`` assumes.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim != 2 or obs.shape[0] < 3:
@@ -213,9 +224,11 @@ def estimate_moments(observations, rank: int | None = None) -> MomentSet:
     view2 = o2 @ pinv_21.T @ sigma[(3, 1)].T
     m2 = view1.T @ view2 / m
     m2 = (m2 + m2.T) / 2.0
+    recovery = sigma[(2, 1)] @ _truncated_pinv(sigma[(3, 1)], rank)
     return MomentSet(
         observations=trimmed, basis_weights=weights, sigma=sigma,
-        view1=view1, view2=view2, view3=o3, m2=m2, num_triples=m,
+        view1=view1, view2=view2, view3=o3, m2=m2, recovery=recovery,
+        num_triples=m,
     )
 
 
@@ -236,17 +249,41 @@ def whiten(m2: np.ndarray, k: int):
     return vecs[:, order] / np.sqrt(top_vals)
 
 
-def _power_iterate(t3: np.ndarray, v: np.ndarray, iters: int) -> np.ndarray:
-    """Power-iterate every row of the (r, d) stack ``v`` on the tensor.
+def _orient_whitening(w: np.ndarray, t3: np.ndarray):
+    """Flip each whitening column w_i, and the matching modes of the
+    whitened third moment, so that T(w_i, w_i, w_i) = t3[i, i, i] >= 0.
 
-    A row whose image is zero keeps its value; its image then stays zero.
-    Row norms are ``sqrt(vecdot)``, which agrees bit for bit with the norm
-    of a single vector.
+    ``eigh`` picks each eigenvector's sign arbitrarily, and the RTP starts
+    are drawn in whitened coordinates; after this rule a column's sign no
+    longer depends on that choice, bit for bit.
     """
+    diag = np.arange(w.shape[1])
+    signs = np.where(t3[diag, diag, diag] < 0.0, -1.0, 1.0)
+    return w * signs, t3 * signs[:, None, None] * signs[:, None] * signs
+
+
+def _power_iterate(t3: np.ndarray, v: np.ndarray, iters: int) -> np.ndarray:
+    """Power-iterate every row of the (r, d) stack ``v`` on the tensor, for
+    at most ``iters`` steps.
+
+    A row stops once one step moves none of its entries by more than
+    ``RTP_STEP_TOL``, and keeps the value that step gave it.  A row whose
+    image is zero keeps its value and so stops at once.  Only the rows
+    still moving are iterated, so each row's result is the one it would
+    reach alone, bit for bit; row norms are ``sqrt(vecdot)``, which agrees
+    bit for bit with the norm of a single vector.
+    """
+    v = v.copy()
+    live = np.arange(v.shape[0])
     for _ in range(iters):
-        w = np.einsum("ijk,rj,rk->ri", t3, v, v)
+        cur = v[live]
+        w = np.einsum("ijk,rj,rk->ri", t3, cur, cur)
         norms = np.sqrt(np.vecdot(w, w))[:, None]
-        v = np.divide(w, norms, out=v.copy(), where=norms != 0.0)
+        step = np.divide(w, norms, out=cur.copy(), where=norms != 0.0)
+        v[live] = step
+        live = live[np.max(np.abs(step - cur), axis=1) > RTP_STEP_TOL]
+        if live.size == 0:
+            break
     return v
 
 
@@ -261,8 +298,11 @@ def rtp_decompose(t3: np.ndarray, k: int, restarts: int = 100, iters: int = 100,
 
     For each component all restarts are iterated as one (restarts, d)
     stack; the restart with the largest |eigenvalue| (the first, on a tie)
-    is refined by ``iters`` more iterations and deflated.  Returns k
-    (eigenvalue, eigenvector) pairs with positive eigenvalues, the sign
+    is refined by more iterations and deflated.  ``iters`` caps each of
+    the two iterations; a vector stops earlier once a step leaves it in
+    place to within ``RTP_STEP_TOL`` (``_power_iterate``).  Each component
+    draws one (restarts, d) block of normals before it iterates.  Returns
+    k (eigenvalue, eigenvector) pairs with positive eigenvalues, the sign
     absorbed into the eigenvector.
     """
     if restarts < 1 or iters < 1:
@@ -312,16 +352,16 @@ def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
     """Back out the observation and transition matrices from RTP eigenpairs.
 
     ``w_reduced`` must be the whitening matrix in the moment set's reduced
-    coordinates.  Every (s, a) block of every column is repaired onto the
-    simplex.
+    coordinates, and the moment set must be built with its rank capped at
+    the number of eigenpairs.  Every (s, a) block of every column is
+    repaired onto the simplex.
     """
     lams = np.array([lam for lam, _ in eigpairs])
     vecs = np.stack([v for _, v in eigpairs], axis=1)  # (k, k)
     k = lams.shape[0]
     wt_pinv = _truncated_pinv(w_reduced.T)             # (r, k) pseudo-inverse of W^T
     mu3_reduced = wt_pinv @ (vecs * lams[None, :])     # (r, k)
-    pinv_31 = _truncated_pinv(moments.sigma[(3, 1)], k)
-    obs_reduced = moments.sigma[(2, 1)] @ pinv_31 @ mu3_reduced
+    obs_reduced = moments.recovery @ mu3_reduced
     obs_full = moments.to_full(obs_reduced)            # (d, k)
     trans = _truncated_pinv(obs_reduced, k) @ mu3_reduced
 
@@ -369,13 +409,15 @@ def whitened_moments(observations, k: int):
     """The deterministic stage of the pipeline: moments, whitening and the
     whitened third moment.
 
-    Returns ``(moments, W, T3)``.  It draws no random numbers and reads only
-    the first ``3 * (len(observations) // 3)`` observations, so callers may
-    reuse it for every observation count with the same number of triples.
+    Returns ``(moments, W, T3)``, with each column of W signed so that its
+    diagonal entry of T3 is non-negative.  It draws no random numbers and
+    reads only the first ``3 * (len(observations) // 3)`` observations, so
+    callers may reuse it for every observation count with the same number
+    of triples.
     """
     moments = estimate_moments(observations, rank=k)
     w = whiten(moments.m2, k)
-    return moments, w, moments.whitened_third_moment(w)
+    return (moments,) + _orient_whitening(w, moments.whitened_third_moment(w))
 
 
 def spectral_estimate(observations, k: int, layout: ObservationLayout,

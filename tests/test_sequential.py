@@ -69,6 +69,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_cfg(delta=0.0)
 
+    @pytest.mark.parametrize("field", ["rtp_restarts", "rtp_iters"])
+    def test_rtp_counts_below_one_rejected(self, field):
+        # Checked up front: a skipped estimate draws (k, 0, k) normals
+        # without complaint, so a zero would otherwise surface only at the
+        # first real estimate, after the whole start-up phase.
+        with pytest.raises(ValueError):
+            make_cfg(**{field: 0})
+        assert getattr(make_cfg(**{field: 1}), field) == 1
+
     def test_rho_at_endpoints(self):
         cfg = make_cfg(rho=0.135, rho_final=0.006, rho_decay_tasks=100,
                        num_tasks=150)

@@ -12,10 +12,12 @@ from seqtransfer.harness import random_hmm_family, simulate_hmm_observations
 from seqtransfer.mdp import TabularMdp
 from seqtransfer.ptum import EmpiricalModel
 from seqtransfer.spectral import (
+    RTP_STEP_TOL,
     DecompositionFailureError,
     DegenerateMomentsError,
     HmmEstimate,
     ObservationLayout,
+    _orient_whitening,
     _power_iterate,
     _truncated_pinv,
     align_columns,
@@ -164,6 +166,24 @@ class TestWhiten:
         with pytest.raises(DegenerateMomentsError):
             whiten(np.diag([1.0, 0.0, 0.0]), 2)
 
+    def test_orientation_ignores_eigenvector_signs(self):
+        # Whatever signs eigh gave the columns of W, the oriented W and T3
+        # are the same bits, and every diagonal entry of T3 is
+        # non-negative.
+        rng = np.random.default_rng(32)
+        obs = rng.dirichlet(np.ones(12), size=60)
+        moments, w, t3 = whitened_moments(obs, 4)
+        diag = np.arange(4)
+        assert np.all(t3[diag, diag, diag] >= 0.0)
+        raw = whiten(moments.m2, 4)
+        for flips in ([0], [3], [1, 2], [0, 1, 2, 3]):
+            flipped = raw.copy()
+            flipped[:, flips] *= -1.0
+            got_w, got_t3 = _orient_whitening(
+                flipped, moments.whitened_third_moment(flipped))
+            assert got_w.tobytes() == w.tobytes()
+            assert got_t3.tobytes() == t3.tobytes()
+
 
 class TestRtp:
     def test_exact_rank_one(self):
@@ -192,16 +212,20 @@ class TestRtp:
             rtp_decompose(np.zeros((3, 3, 3)), 1, rng=np.random.default_rng(6))
 
     @staticmethod
-    def reference_rtp(t3, k, restarts, iters, rng):
+    def reference_rtp(t3, k, restarts, iters, rng, stop=True):
         """One restart and one vector at a time: the loop the batched
-        rtp_decompose replaced, kept as its reference."""
+        rtp_decompose replaced, kept as its reference.  With ``stop`` each
+        vector stops after the first step that moves no entry by more than
+        ``RTP_STEP_TOL``; without it every vector runs all ``iters`` steps."""
         def power(work, v):
             for _ in range(iters):
                 w = np.einsum("ijk,j,k->i", work, v, v)
                 norm = np.linalg.norm(w)
                 if norm == 0.0:
                     return v
-                v = w / norm
+                v, last = w / norm, v
+                if stop and np.max(np.abs(v - last)) <= RTP_STEP_TOL:
+                    return v
             return v
 
         pairs, work = [], t3.copy()
@@ -222,16 +246,21 @@ class TestRtp:
             work = work - lam * np.einsum("i,j,k->ijk", v, v, v)
         return pairs
 
+    @staticmethod
+    def noisy_orthogonal(k, noise, rng):
+        """A rank-k orthogonal tensor plus symmetric Gaussian noise, like a
+        whitened third moment."""
+        basis, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        lams = rng.uniform(0.5, 3.0, size=k)
+        t3 = np.einsum("j,ij,kj,lj->ikl", lams, basis, basis, basis)
+        return t3 + symmetrize_tensor(rng.normal(scale=noise, size=(k, k, k)))
+
     @pytest.mark.parametrize("k, restarts", [(3, 50), (8, 20)])
     def test_batched_restarts_match_reference_loop(self, k, restarts):
         # Bit for bit, with the same number of draws from the generator, on
         # noisy orthogonal tensors like the whitened third moments.
         for seed in range(5):
-            rng = np.random.default_rng(100 + seed)
-            basis, _ = np.linalg.qr(rng.normal(size=(k, k)))
-            lams = rng.uniform(0.5, 3.0, size=k)
-            t3 = np.einsum("j,ij,kj,lj->ikl", lams, basis, basis, basis)
-            t3 = t3 + symmetrize_tensor(rng.normal(scale=0.05, size=(k, k, k)))
+            t3 = self.noisy_orthogonal(k, 0.05, np.random.default_rng(100 + seed))
             got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
             got = rtp_decompose(t3, k, restarts=restarts, iters=50, rng=got_rng)
             want = self.reference_rtp(t3, k, restarts, 50, want_rng)
@@ -239,6 +268,51 @@ class TestRtp:
             assert np.array_equal(np.stack([v for _, v in got]),
                                   np.stack([v for _, v in want]))
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_stop_rule_stays_at_the_fixed_step_result(self, k):
+        # Stopping a converged vector changes the decomposition only at
+        # rounding level against running every vector all 50 steps.  The
+        # noise stays at or below 0.05: near 0.2 a 1-ulp change to the
+        # tensor already moves the fixed-step result by order 1.
+        for seed in range(20):
+            rng = np.random.default_rng(300 + 20 * k + seed)
+            t3 = self.noisy_orthogonal(k, rng.uniform(0.0, 0.05), rng)
+            got = rtp_decompose(t3, k, restarts=20, iters=50,
+                                rng=np.random.default_rng(seed))
+            want = self.reference_rtp(t3, k, 20, 50, np.random.default_rng(seed),
+                                      stop=False)
+            for (lam, v), (lam_ref, v_ref) in zip(got, want, strict=True):
+                assert abs(lam - lam_ref) <= 1e-12
+                assert np.max(np.abs(v - v_ref)) <= 1e-12
+
+    def test_stacked_rows_stop_as_they_would_alone(self):
+        # Rows that settle after different numbers of steps, in one stack,
+        # end bit for bit where each ends when iterated by itself.
+        rng = np.random.default_rng(31)
+        t3 = self.noisy_orthogonal(6, 0.05, rng)
+        starts = rng.standard_normal((30, 6))
+        starts /= np.linalg.norm(starts, axis=1)[:, None]
+        got = _power_iterate(t3, starts, 50)
+        alone = [_power_iterate(t3, row[None, :], 50)[0] for row in starts]
+        assert np.array_equal(got, np.stack(alone))
+        # The step at which each row's result is reached differs by row.
+        settled = {next(n for n in range(1, 51)
+                        if np.array_equal(_power_iterate(t3, row[None, :], n)[0],
+                                          end))
+                   for row, end in zip(starts, alone)}
+        assert len(settled) > 1
+
+    def test_two_cycle_runs_every_step(self):
+        # T = e1 x e2 x e2 + e2 x e1 x e1 swaps e1 and e2, so no step is
+        # still: each row runs to the cap and ends on its parity.
+        e1, e2 = np.eye(3)[0], np.eye(3)[1]
+        t3 = (np.einsum("i,j,k->ijk", e1, e2, e2)
+              + np.einsum("i,j,k->ijk", e2, e1, e1))
+        start = np.stack([e1, e2])
+        for iters in (1, 2, 49, 50):
+            want = start[::-1] if iters % 2 else start
+            assert np.array_equal(_power_iterate(t3, start, iters), want)
 
     def test_power_iterate_keeps_rows_with_zero_image(self):
         # e2 is mapped to 0 by e1 x e1 x e1 and stays put, while e1 is a
@@ -379,6 +453,7 @@ class TestRecovery:
         w = whiten((m2 + m2.T) / 2.0, k)
         a, b, c = view1 @ w, view2 @ w, o3 @ w
         t3 = symmetrize_tensor(np.einsum("li,lj,lk->ijk", a, b, c) / m)
+        w, t3 = _orient_whitening(w, t3)
         pairs = rtp_decompose(t3, k, restarts=restarts, iters=iters, rng=rng)
         mu3 = _truncated_pinv(w.T) @ np.stack([lam * v for lam, v in pairs], axis=1)
         cols = (basis @ s21 @ _truncated_pinv(s31, k) @ mu3).T
