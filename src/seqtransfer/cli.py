@@ -49,10 +49,10 @@ def _identification(cfg: ExperimentConfig):
     budget and true task of the config, the family's exact model set, and
     ``theta_eps_and_bound`` for the true task."""
     family, _ = build_family(cfg)
-    eps = float(cfg.get("eps", 0.1))
-    delta = float(cfg.get("delta", 0.01))
-    budget = int(cfg.get("budget", 100_000))
-    star = int(cfg.get("true_task", 0))
+    eps = cfg.typed("eps", float, 0.1)
+    delta = cfg.typed("delta", float, 0.01)
+    budget = cfg.typed("budget", int, 100_000)
+    star = cfg.typed("true_task", int, 0)
     approx = ApproxModelSet(family)
     theta_eps, bound = theta_eps_and_bound(approx, star, eps, delta, budget)
     return family, eps, delta, budget, star, approx, theta_eps, bound
@@ -95,24 +95,24 @@ def cmd_run_ptum(args) -> int:
 
 def _sequential_config(cfg: ExperimentConfig, static: bool) -> SequentialConfig:
     return SequentialConfig(
-        num_tasks=int(cfg.get("num_tasks_sequence", 150)),
-        startup_tasks=int(cfg.get("startup_tasks", 100)),
-        startup_per_pair=int(cfg.get("startup_per_pair", 50)),
-        post_sample_per_pair=int(cfg.get("post_sample_per_pair", 30)),
-        eps=float(cfg.get("eps", 0.5)),
-        delta=float(cfg.get("delta", 1e-6)),
-        delta_prime=float(cfg.get("delta_prime", 0.1)),
-        rho=float(cfg.get("rho", 0.135)),
-        eta=0.0 if static else float(cfg.get("eta", 0.087)),
-        rho_t=float(cfg.get("rho_t", 0.001)),
-        top_keep=int(cfg.get("top_keep", 3)),
+        num_tasks=cfg.typed("num_tasks_sequence", int, 150),
+        startup_tasks=cfg.typed("startup_tasks", int, 100),
+        startup_per_pair=cfg.typed("startup_per_pair", int, 50),
+        post_sample_per_pair=cfg.typed("post_sample_per_pair", int, 30),
+        eps=cfg.typed("eps", float, 0.5),
+        delta=cfg.typed("delta", float, 1e-6),
+        delta_prime=cfg.typed("delta_prime", float, 0.1),
+        rho=cfg.typed("rho", float, 0.135),
+        eta=0.0 if static else cfg.typed("eta", float, 0.087),
+        rho_t=cfg.typed("rho_t", float, 0.001),
+        top_keep=cfg.typed("top_keep", int, 3),
         pre_elimination=not static,
-        budget=int(cfg.get("budget", 100_000)),
-        fallback_per_pair=cfg.get("fallback_per_pair"),
-        rho_final=cfg.get("rho_final"),
-        rho_decay_tasks=int(cfg.get("rho_decay_tasks", 0)),
-        rtp_restarts=int(cfg.get("rtp_restarts", 20)),
-        rtp_iters=int(cfg.get("rtp_iters", 50)),
+        budget=cfg.typed("budget", int, 100_000),
+        fallback_per_pair=cfg.typed("fallback_per_pair", int, None),
+        rho_final=cfg.typed("rho_final", float, None),
+        rho_decay_tasks=cfg.typed("rho_decay_tasks", int, 0),
+        rtp_restarts=cfg.typed("rtp_restarts", int, 20),
+        rtp_iters=cfg.typed("rtp_iters", int, 50),
     )
 
 
@@ -157,13 +157,13 @@ def cmd_learn_hmm(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if cfg.scenario != "synthetic-hmm":
         raise ConfigError("learn-hmm needs the synthetic-hmm scenario")
-    k = int(cfg.get("num_tasks", 3))
-    S = int(cfg.get("num_states", 2))
-    A = int(cfg.get("num_actions", 3))
-    U = int(cfg.get("num_rewards", 3))
-    steps = int(cfg.get("steps", 300))
-    per_pair = int(cfg.get("samples_per_pair", 20))
-    gamma = float(cfg.get("gamma", 0.9))
+    k = cfg.typed("num_tasks", int, 3)
+    S = cfg.typed("num_states", int, 2)
+    A = cfg.typed("num_actions", int, 3)
+    U = cfg.typed("num_rewards", int, 3)
+    steps = cfg.typed("steps", int, 300)
+    per_pair = cfg.typed("samples_per_pair", int, 20)
+    gamma = cfg.typed("gamma", float, 0.9)
 
     def one_run(i):
         rng = run_rng(cfg.base_seed, i)

@@ -3,7 +3,7 @@ the Markov chain over tasks, and the generative-model query interface."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -19,10 +19,8 @@ NUM_ACTIONS = 4
 class GridSpec:
     """Layout of a rectangular gridworld task.
 
-    goal_cells maps flat cell index -> reward value.  When absorbing_goals
-    is True a goal self-loops and emits its reward every step; otherwise it
-    emits the reward once and drops into a zero-reward sink state appended
-    after the grid cells.
+    goal_cells maps flat cell index -> reward value.  A goal cell is
+    absorbing: it self-loops and emits its reward every step.
     """
 
     width: int
@@ -31,7 +29,6 @@ class GridSpec:
     action_failure_prob: float = 0.1
     wall_column: int | None = None
     door_row: int | None = None
-    absorbing_goals: bool = True
     gamma: float = 0.99
 
     def __post_init__(self):
@@ -62,11 +59,11 @@ class GridSpec:
         )
 
 
-def _grid_transitions(spec: GridSpec, num_states: int) -> np.ndarray:
+def _grid_transitions(spec: GridSpec) -> np.ndarray:
     """Movement kernel with uniform action-failure redraw and blocked moves."""
     w, h = spec.width, spec.height
     f = spec.action_failure_prob
-    p = np.zeros((num_states, NUM_ACTIONS, num_states))
+    p = np.zeros((spec.num_cells, NUM_ACTIONS, spec.num_cells))
     for row in range(h):
         for col in range(w):
             s = row * w + col
@@ -83,31 +80,22 @@ def _grid_transitions(spec: GridSpec, num_states: int) -> np.ndarray:
     return p
 
 
-def _build_grid(spec: GridSpec) -> TabularMdp:
-    has_sink = not spec.absorbing_goals and bool(spec.goal_cells)
-    S = spec.num_cells + (1 if has_sink else 0)
-    sink = S - 1 if has_sink else None
-    p = np.zeros((S, NUM_ACTIONS, S))
-    p[: spec.num_cells, :, : spec.num_cells] = _grid_transitions(spec, spec.num_cells)
-
+def build_grid(spec: GridSpec) -> TabularMdp:
+    """Gridworld over the spec's cells, with an optional wall with a single
+    door, and absorbing goal cells; the reward support is 0 and the goal
+    rewards."""
+    p = _grid_transitions(spec)
     support = np.array(sorted({0.0} | set(spec.goal_cells.values())))
     u_index = {v: i for i, v in enumerate(support)}
-    q = np.zeros((S, NUM_ACTIONS, support.shape[0]))
+    q = np.zeros((spec.num_cells, NUM_ACTIONS, support.shape[0]))
     q[:, :, u_index[0.0]] = 1.0
 
     for cell, value in spec.goal_cells.items():
         p[cell, :, :] = 0.0
-        p[cell, :, cell if spec.absorbing_goals else sink] = 1.0
+        p[cell, :, cell] = 1.0
         q[cell, :, :] = 0.0
         q[cell, :, u_index[value]] = 1.0
-    if has_sink:
-        p[sink, :, sink] = 1.0
     return TabularMdp(p=p, reward_support=support, q=q, gamma=spec.gamma)
-
-
-def build_two_rooms(spec: GridSpec) -> TabularMdp:
-    """Two-rooms gridworld: wall with a single door, absorbing goal cells."""
-    return _build_grid(spec)
 
 
 def build_multi_goal_grid(spec: GridSpec, per_task_goal_rewards) -> list:
@@ -121,17 +109,7 @@ def build_multi_goal_grid(spec: GridSpec, per_task_goal_rewards) -> list:
     for rewards in per_task_goal_rewards:
         if set(rewards) != cells:
             raise ValueError("all tasks must share the goal positions")
-        task_spec = GridSpec(
-            width=spec.width,
-            height=spec.height,
-            goal_cells=dict(rewards),
-            action_failure_prob=spec.action_failure_prob,
-            wall_column=spec.wall_column,
-            door_row=spec.door_row,
-            absorbing_goals=spec.absorbing_goals,
-            gamma=spec.gamma,
-        )
-        mdps.append(_build_grid(task_spec))
+        mdps.append(build_grid(replace(spec, goal_cells=dict(rewards))))
     # Force a shared reward support across tasks.
     support = sorted({0.0} | {v for r in per_task_goal_rewards for v in r.values()})
     return [_with_support(m, np.array(support)) for m in mdps]
@@ -152,13 +130,12 @@ def two_rooms_family(
     height: int = 12,
     action_failure_prob: float = 0.1,
     gamma: float = 0.99,
-    goal_reward: float = 1.0,
 ) -> list:
     """Family of two-rooms tasks with per-task door and goal positions.
 
     The wall sits in the middle column; task i has the door at row
-    i mod height and an absorbing goal in the right room, spread over
-    distinct cells.
+    i mod height and an absorbing goal of reward 1 in the right room,
+    spread over distinct cells.  Every task has the reward support {0, 1}.
     """
     wall = width // 2
     mdps = []
@@ -169,33 +146,28 @@ def two_rooms_family(
         spec = GridSpec(
             width=width,
             height=height,
-            goal_cells={goal_row * width + goal_col: goal_reward},
+            goal_cells={goal_row * width + goal_col: 1.0},
             action_failure_prob=action_failure_prob,
             wall_column=wall,
             door_row=door_row,
-            absorbing_goals=True,
             gamma=gamma,
         )
-        mdps.append(build_two_rooms(spec))
-    support = np.array(sorted({0.0, goal_reward}))
-    return [_with_support(m, support) for m in mdps]
+        mdps.append(build_grid(spec))
+    return mdps
 
 
 def multi_goal_family(
     num_tasks: int = 7,
     width: int = 12,
     height: int = 12,
-    action_failure_prob: float = 0.1,
     gamma: float = 0.9999,
-    best_reward_true: float = 0.8,
-    best_reward_other: float = 0.81,
-    base_reward: float = 0.7,
 ) -> list:
     """Multi-goal family: shared goal cells in/near the corners, each task's
-    best goal slightly better than the shared baseline value.
+    best goal slightly better than the shared baseline value 0.7.
 
-    Task 0 (the designated true task) has its best goal at best_reward_true;
-    every other task has a different best goal at best_reward_other.
+    Task 0 (the designated true task) has its best goal at 0.8; every other
+    task has a different best goal at 0.81.  Actions fail with probability
+    0.1.
     """
     corners = [
         (0, 0), (0, width - 1), (height - 1, 0), (height - 1, width - 1),
@@ -204,17 +176,10 @@ def multi_goal_family(
     goal_cells = [r * width + c for r, c in corners[:num_tasks]]
     per_task = []
     for i in range(num_tasks):
-        rewards = {g: base_reward for g in goal_cells}
-        rewards[goal_cells[i]] = best_reward_true if i == 0 else best_reward_other
+        rewards = {g: 0.7 for g in goal_cells}
+        rewards[goal_cells[i]] = 0.8 if i == 0 else 0.81
         per_task.append(rewards)
-    spec = GridSpec(
-        width=width,
-        height=height,
-        goal_cells=per_task[0],
-        action_failure_prob=action_failure_prob,
-        absorbing_goals=True,
-        gamma=gamma,
-    )
+    spec = GridSpec(width=width, height=height, goal_cells=per_task[0], gamma=gamma)
     return build_multi_goal_grid(spec, per_task)
 
 
@@ -230,7 +195,6 @@ class ObjectworldSpec:
     gamma: float = 0.9
     base_value_subset: tuple | None = (0.0, 0.2, 0.5, 0.96)
     duplicate_of: dict | None = None
-    duplicate_up_prob: float = 0.9
 
     def __post_init__(self):
         values = tuple(self.item_values)
@@ -243,16 +207,16 @@ class ObjectworldSpec:
                 raise ValueError("probabilities must lie in [0, 1)")
 
 
-def _objectworld_mdp(spec: ObjectworldSpec, placement, pick_actions, trans_fail) -> TabularMdp:
+def _objectworld_mdp(spec: ObjectworldSpec, placement, pick_actions) -> TabularMdp:
     grid = GridSpec(
         width=spec.side,
         height=spec.side,
         goal_cells={},
-        action_failure_prob=trans_fail,
+        action_failure_prob=spec.transition_failure_prob,
         gamma=spec.gamma,
     )
-    S = spec.side * spec.side
-    p = _grid_transitions(grid, S)
+    S = grid.num_cells
+    p = _grid_transitions(grid)
     support = np.array(spec.item_values)
     u_index = {float(v): i for i, v in enumerate(support)}
     zero_idx = u_index[0.0] if 0.0 in u_index else None
@@ -281,12 +245,14 @@ def _sample_placement(spec: ObjectworldSpec, values, rng) -> dict:
 
 
 def _near_duplicate(spec: ObjectworldSpec, placement, rng) -> dict:
-    """Perturb a base placement to a nearby, mostly slightly-better task."""
+    """Perturb a base placement to a nearby, mostly slightly-better task:
+    each item moves one rung up the value ladder with probability 0.9, else
+    one rung down."""
     ladder = list(spec.item_values)
     out = {}
     for cell, value in placement.items():
         i = ladder.index(value)
-        if rng.random() < spec.duplicate_up_prob:
+        if rng.random() < 0.9:
             j = min(i + 1, len(ladder) - 1)
         else:
             j = max(i - 1, 0)
@@ -308,8 +274,6 @@ def build_objectworld_family(spec: ObjectworldSpec, k: int, rng) -> list:
     duplicates = spec.duplicate_of or {}
     if any(not 0 <= b < k or b == i for i, b in duplicates.items()):
         raise ValueError("invalid duplicate mapping")
-    trans_fail = spec.transition_failure_prob
-    fails = list(trans_fail) if np.ndim(trans_fail) else [trans_fail] * k
 
     pick_actions = {cell: int(rng.integers(NUM_ACTIONS)) for cell in range(S)}
     placements: list = [None] * k
@@ -320,9 +284,7 @@ def build_objectworld_family(spec: ObjectworldSpec, k: int, rng) -> list:
         if b in duplicates:
             raise ValueError("duplicate base task must not itself be a duplicate")
         placements[i] = _near_duplicate(spec, placements[b], rng)
-    return [
-        _objectworld_mdp(spec, placements[i], pick_actions, fails[i]) for i in range(k)
-    ]
+    return [_objectworld_mdp(spec, placement, pick_actions) for placement in placements]
 
 
 def paper_objectworld_duplicates() -> dict:

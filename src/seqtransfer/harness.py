@@ -35,6 +35,19 @@ class ConfigError(ValueError):
     """The experiment configuration is missing or malformed."""
 
 
+def _typed(doc: dict, key, kind, default):
+    """``doc[key]`` converted by ``kind`` (int or float), or ``default`` when
+    the key is absent or null; a value ``kind`` rejects is a ConfigError."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"{key!r} must be a number ({kind.__name__}), got {value!r}") from None
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description loaded from a JSON document."""
@@ -68,8 +81,8 @@ class ExperimentConfig:
         out_dir = doc.get("output_dir")
         return cls(
             scenario=scenario,
-            num_runs=int(doc.get("num_runs", 1)),
-            base_seed=int(doc.get("base_seed", 0)),
+            num_runs=_typed(doc, "num_runs", int, 1),
+            base_seed=_typed(doc, "base_seed", int, 0),
             params=params,
             output_dir=Path(out_dir) if out_dir else None,
         )
@@ -86,8 +99,11 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
-    def get(self, key, default=None):
-        return self.params.get(key, default)
+    def typed(self, key, kind, default):
+        """Parameter ``key`` converted by ``kind`` (int or float), or
+        ``default`` when it is absent or null; raises ConfigError when
+        ``kind`` rejects it."""
+        return _typed(self.params, key, kind, default)
 
 
 def run_rng(base_seed: int, run_index: int) -> np.random.Generator:
@@ -176,40 +192,40 @@ def build_family(cfg: ExperimentConfig):
     """The task family (and chain, when one applies) for a scenario."""
     if cfg.scenario == "two-rooms":
         family = two_rooms_family(
-            num_tasks=int(cfg.get("num_tasks", 12)),
-            width=int(cfg.get("width", 12)),
-            height=int(cfg.get("height", 12)),
-            action_failure_prob=float(cfg.get("action_failure_prob", 0.1)),
-            gamma=float(cfg.get("gamma", 0.99)),
+            num_tasks=cfg.typed("num_tasks", int, 12),
+            width=cfg.typed("width", int, 12),
+            height=cfg.typed("height", int, 12),
+            action_failure_prob=cfg.typed("action_failure_prob", float, 0.1),
+            gamma=cfg.typed("gamma", float, 0.99),
         )
         return family, None
     if cfg.scenario == "multi-goal":
         family = multi_goal_family(
-            num_tasks=int(cfg.get("num_tasks", 7)),
-            width=int(cfg.get("width", 12)),
-            height=int(cfg.get("height", 12)),
-            gamma=float(cfg.get("gamma", 0.9999)),
+            num_tasks=cfg.typed("num_tasks", int, 7),
+            width=cfg.typed("width", int, 12),
+            height=cfg.typed("height", int, 12),
+            gamma=cfg.typed("gamma", float, 0.9999),
         )
         return family, None
     if cfg.scenario == "objectworld":
-        duplicates = cfg.get("duplicate_of")
+        duplicates = cfg.params.get("duplicate_of")
         if duplicates == "paper":
             duplicates = paper_objectworld_duplicates()
         elif duplicates is not None:
             duplicates = {int(a): int(b) for a, b in duplicates.items()}
         spec = ObjectworldSpec(
-            side=int(cfg.get("side", 5)),
-            gamma=float(cfg.get("gamma", 0.9)),
-            transition_failure_prob=cfg.get("transition_failure_prob", 0.1),
-            reward_failure_prob=float(cfg.get("reward_failure_prob", 0.012)),
+            side=cfg.typed("side", int, 5),
+            gamma=cfg.typed("gamma", float, 0.9),
+            transition_failure_prob=cfg.typed("transition_failure_prob", float, 0.1),
+            reward_failure_prob=cfg.typed("reward_failure_prob", float, 0.012),
             duplicate_of=duplicates,
         )
-        k = int(cfg.get("num_tasks", 8))
+        k = cfg.typed("num_tasks", int, 8)
         family = build_objectworld_family(spec, k, run_rng(cfg.base_seed, 2 ** 31))
         chain = successor_chain(
             k,
-            p_succ=float(cfg.get("p_succ", 0.97)),
-            p_skip=float(cfg.get("p_skip", 0.015)),
+            p_succ=cfg.typed("p_succ", float, 0.97),
+            p_skip=cfg.typed("p_skip", float, 0.015),
         )
         return family, chain
     raise ConfigError(f"scenario {cfg.scenario!r} has no task family")

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_TOL = 1e-9
+# Sup-norm error of the values ``value_iteration`` returns.
+VALUE_TOL = 1e-8
 
 
 class ShapeMismatchError(ValueError):
@@ -129,19 +131,17 @@ def is_eps_optimal(mdp: TabularMdp, v_star: np.ndarray, pi: np.ndarray,
     return bool(np.max(v_star - policy_evaluation(mdp, pi)) <= eps + 1e-6)
 
 
-def value_iteration(mdp: TabularMdp, tol: float = 1e-8):
+def value_iteration(mdp: TabularMdp):
     """Optimal value function and greedy policy.
 
     Uses policy iteration (greedy step + exact evaluation), which converges
     in finitely many steps and is robust to discounts close to 1.  Stops once
-    the Bellman residual of V is at most tol*(1-gamma)/(2*gamma), which
-    guarantees sup-norm error at most tol.  Greedy ties break toward the
-    lowest action index.
+    the Bellman residual of V is at most VALUE_TOL*(1-gamma)/(2*gamma), which
+    guarantees sup-norm error at most ``VALUE_TOL``.  Greedy ties break
+    toward the lowest action index.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     gamma = mdp.gamma
-    target = tol * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else tol
+    target = VALUE_TOL * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else VALUE_TOL
     r = mdp.reward_means()
     S = mdp.num_states
     v = np.zeros(S)

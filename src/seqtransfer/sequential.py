@@ -17,6 +17,9 @@ is the same as one that made every start-up estimate (when none of those
 would have raised).  Start-up rows before the first estimate carry NaN
 error columns, an infinite ``delta_h`` and the full candidate set.
 
+The error bound and the pre-elimination slack of an estimate count the
+observations it read: the moments read whole triples only, so an estimate
+made from n observations counts 3*floor(n/3) of them.
 A task is ``degraded`` when its attempted estimate raised; the last
 successful estimate, if any, stays in use with the error bound and
 pre-elimination slack of the observation count it was computed from.  As
@@ -61,7 +64,11 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class SequentialConfig:
-    """Knobs of one sequential-transfer run."""
+    """Knobs of one sequential-transfer run.
+
+    Every value a run would reject at some task is rejected here, before
+    the start-up phase.
+    """
 
     num_tasks: int
     startup_tasks: int
@@ -95,10 +102,19 @@ class SequentialConfig:
                 raise ValueError(
                     f"pre-elimination needs delta <= delta_prime/(3 m^2) = {cap:g}"
                 )
-        if self.rho < 0 or (self.rho_final is not None and self.rho_final < 0):
-            raise ValueError("rho constants must be non-negative")
+        if min(self.rho, self.eta, self.rho_t) < 0 or (
+                self.rho_final is not None and self.rho_final < 0):
+            raise ValueError("rho, eta, rho_t and rho_final must be non-negative")
         if self.rtp_restarts < 1 or self.rtp_iters < 1:
             raise ValueError("rtp_restarts and rtp_iters must be at least 1")
+        if not self.eps > 0:
+            raise ValueError("eps must be positive")
+        if self.budget < 0:
+            raise ValueError("budget must be non-negative")
+        if self.fallback_per_pair is not None and self.fallback_per_pair < 1:
+            raise ValueError("fallback_per_pair must be at least 1")
+        if self.top_keep < 1:
+            raise ValueError("top_keep must be at least 1")
 
     def rho_at(self, h: int) -> float:
         """Linear decay of rho over the first ``rho_decay_tasks`` tasks."""
@@ -186,7 +202,7 @@ def pre_eliminate(t_hat: np.ndarray, survived, h: int, cfg: SequentialConfig,
         log_arg = 9.0 * k * obs_dim * cfg.num_tasks ** 2 / cfg.delta_prime
         slack += cfg.rho_t * k * math.sqrt(math.log(log_arg) / h)
     keep = {theta for theta in range(k) if score[theta] + slack > cfg.eta}
-    top = np.argsort(-score, kind="stable")[: max(cfg.top_keep, 1)]
+    top = np.argsort(-score, kind="stable")[: cfg.top_keep]
     keep.update(int(t) for t in top)
     return keep
 
@@ -220,8 +236,8 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
     trace = SequenceTrace()
     observations: list = []
     estimate: HmmEstimate | None = None
-    # The observation count and error bound the current estimate was
-    # computed with; a stale estimate keeps both.
+    # The observation count the current estimate read and its error bound;
+    # a stale estimate keeps both.
     estimate_obs = 0
     estimate_bound = math.inf
     # spectral.whitened_moments of the last triple count.
@@ -256,9 +272,10 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
             tau = result.tau
             survived = result.survived or set(active)
         else:
-            per_pair = cfg.startup_per_pair if in_startup else (
-                cfg.fallback_per_pair or cfg.startup_per_pair
-            )
+            if in_startup or cfg.fallback_per_pair is None:
+                per_pair = cfg.startup_per_pair
+            else:
+                per_pair = cfg.fallback_per_pair
             policy, emp = uniform_pac_fallback(g, per_pair, rng)
             mode = "startup" if in_startup else "fallback-gate"
             survived = set(range(k))
@@ -291,7 +308,7 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
             except (DegenerateMomentsError, DecompositionFailureError):
                 degraded = True
             else:
-                estimate_obs = len(observations)
+                estimate_obs = 3 * triples
                 estimate_bound = model_error_bound(
                     estimate_obs, cfg.rho_at(h), cfg.delta_prime, S, A, U)
 

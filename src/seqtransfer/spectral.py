@@ -130,15 +130,16 @@ class MomentSet:
     """Second/third-moment estimates from m observation triples.
 
     All matrices are stored in reduced coordinates of the observation span:
-    the full covariance of ``sigma[(i, j)]`` is
-    ``to_full(to_full(sigma[(i, j)]).T).T``.  The orthonormal basis behind
-    the coordinates is ``observations.T @ basis_weights`` (d x r), or the
-    identity when ``basis_weights`` is None; it is never formed.
+    the full form of an (r, r) matrix X is ``to_full(to_full(X).T).T``.
+    The orthonormal basis behind the coordinates is
+    ``observations.T @ basis_weights`` (d x r), or the identity when
+    ``basis_weights`` is None; it is never formed.  sigma[(i, j)] =
+    E[o_i o_j^T] names the cross-view covariances; the pipeline reads them
+    only through ``m2`` and ``recovery``.
     """
 
     observations: np.ndarray     # (3m, d) the observations of the triples
     basis_weights: np.ndarray | None  # (3m, r), or None for the identity
-    sigma: dict                  # (i, j) -> (r, r) covariance in reduced coords
     view1: np.ndarray            # (m, r) transformed first views
     view2: np.ndarray            # (m, r) transformed second views
     view3: np.ndarray            # (m, r) raw third views
@@ -196,11 +197,11 @@ def _span_coordinates(obs: np.ndarray):
     return vecs * roots, vecs / roots
 
 
-def estimate_moments(observations, rank: int | None = None) -> MomentSet:
+def estimate_moments(observations, rank: int) -> MomentSet:
     """Cross-view covariances and cross moments from consecutive triples.
 
     ``rank`` caps the pseudo-inverse rank of the view-transformation
-    covariances and of the recovery map (low-rank pre-truncation); pass the
+    covariances and of the recovery map (low-rank pre-truncation): the
     number of hidden tasks, which ``recover_parameters`` assumes.
     """
     obs = np.asarray(observations, dtype=float)
@@ -213,20 +214,17 @@ def estimate_moments(observations, rank: int | None = None) -> MomentSet:
     coords, weights = _span_coordinates(trimmed)  # (3m, r), (3m, r) or None
     o1, o2, o3 = coords[0::3], coords[1::3], coords[2::3]
 
-    sigma = {}
-    for (i, oi), (j, oj) in [((1, o1), (2, o2)), ((2, o2), (1, o1)),
-                             ((3, o3), (1, o1)), ((3, o3), (2, o2))]:
-        sigma[(i, j)] = oi.T @ oj / m
+    # The cross-view covariances sigma[(i, j)].
+    s12, s21 = o1.T @ o2 / m, o2.T @ o1 / m
+    s31, s32 = o3.T @ o1 / m, o3.T @ o2 / m
 
-    pinv_12 = _truncated_pinv(sigma[(1, 2)], rank)
-    pinv_21 = _truncated_pinv(sigma[(2, 1)], rank)
-    view1 = o1 @ pinv_12.T @ sigma[(3, 2)].T
-    view2 = o2 @ pinv_21.T @ sigma[(3, 1)].T
+    view1 = o1 @ _truncated_pinv(s12, rank).T @ s32.T
+    view2 = o2 @ _truncated_pinv(s21, rank).T @ s31.T
     m2 = view1.T @ view2 / m
     m2 = (m2 + m2.T) / 2.0
-    recovery = sigma[(2, 1)] @ _truncated_pinv(sigma[(3, 1)], rank)
+    recovery = s21 @ _truncated_pinv(s31, rank)
     return MomentSet(
-        observations=trimmed, basis_weights=weights, sigma=sigma,
+        observations=trimmed, basis_weights=weights,
         view1=view1, view2=view2, view3=o3, m2=m2, recovery=recovery,
         num_triples=m,
     )
@@ -292,8 +290,7 @@ def _cubic_form(t3: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ri,rj,rk->r", t3, v, v, v)
 
 
-def rtp_decompose(t3: np.ndarray, k: int, restarts: int = 100, iters: int = 100,
-                  rng=None):
+def rtp_decompose(t3: np.ndarray, k: int, restarts: int, iters: int, rng):
     """Robust tensor power method: restarted, deflated power iteration.
 
     For each component all restarts are iterated as one (restarts, d)
@@ -301,14 +298,12 @@ def rtp_decompose(t3: np.ndarray, k: int, restarts: int = 100, iters: int = 100,
     is refined by more iterations and deflated.  ``iters`` caps each of
     the two iterations; a vector stops earlier once a step leaves it in
     place to within ``RTP_STEP_TOL`` (``_power_iterate``).  Each component
-    draws one (restarts, d) block of normals before it iterates.  Returns
-    k (eigenvalue, eigenvector) pairs with positive eigenvalues, the sign
-    absorbed into the eigenvector.
+    draws one (restarts, d) block of normals from ``rng`` before it
+    iterates.  Returns k (eigenvalue, eigenvector) pairs with positive
+    eigenvalues, the sign absorbed into the eigenvector.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iterations must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng()
     t3 = np.asarray(t3, dtype=float)
     dim = t3.shape[0]
     pairs = []
@@ -379,12 +374,12 @@ def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
 
 
 def align_columns(new: HmmEstimate, reference) -> np.ndarray:
-    """Permutation perm with new column perm[j] matching reference column j.
+    """Permutation perm with new column perm[j] matching column j of the
+    (d, k) matrix ``reference``.
 
-    ``reference`` is an HmmEstimate or a plain (d, k) matrix.  Solved as an
-    exact assignment over the column-distance cost matrix.
+    Solved as an exact assignment over the column-distance cost matrix.
     """
-    ref = reference.observation if isinstance(reference, HmmEstimate) else np.asarray(reference)
+    ref = np.asarray(reference)
     if ref.shape != new.observation.shape:
         raise ValueError("dimension mismatch between estimate and reference")
     k = ref.shape[1]
@@ -421,12 +416,15 @@ def whitened_moments(observations, k: int):
 
 
 def spectral_estimate(observations, k: int, layout: ObservationLayout,
-                      restarts: int = 100, iters: int = 100, rng=None,
+                      restarts: int, iters: int, rng,
                       reference=None, moments=None) -> HmmEstimate:
     """Full pipeline: moments, whitening, RTP, recovery, optional alignment.
 
-    ``moments`` is the output of ``whitened_moments`` for the same
-    observations and k, if the caller has it; otherwise it is computed.
+    ``restarts``, ``iters`` and ``rng`` go to ``rtp_decompose``.
+    ``reference``, a (d, k) matrix, relabels the estimate's columns to
+    match its own (``align_columns``).  ``moments`` is the output of
+    ``whitened_moments`` for the same observations and k, if the caller
+    has it; otherwise it is computed.
     """
     if moments is None:
         moments = whitened_moments(observations, k)

@@ -3,8 +3,11 @@
 ``bench/`` reaches into the package by name: ``tracing.TRACED`` wraps the
 layer boundaries it reports, and each workload's ``setup`` builds its
 inputs through the public API.  These tests fail when a change to the
-package breaks either, before a benchmark run would.
+package breaks either, before a benchmark run would.  The workloads also
+claim the settings of the acceptance criteria they time; the last tests
+hold them to that.
 """
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import speed  # noqa: E402
+import test_acceptance  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -41,3 +45,19 @@ def test_identification_round_reads_the_result_fields():
     ops = workload.run_round(state, trace=False, probe=speed.SpeedProbe())
     assert len(ops) == workload.ROUND
     assert not [op for op in ops if op.failed or op.problems]
+
+
+def test_sequential_workload_runs_criterion_10s_configs():
+    # Every field but the sequence length.
+    bench = workloads.SequentialObjectworld
+    configs = bench(101).setup()[2]
+    criterion = test_acceptance.sequential_configs()
+    assert configs == tuple(dataclasses.replace(cfg, num_tasks=bench.NUM_TASKS)
+                            for cfg in criterion)
+
+
+def test_identification_workload_runs_criteria_1_to_4s_settings():
+    bench = workloads.IdentifyTwoRooms
+    assert (bench.EPS, bench.DELTA, bench.BUDGET) == (
+        test_acceptance.TWO_ROOMS_EPS, test_acceptance.TWO_ROOMS_DELTA,
+        test_acceptance.TWO_ROOMS_BUDGET)

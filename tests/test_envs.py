@@ -11,9 +11,9 @@ from seqtransfer.envs import (
     ObjectworldSpec,
     TaskChain,
     _multinomial_pvals,
+    build_grid,
     build_multi_goal_grid,
     build_objectworld_family,
-    build_two_rooms,
     multi_goal_family,
     paper_objectworld_duplicates,
     sample_initial_task,
@@ -30,7 +30,7 @@ from seqtransfer.ptum import ApproxModelSet, EmpiricalModel
 class TestGrids:
     def test_success_mass_two_cell_strip(self):
         spec = GridSpec(width=2, height=1, goal_cells={}, action_failure_prob=0.1)
-        m = build_two_rooms(spec)
+        m = build_grid(spec)
         # Action 2 is "right"; moving right from cell 0 succeeds with
         # probability 1 - f + f/4.
         assert m.p[0, 2, 1] == pytest.approx(0.925)
@@ -38,7 +38,7 @@ class TestGrids:
 
     def test_zero_failure_is_deterministic(self):
         spec = GridSpec(width=3, height=3, goal_cells={}, action_failure_prob=0.0)
-        m = build_two_rooms(spec)
+        m = build_grid(spec)
         assert np.all(np.isin(m.p, (0.0, 1.0)))
 
     def test_door_outside_wall_rejected(self):
@@ -48,27 +48,17 @@ class TestGrids:
     def test_wall_blocks_and_door_passes(self):
         spec = GridSpec(width=4, height=2, goal_cells={}, action_failure_prob=0.0,
                         wall_column=2, door_row=1)
-        m = build_two_rooms(spec)
+        m = build_grid(spec)
         # Row 0 is walled: moving right from cell 1 stays in place.
         assert m.p[1, 2, 1] == 1.0
         # Row 1 has the door: moving right from cell 5 enters cell 6.
         assert m.p[5, 2, 6] == 1.0
 
     def test_absorbing_goal_repeats_reward(self):
-        spec = GridSpec(width=2, height=1, goal_cells={1: 1.0}, absorbing_goals=True,
-                        gamma=0.5)
-        m = build_two_rooms(spec)
+        spec = GridSpec(width=2, height=1, goal_cells={1: 1.0}, gamma=0.5)
+        m = build_grid(spec)
         v, _ = value_iteration(m)
         assert v[1] == pytest.approx(2.0, abs=1e-8)
-
-    def test_one_shot_goal_uses_sink(self):
-        spec = GridSpec(width=2, height=1, goal_cells={1: 1.0}, absorbing_goals=False,
-                        gamma=0.5)
-        m = build_two_rooms(spec)
-        assert m.num_states == 3
-        v, _ = value_iteration(m)
-        assert v[1] == pytest.approx(1.0, abs=1e-8)
-        assert v[2] == pytest.approx(0.0)
 
     def test_two_rooms_family_shapes(self):
         fam = two_rooms_family()

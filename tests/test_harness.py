@@ -47,8 +47,9 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(
             {"scenario": "two-rooms", "num_runs": 2, "eps": 0.1}
         )
-        assert cfg.get("eps") == 0.1
-        assert cfg.get("missing", 7) == 7
+        assert cfg.params == {"eps": 0.1}
+        assert cfg.typed("eps", float, 0.5) == 0.1
+        assert cfg.typed("missing", int, 7) == 7
 
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -231,6 +232,16 @@ class TestCli:
     def test_bad_scenario_config(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {"scenario": "nope"})
         assert main(["diagnose", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, doc", [
+        ("diagnose", {"scenario": "two-rooms", "eps": "abc"}),
+        ("export-env", {"scenario": "objectworld",
+                        "transition_failure_prob": [0.1, 0.2]}),
+    ])
+    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, command, doc):
+        cfg = self.write_cfg(tmp_path, doc)
+        assert main([command, cfg, "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_export_env(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from seqtransfer.mdp import (
+    VALUE_TOL,
     ShapeMismatchError,
     TabularMdp,
     discounted_occupancy,
@@ -101,16 +102,16 @@ class TestPlanning:
         rng = np.random.default_rng(0)
         for _ in range(10):
             m = random_mdp(rng)
-            v, pi = value_iteration(m, tol=1e-8)
+            v, pi = value_iteration(m)
             v_pi = policy_evaluation(m, pi)
             assert np.max(np.abs(v - v_pi)) < 2e-8
 
     def test_bellman_residual_invariant(self):
         rng = np.random.default_rng(1)
-        tol = 1e-8
+        tol = VALUE_TOL
         for _ in range(5):
             m = random_mdp(rng)
-            v, _ = value_iteration(m, tol=tol)
+            v, _ = value_iteration(m)
             q = m.reward_means() + m.gamma * (m.p @ v)
             residual = np.max(np.abs(q.max(axis=1) - v))
             assert residual <= tol * (1 - m.gamma) / (2 * m.gamma) * m.gamma + tol
@@ -121,10 +122,6 @@ class TestPlanning:
         v, _ = value_iteration(m)
         assert np.all(v >= -1e-9)
         assert np.all(v <= 1.0 / (1.0 - m.gamma) + 1e-9)
-
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            value_iteration(single_state_mdp(), tol=0.0)
 
 
 class TestStatistics:

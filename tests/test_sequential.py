@@ -78,6 +78,17 @@ class TestConfig:
             make_cfg(**{field: 0})
         assert getattr(make_cfg(**{field: 1}), field) == 1
 
+    @pytest.mark.parametrize("field, bad", [
+        ("eps", 0.0), ("budget", -1), ("fallback_per_pair", 0), ("top_keep", 0),
+        ("eta", -0.01), ("rho_t", -0.01),
+    ])
+    def test_values_a_run_cannot_use_rejected(self, field, bad):
+        # A run would raise on each of these only at its first transfer or
+        # gated task, after the start-up phase, or silently replace it (a
+        # zero fallback_per_pair, a zero top_keep), or never check it.
+        with pytest.raises(ValueError):
+            make_cfg(**{field: bad})
+
     def test_rho_at_endpoints(self):
         cfg = make_cfg(rho=0.135, rho_final=0.006, rho_decay_tasks=100,
                        num_tasks=150)
@@ -347,7 +358,8 @@ class TestRunSequential:
         # A stale estimate keeps the error bound and the pre-elimination
         # observation count it was computed with, so delta_h does not fall
         # across a degraded task.  With startup_tasks = 3k every estimate is
-        # read, the stale one by the task after the degraded one.
+        # read, the stale one by the task after the degraded one.  The count
+        # is that of the whole triples the moments read, 3 * (n // 3).
         k, fail_at = 3, 11
         estimate, eliminate = sequential.spectral_estimate, sequential.pre_eliminate
         counts = []
@@ -378,7 +390,7 @@ class TestRunSequential:
         assert math.isfinite(deltas[fail_at])
         assert deltas[fail_at + 1] == deltas[fail_at]
         assert deltas[fail_at + 2] < deltas[fail_at + 1]
-        assert counts == [fail_at if n == fail_at + 1 else n
+        assert counts == [3 * ((fail_at if n == fail_at + 1 else n) // 3)
                           for n in range(3 * k, 15)]
 
     def test_failed_first_read_estimate_closes_the_gate(self, monkeypatch):

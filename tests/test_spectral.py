@@ -86,33 +86,37 @@ def full_matrix(mom, reduced):
 
 class TestMoments:
     def test_identical_observations(self):
-        # Fewer observations than dimensions, then more.
+        # Fewer observations than dimensions, then more.  Every covariance
+        # is o o^T, so M2 is o o^T and the recovery map projects onto o.
         o = np.arange(1.0, 9.0)
         for obs in (np.tile(o, (6, 1)), np.tile(o, (9, 1))):
-            mom = estimate_moments(obs)
-            for key in ((1, 2), (2, 1), (3, 1), (3, 2)):
-                assert np.allclose(full_matrix(mom, mom.sigma[key]), np.outer(o, o))
+            mom = estimate_moments(obs, rank=1)
+            assert np.allclose(full_matrix(mom, mom.m2), np.outer(o, o))
+            assert np.allclose(full_matrix(mom, mom.recovery),
+                               np.outer(o, o) / (o @ o))
 
     def test_leftover_observations_discarded(self):
         rng = np.random.default_rng(1)
         obs = rng.normal(size=(7, 5))
-        assert estimate_moments(obs).num_triples == 2
+        assert estimate_moments(obs, rank=2).num_triples == 2
 
     def test_needs_three_observations(self):
         with pytest.raises(ValueError):
-            estimate_moments(np.zeros((2, 4)))
+            estimate_moments(np.zeros((2, 4)), rank=1)
 
     def test_reduced_basis_matches_dense_oracle(self):
         # The reduced-coordinate pipeline must agree with a naive dense
-        # computation of the covariances and M2, with more observations
+        # computation of M2 and of the recovery map, with more observations
         # than dimensions (the observations are the coordinates) and with
         # fewer (Gram coordinates), there with duplicated observations.
+        # The rank cap 10 = m bounds every covariance's rank, so it cuts
+        # nothing the dense pseudo-inverses keep.
         rng = np.random.default_rng(2)
         tall = rng.normal(size=(30, 12)) + 3.0
         wide = rng.normal(size=(30, 50)) + 3.0
         wide[[3, 9, 10, 27]] = wide[[0, 0, 4, 1]]
         for obs in (tall, wide):
-            mom = estimate_moments(obs)
+            mom = estimate_moments(obs, rank=10)
             assert (mom.basis_weights is None) == (obs is tall)
             m = 10
             o1, o2, o3 = obs[0::3], obs[1::3], obs[2::3]
@@ -120,22 +124,21 @@ class TestMoments:
             s21 = o2.T @ o1 / m
             s31 = o3.T @ o1 / m
             s32 = o3.T @ o2 / m
-            for key, dense in (((1, 2), s12), ((2, 1), s21), ((3, 1), s31),
-                               ((3, 2), s32)):
-                assert np.allclose(full_matrix(mom, mom.sigma[key]), dense,
-                                   atol=1e-10)
             v1 = (s32 @ np.linalg.pinv(s12, rcond=1e-10) @ o1.T).T
             v2 = (s31 @ np.linalg.pinv(s21, rcond=1e-10) @ o2.T).T
             m2 = v1.T @ v2 / m
             m2 = (m2 + m2.T) / 2
             assert np.allclose(full_matrix(mom, mom.m2), m2, atol=1e-8)
+            recovery = s21 @ np.linalg.pinv(s31, rcond=1e-10)
+            assert np.allclose(full_matrix(mom, mom.recovery), recovery,
+                               atol=1e-8)
 
     def test_gram_coordinates_drop_the_null_space(self):
         # Ten distinct rows among 30 in dimension 50: the coordinates have
         # rank 10, and their basis is orthonormal.
         rng = np.random.default_rng(19)
         obs = rng.normal(size=(10, 50))[rng.integers(0, 10, size=30)]
-        mom = estimate_moments(obs)
+        mom = estimate_moments(obs, rank=10)
         basis = mom.to_full(np.eye(mom.basis_weights.shape[1]))
         assert basis.shape == (50, 10)
         assert np.allclose(basis.T @ basis, np.eye(10), atol=1e-10)
@@ -209,7 +212,8 @@ class TestRtp:
 
     def test_zero_tensor_fails(self):
         with pytest.raises(DecompositionFailureError):
-            rtp_decompose(np.zeros((3, 3, 3)), 1, rng=np.random.default_rng(6))
+            rtp_decompose(np.zeros((3, 3, 3)), 1, restarts=100, iters=100,
+                          rng=np.random.default_rng(6))
 
     @staticmethod
     def reference_rtp(t3, k, restarts, iters, rng, stop=True):
