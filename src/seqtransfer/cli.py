@@ -20,6 +20,7 @@ from .harness import (
     ExperimentConfig,
     aggregate,
     build_family,
+    config_values,
     export_models_json,
     random_hmm_family,
     run_rng,
@@ -121,7 +122,8 @@ def cmd_run_sequential(args) -> int:
     family, chain = build_family(cfg)
     if chain is None:
         raise ConfigError("run-sequential needs a scenario with a task chain")
-    seq_cfg = _sequential_config(cfg, args.static)
+    with config_values():
+        seq_cfg = _sequential_config(cfg, args.static)
 
     def one_run(i):
         rng = run_rng(cfg.base_seed, i)

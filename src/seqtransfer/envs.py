@@ -136,7 +136,10 @@ def two_rooms_family(
     The wall sits in the middle column; task i has the door at row
     i mod height and an absorbing goal of reward 1 in the right room,
     spread over distinct cells.  Every task has the reward support {0, 1}.
+    The right room needs a column, so the width must be at least 3.
     """
+    if width < 3 or height < 1:
+        raise ValueError("two-rooms grids need width >= 3 and height >= 1")
     wall = width // 2
     mdps = []
     for i in range(num_tasks):
@@ -173,6 +176,8 @@ def multi_goal_family(
         (0, 0), (0, width - 1), (height - 1, 0), (height - 1, width - 1),
         (0, width // 2), (height - 1, width // 2), (height // 2, width - 1),
     ]
+    if not 1 <= num_tasks <= len(corners):
+        raise ValueError(f"the multi-goal family has 1 to {len(corners)} tasks")
     goal_cells = [r * width + c for r, c in corners[:num_tasks]]
     per_task = []
     for i in range(num_tasks):
@@ -183,26 +188,26 @@ def multi_goal_family(
     return build_multi_goal_grid(spec, per_task)
 
 
+# The objectworld reward support, sorted; 0 is the empty reward.
+ITEM_VALUES = (0.0, 0.02, 0.04, 0.2, 0.22, 0.24, 0.5, 0.52, 0.54, 0.96, 0.98, 1.0)
+# The values an independently sampled task places, and the probability
+# that a cell holds no item.
+BASE_VALUES = (0.0, 0.2, 0.5, 0.96)
+EMPTY_PROB = 0.5
+
+
 @dataclass(frozen=True)
 class ObjectworldSpec:
     """Parameters of the objectworld task family."""
 
     side: int = 5
-    item_values: tuple = (0.0, 0.02, 0.04, 0.2, 0.22, 0.24, 0.5, 0.52, 0.54, 0.96, 0.98, 1.0)
     reward_failure_prob: float = 0.012
     transition_failure_prob: float = 0.1
-    empty_prob: float = 0.5
     gamma: float = 0.9
-    base_value_subset: tuple | None = (0.0, 0.2, 0.5, 0.96)
     duplicate_of: dict | None = None
 
     def __post_init__(self):
-        values = tuple(self.item_values)
-        if list(values) != sorted(values):
-            raise ValueError("item values must be sorted")
-        if any(not 0.0 <= v <= 1.0 for v in values):
-            raise ValueError("item values must lie in [0, 1]")
-        for prob in (self.reward_failure_prob, self.transition_failure_prob, self.empty_prob):
+        for prob in (self.reward_failure_prob, self.transition_failure_prob):
             if not 0.0 <= prob < 1.0:
                 raise ValueError("probabilities must lie in [0, 1)")
 
@@ -217,46 +222,42 @@ def _objectworld_mdp(spec: ObjectworldSpec, placement, pick_actions) -> TabularM
     )
     S = grid.num_cells
     p = _grid_transitions(grid)
-    support = np.array(spec.item_values)
-    u_index = {float(v): i for i, v in enumerate(support)}
-    zero_idx = u_index[0.0] if 0.0 in u_index else None
-    if zero_idx is None:
-        raise ValueError("item values must include 0 (the empty reward)")
+    support = np.array(ITEM_VALUES)
+    u_index = {v: i for i, v in enumerate(ITEM_VALUES)}
     q = np.zeros((S, NUM_ACTIONS, support.shape[0]))
-    q[:, :, zero_idx] = 1.0
+    q[:, :, 0] = 1.0
     for cell, value in placement.items():
         a = pick_actions[cell]
         q[cell, a, :] = 0.0
-        q[cell, a, u_index[float(value)]] = 1.0 - spec.reward_failure_prob
-        q[cell, a, zero_idx] += spec.reward_failure_prob
+        q[cell, a, u_index[value]] = 1.0 - spec.reward_failure_prob
+        q[cell, a, 0] += spec.reward_failure_prob
     return TabularMdp(p=p, reward_support=support, q=q, gamma=spec.gamma)
 
 
-def _sample_placement(spec: ObjectworldSpec, values, rng) -> dict:
+def _sample_placement(spec: ObjectworldSpec, rng) -> dict:
     # Items placed with probability inversely proportional to their value,
     # smoothed so that a value of 0 stays finite.
-    weights = np.array([1.0 / (v + 0.05) for v in values])
+    weights = np.array([1.0 / (v + 0.05) for v in BASE_VALUES])
     weights /= weights.sum()
     placement = {}
     for cell in range(spec.side * spec.side):
-        if rng.random() >= spec.empty_prob:
-            placement[cell] = float(values[rng.choice(len(values), p=weights)])
+        if rng.random() >= EMPTY_PROB:
+            placement[cell] = BASE_VALUES[rng.choice(len(BASE_VALUES), p=weights)]
     return placement
 
 
-def _near_duplicate(spec: ObjectworldSpec, placement, rng) -> dict:
+def _near_duplicate(placement, rng) -> dict:
     """Perturb a base placement to a nearby, mostly slightly-better task:
     each item moves one rung up the value ladder with probability 0.9, else
-    one rung down."""
-    ladder = list(spec.item_values)
+    one rung down (``ITEM_VALUES`` is the ladder)."""
     out = {}
     for cell, value in placement.items():
-        i = ladder.index(value)
+        i = ITEM_VALUES.index(value)
         if rng.random() < 0.9:
-            j = min(i + 1, len(ladder) - 1)
+            j = min(i + 1, len(ITEM_VALUES) - 1)
         else:
             j = max(i - 1, 0)
-        out[cell] = ladder[j]
+        out[cell] = ITEM_VALUES[j]
     return out
 
 
@@ -264,13 +265,12 @@ def build_objectworld_family(spec: ObjectworldSpec, k: int, rng) -> list:
     """k objectworld tasks over a shared grid and reward support.
 
     Tasks listed in ``spec.duplicate_of`` (task index -> base task index) are
-    near-duplicates of an earlier task; the rest are sampled independently,
-    restricted to ``spec.base_value_subset`` when set.
+    near-duplicates of an earlier task; the rest are sampled independently
+    from ``BASE_VALUES``.
     """
     if k < 2:
         raise ValueError("need at least 2 tasks")
     S = spec.side * spec.side
-    base_values = spec.base_value_subset or spec.item_values
     duplicates = spec.duplicate_of or {}
     if any(not 0 <= b < k or b == i for i, b in duplicates.items()):
         raise ValueError("invalid duplicate mapping")
@@ -279,11 +279,11 @@ def build_objectworld_family(spec: ObjectworldSpec, k: int, rng) -> list:
     placements: list = [None] * k
     for i in range(k):
         if i not in duplicates:
-            placements[i] = _sample_placement(spec, base_values, rng)
+            placements[i] = _sample_placement(spec, rng)
     for i, b in sorted(duplicates.items()):
         if b in duplicates:
             raise ValueError("duplicate base task must not itself be a duplicate")
-        placements[i] = _near_duplicate(spec, placements[b], rng)
+        placements[i] = _near_duplicate(placements[b], rng)
     return [_objectworld_mdp(spec, placement, pick_actions) for placement in placements]
 
 

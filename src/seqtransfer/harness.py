@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,16 @@ SCENARIOS = ("two-rooms", "multi-goal", "objectworld", "synthetic-hmm")
 
 class ConfigError(ValueError):
     """The experiment configuration is missing or malformed."""
+
+
+@contextmanager
+def config_values():
+    """Re-raise a ValueError raised while building from config values as
+    the ConfigError it stands for."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _typed(doc: dict, key, kind, default):
@@ -189,45 +200,51 @@ def write_json(path, doc) -> None:
 
 
 def build_family(cfg: ExperimentConfig):
-    """The task family (and chain, when one applies) for a scenario."""
-    if cfg.scenario == "two-rooms":
-        family = two_rooms_family(
-            num_tasks=cfg.typed("num_tasks", int, 12),
-            width=cfg.typed("width", int, 12),
-            height=cfg.typed("height", int, 12),
-            action_failure_prob=cfg.typed("action_failure_prob", float, 0.1),
-            gamma=cfg.typed("gamma", float, 0.99),
-        )
-        return family, None
-    if cfg.scenario == "multi-goal":
-        family = multi_goal_family(
-            num_tasks=cfg.typed("num_tasks", int, 7),
-            width=cfg.typed("width", int, 12),
-            height=cfg.typed("height", int, 12),
-            gamma=cfg.typed("gamma", float, 0.9999),
-        )
-        return family, None
-    if cfg.scenario == "objectworld":
-        duplicates = cfg.params.get("duplicate_of")
-        if duplicates == "paper":
-            duplicates = paper_objectworld_duplicates()
-        elif duplicates is not None:
-            duplicates = {int(a): int(b) for a, b in duplicates.items()}
-        spec = ObjectworldSpec(
-            side=cfg.typed("side", int, 5),
-            gamma=cfg.typed("gamma", float, 0.9),
-            transition_failure_prob=cfg.typed("transition_failure_prob", float, 0.1),
-            reward_failure_prob=cfg.typed("reward_failure_prob", float, 0.012),
-            duplicate_of=duplicates,
-        )
-        k = cfg.typed("num_tasks", int, 8)
-        family = build_objectworld_family(spec, k, run_rng(cfg.base_seed, 2 ** 31))
-        chain = successor_chain(
-            k,
-            p_succ=cfg.typed("p_succ", float, 0.97),
-            p_skip=cfg.typed("p_skip", float, 0.015),
-        )
-        return family, chain
+    """The task family (and chain, when one applies) for a scenario; a
+    value the constructors reject is a ConfigError."""
+    with config_values():
+        if cfg.scenario == "two-rooms":
+            family = two_rooms_family(
+                num_tasks=cfg.typed("num_tasks", int, 12),
+                width=cfg.typed("width", int, 12),
+                height=cfg.typed("height", int, 12),
+                action_failure_prob=cfg.typed("action_failure_prob", float, 0.1),
+                gamma=cfg.typed("gamma", float, 0.99),
+            )
+            return family, None
+        if cfg.scenario == "multi-goal":
+            family = multi_goal_family(
+                num_tasks=cfg.typed("num_tasks", int, 7),
+                width=cfg.typed("width", int, 12),
+                height=cfg.typed("height", int, 12),
+                gamma=cfg.typed("gamma", float, 0.9999),
+            )
+            return family, None
+        if cfg.scenario == "objectworld":
+            duplicates = cfg.params.get("duplicate_of")
+            if duplicates == "paper":
+                duplicates = paper_objectworld_duplicates()
+            elif duplicates is not None:
+                try:
+                    duplicates = {int(a): int(b) for a, b in dict(duplicates).items()}
+                except (TypeError, ValueError):
+                    raise ValueError("'duplicate_of' must be \"paper\" or map tasks "
+                                     f"to tasks, got {duplicates!r}") from None
+            spec = ObjectworldSpec(
+                side=cfg.typed("side", int, 5),
+                gamma=cfg.typed("gamma", float, 0.9),
+                transition_failure_prob=cfg.typed("transition_failure_prob", float, 0.1),
+                reward_failure_prob=cfg.typed("reward_failure_prob", float, 0.012),
+                duplicate_of=duplicates,
+            )
+            k = cfg.typed("num_tasks", int, 8)
+            family = build_objectworld_family(spec, k, run_rng(cfg.base_seed, 2 ** 31))
+            chain = successor_chain(
+                k,
+                p_succ=cfg.typed("p_succ", float, 0.97),
+                p_skip=cfg.typed("p_skip", float, 0.015),
+            )
+            return family, chain
     raise ConfigError(f"scenario {cfg.scenario!r} has no task family")
 
 

@@ -7,33 +7,26 @@ are re-estimated, the uncertainty level is refreshed from the error-bound
 schedule, and unlikely next tasks are pre-eliminated from the candidate
 set of the following round.
 
-Estimation starts at max(3k, startup_tasks) observations.  With fewer than
-k triples (3k observations for k tasks) the second moment has rank below k
-and the whitening cannot succeed, and the start-up tasks, solved by uniform
-sampling, read no estimate: the first one read is the one made after the
-last start-up task.  Each skipped start-up estimate draws the normals its
-RTP starts would have drawn, so from the first transfer task on the run
-is the same as one that made every start-up estimate (when none of those
-would have raised).  Start-up rows before the first estimate carry NaN
-error columns, an infinite ``delta_h`` and the full candidate set.
+The moments read whole triples of consecutive observations, so one
+estimate is made per triple count: the first at max(3k, startup_tasks)
+observations, then at each count that completes a triple.  With fewer
+than k triples the second moment has rank below k, and the start-up tasks
+read no estimate.  Every count from 3k on that makes no estimate draws
+the normals its RTP starts would have drawn, so the stream is the one
+that estimating at every count would leave, as long as none raises.
+Start-up rows before the first estimate carry NaN error columns, an
+infinite ``delta_h`` and the full candidate set.
 
-The error bound and the pre-elimination slack of an estimate count the
-observations it read: the moments read whole triples only, so an estimate
-made from n observations counts 3*floor(n/3) of them.
-A task is ``degraded`` when its attempted estimate raised; the last
-successful estimate, if any, stays in use with the error bound and
-pre-elimination slack of the observation count it was computed from.  As
-no estimate is made before the last start-up task, a stale estimate is
-kept only once the transfer phase has started; when the first estimate
-raises, the first transfer task falls back with an infinite ``delta_h``.
-The whitened moments, which depend only on the number of observation
-triples, are computed once per triple count.  The candidate model set is
-built from the current estimate only for the tasks that run the
-elimination algorithm.
+An estimate's error bound and pre-elimination slack are computed when it
+is made, from the 3*floor(n/3) observations it read and ``rho_at`` of the
+task that made it.  A task is ``degraded`` when its attempted estimate
+raised.  A failed triple is not retried: the last good estimate, if any,
+stays in use with its bound and slack until the next triple; with none,
+the tasks fall back with an infinite ``delta_h``.  The candidate model
+set is built only for the tasks that run the elimination algorithm.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -58,7 +51,6 @@ from .spectral import (
     spectral_estimate,
     unpack_models,
     vectorize_observation,
-    whitened_moments,
 )
 
 
@@ -212,11 +204,11 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
 
     ``family`` holds the hidden ground-truth models; they are used to draw
     samples, to evaluate returned policies, and (for diagnostics only) to
-    align the spectral estimates to true task labels.  Estimates are made
-    after each task from ``max(3k, cfg.startup_tasks)`` observations on,
-    so ``degraded`` marks only estimates that a later task reads; the
-    start-up rows before the first estimate have NaN ``o_col_err_max`` and
-    ``t_err_max``.
+    align the spectral estimates to true task labels.  One estimate is
+    made per triple count, from ``max(3k, cfg.startup_tasks)`` observations
+    on (module docstring), so ``degraded`` marks only estimates that a later
+    task reads; the start-up rows before the first estimate have NaN
+    ``o_col_err_max`` and ``t_err_max``.
     """
     family = list(family)
     k = len(family)
@@ -236,12 +228,13 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
     trace = SequenceTrace()
     observations: list = []
     estimate: HmmEstimate | None = None
-    # The observation count the current estimate read and its error bound;
-    # a stale estimate keeps both.
+    # The observation count the current estimate read, its error bound and
+    # its (diagnostic) errors against the truth; a stale estimate keeps all.
     estimate_obs = 0
     estimate_bound = math.inf
-    # spectral.whitened_moments of the last triple count.
-    moments, moments_triples = None, None
+    errors = (math.nan, math.nan)
+    # The triple count of the last attempted estimate.
+    estimate_triples = None
     delta_h = math.inf
     active: set = set(range(k))
     current_task: int | None = None
@@ -286,36 +279,27 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
 
         degraded = False
         # With fewer than k triples M2 has rank below k and whitening fails,
-        # and no solve reads an estimate made before the last start-up task.
-        if 3 * k <= len(observations) < cfg.startup_tasks:
-            # Spend the skipped estimate's RTP draws, to keep the stream.
-            rng.standard_normal((k, cfg.rtp_restarts, k))
-        elif len(observations) >= 3 * k:
-            triples = len(observations) // 3
-            if triples != moments_triples:
-                # Drop the old moments before computing the new ones.  If
-                # they raise they stay None, and spectral_estimate computes
-                # them again and raises, so every degradation leaves that call.
-                moments, moments_triples = None, triples
-                with contextlib.suppress(DegenerateMomentsError):
-                    moments = whitened_moments(observations, k)
+        # no solve reads an estimate made before the last start-up task, and
+        # the moments read whole triples only.
+        n = len(observations)
+        if n >= max(3 * k, cfg.startup_tasks) and n // 3 != estimate_triples:
+            estimate_triples = n // 3
             try:
                 estimate = spectral_estimate(
                     observations, k, layout,
                     restarts=cfg.rtp_restarts, iters=cfg.rtp_iters,
-                    rng=rng, reference=o_true, moments=moments,
+                    rng=rng, reference=o_true,
                 )
             except (DegenerateMomentsError, DecompositionFailureError):
                 degraded = True
             else:
-                estimate_obs = 3 * triples
+                estimate_obs = 3 * estimate_triples
                 estimate_bound = model_error_bound(
                     estimate_obs, cfg.rho_at(h), cfg.delta_prime, S, A, U)
-
-        if estimate is not None:
-            o_err, t_err = estimate_errors(estimate, o_true, t_true)
-        else:
-            o_err = t_err = math.nan
+                errors = estimate_errors(estimate, o_true, t_true)
+        elif n >= 3 * k:
+            # Spend the skipped estimate's RTP draws, to keep the stream.
+            rng.standard_normal((k, cfg.rtp_restarts, k))
 
         record = TaskRecord(
             h=h,
@@ -325,8 +309,8 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
             eps_optimal=is_eps_optimal(truth, true_values[current_task], policy, cfg.eps),
             active_set_size=len(active),
             delta_h=delta_h,
-            o_col_err_max=o_err,
-            t_err_max=t_err,
+            o_col_err_max=errors[0],
+            t_err_max=errors[1],
             degraded=degraded,
             tau=tau,
             true_in_active=current_task in active,

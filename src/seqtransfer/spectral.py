@@ -6,10 +6,9 @@ h-dependent error-bound schedule.
 
 The pipeline splits into a deterministic stage and a random one.
 ``whitened_moments`` (moments, whitening, whitened third moment) draws no
-random numbers and depends only on the observation triples, so a caller
-whose triple count has not changed can hand its last result back to
-``spectral_estimate``.  It signs each whitening column by the whitened
-third moment, so the result does not depend on the signs ``eigh`` picks.
+random numbers and reads only whole observation triples.  It signs each
+whitening column by the whitened third moment, so the result does not
+depend on the signs ``eigh`` picks.
 ``rtp_decompose`` draws every random start of a component in one call,
 before any iteration, and power-iterates all restarts as one stack.  Each
 restart stops at the first step that moves none of its entries by more
@@ -406,9 +405,7 @@ def whitened_moments(observations, k: int):
 
     Returns ``(moments, W, T3)``, with each column of W signed so that its
     diagonal entry of T3 is non-negative.  It draws no random numbers and
-    reads only the first ``3 * (len(observations) // 3)`` observations, so
-    callers may reuse it for every observation count with the same number
-    of triples.
+    reads only the first ``3 * (len(observations) // 3)`` observations.
     """
     moments = estimate_moments(observations, rank=k)
     w = whiten(moments.m2, k)
@@ -417,18 +414,17 @@ def whitened_moments(observations, k: int):
 
 def spectral_estimate(observations, k: int, layout: ObservationLayout,
                       restarts: int, iters: int, rng,
-                      reference=None, moments=None) -> HmmEstimate:
+                      reference=None) -> HmmEstimate:
     """Full pipeline: moments, whitening, RTP, recovery, optional alignment.
 
-    ``restarts``, ``iters`` and ``rng`` go to ``rtp_decompose``.
-    ``reference``, a (d, k) matrix, relabels the estimate's columns to
-    match its own (``align_columns``).  ``moments`` is the output of
-    ``whitened_moments`` for the same observations and k, if the caller
-    has it; otherwise it is computed.
+    ``restarts``, ``iters`` and ``rng`` go to ``rtp_decompose``, whose
+    normals are the only draws: a successful estimate draws k blocks of
+    (restarts, k).  ``reference``, a (d, k) matrix, relabels the estimate's
+    columns to match its own (``align_columns``).  Raises
+    ``DegenerateMomentsError`` or ``DecompositionFailureError`` when the
+    moments lose rank or RTP finds no positive eigenvalue.
     """
-    if moments is None:
-        moments = whitened_moments(observations, k)
-    moment_set, w, t3 = moments
+    moment_set, w, t3 = whitened_moments(observations, k)
     pairs = rtp_decompose(t3, k, restarts=restarts, iters=iters, rng=rng)
     est = recover_parameters(moment_set, pairs, w, layout)
     if reference is not None:

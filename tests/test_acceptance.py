@@ -411,32 +411,58 @@ def objectworld_setup():
 
 
 def seq_static_run(i, setup):
+    """The CSV row of one pair, and the pre-elimination run's transfer
+    tasks that are not eps-optimal and those whose true task is missing
+    from the candidate set, as (h, true task) lists."""
     family, chain = setup
     seq_cfg, static_cfg = sequential_configs()
     per_task = []
     for cfg in (seq_cfg, static_cfg):
         trace = run_sequential(cfg, family, chain, run_rng(SEED_SEQ_STATIC, i))
-        transfer = [r.queries for r in trace.records if r.h >= SEQ_STARTUP]
-        per_task.append(float(np.mean(transfer)))
-    return (i, per_task[0], per_task[1])
+        transfer = [r for r in trace.records if r.h >= SEQ_STARTUP]
+        per_task.append(float(np.mean([r.queries for r in transfer])))
+        if cfg.pre_elimination:
+            failures = [(r.h, r.true_task) for r in transfer if not r.eps_optimal]
+            misses = [(r.h, r.true_task) for r in transfer if not r.true_in_active]
+    return (i, per_task[0], per_task[1]), (failures, misses)
 
 
 @pytest.fixture(scope="module")
 def seq_static_sweep(objectworld_setup):
     start = time.perf_counter()
-    rows = [seq_static_run(i, objectworld_setup) for i in range(5)]
+    rows, faults = zip(*(seq_static_run(i, objectworld_setup) for i in range(5)))
     elapsed = time.perf_counter() - start
-    return format_csv(SEQ_HEADER, rows), rows, elapsed
+    return format_csv(SEQ_HEADER, rows), rows, elapsed, faults
 
 
 def test_criterion_10_sequential_vs_static(seq_static_sweep):
-    _, rows, elapsed = seq_static_sweep
+    _, rows, elapsed, _ = seq_static_sweep
     diffs = [r[1] - r[2] for r in rows]
     agg = aggregate(diffs, level=0.95)
     ok = agg.mean + agg.half_width <= 0.0 and elapsed < 1800.0
     report(10, ok,
            f"paired diff {agg.mean:.1f} +/- {agg.half_width:.1f} "
            f"queries/task (95% CI), wall clock {elapsed:.0f}s")
+
+
+# The pre-elimination runs of criterion 10 return wrong policies in silence
+# (ROADMAP item 1): 4 of the 250 transfer tasks are not eps-optimal, and in
+# 11 the true task is missing from the candidate set.  Criterion 10 does
+# not see either; this count must not grow.
+KNOWN_SEQ_FAILURES, KNOWN_SEQ_MISSES = 4, 11
+
+
+def test_criterion_10_known_fault_does_not_grow(seq_static_sweep):
+    faults = seq_static_sweep[3]
+    for run, (failures, misses) in enumerate(faults):
+        print(f"criterion 10 run {run}: not eps-optimal at (h, task) {failures}, "
+              f"true task missing at {misses}")
+    failures = sum(len(f) for f, _ in faults)
+    misses = sum(len(m) for _, m in faults)
+    transfer = len(faults) * (sequential_configs()[0].num_tasks - SEQ_STARTUP)
+    print(f"criterion 10 pre-elimination: {failures} not eps-optimal, "
+          f"{misses} true-task misses over {transfer} transfer tasks")
+    assert failures <= KNOWN_SEQ_FAILURES and misses <= KNOWN_SEQ_MISSES
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +540,7 @@ def test_criterion_12_determinism(two_rooms_setup, two_rooms_sweep,
     check("rtp", [rtp_run(i) for i in range(100)], rtp_sweep[0], RTP_HEADER)
     check("pre-elim", [pre_elim_run(i, pre_elim_cfg) for i in range(100)],
           pre_elim_sweep[0], PRE_ELIM_HEADER)
-    check("seq-static", [seq_static_run(0, objectworld_setup)],
+    check("seq-static", [seq_static_run(0, objectworld_setup)[0]],
           seq_static_sweep[0], SEQ_HEADER)
     check("sim-lemma", [sim_lemma_run(i) for i in range(200)],
           sim_lemma_sweep[0], SIM_HEADER)

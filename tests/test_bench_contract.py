@@ -2,8 +2,10 @@
 
 ``bench/`` reaches into the package by name: ``tracing.TRACED`` wraps the
 layer boundaries it reports, and each workload's ``setup`` builds its
-inputs through the public API.  These tests fail when a change to the
-package breaks either, before a benchmark run would.  The workloads also
+inputs through the public API; the sequential workload captures each
+task's policy through the two solvers ``sequential`` looks up by name.
+These tests fail when a change to the package breaks any of this, before
+a benchmark run would.  The workloads also
 claim the settings of the acceptance criteria they time; the last tests
 hold them to that.
 """
@@ -11,7 +13,11 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from seqtransfer import sequential
+from seqtransfer.envs import successor_chain
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -19,6 +25,7 @@ import speed  # noqa: E402
 import test_acceptance  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+from test_sequential import make_cfg, tiny_family  # noqa: E402
 
 
 def test_session_installs_and_removes_every_traced_wrapper():
@@ -45,6 +52,24 @@ def test_identification_round_reads_the_result_fields():
     ops = workload.run_round(state, trace=False, probe=speed.SpeedProbe())
     assert len(ops) == workload.ROUND
     assert not [op for op in ops if op.failed or op.problems]
+
+
+def test_every_sequential_task_is_solved_through_a_captured_name():
+    # The sequential workload checks each task's policy, which it captures
+    # by wrapping run_ptum and uniform_pac_fallback as sequential looks
+    # them up; a task solved any other way would show up in the benchmark
+    # only as a policy count that does not match the records.
+    originals = sequential.run_ptum, sequential.uniform_pac_fallback
+    cfg = make_cfg(num_tasks=16, startup_tasks=12, startup_per_pair=200,
+                   post_sample_per_pair=200, rho=1e-3)
+    with workloads.captured_policies() as policies:
+        trace = sequential.run_sequential(cfg, tiny_family(3, seed=7),
+                                          successor_chain(3),
+                                          np.random.default_rng(6))
+    assert (sequential.run_ptum, sequential.uniform_pac_fallback) == originals
+    assert len(policies) == len(trace.records)
+    assert any(r.tau is not None for r in trace.records)
+    assert any(r.mode == "startup" for r in trace.records)
 
 
 def test_sequential_workload_runs_criterion_10s_configs():

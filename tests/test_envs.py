@@ -11,6 +11,7 @@ from seqtransfer.envs import (
     ObjectworldSpec,
     TaskChain,
     _multinomial_pvals,
+    _objectworld_mdp,
     build_grid,
     build_multi_goal_grid,
     build_objectworld_family,
@@ -100,21 +101,12 @@ class TestObjectworld:
         assert all(m.num_states == 25 and m.num_actions == 4 for m in fam)
         assert all(m.num_rewards == 12 for m in fam)
 
-    def test_zero_item_values(self):
-        spec = ObjectworldSpec(item_values=(0.0,), base_value_subset=None)
-        fam = build_objectworld_family(spec, 2, np.random.default_rng(1))
-        for m in fam:
-            v, _ = value_iteration(m)
-            assert np.allclose(v, 0.0)
-
     def test_single_cell_pick_cycle(self):
         # One cell holding a value-1 item with no failures: picking forever
         # yields the full geometric series.
-        spec = ObjectworldSpec(side=1, item_values=(0.0, 1.0), reward_failure_prob=0.0,
-                               transition_failure_prob=0.0, empty_prob=0.0,
-                               base_value_subset=(1.0,), gamma=0.9)
-        fam = build_objectworld_family(spec, 2, np.random.default_rng(2))
-        v, _ = value_iteration(fam[0])
+        spec = ObjectworldSpec(side=1, reward_failure_prob=0.0,
+                               transition_failure_prob=0.0, gamma=0.9)
+        v, _ = value_iteration(_objectworld_mdp(spec, {0: 1.0}, {0: 0}))
         assert v[0] == pytest.approx(10.0, abs=1e-8)
 
     def test_duplicates_stay_close(self):

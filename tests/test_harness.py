@@ -243,6 +243,25 @@ class TestCli:
         assert main([command, cfg, "--output-dir", str(tmp_path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc", [
+        ("export-env", {"scenario": "objectworld", "duplicate_of": [1, 0]}),
+        ("export-env", {"scenario": "objectworld", "duplicate_of": {"x": 0}}),
+        ("export-env", {"scenario": "objectworld", "duplicate_of": {"1": 9}}),
+        ("export-env", {"scenario": "objectworld", "p_succ": 0.99, "p_skip": 0.05}),
+        ("export-env", {"scenario": "objectworld", "reward_failure_prob": 1.5}),
+        ("export-env", {"scenario": "two-rooms", "width": 1}),
+        ("export-env", {"scenario": "multi-goal", "num_tasks": 9}),
+        ("run-sequential", {"scenario": "objectworld", "eps": -1}),
+    ])
+    def test_value_a_constructor_rejects_is_a_config_error(self, tmp_path, capsys,
+                                                           command, doc):
+        # Each of these exited 3 with a traceback from the family, chain or
+        # run-config constructor.
+        cfg = self.write_cfg(tmp_path, doc)
+        assert main([command, cfg, "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
     def test_export_env(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {
             "scenario": "objectworld", "num_tasks": 2, "side": 2,

@@ -293,9 +293,10 @@ class TestRunSequential:
         # Fewer than k triples cannot give a rank-k whitening, and no solve
         # reads an estimate made before the last start-up task, so no
         # estimate is attempted before max(3k, startup_tasks) observations
-        # and the start-up rows before it carry no error columns; the
-        # candidate model set is built only for the run_ptum call that
-        # reads it.
+        # and the start-up rows before it carry no error columns.  After it
+        # one estimate is made per triple count, so the tasks within one
+        # triple report the same error columns.  The candidate model set is
+        # built only for the run_ptum call that reads it.
         k = 3
         fam = tiny_family(k, seed=7)
         calls = {"estimate": [], "approx": 0, "ptum": 0}
@@ -323,7 +324,7 @@ class TestRunSequential:
                        post_sample_per_pair=200, rho=1e-3)
         trace = run_sequential(cfg, fam, successor_chain(k),
                                np.random.default_rng(6))
-        assert calls["estimate"] == list(range(cfg.startup_tasks, 17))
+        assert calls["estimate"] == [12, 15]
         assert calls["ptum"] > 0
         assert calls["approx"] == calls["ptum"]
         assert calls["ptum"] == sum(r.tau is not None for r in trace.records)
@@ -334,10 +335,14 @@ class TestRunSequential:
                    for r in trace.records[:first])
         assert all(math.isfinite(r.o_col_err_max) and math.isfinite(r.t_err_max)
                    for r in trace.records[first:])
+        errors = [(r.o_col_err_max, r.t_err_max) for r in trace.records]
+        assert errors[first:14] == [errors[first]] * 3
+        assert errors[14:] == [errors[14]] * 2
 
     def test_whitened_moments_once_per_triple_count(self, monkeypatch):
-        # The deterministic stage reads only whole triples, so it is
-        # computed once for each triple count, not once per estimate.
+        # The deterministic stage reads only whole triples, and one
+        # estimate is made per triple count, so it is computed once for
+        # each triple count.
         k = 3
         triples = []
         moments = spectral.estimate_moments
@@ -354,17 +359,53 @@ class TestRunSequential:
         assert not any(r.degraded for r in trace.records)
         assert triples == sorted({n // 3 for n in range(cfg.startup_tasks, 17)})
 
+    def test_every_count_from_3k_draws_one_normal_block(self, monkeypatch):
+        # Estimated or skipped (during start-up or within a triple), each
+        # observation count from 3k on draws one (k, restarts, k) block of
+        # normals between its post samples and the next task's chain step,
+        # so which counts estimate does not move the stream.
+        k = 3
+        after_post, before_next = [], []
+        post, next_task = sequential.collect_post_samples, sequential.sample_next_task
+
+        def recording_post(g, emp, per_pair, rng):
+            out = post(g, emp, per_pair, rng)
+            after_post.append(rng.bit_generator.state)
+            return out
+
+        def recording_next(chain, current, rng):
+            before_next.append(rng.bit_generator.state)
+            return next_task(chain, current, rng)
+
+        monkeypatch.setattr(sequential, "collect_post_samples", recording_post)
+        monkeypatch.setattr(sequential, "sample_next_task", recording_next)
+        cfg = make_cfg(num_tasks=16, startup_tasks=10, startup_per_pair=200,
+                       post_sample_per_pair=200, rho=1e-3, rtp_restarts=7)
+        trace = run_sequential(cfg, tiny_family(k, seed=7), successor_chain(k),
+                               np.random.default_rng(6))
+        assert not any(r.degraded for r in trace.records)
+        assert any(r.tau is not None for r in trace.records)
+        for n, (state, want) in enumerate(zip(after_post, before_next), start=1):
+            replay = np.random.default_rng()
+            replay.bit_generator.state = state
+            if n >= 3 * k:
+                replay.standard_normal((k, cfg.rtp_restarts, k))
+            assert replay.bit_generator.state == want, n
+
     def test_degraded_estimate_keeps_its_bound(self, monkeypatch):
         # A stale estimate keeps the error bound and the pre-elimination
         # observation count it was computed with, so delta_h does not fall
-        # across a degraded task.  With startup_tasks = 3k every estimate is
-        # read, the stale one by the task after the degraded one.  The count
-        # is that of the whole triples the moments read, 3 * (n // 3).
+        # across a degraded task, though rho decays.  The estimate of the
+        # triple completed at task fail_at raises; a failed triple is not
+        # retried, so the next attempt is at the next triple, three tasks
+        # later.  The count is that of the whole triples the moments read,
+        # 3 * (n // 3).
         k, fail_at = 3, 11
         estimate, eliminate = sequential.spectral_estimate, sequential.pre_eliminate
-        counts = []
+        attempts, counts = [], []
 
         def flaky_estimate(observations, *args, **kwargs):
+            attempts.append(len(observations))
             if len(observations) == fail_at + 1:
                 raise spectral.DegenerateMomentsError("forced")
             return estimate(observations, *args, **kwargs)
@@ -375,50 +416,53 @@ class TestRunSequential:
 
         monkeypatch.setattr(sequential, "spectral_estimate", flaky_estimate)
         monkeypatch.setattr(sequential, "pre_eliminate", recording_eliminate)
-        cfg = make_cfg(num_tasks=14, startup_tasks=3 * k, startup_per_pair=200,
-                       post_sample_per_pair=200, rho=2.0, rho_t=0.01,
-                       pre_elimination=True)
+        cfg = make_cfg(num_tasks=17, startup_tasks=3 * k, startup_per_pair=200,
+                       post_sample_per_pair=200, rho=2.0, rho_final=1.0,
+                       rho_decay_tasks=17, rho_t=0.01, pre_elimination=True)
         trace = run_sequential(cfg, tiny_family(k, seed=11), successor_chain(k),
                                np.random.default_rng(5))
         records = trace.records
+        assert attempts == [9, 12, 15]
         assert [r.h for r in records if r.degraded] == [fail_at]
         assert all(r.mode == "fallback-gate" for r in records[3 * k:])
         # The degraded task reports the stale estimate's errors.
         assert records[fail_at].o_col_err_max == records[fail_at - 1].o_col_err_max
         assert records[fail_at].t_err_max == records[fail_at - 1].t_err_max
         deltas = [r.delta_h for r in records]
-        assert math.isfinite(deltas[fail_at])
-        assert deltas[fail_at + 1] == deltas[fail_at]
-        assert deltas[fail_at + 2] < deltas[fail_at + 1]
-        assert counts == [3 * ((fail_at if n == fail_at + 1 else n) // 3)
-                          for n in range(3 * k, 15)]
+        assert math.isfinite(deltas[3 * k])
+        assert deltas[3 * k:fail_at + 4] == [deltas[3 * k]] * 6
+        assert deltas[fail_at + 4] < deltas[fail_at + 3]
+        assert counts == [9] * 6 + [15] * 3
 
     def test_failed_first_read_estimate_closes_the_gate(self, monkeypatch):
         # No estimate is made during start-up, so when the one made after
-        # the last start-up task raises there is no stale estimate to keep:
-        # the first transfer task falls back with an infinite delta_h and
-        # the full candidate set.
+        # the last start-up task raises there is no stale estimate to keep.
+        # A failed triple is not retried, so the tasks up to the next triple
+        # fall back with an infinite delta_h and the full candidate set.
         k, startup = 3, 12
         estimate = sequential.spectral_estimate
+        attempts = []
 
         def flaky_estimate(observations, *args, **kwargs):
+            attempts.append(len(observations))
             if len(observations) == startup:
                 raise spectral.DecompositionFailureError("forced")
             return estimate(observations, *args, **kwargs)
 
         monkeypatch.setattr(sequential, "spectral_estimate", flaky_estimate)
-        cfg = make_cfg(num_tasks=15, startup_tasks=startup, startup_per_pair=200,
+        cfg = make_cfg(num_tasks=16, startup_tasks=startup, startup_per_pair=200,
                        post_sample_per_pair=200, rho=1e-3, rho_t=0.01,
                        pre_elimination=True)
         trace = run_sequential(cfg, tiny_family(k, seed=7), successor_chain(k),
                                np.random.default_rng(6))
         records = trace.records
+        assert attempts == [startup, startup + 3]
         assert [r.h for r in records if r.degraded] == [startup - 1]
-        assert math.isnan(records[startup - 1].o_col_err_max)
-        first = records[startup]
-        assert first.mode == "fallback-gate"
-        assert first.delta_h == math.inf
-        assert first.active_set_size == k
-        assert math.isfinite(records[startup + 1].delta_h)
-        assert records[startup + 1].tau is not None
-        assert trace.degraded_fraction() == pytest.approx(1 / 15)
+        assert all(math.isnan(r.o_col_err_max) for r in records[:startup + 2])
+        for r in records[startup:startup + 3]:
+            assert r.mode == "fallback-gate"
+            assert r.delta_h == math.inf
+            assert r.active_set_size == k
+        assert math.isfinite(records[startup + 3].delta_h)
+        assert records[startup + 3].tau is not None
+        assert trace.degraded_fraction() == pytest.approx(1 / 16)

@@ -426,19 +426,6 @@ class TestRecovery:
         assert np.max(np.abs(est.observation - o_true)) < 0.05
         assert np.max(np.abs(est.transition - chain.transition)) < 0.05
 
-    def test_given_moments_match_computed_ones(self):
-        rng = np.random.default_rng(17)
-        fam, chain = random_hmm_family(3, 2, 2, 2, 0.9, rng)
-        layout = ObservationLayout(2, 2, 2)
-        obs, _ = simulate_hmm_observations(fam, chain, 301, 30, rng)
-        plain = spectral_estimate(obs, 3, layout, restarts=20, iters=50,
-                                  rng=np.random.default_rng(18))
-        reused = spectral_estimate(obs, 3, layout, restarts=20, iters=50,
-                                   rng=np.random.default_rng(18),
-                                   moments=whitened_moments(obs, 3))
-        assert reused.observation.tobytes() == plain.observation.tobytes()
-        assert reused.transition.tobytes() == plain.transition.tobytes()
-
     @staticmethod
     def qr_reference_observation(obs, k, layout, rng, restarts, iters):
         """The pipeline in an explicit orthonormal QR basis of the observation
@@ -483,12 +470,11 @@ class TestRecovery:
 
     @staticmethod
     @functools.cache
-    def hmm_moments(k):
-        """Observations of a k-task synthetic HMM and their whitened moments."""
+    def hmm_observations(k):
+        """Observations of a k-task synthetic HMM."""
         rng = np.random.default_rng(40 + k)
         fam, chain = random_hmm_family(k, 2, 2, 2, 0.9, rng)
-        obs, _ = simulate_hmm_observations(fam, chain, 600, 50, rng)
-        return obs, whitened_moments(obs, k)
+        return simulate_hmm_observations(fam, chain, 600, 50, rng)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 5), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
@@ -496,10 +482,9 @@ class TestRecovery:
         # A successful estimate's only draws are the RTP starts, k blocks of
         # (restarts, k) normals: a caller that skips an estimate keeps the
         # stream by drawing the same block.
-        obs, moments = self.hmm_moments(k)
         rng = np.random.default_rng(seed)
-        spectral_estimate(obs, k, ObservationLayout(2, 2, 2), restarts=restarts,
-                          iters=5, rng=rng, moments=moments)
+        spectral_estimate(self.hmm_observations(k), k, ObservationLayout(2, 2, 2),
+                          restarts=restarts, iters=5, rng=rng)
         skipped = np.random.default_rng(seed)
         skipped.standard_normal((k, restarts, k))
         assert rng.bit_generator.state == skipped.bit_generator.state
