@@ -48,10 +48,13 @@ def config_values():
 
 def _typed(doc: dict, key, kind, default):
     """``doc[key]`` converted by ``kind`` (int or float), or ``default`` when
-    the key is absent or null; a value ``kind`` rejects is a ConfigError."""
+    the key is absent or null; a value ``kind`` rejects, or a non-integral
+    float for an int, is a ConfigError."""
     value = doc.get(key)
     if value is None:
         return default
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -201,7 +204,9 @@ def write_json(path, doc) -> None:
 
 def build_family(cfg: ExperimentConfig):
     """The task family (and chain, when one applies) for a scenario; a
-    value the constructors reject is a ConfigError."""
+    value the constructors reject, or a family of fewer than 2 tasks, is a
+    ConfigError."""
+    chain = None
     with config_values():
         if cfg.scenario == "two-rooms":
             family = two_rooms_family(
@@ -211,16 +216,14 @@ def build_family(cfg: ExperimentConfig):
                 action_failure_prob=cfg.typed("action_failure_prob", float, 0.1),
                 gamma=cfg.typed("gamma", float, 0.99),
             )
-            return family, None
-        if cfg.scenario == "multi-goal":
+        elif cfg.scenario == "multi-goal":
             family = multi_goal_family(
                 num_tasks=cfg.typed("num_tasks", int, 7),
                 width=cfg.typed("width", int, 12),
                 height=cfg.typed("height", int, 12),
                 gamma=cfg.typed("gamma", float, 0.9999),
             )
-            return family, None
-        if cfg.scenario == "objectworld":
+        elif cfg.scenario == "objectworld":
             duplicates = cfg.params.get("duplicate_of")
             if duplicates == "paper":
                 duplicates = paper_objectworld_duplicates()
@@ -244,8 +247,11 @@ def build_family(cfg: ExperimentConfig):
                 p_succ=cfg.typed("p_succ", float, 0.97),
                 p_skip=cfg.typed("p_skip", float, 0.015),
             )
-            return family, chain
-    raise ConfigError(f"scenario {cfg.scenario!r} has no task family")
+        else:
+            raise ConfigError(f"scenario {cfg.scenario!r} has no task family")
+        if len(family) < 2:
+            raise ValueError(f"a task family needs at least 2 tasks, got {len(family)}")
+    return family, chain
 
 
 def export_models_json(family) -> dict:

@@ -57,8 +57,9 @@ class ApproxModelSet:
     the largest error, in any reward or transition mean or standard
     deviation, of the model that approximates the true task (0 for exact
     models).  It is the one source of these tables for the loop, the
-    diagnostics and the CLI.  Immutable once built; the information-index
-    table and the tables' extremes are computed on first use.
+    diagnostics and the CLI.  Immutable once built, its arrays read-only,
+    so one set can serve many runs; the information-index table and the
+    tables' extremes are computed on first use.
     """
 
     def __init__(self, models, delta: float = 0.0):
@@ -103,6 +104,9 @@ class ApproxModelSet:
         self.reward_gap = np.abs(self.rewards[:, None] - self.rewards[None, :])
         own = self.pv[np.arange(k), np.arange(k)]                       # (k, S, A)
         self.trans_gap = np.abs(own[:, None] - self.pv.transpose(1, 0, 2, 3))
+        for table in (self.values, self.policies, self.xval, self.rewards, self.sigma_r,
+                      self.sigma_p, self.pv, self.reward_gap, self.trans_gap):
+            table.setflags(write=False)
 
     @property
     def num_models(self) -> int:
@@ -118,8 +122,10 @@ class ApproxModelSet:
 
     @cached_property
     def info_table(self) -> np.ndarray:
-        """``info_index_table(self)``, shape (k, k, S, A)."""
-        return info_index_table(self)
+        """``info_index_table(self)``, shape (k, k, S, A), read-only."""
+        table = info_index_table(self)
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def extremes(self) -> dict:

@@ -22,8 +22,10 @@ is made, from the 3*floor(n/3) observations it read and ``rho_at`` of the
 task that made it.  A task is ``degraded`` when its attempted estimate
 raised.  A failed triple is not retried: the last good estimate, if any,
 stays in use with its bound and slack until the next triple; with none,
-the tasks fall back with an infinite ``delta_h``.  The candidate model
-set is built only for the tasks that run the elimination algorithm.
+the tasks fall back with an infinite ``delta_h``.  One candidate model
+set is built per estimate, at the first task that runs the elimination
+algorithm on it, and serves every later such task until the next estimate
+is made; a failed triple keeps it with the estimate.
 """
 from __future__ import annotations
 
@@ -208,7 +210,9 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
     made per triple count, from ``max(3k, cfg.startup_tasks)`` observations
     on (module docstring), so ``degraded`` marks only estimates that a later
     task reads; the start-up rows before the first estimate have NaN
-    ``o_col_err_max`` and ``t_err_max``.
+    ``o_col_err_max`` and ``t_err_max``.  An estimate and its bound change
+    together, so the model set built at the first gated task that reads an
+    estimate carries the ``delta_h`` of every task that reuses it.
     """
     family = list(family)
     k = len(family)
@@ -233,6 +237,8 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
     estimate_obs = 0
     estimate_bound = math.inf
     errors = (math.nan, math.nan)
+    # The current estimate's model set, built at its first gated task.
+    approx: ApproxModelSet | None = None
     # The triple count of the last attempted estimate.
     estimate_triples = None
     delta_h = math.inf
@@ -255,8 +261,9 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
         )
         tau = None
         if gate_open:
-            approx = ApproxModelSet(
-                unpack_models(estimate, base.reward_support, gamma), delta_h)
+            if approx is None:
+                approx = ApproxModelSet(
+                    unpack_models(estimate, base.reward_support, gamma), delta_h)
             result = run_ptum(
                 approx, g, cfg.eps, cfg.delta, cfg.budget, rng,
                 fallback_per_pair=cfg.fallback_per_pair, active=active,
@@ -297,6 +304,7 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
                 estimate_bound = model_error_bound(
                     estimate_obs, cfg.rho_at(h), cfg.delta_prime, S, A, U)
                 errors = estimate_errors(estimate, o_true, t_true)
+                approx = None
         elif n >= 3 * k:
             # Spend the skipped estimate's RTP draws, to keep the stream.
             rng.standard_normal((k, cfg.rtp_restarts, k))

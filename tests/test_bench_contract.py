@@ -72,6 +72,27 @@ def test_every_sequential_task_is_solved_through_a_captured_name():
     assert any(r.mode == "startup" for r in trace.records)
 
 
+def test_one_traced_model_set_per_estimate_a_gated_task_read():
+    # The benchmark's estimates_used_ratio counts the estimates run_ptum
+    # read by the first model of the set it got.  One set serves every
+    # gated task of its triple, so the traced builds, the estimates used and
+    # the successful estimates some gated task read must all agree.
+    cfg = make_cfg(num_tasks=16, startup_tasks=12, startup_per_pair=200,
+                   post_sample_per_pair=200, rho=1e-3)
+    with tracing.session() as tracer:
+        trace = sequential.run_sequential(cfg, tiny_family(3, seed=7),
+                                          successor_chain(3),
+                                          np.random.default_rng(6))
+        taken = tracer.take()
+    assert not any(r.degraded for r in trace.records)
+    gated = [r for r in trace.records if r.tau is not None]
+    # One estimate per triple count: task h reads the one made from the
+    # first 3 * (h // 3) observations.
+    read = len({r.h // 3 for r in gated})
+    builds = taken["spans"]["ptum.ApproxModelSet"][0]
+    assert builds == taken["counts"]["estimates_used"] == read < len(gated)
+
+
 def test_sequential_workload_runs_criterion_10s_configs():
     # Every field but the sequence length.
     bench = workloads.SequentialObjectworld

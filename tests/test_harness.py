@@ -262,6 +262,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, doc", [
+        ("export-env", {"scenario": "objectworld", "num_tasks": 2.7}),
+        ("export-env", {"scenario": "two-rooms", "num_tasks": 0}),
+        ("diagnose", {"scenario": "two-rooms", "num_tasks": 0}),
+        ("diagnose", {"scenario": "multi-goal", "num_tasks": 1}),
+    ])
+    def test_truncated_or_undersized_family_is_a_config_error(self, tmp_path, capsys,
+                                                              command, doc):
+        # The first wrote a 2-model family, the second an empty one, both
+        # exiting 0; the last two exited 3 from the model set.
+        cfg = self.write_cfg(tmp_path, doc)
+        assert main([command, cfg, "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not (tmp_path / "models.json").exists()
+
+    @pytest.mark.parametrize("num_tasks", [3, 3.0])
+    def test_integral_int_knob_is_accepted(self, tmp_path, num_tasks):
+        cfg = self.write_cfg(tmp_path, {
+            "scenario": "objectworld", "num_tasks": num_tasks, "side": 2,
+        })
+        assert main(["export-env", cfg, "--output-dir", str(tmp_path)]) == EXIT_OK
+        doc = json.loads((tmp_path / "models.json").read_text())
+        assert len(doc["models"]) == 3
+
     def test_export_env(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {
             "scenario": "objectworld", "num_tasks": 2, "side": 2,

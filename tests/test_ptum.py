@@ -118,6 +118,24 @@ class TestUncertaintyLevel:
             ApproxModelSet(small_family(), level)
 
 
+class TestReadOnlyModelSet:
+    # One set serves every task that reads its estimate, so a write by any
+    # caller would leak into the later tasks.
+    @pytest.mark.parametrize("table", ["values", "policies", "xval", "rewards",
+                                       "sigma_r", "sigma_p", "pv", "reward_gap",
+                                       "trans_gap", "info_table"])
+    def test_writing_a_table_raises(self, table):
+        approx = ApproxModelSet(small_family(), 0.01)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(approx, table)[0] = 0
+
+    def test_stop_returns_a_writable_copy_of_the_policy(self):
+        approx = ApproxModelSet(small_family())
+        theta, policy = check_stop({1}, approx, 0.1)
+        policy[:] = 1 - policy
+        assert not np.array_equal(approx.policies[theta], policy)
+
+
 class TestConfidenceRadii:
     @staticmethod
     def radii(emp, v_ref, approx, n=100, delta=0.1):

@@ -289,17 +289,19 @@ class TestRunSequential:
         assert math.isfinite(late.o_col_err_max)
         assert math.isfinite(late.t_err_max)
 
-    def test_estimates_start_at_3k_and_one_model_set_per_ptum(self, monkeypatch):
+    def test_estimates_start_at_3k_and_one_model_set_per_estimate(self, monkeypatch):
         # Fewer than k triples cannot give a rank-k whitening, and no solve
         # reads an estimate made before the last start-up task, so no
         # estimate is attempted before max(3k, startup_tasks) observations
         # and the start-up rows before it carry no error columns.  After it
         # one estimate is made per triple count, so the tasks within one
-        # triple report the same error columns.  The candidate model set is
-        # built only for the run_ptum call that reads it.
+        # triple report the same error columns.  One candidate model set is
+        # built per estimate that a run_ptum call reads, and every gated
+        # task of its triple gets that set, with the task's delta_h.
         k = 3
         fam = tiny_family(k, seed=7)
-        calls = {"estimate": [], "approx": 0, "ptum": 0}
+        calls = {"estimate": [], "approx": 0}
+        reads = []  # (estimates made so far, model set) per run_ptum call
         estimate, approx_cls, ptum = (sequential.spectral_estimate,
                                       sequential.ApproxModelSet,
                                       sequential.run_ptum)
@@ -312,23 +314,27 @@ class TestRunSequential:
             calls["approx"] += 1
             return approx_cls(*args, **kwargs)
 
-        def counting_ptum(approx, *args, **kwargs):
-            assert calls["approx"] == calls["ptum"] + 1
-            calls["ptum"] += 1
+        def recording_ptum(approx, *args, **kwargs):
+            reads.append((len(calls["estimate"]), approx))
             return ptum(approx, *args, **kwargs)
 
         monkeypatch.setattr(sequential, "spectral_estimate", counting_estimate)
         monkeypatch.setattr(sequential, "ApproxModelSet", counting_approx)
-        monkeypatch.setattr(sequential, "run_ptum", counting_ptum)
+        monkeypatch.setattr(sequential, "run_ptum", recording_ptum)
         cfg = make_cfg(num_tasks=16, startup_tasks=12, startup_per_pair=200,
                        post_sample_per_pair=200, rho=1e-3)
         trace = run_sequential(cfg, fam, successor_chain(k),
                                np.random.default_rng(6))
         assert calls["estimate"] == [12, 15]
-        assert calls["ptum"] > 0
-        assert calls["approx"] == calls["ptum"]
-        assert calls["ptum"] == sum(r.tau is not None for r in trace.records)
         assert not any(r.degraded for r in trace.records)
+        gated = [r for r in trace.records if r.tau is not None]
+        assert len(reads) == len(gated)
+        assert calls["approx"] == len({made for made, _ in reads}) < len(gated)
+        for (made, approx), rec in zip(reads, gated):
+            assert approx.delta == rec.delta_h
+            for (other_made, other), other_rec in zip(reads, gated):
+                assert (other is approx) == (other_made == made) \
+                    == (other_rec.h // 3 == rec.h // 3)
         first = cfg.startup_tasks - 1
         assert all(math.isnan(r.o_col_err_max) and math.isnan(r.t_err_max)
                    and r.delta_h == math.inf and r.active_set_size == k
@@ -399,10 +405,13 @@ class TestRunSequential:
         # triple completed at task fail_at raises; a failed triple is not
         # retried, so the next attempt is at the next triple, three tasks
         # later.  The count is that of the whole triples the moments read,
-        # 3 * (n // 3).
+        # 3 * (n // 3).  The loop's gate is held open, so every task that
+        # has an estimate takes a model set (run_ptum's own gate still falls
+        # back at this delta_h); the failed triple builds no new set.
         k, fail_at = 3, 11
         estimate, eliminate = sequential.spectral_estimate, sequential.pre_eliminate
-        attempts, counts = [], []
+        ptum = sequential.run_ptum
+        attempts, counts, sets = [], [], []
 
         def flaky_estimate(observations, *args, **kwargs):
             attempts.append(len(observations))
@@ -414,8 +423,14 @@ class TestRunSequential:
             counts.append(h)
             return eliminate(t_hat, survived, h, *args)
 
+        def recording_ptum(approx, *args, **kwargs):
+            sets.append(approx)
+            return ptum(approx, *args, **kwargs)
+
         monkeypatch.setattr(sequential, "spectral_estimate", flaky_estimate)
         monkeypatch.setattr(sequential, "pre_eliminate", recording_eliminate)
+        monkeypatch.setattr(sequential, "run_ptum", recording_ptum)
+        monkeypatch.setattr(sequential, "transfer_gate", lambda *args: True)
         cfg = make_cfg(num_tasks=17, startup_tasks=3 * k, startup_per_pair=200,
                        post_sample_per_pair=200, rho=2.0, rho_final=1.0,
                        rho_decay_tasks=17, rho_t=0.01, pre_elimination=True)
@@ -433,6 +448,12 @@ class TestRunSequential:
         assert deltas[3 * k:fail_at + 4] == [deltas[3 * k]] * 6
         assert deltas[fail_at + 4] < deltas[fail_at + 3]
         assert counts == [9] * 6 + [15] * 3
+        # Tasks 9-14 read the estimate made at 9 observations, 15-16 the one
+        # made at 15.
+        assert len(sets) == cfg.num_tasks - 3 * k
+        assert all(approx is sets[0] for approx in sets[:6]) and sets[6] is not sets[0]
+        assert all(approx is sets[6] for approx in sets[6:])
+        assert [approx.delta for approx in sets] == deltas[3 * k:]
 
     def test_failed_first_read_estimate_closes_the_gate(self, monkeypatch):
         # No estimate is made during start-up, so when the one made after
