@@ -443,9 +443,24 @@ class GenerativeModel:
 
     @cached_property
     def _pvals(self):
-        """The transition and reward tables as ``rng.multinomial`` takes
-        them, built on first use."""
-        return _multinomial_pvals(self._mdp.p), _multinomial_pvals(self._mdp.q)
+        """Each pair's next-state row and then its reward row as
+        ``rng.multinomial`` takes them (``_multinomial_pvals``), each
+        left-padded with zeros to K = max(S, U): a read-only (S, A, 2, K)
+        table, built on first use."""
+        rows = _multinomial_pvals(self._mdp.p), _multinomial_pvals(self._mdp.q)
+        K = max(row.shape[-1] for row in rows)
+        table = np.zeros((self.num_states, self.num_actions, 2, K))
+        for kind, row in enumerate(rows):
+            table[:, :, kind, K - row.shape[-1]:] = row
+        table.setflags(write=False)
+        return table
+
+    def _unpad(self, counts):
+        """The next-state and reward counts of draws from ``_pvals`` rows,
+        the padding sliced off."""
+        K = counts.shape[-1]
+        return (counts[..., 0, K - self.num_states:],
+                counts[..., 1, K - self.reward_support.size:])
 
     def query(self, s: int, a: int, rng):
         """One independent draw of (next_state, reward_value) at (s, a)."""
@@ -482,29 +497,33 @@ class GenerativeModel:
         """count i.i.d. draws at (s, a), returned as count vectors.
 
         Returns (next_state_counts, reward_index_counts); equivalent in law
-        to count repeated single queries.
+        to count repeated single queries.  One ``rng.multinomial`` call
+        draws the pair's two ``_pvals`` rows, the next-state row first, each
+        left-padded with zeros to max(S, U) entries.  A leading zero entry
+        draws no binomial and leaves numpy's remaining mass at exactly 1.0,
+        so the counts and the state ``rng`` is left in are those of
+        ``rng.multinomial(count, row)`` on each unpadded row in turn.
         """
         self.queries_used += count
-        p, q = self._pvals
-        next_counts = rng.multinomial(count, p[s, a])
-        reward_counts = rng.multinomial(count, q[s, a])
-        return next_counts, reward_counts
+        return self._unpad(rng.multinomial(count, self._pvals[s, a]))
 
     def query_table(self, need, rng):
         """``need[s, a]`` i.i.d. draws at every (s, a), as count tables.
 
-        Returns (next_counts (S, A, S), reward_counts (S, A, U)).  The draws
-        are those of one ``query_batch`` call per pair with ``need > 0``, in
-        row-major order, so the counts and the state ``rng`` is left in are
-        those of that loop.
+        Returns (next_counts (S, A, S), reward_counts (S, A, U)).  One
+        ``rng.multinomial`` call draws every pair's two ``_pvals`` rows, each
+        left-padded with zeros to max(S, U) entries, in row-major order with
+        n = ``need[s, a]`` clipped at 0.  A row with n = 0 draws nothing,
+        and a leading zero entry draws no binomial and leaves numpy's
+        remaining mass at exactly 1.0, so the counts and the state ``rng``
+        is left in are those of one ``query_batch`` call per pair with
+        ``need > 0``, in row-major order.
         """
         need = np.asarray(need)
         S, A = self.num_states, self.num_actions
         if need.shape != (S, A):
             raise ValueError(f"need must have shape {(S, A)}")
-        next_counts = np.zeros((S, A, S), dtype=np.int64)
-        reward_counts = np.zeros((S, A, self.reward_support.size), dtype=np.int64)
-        for s, a in zip(*np.nonzero(need > 0)):
-            next_counts[s, a], reward_counts[s, a] = self.query_batch(
-                s, a, int(need[s, a]), rng)
-        return next_counts, reward_counts
+        n = np.maximum(need, 0)
+        self.queries_used += int(n.sum())
+        return self._unpad(rng.multinomial(
+            np.broadcast_to(n[:, :, None], (S, A, 2)), self._pvals))

@@ -48,11 +48,14 @@ def config_values():
 
 def _typed(doc: dict, key, kind, default):
     """``doc[key]`` converted by ``kind`` (int or float), or ``default`` when
-    the key is absent or null; a value ``kind`` rejects, or a non-integral
-    float for an int, is a ConfigError."""
+    the key is absent or null; a value ``kind`` rejects, a boolean, or a
+    non-integral float for an int, is a ConfigError."""
     value = doc.get(key)
     if value is None:
         return default
+    if isinstance(value, bool):
+        raise ConfigError(
+            f"{key!r} must be a number ({kind.__name__}), got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{key!r} must be an integer, got {value!r}")
     try:
@@ -288,7 +291,8 @@ def simulate_hmm_observations(family, chain: TaskChain, steps: int, per_pair: in
     Each observation holds the empirical reward and transition frequencies
     from per_pair independent draws at every (s, a); draws are batched per
     task for speed (equivalent in law to querying one sample at a time),
-    from the rows ``GenerativeModel.query_batch`` draws from.
+    from the ``_multinomial_pvals`` rows that ``GenerativeModel`` pads into
+    its sampling table, the reward row first at each (s, a).
     Returns (observations array of shape (steps, d), hidden path).
     """
     base = family[0]

@@ -96,8 +96,9 @@ class SequentialConfig:
                 raise ValueError(
                     f"pre-elimination needs delta <= delta_prime/(3 m^2) = {cap:g}"
                 )
-        if min(self.rho, self.eta, self.rho_t) < 0 or (
-                self.rho_final is not None and self.rho_final < 0):
+        # ``x >= 0`` is False for a NaN, so a NaN is rejected too.
+        if not (self.rho >= 0 and self.eta >= 0 and self.rho_t >= 0) or (
+                self.rho_final is not None and not self.rho_final >= 0):
             raise ValueError("rho, eta, rho_t and rho_final must be non-negative")
         if self.rtp_restarts < 1 or self.rtp_iters < 1:
             raise ValueError("rtp_restarts and rtp_iters must be at least 1")

@@ -1,4 +1,6 @@
 """Unit tests for the benchmark environments and the query interface."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from seqtransfer.envs import (
     successor_chain,
     two_rooms_family,
 )
-from seqtransfer.harness import run_rng
+from seqtransfer.harness import random_hmm_family, run_rng
 from seqtransfer.mdp import TabularMdp, value_iteration
 from seqtransfer.ptum import ApproxModelSet, EmpiricalModel
 
@@ -294,32 +296,71 @@ class TestGenerativeModel:
             assert reward_counts.tolist() == ref.multinomial(40, mdp.q[s, a]).tolist()
         assert same_state(rng, ref)
 
+    @classmethod
+    def table_models(cls):
+        """One model per padding case of the sampling table: objectworld
+        (U < S, the reward row padded), a random HMM task with S=2, U=3
+        (U > S, the next-state row padded), and the tolerance model (S = U,
+        with rows that _multinomial_pvals repairs)."""
+        objectworld = _objectworld_mdp(
+            ObjectworldSpec(side=5), {0: 0.2, 7: 0.96, 24: 0.5}, [1] * 25)
+        hmm_family, _ = random_hmm_family(2, 2, 3, 3, 0.9, np.random.default_rng(2))
+        return objectworld, hmm_family[0], cls.tolerance_model()
+
     def test_table_equals_the_per_pair_loop(self):
-        # query_table plus add_table against one query_batch plus add_batch
-        # per pair with need > 0, in row order: the same counts, charges and
-        # generator state, bit for bit, added on top of counts already held.
-        mdp = two_rooms_family(num_tasks=1)[0]
-        S, A = mdp.num_states, mdp.num_actions
-        for seed in range(3):
+        # query_table plus add_table against one rng.multinomial on each
+        # repaired row per pair with need > 0, the next-state row first, in
+        # row order: the same counts, charges and generator state, bit for
+        # bit, drawn twice on top of counts already held.
+        for mdp, seed in itertools.product(self.table_models(), range(3)):
+            S, A = mdp.num_states, mdp.num_actions
+            p, q = _multinomial_pvals(mdp.p), _multinomial_pvals(mdp.q)
             need = np.random.default_rng(seed).integers(-2, 6, size=(S, A))
-            g, ref_g = GenerativeModel(mdp), GenerativeModel(mdp)
+            need[0, 0], need[-1, -1] = 0, -1
+            g = GenerativeModel(mdp)
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            emp, ref_emp = (EmpiricalModel(S, A, mdp.reward_support)
-                            for _ in range(2))
-            emp.add_table(*g.query_table(need, rng))
-            emp.add_table(*g.query_table(need, rng))
+            emp = EmpiricalModel(S, A, mdp.reward_support)
+            emp.add_table(*GenerativeModel(mdp).query_table(
+                np.full((S, A), 3), np.random.default_rng(99)))
+            counts = [emp.next_counts.copy(), emp.reward_counts.copy()]
             for _ in range(2):
+                emp.add_table(*g.query_table(need, rng))
                 for s in range(S):
                     for a in range(A):
                         if need[s, a] > 0:
-                            ref_emp.add_batch(s, a, *ref_g.query_batch(
-                                s, a, int(need[s, a]), ref))
-            for name in ("counts", "next_counts", "reward_counts"):
-                assert np.array_equal(getattr(emp, name), getattr(ref_emp, name))
-            assert g.queries_used == ref_g.queries_used == 2 * need.clip(0).sum()
+                            counts[0][s, a] += ref.multinomial(need[s, a], p[s, a])
+                            counts[1][s, a] += ref.multinomial(need[s, a], q[s, a])
+            assert np.array_equal(emp.next_counts, counts[0])
+            assert np.array_equal(emp.reward_counts, counts[1])
+            assert np.array_equal(emp.counts, 3 + 2 * need.clip(0))
+            assert g.queries_used == 2 * need.clip(0).sum()
             assert same_state(rng, ref)
         with pytest.raises(ValueError):
-            emp.add_table(np.ones((S, A, S)), np.ones((S, A, mdp.num_rewards)))
+            emp.add_table(np.ones((S, A, S)), np.ones((S, A, mdp.num_rewards + 1)))
+        with pytest.raises(ValueError):
+            g.query_table(np.ones((S + 1, A), dtype=int), rng)
+
+    def test_table_is_one_multinomial_call(self):
+        class CountingGenerator:
+            """A generator that counts its multinomial calls."""
+
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def multinomial(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.multinomial(*args, **kwargs)
+
+        mdp = self.table_models()[0]
+        g = GenerativeModel(mdp)
+        rng = CountingGenerator(np.random.default_rng(1))
+        next_counts, reward_counts = g.query_table(
+            np.full((mdp.num_states, mdp.num_actions), 50), rng)
+        assert rng.calls == 1
+        assert next_counts.shape == (25, 4, 25) and reward_counts.shape == (25, 4, 12)
+        assert np.all(next_counts.sum(axis=2) == 50)
+        assert np.all(reward_counts.sum(axis=2) == 50)
+        assert g.queries_used == 25 * 4 * 50
 
 
 def same_state(rng1, rng2) -> bool:

@@ -237,6 +237,10 @@ class TestCli:
         ("diagnose", {"scenario": "two-rooms", "eps": "abc"}),
         ("export-env", {"scenario": "objectworld",
                         "transition_failure_prob": [0.1, 0.2]}),
+        # A JSON boolean would otherwise convert to 1 or 0.
+        ("export-env", {"scenario": "objectworld", "num_runs": True,
+                        "num_tasks": 3, "side": 2}),
+        ("diagnose", {"scenario": "two-rooms", "eps": False}),
     ])
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, command, doc):
         cfg = self.write_cfg(tmp_path, doc)
@@ -252,6 +256,7 @@ class TestCli:
         ("export-env", {"scenario": "two-rooms", "width": 1}),
         ("export-env", {"scenario": "multi-goal", "num_tasks": 9}),
         ("run-sequential", {"scenario": "objectworld", "eps": -1}),
+        ("run-sequential", {"scenario": "objectworld", "rho": float("nan")}),
     ])
     def test_value_a_constructor_rejects_is_a_config_error(self, tmp_path, capsys,
                                                            command, doc):

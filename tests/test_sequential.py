@@ -80,12 +80,15 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, bad", [
         ("eps", 0.0), ("budget", -1), ("fallback_per_pair", 0), ("top_keep", 0),
-        ("eta", -0.01), ("rho_t", -0.01),
+        ("eta", -0.01), ("rho_t", -0.01), ("rho", float("nan")),
+        ("eta", float("nan")), ("rho_t", float("nan")), ("rho_final", float("nan")),
     ])
     def test_values_a_run_cannot_use_rejected(self, field, bad):
         # A run would raise on each of these only at its first transfer or
         # gated task, after the start-up phase, or silently replace it (a
-        # zero fallback_per_pair, a zero top_keep), or never check it.
+        # zero fallback_per_pair, a zero top_keep), or never check it.  A NaN
+        # rate makes delta_h NaN, which the gate reads as closed: the run
+        # would never transfer.
         with pytest.raises(ValueError):
             make_cfg(**{field: bad})
 
