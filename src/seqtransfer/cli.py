@@ -55,7 +55,8 @@ def _identification(cfg: ExperimentConfig):
     budget = cfg.typed("budget", int, 100_000)
     star = cfg.typed("true_task", int, 0)
     approx = ApproxModelSet(family)
-    theta_eps, bound = theta_eps_and_bound(approx, star, eps, delta, budget)
+    with config_values():
+        theta_eps, bound = theta_eps_and_bound(approx, star, eps, delta, budget)
     return family, eps, delta, budget, star, approx, theta_eps, bound
 
 
@@ -95,26 +96,20 @@ def cmd_run_ptum(args) -> int:
 
 
 def _sequential_config(cfg: ExperimentConfig, static: bool) -> SequentialConfig:
-    return SequentialConfig(
-        num_tasks=cfg.typed("num_tasks_sequence", int, 150),
-        startup_tasks=cfg.typed("startup_tasks", int, 100),
-        startup_per_pair=cfg.typed("startup_per_pair", int, 50),
-        post_sample_per_pair=cfg.typed("post_sample_per_pair", int, 30),
-        eps=cfg.typed("eps", float, 0.5),
-        delta=cfg.typed("delta", float, 1e-6),
-        delta_prime=cfg.typed("delta_prime", float, 0.1),
-        rho=cfg.typed("rho", float, 0.135),
-        eta=0.0 if static else cfg.typed("eta", float, 0.087),
-        rho_t=cfg.typed("rho_t", float, 0.001),
-        top_keep=cfg.typed("top_keep", int, 3),
-        pre_elimination=not static,
-        budget=cfg.typed("budget", int, 100_000),
-        fallback_per_pair=cfg.typed("fallback_per_pair", int, None),
-        rho_final=cfg.typed("rho_final", float, None),
-        rho_decay_tasks=cfg.typed("rho_decay_tasks", int, 0),
-        rtp_restarts=cfg.typed("rtp_restarts", int, 20),
-        rtp_iters=cfg.typed("rtp_iters", int, 50),
+    """``SequentialConfig`` over the keys the config sets; ``static`` turns
+    pre-elimination off."""
+    values = cfg.given(
+        num_tasks_sequence=int, startup_tasks=int, startup_per_pair=int,
+        post_sample_per_pair=int, eps=float, delta=float, delta_prime=float,
+        rho=float, eta=float, rho_t=float, top_keep=int, budget=int,
+        fallback_per_pair=int, rho_final=float, rho_decay_tasks=int,
+        rtp_restarts=int, rtp_iters=int,
     )
+    if "num_tasks_sequence" in values:
+        values["num_tasks"] = values.pop("num_tasks_sequence")
+    if static:
+        values.update(eta=0.0, pre_elimination=False)
+    return SequentialConfig(**values)
 
 
 def cmd_run_sequential(args) -> int:

@@ -122,6 +122,13 @@ class ExperimentConfig:
         ``kind`` rejects it."""
         return _typed(self.params, key, kind, default)
 
+    def given(self, **kinds) -> dict:
+        """``typed`` of each ``key=kind`` that the config sets to a non-null
+        value; a key left out or set to null is left out of the result too,
+        so the callee's own default applies."""
+        return {key: _typed(self.params, key, kind, None)
+                for key, kind in kinds.items() if self.params.get(key) is not None}
+
 
 def run_rng(base_seed: int, run_index: int) -> np.random.Generator:
     """Independent counter-based stream for one run of a sweep."""
@@ -206,26 +213,20 @@ def write_json(path, doc) -> None:
 
 
 def build_family(cfg: ExperimentConfig):
-    """The task family (and chain, when one applies) for a scenario; a
-    value the constructors reject, or a family of fewer than 2 tasks, is a
+    """The task family (and chain, when one applies) for a scenario, from
+    the knobs the config sets (``given``) over the constructors' defaults;
+    objectworld has 8 tasks unless ``num_tasks`` says otherwise.  A value
+    the constructors reject, or a family of fewer than 2 tasks, is a
     ConfigError."""
     chain = None
     with config_values():
         if cfg.scenario == "two-rooms":
-            family = two_rooms_family(
-                num_tasks=cfg.typed("num_tasks", int, 12),
-                width=cfg.typed("width", int, 12),
-                height=cfg.typed("height", int, 12),
-                action_failure_prob=cfg.typed("action_failure_prob", float, 0.1),
-                gamma=cfg.typed("gamma", float, 0.99),
-            )
+            family = two_rooms_family(**cfg.given(
+                num_tasks=int, width=int, height=int, action_failure_prob=float,
+                gamma=float))
         elif cfg.scenario == "multi-goal":
-            family = multi_goal_family(
-                num_tasks=cfg.typed("num_tasks", int, 7),
-                width=cfg.typed("width", int, 12),
-                height=cfg.typed("height", int, 12),
-                gamma=cfg.typed("gamma", float, 0.9999),
-            )
+            family = multi_goal_family(**cfg.given(
+                num_tasks=int, width=int, height=int, gamma=float))
         elif cfg.scenario == "objectworld":
             duplicates = cfg.params.get("duplicate_of")
             if duplicates == "paper":
@@ -236,20 +237,12 @@ def build_family(cfg: ExperimentConfig):
                 except (TypeError, ValueError):
                     raise ValueError("'duplicate_of' must be \"paper\" or map tasks "
                                      f"to tasks, got {duplicates!r}") from None
-            spec = ObjectworldSpec(
-                side=cfg.typed("side", int, 5),
-                gamma=cfg.typed("gamma", float, 0.9),
-                transition_failure_prob=cfg.typed("transition_failure_prob", float, 0.1),
-                reward_failure_prob=cfg.typed("reward_failure_prob", float, 0.012),
-                duplicate_of=duplicates,
-            )
+            spec = ObjectworldSpec(duplicate_of=duplicates, **cfg.given(
+                side=int, gamma=float, transition_failure_prob=float,
+                reward_failure_prob=float))
             k = cfg.typed("num_tasks", int, 8)
             family = build_objectworld_family(spec, k, run_rng(cfg.base_seed, 2 ** 31))
-            chain = successor_chain(
-                k,
-                p_succ=cfg.typed("p_succ", float, 0.97),
-                p_skip=cfg.typed("p_skip", float, 0.015),
-            )
+            chain = successor_chain(k, **cfg.given(p_succ=float, p_skip=float))
         else:
             raise ConfigError(f"scenario {cfg.scenario!r} has no task family")
         if len(family) < 2:

@@ -663,12 +663,20 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
 def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: float,
                         n: int):
     """The set of models that must be eliminated before stopping, and the
-    worst-case query bound for doing so.  Diagnostic only."""
+    worst-case query bound for doing so.  Diagnostic only.  Rejects a
+    ``star``, ``eps``, ``delta`` or ``n`` that ``run_ptum`` cannot use."""
+    k = approx.num_models
+    if not 0 <= star < k:
+        raise ValueError(f"the true task must be in [0, {k}), got {star}")
+    if not eps >= 0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
+    if n < 0:
+        raise ValueError("budget must be non-negative")
+    log_term, _ = _log_terms(approx, n, delta)
     gamma = approx.gamma
     kappa = (1.0 - gamma) * eps / 4.0 - approx.delta * (1.0 + gamma) / 2.0
     if eps > 0 and kappa <= 0:
         raise ValueError("transfer gate fails for these parameters")
-    k = approx.num_models
     S, A = approx.num_states, approx.num_actions
     r_dev, p_dev = approx.sup_gaps(star)
     p_thresh = kappa / gamma if gamma > 0 else INF
@@ -678,7 +686,6 @@ def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: fl
         return theta_eps, 0.0
     worst = approx.info_table[star, sorted(theta_eps)].min(axis=0)  # (S, A) min over theta
     denom = float(worst.max())
-    log_term, _ = _log_terms(approx, n, delta)
     if denom <= 0:
         return theta_eps, INF
     bound = 128.0 * min(S * A, k) * log_term / denom

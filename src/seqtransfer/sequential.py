@@ -30,7 +30,7 @@ is made; a failed triple keeps it with the estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,28 +60,30 @@ from .spectral import (
 class SequentialConfig:
     """Knobs of one sequential-transfer run.
 
+    The defaults are ``run-sequential``'s, and their ``delta`` is within
+    the pre-elimination cap ``delta_prime`` / (3 ``num_tasks``^2).
     Every value a run would reject at some task is rejected here, before
     the start-up phase.
     """
 
-    num_tasks: int
-    startup_tasks: int
-    startup_per_pair: int
-    post_sample_per_pair: int
-    eps: float
-    delta: float
-    delta_prime: float
-    rho: float
-    eta: float = 0.0
-    rho_t: float = 0.0
+    num_tasks: int = 150
+    startup_tasks: int = 100
+    startup_per_pair: int = 50
+    post_sample_per_pair: int = 30
+    eps: float = 0.5
+    delta: float = 1e-6
+    delta_prime: float = 0.1
+    rho: float = 0.135
+    eta: float = 0.087
+    rho_t: float = 0.001
     top_keep: int = 3
     pre_elimination: bool = True
     budget: int = 100_000
     fallback_per_pair: int | None = None
     rho_final: float | None = None
     rho_decay_tasks: int = 0
-    rtp_restarts: int = 100
-    rtp_iters: int = 100
+    rtp_restarts: int = 20
+    rtp_iters: int = 50
 
     def __post_init__(self):
         if self.num_tasks < 1 or self.startup_tasks < 0:
@@ -143,9 +145,7 @@ class SequenceTrace:
 
     records: list = field(default_factory=list)
 
-    COLUMNS = ("h", "true_task", "mode", "queries", "eps_optimal",
-               "active_set_size", "delta_h", "o_col_err_max", "t_err_max",
-               "degraded", "tau", "true_in_active")
+    COLUMNS = tuple(f.name for f in fields(TaskRecord))
 
     def append(self, rec: TaskRecord) -> None:
         self.records.append(rec)
@@ -271,7 +271,7 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
             )
             policy, emp, mode = result.policy, result.empirical, result.mode
             tau = result.tau
-            survived = result.survived or set(active)
+            survived = result.survived
         else:
             if in_startup or cfg.fallback_per_pair is None:
                 per_pair = cfg.startup_per_pair

@@ -1,13 +1,21 @@
 """Unit tests for the experiment harness and the command-line interface."""
+import inspect
 import json
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from seqtransfer import harness
-from seqtransfer.cli import EXIT_CONFIG, EXIT_OK, main
-from seqtransfer.envs import successor_chain, two_rooms_family
+from seqtransfer.cli import EXIT_CONFIG, EXIT_OK, _sequential_config, main
+from seqtransfer.envs import (
+    ObjectworldSpec,
+    build_objectworld_family,
+    multi_goal_family,
+    successor_chain,
+    two_rooms_family,
+)
 from seqtransfer.harness import (
     AggregateResult,
     ConfigError,
@@ -23,6 +31,7 @@ from seqtransfer.harness import (
 )
 from seqtransfer.mdp import TabularMdp
 from seqtransfer.ptum import ApproxModelSet
+from seqtransfer.sequential import SequentialConfig
 from seqtransfer.spectral import ObservationLayout
 
 
@@ -50,6 +59,16 @@ class TestConfig:
         assert cfg.params == {"eps": 0.1}
         assert cfg.typed("eps", float, 0.5) == 0.1
         assert cfg.typed("missing", int, 7) == 7
+
+    def test_given_holds_only_the_keys_set(self):
+        cfg = ExperimentConfig.from_dict(
+            {"scenario": "two-rooms", "eps": 1, "width": 4.0, "gamma": None})
+        got = cfg.given(eps=float, width=int, gamma=float, height=int)
+        assert got == {"eps": 1.0, "width": 4}
+        assert type(got["eps"]) is float and type(got["width"]) is int
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {"scenario": "two-rooms", "width": 2.5}).given(width=int)
 
     def test_from_file_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -185,6 +204,111 @@ class TestFamilies:
             assert q_hat[0, 0].tolist() == [0.0, 1.0]
 
 
+def same_objects(a, b):
+    """Dataclass instances (or Nones, or lists or tuples of them) equal
+    field by field, arrays by value."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_objects, a, b))
+    if a is None or b is None:
+        return a is b
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+def constructor_defaults(*constructors):
+    """Parameter name to default, over the fields of dataclasses and the
+    keyword defaults of functions."""
+    table = {}
+    for c in constructors:
+        if is_dataclass(c):
+            table.update({f.name: f.default for f in fields(c)})
+        else:
+            table.update({name: p.default
+                          for name, p in inspect.signature(c).parameters.items()
+                          if p.default is not p.empty})
+    return table
+
+
+def forwarded_keys(monkeypatch, build):
+    """The keys ``build()`` asks ``ExperimentConfig.given`` for."""
+    keys = []
+    given = ExperimentConfig.given
+
+    def spy(self, **kinds):
+        keys.extend(kinds)
+        return given(self, **kinds)
+
+    with monkeypatch.context() as m:
+        m.setattr(ExperimentConfig, "given", spy)
+        build()
+    return keys
+
+
+SCENARIO_CONSTRUCTORS = [
+    ("two-rooms", (two_rooms_family,)),
+    ("multi-goal", (multi_goal_family,)),
+    ("objectworld", (ObjectworldSpec, successor_chain)),
+]
+
+
+class TestSingleSource:
+    """The constructors own every default the config layer forwards."""
+
+    def test_scenario_only_builds_the_default_families(self):
+        def built(doc):
+            return build_family(ExperimentConfig.from_dict(doc))
+
+        family, chain = built({"scenario": "two-rooms"})
+        assert chain is None and same_objects(family, two_rooms_family())
+        family, chain = built({"scenario": "multi-goal"})
+        assert chain is None and same_objects(family, multi_goal_family())
+        family, chain = built({"scenario": "objectworld"})
+        assert same_objects(family, build_objectworld_family(
+            ObjectworldSpec(), 8, run_rng(0, 2 ** 31)))
+        assert same_objects(chain, successor_chain(8))
+
+    def test_scenario_only_gives_the_default_run_config(self):
+        cfg = ExperimentConfig.from_dict({"scenario": "objectworld"})
+        assert _sequential_config(cfg, static=False) == SequentialConfig()
+        assert _sequential_config(cfg, static=True) == SequentialConfig(
+            eta=0.0, pre_elimination=False)
+
+    def test_null_equals_absent(self):
+        nulls = ExperimentConfig.from_dict({
+            "scenario": "objectworld", "side": None, "gamma": None,
+            "p_succ": None, "num_tasks": None, "duplicate_of": None,
+            "num_tasks_sequence": None, "eta": None, "rtp_iters": None,
+        })
+        absent = ExperimentConfig.from_dict({"scenario": "objectworld"})
+        assert same_objects(build_family(nulls), build_family(absent))
+        assert _sequential_config(nulls, False) == _sequential_config(absent, False)
+
+    @pytest.mark.parametrize("scenario, constructors", SCENARIO_CONSTRUCTORS)
+    def test_every_forwarded_family_key_names_a_default(self, monkeypatch, scenario,
+                                                        constructors):
+        # A misspelt key would otherwise surface only as a TypeError (exit
+        # 3) once some config sets it.
+        absent = ExperimentConfig.from_dict({"scenario": scenario})
+        keys = forwarded_keys(monkeypatch, lambda: build_family(absent))
+        table = constructor_defaults(*constructors)
+        assert keys and set(keys) <= set(table)
+        every = ExperimentConfig.from_dict(
+            {"scenario": scenario, **{key: table[key] for key in keys}})
+        assert same_objects(build_family(every), build_family(absent))
+
+    @pytest.mark.parametrize("static", [False, True])
+    def test_every_forwarded_run_key_names_a_default(self, monkeypatch, static):
+        absent = ExperimentConfig.from_dict({"scenario": "objectworld"})
+        keys = forwarded_keys(monkeypatch, lambda: _sequential_config(absent, static))
+        table = constructor_defaults(SequentialConfig)
+        field_of = {key: "num_tasks" if key == "num_tasks_sequence" else key
+                    for key in keys}
+        assert keys and set(field_of.values()) <= set(table)
+        every = ExperimentConfig.from_dict(
+            {"scenario": "objectworld", **{key: table[field_of[key]] for key in keys}})
+        assert _sequential_config(every, static) == _sequential_config(absent, static)
+
+
 def one_choice_per_step(chain, steps, rng):
     """The chain path as one ``rng.choice`` per step."""
     path, task = [], None
@@ -257,11 +381,17 @@ class TestCli:
         ("export-env", {"scenario": "multi-goal", "num_tasks": 9}),
         ("run-sequential", {"scenario": "objectworld", "eps": -1}),
         ("run-sequential", {"scenario": "objectworld", "rho": float("nan")}),
+        *[(command, {"scenario": "two-rooms", **knob})
+          for command in ("diagnose", "run-ptum")
+          for knob in ({"true_task": -1}, {"true_task": 12}, {"eps": float("nan")},
+                       {"eps": -0.1}, {"budget": -5}, {"delta": 2},
+                       {"delta": float("nan")})],
     ])
     def test_value_a_constructor_rejects_is_a_config_error(self, tmp_path, capsys,
                                                            command, doc):
-        # Each of these exited 3 with a traceback from the family, chain or
-        # run-config constructor.
+        # Each of these exited 3 with a traceback from the family, chain,
+        # run-config or identification bound, or (a true task of -1, and on
+        # diagnose a NaN or negative eps or budget) exited 0.
         cfg = self.write_cfg(tmp_path, doc)
         assert main([command, cfg, "--output-dir", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err

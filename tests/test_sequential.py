@@ -30,7 +30,10 @@ def make_cfg(**overrides):
         delta_prime=0.1,
         rho=0.1,
         eta=0.0,
+        rho_t=0.0,
         pre_elimination=False,
+        rtp_restarts=100,
+        rtp_iters=100,
     )
     base.update(overrides)
     return SequentialConfig(**base)
@@ -208,8 +211,10 @@ class TestTrace:
         trace.records[1].true_in_active = False
         text = format_csv(SequenceTrace.COLUMNS, trace.rows())
         lines = text.strip().split("\n")
-        assert lines[0] == ",".join(SequenceTrace.COLUMNS)
-        assert lines[0].endswith(",t_err_max,degraded,tau,true_in_active")
+        # The header is the TaskRecord fields, in their order.
+        assert lines[0] == ("h,true_task,mode,queries,eps_optimal,active_set_size,"
+                            "delta_h,o_col_err_max,t_err_max,degraded,tau,"
+                            "true_in_active")
         assert len(lines) == 3
         assert lines[1] == "0,0,transfer-stopped,10,1,3,0.25,0.1,0.05,0,,1"
         assert lines[2].endswith(",1,7,0")
