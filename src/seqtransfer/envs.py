@@ -51,32 +51,32 @@ class GridSpec:
     def num_cells(self) -> int:
         return self.width * self.height
 
-    def is_wall(self, row: int, col: int) -> bool:
-        return (
-            self.wall_column is not None
-            and col == self.wall_column
-            and row != self.door_row
-        )
-
 
 def _grid_transitions(spec: GridSpec) -> np.ndarray:
-    """Movement kernel with uniform action-failure redraw and blocked moves."""
+    """Movement kernel with uniform action-failure redraw and blocked moves.
+
+    The intended action moves w.p. 1-f, else a uniform redraw over all four
+    actions does.  A move off the grid or into the wall (its column, off the
+    door row) stays put.  The (S, 4) table of move targets is computed once;
+    each redraw action a2 then adds its mass, f/4 + (1-f)[a2 == a], at its
+    target with one scatter over all (s, a), in the order a2 = 0..3, so
+    every entry sums its masses in the order of a per-cell loop.
+    """
     w, h = spec.width, spec.height
     f = spec.action_failure_prob
-    p = np.zeros((spec.num_cells, NUM_ACTIONS, spec.num_cells))
-    for row in range(h):
-        for col in range(w):
-            s = row * w + col
-            targets = []
-            for dr, dc in ACTION_DELTAS:
-                r2, c2 = row + dr, col + dc
-                blocked = not (0 <= r2 < h and 0 <= c2 < w) or spec.is_wall(r2, c2)
-                targets.append(s if blocked else r2 * w + c2)
-            for a in range(NUM_ACTIONS):
-                # Intended action w.p. 1-f, else a uniform redraw over all four.
-                for a2, t in enumerate(targets):
-                    mass = f / NUM_ACTIONS + (1.0 - f) * (a2 == a)
-                    p[s, a, t] += mass
+    S = spec.num_cells
+    row, col = np.divmod(np.arange(S), w)
+    dr, dc = np.array(ACTION_DELTAS).T
+    r2, c2 = row[:, None] + dr, col[:, None] + dc                 # (S, 4)
+    blocked = (r2 < 0) | (r2 >= h) | (c2 < 0) | (c2 >= w)
+    if spec.wall_column is not None:
+        blocked |= (c2 == spec.wall_column) & (r2 != spec.door_row)
+    targets = np.where(blocked, np.arange(S)[:, None], r2 * w + c2)
+    mass = f / NUM_ACTIONS + (1.0 - f) * np.eye(NUM_ACTIONS)      # [a2, a]
+    p = np.zeros((S, NUM_ACTIONS, S))
+    cells, actions = np.arange(S)[:, None], np.arange(NUM_ACTIONS)
+    for a2 in range(NUM_ACTIONS):
+        p[cells, actions, targets[:, a2:a2 + 1]] += mass[a2]
     return p
 
 

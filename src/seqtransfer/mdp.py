@@ -1,5 +1,5 @@
-"""Tabular MDP representation, exact planning, variance statistics and the
-simulation-lemma bound.
+"""Tabular MDP representation, exact planning of model stacks, reward
+statistics and the simulation-lemma bound.
 
 All operations are pure functions over immutable arrays; a ``TabularMdp``
 is never mutated after construction.
@@ -13,6 +13,8 @@ import numpy as np
 PROB_TOL = 1e-9
 # Sup-norm error of the values ``value_iteration`` returns.
 VALUE_TOL = 1e-8
+# Greedy actions within this many times max(1, max |Q|) of the best tie.
+_TIE_SCALE = 64.0 * np.finfo(float).eps
 
 
 class ShapeMismatchError(ValueError):
@@ -107,21 +109,54 @@ def require_same_shape(a: TabularMdp, b: TabularMdp) -> None:
         raise ShapeMismatchError("models must share (S, A, U, gamma)")
 
 
-def _policy_matrices(mdp: TabularMdp, pi: np.ndarray):
-    """Transition matrix and reward vector induced by a deterministic policy."""
-    S = mdp.num_states
-    idx = np.arange(S)
-    p_pi = mdp.p[idx, pi, :]
-    r_pi = mdp.reward_means()[idx, pi]
-    return p_pi, r_pi
+def _shared_shape(models):
+    """The (S, A, gamma) that ``models`` must share."""
+    first = models[0]
+    for m in models[1:]:
+        if m.p.shape != first.p.shape or m.gamma != first.gamma:
+            raise ShapeMismatchError("models must share (S, A, gamma)")
+    return first.num_states, first.num_actions, first.gamma
+
+
+def _solve_policies(ps, rs, rows, gamma, identity):
+    """V^pi in the model with transitions ``ps[m]`` (S, A, S) and reward
+    means ``rs[m]`` (S, A) of the policy whose rows of ``p.reshape(S*A, S)``
+    are ``rows[m]`` (s*A + pi(s)), for each m: one stacked solve of
+    (I - gamma P_pi) V = r_pi, with ``identity`` the (S, S) I.
+
+    Each P_pi is gathered straight into the stacked system, and
+    I - gamma P_pi is formed there in place, so each model gets bit for bit
+    what a solve of ``np.eye(S) - gamma * p[arange(S), pi]`` alone gets.
+    """
+    n, S = rows.shape
+    system = np.empty((n, S, S))
+    r_pi = np.empty((n, S))
+    for p, r, row, p_out, r_out in zip(ps, rs, rows, system, r_pi):
+        # The rows are in range; mode "clip" writes to out without a buffer.
+        np.take(p.reshape(-1, S), row, axis=0, out=p_out, mode="clip")
+        np.take(r.reshape(-1), row, out=r_out, mode="clip")
+    np.multiply(system, gamma, out=system)
+    np.subtract(identity, system, out=system)
+    return np.linalg.solve(system, r_pi[..., None])[..., 0]
+
+
+def policy_values(models, pi: np.ndarray) -> np.ndarray:
+    """Value function of one deterministic policy in each of k models that
+    share (S, A, gamma), shape (k, S): one stacked linear solve, exact up to
+    floating point, each row bit for bit the model's ``policy_evaluation``."""
+    S, A, gamma = _shared_shape(models)
+    pi = np.asarray(pi, dtype=int)
+    if pi.shape != (S,) or pi.min() < 0 or pi.max() >= A:
+        raise ValueError(f"a policy needs one action in [0, {A}) per state")
+    rs = [m.reward_means() for m in models]
+    rows = np.broadcast_to(np.arange(S) * A + pi, (len(models), S))
+    return _solve_policies([m.p for m in models], rs, rows, gamma, np.eye(S))
 
 
 def policy_evaluation(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:
-    """Value function of a deterministic policy, via direct linear solve
-    (exact up to floating point)."""
-    p_pi, r_pi = _policy_matrices(mdp, np.asarray(pi, dtype=int))
-    S = mdp.num_states
-    return np.linalg.solve(np.eye(S) - mdp.gamma * p_pi, r_pi)
+    """Value function of a deterministic policy: ``policy_values`` with one
+    model."""
+    return policy_values([mdp], pi)[0]
 
 
 def is_eps_optimal(mdp: TabularMdp, v_star: np.ndarray, pi: np.ndarray,
@@ -131,55 +166,79 @@ def is_eps_optimal(mdp: TabularMdp, v_star: np.ndarray, pi: np.ndarray,
     return bool(np.max(v_star - policy_evaluation(mdp, pi)) <= eps + 1e-6)
 
 
-def value_iteration(mdp: TabularMdp):
-    """Optimal value function and greedy policy.
+def plan(models):
+    """Optimal value functions and greedy policies of k models that share
+    (S, A, gamma): (values (k, S), policies (k, S)).
 
-    Uses policy iteration (greedy step + exact evaluation), which converges
-    in finitely many steps and is robust to discounts close to 1.  Stops once
-    the Bellman residual of V is at most VALUE_TOL*(1-gamma)/(2*gamma), which
-    guarantees sup-norm error at most ``VALUE_TOL``.  Greedy ties break
+    Policy iteration (greedy step + exact evaluation), which converges in
+    finitely many steps and is robust to discounts close to 1.  A model
+    stops once the Bellman residual of its V is at most
+    VALUE_TOL*(1-gamma)/(2*gamma), which guarantees sup-norm error at most
+    ``VALUE_TOL``, or once its greedy policy repeats.  Greedy ties break
     toward the lowest action index.
+
+    The models are planned as one stack: each step backs up every model
+    still running, and one stacked solve evaluates their new policies.
+    Each model is frozen at its own stop, so its values and policy are bit
+    for bit what it gets planned alone.
     """
-    gamma = mdp.gamma
+    S, A, gamma = _shared_shape(models)
+    k = len(models)
     target = VALUE_TOL * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else VALUE_TOL
-    r = mdp.reward_means()
-    S = mdp.num_states
-    v = np.zeros(S)
-    prev_pi = None
+    offsets, identity = np.arange(S) * A, np.eye(S)
+    values = np.empty((k, S))
+    policies = np.empty((k, S), dtype=int)
+    # The models still running: their indices, transitions, reward means,
+    # values and last greedy policies.
+    ids = np.arange(k)
+    ps = [m.p for m in models]
+    r = np.array([m.reward_means() for m in models])
+    v = np.zeros((k, S))
+    pi = None
+    # The backup r + gamma p.v of v = 0 is r, bit for bit.
+    q = r
+    backup = np.empty((k, S, A))
+    # At k = 1 this loop plans every uniform-fallback solve, so it calls
+    # ufunc reductions and in-place operators, which skip numpy's method
+    # wrappers.
     for _ in range(10_000):
-        q = r + gamma * (mdp.p @ v)
-        qmax = q.max(axis=1)
-        residual = np.max(np.abs(qmax - v))
+        qmax = np.maximum.reduce(q, axis=2)
+        residual = np.maximum.reduce(np.abs(qmax - v), axis=1)
         # Treat actions within round-off of the best as exact ties; without
         # this, discounts near 1 make the greedy policy cycle on noise.
-        tie_tol = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(qmax).max()))
-        pi = np.argmax(q >= qmax[:, None] - tie_tol, axis=1)
-        # A repeated greedy policy means v is its exact value and satisfies
-        # the optimality equation, so v = V* up to the solve's round-off.
-        if residual <= target or (prev_pi is not None and np.array_equal(pi, prev_pi)):
-            return v, pi
-        v = policy_evaluation(mdp, pi)
-        prev_pi = pi
+        tie_tol = _TIE_SCALE * np.maximum(1.0, np.maximum.reduce(np.abs(qmax), axis=1))
+        greedy = (q >= (qmax - tie_tol[:, None])[..., None]).argmax(axis=2)
+        stop = residual <= target
+        if pi is not None:
+            # A repeated greedy policy means v is its exact value and
+            # satisfies the optimality equation, so v = V* up to the
+            # solve's round-off.
+            stop |= np.logical_and.reduce(greedy == pi, axis=1)
+        stopped = stop.tolist()
+        if any(stopped):
+            for slot, done in enumerate(stopped):
+                if done:
+                    values[ids[slot]], policies[ids[slot]] = v[slot], greedy[slot]
+            if all(stopped):
+                return values, policies
+            run = ~stop
+            ids, r, greedy = ids[run], r[run], greedy[run]
+            ps = [p for p, done in zip(ps, stopped) if not done]
+        pi = greedy
+        v = _solve_policies(ps, r, offsets + pi, gamma, identity)
+        q = backup[:ids.size]
+        for p, v_m, out in zip(ps, v, q):
+            np.matmul(p, v_m, out=out)
+        q *= gamma
+        q += r
     raise RuntimeError("policy iteration failed to converge")  # pragma: no cover
 
 
-def transition_value_std(mdp: TabularMdp, s: int, a: int, v: np.ndarray) -> float:
-    """Standard deviation of v(S') under the transition at (s, a)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (mdp.num_states,):
-        raise ValueError("value function length must equal the state count")
-    row = mdp.p[s, a]
-    mean = float(row @ v)
-    var = float(row @ (v - mean) ** 2)
-    return float(np.sqrt(max(var, 0.0)))
-
-
-def transition_value_std_table(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
-    """Vectorized ``transition_value_std`` over all (s, a), shape (S, A)."""
-    v = np.asarray(v, dtype=float)
-    mean = mdp.p @ v
-    second = mdp.p @ (v ** 2)
-    return np.sqrt(np.maximum(second - mean ** 2, 0.0))
+def value_iteration(mdp: TabularMdp):
+    """Optimal value function and greedy policy of one model: ``plan``
+    with one model (policy iteration; the values within ``VALUE_TOL``)."""
+    values, policies = plan([mdp])
+    return values[0], policies[0]
 
 
 def discounted_occupancy(mdp: TabularMdp, pi: np.ndarray, start_state: int) -> np.ndarray:
@@ -189,8 +248,8 @@ def discounted_occupancy(mdp: TabularMdp, pi: np.ndarray, start_state: int) -> n
     1/(1 - gamma).
     """
     pi = np.asarray(pi, dtype=int)
-    p_pi, _ = _policy_matrices(mdp, pi)
     S = mdp.num_states
+    p_pi = mdp.p[np.arange(S), pi]
     e = np.zeros(S)
     e[start_state] = 1.0
     return np.linalg.solve(np.eye(S) - mdp.gamma * p_pi.T, e)

@@ -20,13 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .envs import GenerativeModel
-from .mdp import (
-    TabularMdp,
-    policy_evaluation,
-    require_same_shape,
-    transition_value_std_table,
-    value_iteration,
-)
+from .mdp import TabularMdp, plan, policy_values, require_same_shape, value_iteration
 
 INF = math.inf
 
@@ -51,8 +45,9 @@ class ApproxModelSet:
     """Candidate models with their planning byproducts, all precomputed.
 
     Holds, for k models over shared (S, A, U, gamma): optimal values and
-    policies, the cross-evaluation table xval[i, j] = value of model i's
-    optimal policy evaluated in model j, reward/transition-value standard
+    policies (``mdp.plan``, one call for the set), the cross-evaluation
+    table xval[i, j] = value of model i's optimal policy evaluated in model
+    j (one stacked solve per policy i), reward/transition-value standard
     deviations, pairwise gap tables, and the uncertainty level ``delta``:
     the largest error, in any reward or transition mean or standard
     deviation, of the model that approximates the true task (0 for exact
@@ -75,29 +70,28 @@ class ApproxModelSet:
         S, A = models[0].num_states, models[0].num_actions
         self.gamma = models[0].gamma
 
-        self.values = np.empty((k, S))
-        self.policies = np.empty((k, S), dtype=int)
-        for i, m in enumerate(models):
-            self.values[i], self.policies[i] = value_iteration(m)
-
-        self.xval = np.empty((k, k, S))
+        self.values, self.policies = plan(self.models)
+        # xval[i, j]: the diagonal is the planner's own V*_i, and one
+        # stacked solve per policy row fills in the other models.
+        self.xval = np.repeat(self.values[:, None], k, axis=1)
         for i in range(k):
-            for j in range(k):
-                self.xval[i, j] = (
-                    self.values[i] if i == j
-                    else policy_evaluation(models[j], self.policies[i])
-                )
+            others = [j for j in range(k) if j != i]
+            if others:
+                self.xval[i, others] = policy_values([models[j] for j in others],
+                                                     self.policies[i])
 
         self.rewards = np.stack([m.reward_means() for m in models])      # (k, S, A)
         self.sigma_r = np.stack([m.reward_stds() for m in models])       # (k, S, A)
+        # pv[i, j] = p_i(s, a) . V*_j, used by the pruning conditions, and
         # sigma_p[i, j] = std of V*_j(S') under model i's transitions.
-        self.sigma_p = np.empty((k, k, S, A))
-        # pv[i, j] = p_i(s, a) . V*_j, used by the pruning conditions.
         self.pv = np.empty((k, k, S, A))
-        for i in range(k):
-            for j in range(k):
-                self.sigma_p[i, j] = transition_value_std_table(models[i], self.values[j])
-                self.pv[i, j] = models[i].p @ self.values[j]
+        self.sigma_p = np.empty((k, k, S, A))
+        values = self.values[:, None, :, None]
+        squares = values ** 2
+        for i, m in enumerate(models):
+            self.pv[i] = (m.p @ values)[..., 0]
+            second = (m.p @ squares)[..., 0]
+            self.sigma_p[i] = np.sqrt(np.maximum(second - self.pv[i] ** 2, 0.0))
 
         # Gap tables; the transition gap of (i, j) is referenced to V*_i:
         # trans_gap[i, j] = |p_i . V*_i - p_j . V*_i|.

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .envs import GenerativeModel, TaskChain, sample_initial_task, sample_next_task
-from .mdp import is_eps_optimal, value_iteration
+from .mdp import is_eps_optimal, plan
 from .ptum import (
     ApproxModelSet,
     EmpiricalModel,
@@ -224,7 +224,7 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
     gamma = base.gamma
     layout = ObservationLayout(S, A, U)
 
-    true_values = [value_iteration(m)[0] for m in family]
+    true_values, _ = plan(family)
     o_true = np.stack(
         [layout.vectorize(m.q, m.p) for m in family], axis=1
     )

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from seqtransfer.envs import (
+    ACTION_DELTAS,
+    NUM_ACTIONS,
     GenerativeModel,
     GridSpec,
     ObjectworldSpec,
     TaskChain,
+    _grid_transitions,
     _multinomial_pvals,
     _objectworld_mdp,
     build_grid,
@@ -30,7 +33,50 @@ from seqtransfer.mdp import TabularMdp, value_iteration
 from seqtransfer.ptum import ApproxModelSet, EmpiricalModel
 
 
+def reference_grid_transitions(spec: GridSpec) -> np.ndarray:
+    """The movement kernel built one cell, action and redraw at a time."""
+    w, h = spec.width, spec.height
+    f = spec.action_failure_prob
+    p = np.zeros((spec.num_cells, NUM_ACTIONS, spec.num_cells))
+    for row in range(h):
+        for col in range(w):
+            s = row * w + col
+            targets = []
+            for dr, dc in ACTION_DELTAS:
+                r2, c2 = row + dr, col + dc
+                wall = (spec.wall_column is not None and c2 == spec.wall_column
+                        and r2 != spec.door_row)
+                blocked = not (0 <= r2 < h and 0 <= c2 < w) or wall
+                targets.append(s if blocked else r2 * w + c2)
+            for a in range(NUM_ACTIONS):
+                # Intended action w.p. 1-f, else a uniform redraw over all four.
+                for a2, t in enumerate(targets):
+                    p[s, a, t] += f / NUM_ACTIONS + (1.0 - f) * (a2 == a)
+    return p
+
+
+GRID_LAYOUTS = {
+    **{f"two-rooms-door-{door}": GridSpec(width=12, height=12, goal_cells={},
+                                          wall_column=6, door_row=door)
+       for door in range(12)},
+    "multi-goal": GridSpec(width=12, height=12, goal_cells={}),
+    "objectworld": GridSpec(width=5, height=5, goal_cells={}),
+    "width-3-door-first-row": GridSpec(width=3, height=4, goal_cells={},
+                                       wall_column=1, door_row=0),
+    "width-3-door-last-row": GridSpec(width=3, height=4, goal_cells={},
+                                      wall_column=1, door_row=3),
+    "one-row": GridSpec(width=5, height=1, goal_cells={}, action_failure_prob=0.3),
+    "no-failure": GridSpec(width=4, height=4, goal_cells={}, action_failure_prob=0.0,
+                           wall_column=2, door_row=1),
+}
+
+
 class TestGrids:
+    @pytest.mark.parametrize("layout", GRID_LAYOUTS)
+    def test_kernel_matches_the_cell_loop(self, layout):
+        spec = GRID_LAYOUTS[layout]
+        assert np.array_equal(_grid_transitions(spec), reference_grid_transitions(spec))
+
     def test_success_mass_two_cell_strip(self):
         spec = GridSpec(width=2, height=1, goal_cells={}, action_failure_prob=0.1)
         m = build_grid(spec)

@@ -2,25 +2,130 @@
 
 The gap tables and the minimum gap live on ``ptum.ApproxModelSet``, the one
 place that plans a family; their tests sit here beside the statistics they
-are built from.
+are built from, with the per-model build that the stacked one must match
+bit for bit.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from seqtransfer.envs import (
+    GenerativeModel,
+    ObjectworldSpec,
+    build_objectworld_family,
+    multi_goal_family,
+    paper_objectworld_duplicates,
+    sample_task_path,
+    successor_chain,
+    two_rooms_family,
+)
+from seqtransfer.harness import run_rng
 from seqtransfer.mdp import (
     VALUE_TOL,
     ShapeMismatchError,
     TabularMdp,
     discounted_occupancy,
+    plan,
     policy_evaluation,
+    policy_values,
     simulation_gap_bound,
-    transition_value_std,
-    transition_value_std_table,
     value_iteration,
 )
-from seqtransfer.ptum import ApproxModelSet
+from seqtransfer.ptum import ApproxModelSet, EmpiricalModel, info_index_table
+from seqtransfer.spectral import (
+    ObservationLayout,
+    spectral_estimate,
+    unpack_models,
+    vectorize_observation,
+)
+
+
+def transition_value_std(mdp: TabularMdp, s: int, a: int, v: np.ndarray) -> float:
+    """Standard deviation of v(S') under the transition at (s, a)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (mdp.num_states,):
+        raise ValueError("value function length must equal the state count")
+    row = mdp.p[s, a]
+    mean = float(row @ v)
+    var = float(row @ (v - mean) ** 2)
+    return float(np.sqrt(max(var, 0.0)))
+
+
+def transition_value_std_table(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
+    """Vectorized ``transition_value_std`` over all (s, a), shape (S, A)."""
+    v = np.asarray(v, dtype=float)
+    mean = mdp.p @ v
+    second = mdp.p @ (v ** 2)
+    return np.sqrt(np.maximum(second - mean ** 2, 0.0))
+
+
+def reference_value_iteration(mdp: TabularMdp):
+    """Policy iteration on one model, one step at a time: the loop that
+    ``plan`` runs on a stack.  Returns (v, pi, steps, rule): the greedy
+    steps taken and the stop rule that ended them, "residual" or
+    "repeat"."""
+    gamma = mdp.gamma
+    target = VALUE_TOL * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else VALUE_TOL
+    r = mdp.reward_means()
+    S = mdp.num_states
+    v = np.zeros(S)
+    prev_pi = None
+    for step in range(10_000):
+        q = r + gamma * (mdp.p @ v)
+        qmax = q.max(axis=1)
+        residual = np.max(np.abs(qmax - v))
+        tie_tol = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(qmax).max()))
+        pi = np.argmax(q >= qmax[:, None] - tie_tol, axis=1)
+        if residual <= target:
+            return v, pi, step, "residual"
+        if prev_pi is not None and np.array_equal(pi, prev_pi):
+            return v, pi, step, "repeat"
+        idx = np.arange(S)
+        v = np.linalg.solve(np.eye(S) - gamma * mdp.p[idx, pi, :], r[idx, pi])
+        prev_pi = pi
+    raise RuntimeError("policy iteration failed to converge")
+
+
+def reference_tables(models) -> dict:
+    """The tables of ``ApproxModelSet(models)`` built one model and one pair
+    at a time: ``value_iteration`` per model, ``policy_evaluation`` per
+    pair, and p_i @ V*_j plus ``transition_value_std_table`` per pair."""
+    k = len(models)
+    values, policies = (np.array(t) for t in zip(*map(value_iteration, models)))
+    xval = np.array([[values[i] if i == j else policy_evaluation(models[j], policies[i])
+                      for j in range(k)] for i in range(k)])
+    pv = np.array([[m.p @ v for v in values] for m in models])
+    sigma_p = np.array([[transition_value_std_table(m, v) for v in values]
+                        for m in models])
+    rewards = np.array([m.reward_means() for m in models])
+    own = pv[np.arange(k), np.arange(k)]
+    return dict(
+        values=values, policies=policies, xval=xval, pv=pv, sigma_p=sigma_p,
+        rewards=rewards, sigma_r=np.array([m.reward_stds() for m in models]),
+        reward_gap=np.abs(rewards[:, None] - rewards[None, :]),
+        trans_gap=np.abs(own[:, None] - pv.transpose(1, 0, 2, 3)),
+    )
+
+
+def learned_objectworld_models(seed=3, tasks=30, per_pair=20):
+    """The 8 models ``unpack_models`` makes of a short seeded spectral
+    estimate on the paper's objectworld chain."""
+    spec = ObjectworldSpec(duplicate_of=paper_objectworld_duplicates())
+    family = build_objectworld_family(spec, 8, run_rng(seed, 0))
+    rng = run_rng(seed, 1)
+    base = family[0]
+    layout = ObservationLayout(base.num_states, base.num_actions, base.num_rewards)
+    need = np.full((base.num_states, base.num_actions), per_pair)
+    observations = []
+    for task in sample_task_path(successor_chain(8), tasks, rng):
+        g = GenerativeModel(family[task])
+        emp = EmpiricalModel(g.num_states, g.num_actions, g.reward_support)
+        emp.add_table(*g.query_table(need, rng))
+        observations.append(vectorize_observation(emp, layout))
+    est = spectral_estimate(observations, 8, layout, restarts=5, iters=30, rng=rng)
+    return unpack_models(est, base.reward_support, base.gamma)
 
 
 def single_state_mdp(reward=1.0, gamma=0.9):
@@ -122,6 +227,121 @@ class TestPlanning:
         v, _ = value_iteration(m)
         assert np.all(v >= -1e-9)
         assert np.all(v <= 1.0 / (1.0 - m.gamma) + 1e-9)
+
+
+class TestStackedPlanner:
+    """``plan`` runs the one-model loop on a stack of models: each model gets
+    bit for bit what ``reference_value_iteration`` gets for it alone."""
+
+    @staticmethod
+    def assert_matches_reference(models):
+        values, policies = plan(models)
+        for m, v, pi in zip(models, values, policies):
+            ref_v, ref_pi, _, _ = reference_value_iteration(m)
+            assert np.array_equal(v, ref_v) and np.array_equal(pi, ref_pi)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 0.99, 0.9999])
+    def test_value_iteration_is_the_reference_loop(self, gamma):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            m = random_mdp(rng, S=6, A=3, gamma=gamma)
+            v, pi = value_iteration(m)
+            ref_v, ref_pi, _, _ = reference_value_iteration(m)
+            assert np.array_equal(v, ref_v) and np.array_equal(pi, ref_pi)
+
+    def test_models_stop_at_their_own_step_and_rule(self):
+        rng = np.random.default_rng(13)
+        models = [random_mdp(rng, S=6, A=3, gamma=0.9999) for _ in range(6)]
+        # Zero rewards: the first residual is 0, so it stops at step 0.
+        q = np.zeros((6, 3, 3))
+        q[:, :, 0] = 1.0
+        models.insert(2, TabularMdp(p=models[0].p, reward_support=models[0].reward_support,
+                                    q=q, gamma=0.9999))
+        stops = [reference_value_iteration(m)[2:] for m in models]
+        assert len({step for step, _ in stops}) >= 3
+        assert {rule for _, rule in stops} == {"residual", "repeat"}
+        self.assert_matches_reference(models)
+        self.assert_matches_reference(models[::-1])
+
+    def test_a_stopped_model_keeps_its_last_evaluation(self):
+        # In state 0, staying pays 0.5 + 1e-12 and moving to state 1 leads
+        # to 0.5 + 2.1e-11 forever.  Policy iteration first stays, then
+        # finds moving better by less than the residual target: it stops on
+        # the residual rule with a greedy policy it never evaluated, while
+        # another model of the stack runs one more step.
+        support = np.array([0.0, 0.5, 0.5 + 1e-12, 0.5 + 2.1e-11, 1.0])
+        p = np.zeros((2, 2, 2))
+        p[0, 0, 0] = p[0, 1, 1] = p[1, :, 1] = 1.0
+        q = np.zeros((2, 2, 5))
+        q[0, 0, 2] = q[0, 1, 1] = q[1, :, 3] = 1.0
+        slow = TabularMdp(p=p, reward_support=support, q=q, gamma=0.9)
+        rng = np.random.default_rng(17)
+        others = [TabularMdp(p=rng.dirichlet(np.ones(2), size=(2, 2)), reward_support=support,
+                             q=rng.dirichlet(np.ones(5), size=(2, 2)), gamma=0.9)
+                  for _ in range(4)]
+        v, pi, step, rule = reference_value_iteration(slow)
+        assert (step, rule, pi.tolist()) == (1, "residual", [1, 0])
+        assert not np.array_equal(v, policy_evaluation(slow, pi))
+        assert max(reference_value_iteration(m)[2] for m in others) > step
+        self.assert_matches_reference([slow] + others)
+        # The model set's xval diagonal is the planner's V*, not V^pi.
+        assert np.array_equal(ApproxModelSet([slow] + others).xval[0, 0], v)
+
+    def test_zero_discount(self):
+        rng = np.random.default_rng(14)
+        models = [random_mdp(rng, S=5, A=3, gamma=0.0) for _ in range(4)]
+        values, _ = plan(models)
+        assert np.array_equal(values, [m.reward_means().max(axis=1) for m in models])
+        self.assert_matches_reference(models)
+
+    def test_models_must_share_states_actions_and_discount(self):
+        with pytest.raises(ShapeMismatchError):
+            plan([single_state_mdp(), two_state_chain()])
+        with pytest.raises(ShapeMismatchError):
+            plan([two_state_chain(gamma=0.5), two_state_chain(gamma=0.9)])
+
+    def test_policy_values_stack_the_direct_solve(self):
+        rng = np.random.default_rng(15)
+        models = [random_mdp(rng, S=5, A=3) for _ in range(4)]
+        pi = rng.integers(3, size=5)
+        idx = np.arange(5)
+        for m, got in zip(models, policy_values(models, pi)):
+            direct = np.linalg.solve(np.eye(5) - m.gamma * m.p[idx, pi],
+                                     m.reward_means()[idx, pi])
+            assert np.array_equal(got, direct)
+            assert np.array_equal(policy_evaluation(m, pi), direct)
+
+    @pytest.mark.parametrize("pi", [[0, 2], [0, -1], [0]])
+    def test_policy_outside_the_actions_rejected(self, pi):
+        m = random_mdp(np.random.default_rng(16), S=2, A=2)
+        with pytest.raises(ValueError):
+            policy_evaluation(m, np.array(pi))
+
+
+MODEL_SETS = {
+    "two-rooms": two_rooms_family,
+    "multi-goal": multi_goal_family,
+    "objectworld": lambda: build_objectworld_family(
+        ObjectworldSpec(duplicate_of=paper_objectworld_duplicates()), 8,
+        np.random.default_rng(0)),
+    "learned": learned_objectworld_models,
+}
+
+
+class TestModelSetTables:
+    @pytest.mark.parametrize("name", sorted(MODEL_SETS))
+    def test_tables_match_the_per_model_build(self, name):
+        models = MODEL_SETS[name]()
+        approx = ApproxModelSet(models, 0.001)
+        expected = reference_tables(models)
+        for table, want in expected.items():
+            assert np.array_equal(getattr(approx, table), want), table
+        inputs = SimpleNamespace(**expected, delta=approx.delta, gamma=approx.gamma,
+                                 num_models=len(models))
+        assert np.array_equal(approx.info_table, info_index_table(inputs))
+        for m, v, pi in zip(models, approx.values, approx.policies):
+            ref_v, ref_pi, _, _ = reference_value_iteration(m)
+            assert np.array_equal(v, ref_v) and np.array_equal(pi, ref_pi)
 
 
 class TestStatistics:

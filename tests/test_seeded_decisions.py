@@ -1,0 +1,129 @@
+"""Seeded decisions, pinned.
+
+A change that claims to keep every seeded output bit for bit (a faster
+planner, a batched sampler) runs these.  They pin what each run decided,
+not how fast: the task path, each transfer task's mode, elimination queries
+tau, charged queries, candidate-set size, eps-optimality and whether the
+true task was a candidate, which estimates degraded, and for
+two-rooms identification the stop step, queries, mode and survivors.  The
+pinned values were recorded from the per-model planner (one
+``value_iteration`` per model, one ``policy_evaluation`` per pair).
+"""
+from seqtransfer.envs import (
+    GenerativeModel,
+    ObjectworldSpec,
+    build_objectworld_family,
+    paper_objectworld_duplicates,
+    successor_chain,
+    two_rooms_family,
+)
+from seqtransfer.harness import run_rng
+from seqtransfer.ptum import ApproxModelSet, run_ptum
+from seqtransfer.sequential import SequentialConfig, run_sequential
+
+SEED = 19
+STARTUP = 24
+
+
+# What the per-model planner decided on these runs.
+SEQUENTIAL_PATHS = (
+    [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 6, 7, 0, 1, 2,
+     3, 4, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 0],
+    [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 6, 7, 0, 1, 2,
+     3, 4, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7],
+)
+PRE_ELIMINATION_TRANSFER = [
+    ('transfer-stopped', 94, 94, 8, True, True),
+    ('transfer-stopped', 97, 97, 6, True, False),
+    ('transfer-stopped', 422, 422, 6, True, True),
+    ('transfer-stopped', 592, 592, 5, False, False),
+    ('transfer-stopped', 0, 0, 3, False, False),
+    ('transfer-stopped', 274, 274, 5, True, True),
+    ('transfer-stopped', 85, 85, 5, True, True),
+    ('transfer-stopped', 92, 92, 4, True, True),
+    ('transfer-stopped', 87, 87, 4, True, False),
+    ('transfer-stopped', 83, 83, 3, True, False),
+    ('transfer-stopped', 247, 247, 3, True, True),
+    ('transfer-stopped', 413, 413, 4, False, False),
+    ('transfer-stopped', 0, 0, 3, False, False),
+    ('transfer-stopped', 260, 260, 4, True, True),
+    ('transfer-stopped', 84, 84, 3, True, True),
+    ('transfer-stopped', 94, 94, 5, True, True),
+]
+PRE_ELIMINATION_DEGRADED = []
+STATIC_TRANSFER = [
+    ('transfer-stopped', 94, 94, 8, True, True),
+    ('transfer-stopped', 97, 97, 8, True, True),
+    ('transfer-stopped', 433, 433, 8, True, True),
+    ('transfer-stopped', 574, 574, 8, False, True),
+    ('transfer-stopped', 290, 290, 8, True, True),
+    ('transfer-stopped', 310, 310, 8, True, True),
+    ('transfer-stopped', 594, 594, 8, True, True),
+    ('transfer-stopped', 94, 94, 8, True, True),
+    ('transfer-stopped', 86, 86, 8, True, True),
+    ('transfer-stopped', 103, 103, 8, True, True),
+    ('transfer-stopped', 436, 436, 8, True, True),
+    ('transfer-stopped', 424, 424, 8, False, True),
+    ('transfer-stopped', 285, 285, 8, True, True),
+    ('transfer-stopped', 302, 302, 8, True, True),
+    ('transfer-stopped', 652, 652, 8, True, True),
+    ('transfer-stopped', 108, 108, 8, True, True),
+]
+STATIC_DEGRADED = []
+TWO_ROOMS_STREAMS = [
+    (195, 195, 'transfer-stopped', [0]),
+    (195, 195, 'transfer-stopped', [0]),
+    (195, 195, 'transfer-stopped', [0]),
+    (195, 195, 'transfer-stopped', [0]),
+]
+
+
+def sequential_pair():
+    """A 40-task pre-elimination run and its static twin on the paper's
+    objectworld chain, from one stream: for each, (task path, one decision
+    row per transfer task, the h of each degraded estimate)."""
+    family = build_objectworld_family(
+        ObjectworldSpec(duplicate_of=paper_objectworld_duplicates()), 8,
+        run_rng(SEED, 2 ** 31))
+    shared = dict(num_tasks=40, startup_tasks=STARTUP, startup_per_pair=20,
+                  post_sample_per_pair=10, eps=0.5, delta=1e-6, delta_prime=0.1,
+                  rho=0.002, rho_t=0.001, top_keep=3, rtp_restarts=5, rtp_iters=30)
+    runs = []
+    for pre_elimination, eta in ((True, 0.087), (False, 0.0)):
+        cfg = SequentialConfig(eta=eta, pre_elimination=pre_elimination, **shared)
+        records = run_sequential(cfg, family, successor_chain(8),
+                                 run_rng(SEED, 0)).records
+        runs.append((
+            [r.true_task for r in records],
+            [(r.mode, r.tau, r.queries, r.active_set_size, r.eps_optimal,
+              r.true_in_active) for r in records if r.h >= STARTUP],
+            [r.h for r in records if r.degraded],
+        ))
+    return runs
+
+
+def two_rooms_streams():
+    """(tau, queries, mode, survivors) of ``run_ptum`` on the two-rooms
+    family with exact models, task 0 true, for streams 0..3."""
+    family = two_rooms_family()
+    approx = ApproxModelSet(family)
+    out = []
+    for i in range(4):
+        res = run_ptum(approx, GenerativeModel(family[0]), 0.1, 0.01, 100_000,
+                       run_rng(SEED, i))
+        out.append((res.tau, res.queries_total, res.mode, sorted(res.survived)))
+    return out
+
+
+def test_sequential_pair_decisions():
+    (seq_path, seq_rows, seq_degraded), (static_path, static_rows, static_degraded) = (
+        sequential_pair())
+    assert (seq_path, static_path) == SEQUENTIAL_PATHS
+    assert seq_rows == PRE_ELIMINATION_TRANSFER
+    assert static_rows == STATIC_TRANSFER
+    assert (seq_degraded, static_degraded) == (PRE_ELIMINATION_DEGRADED,
+                                               STATIC_DEGRADED)
+
+
+def test_two_rooms_stream_decisions():
+    assert two_rooms_streams() == TWO_ROOMS_STREAMS
