@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Subcommands: run-ptum, run-sequential (with --static ablation), learn-hmm,
-diagnose, export-env.  Exit codes: 0 success, 2 configuration error,
-3 runtime failure.
+diagnose, export-env.  ``main`` reads the config and resolves the output
+directory once, for every subcommand.  Exit codes: 0 success,
+2 configuration error, 3 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import traceback
@@ -21,7 +23,6 @@ from .harness import (
     aggregate,
     build_family,
     config_values,
-    export_models_json,
     random_hmm_family,
     run_rng,
     simulate_hmm_observations,
@@ -39,12 +40,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _out_dir(cfg: ExperimentConfig, args) -> Path:
-    out = Path(args.output_dir) if args.output_dir else (cfg.output_dir or Path("."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _identification(cfg: ExperimentConfig):
     """What ``run-ptum`` and ``diagnose`` share: the family, eps, delta,
     budget and true task of the config, the family's exact model set, and
@@ -60,8 +55,7 @@ def _identification(cfg: ExperimentConfig):
     return family, eps, delta, budget, star, approx, theta_eps, bound
 
 
-def cmd_run_ptum(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_run_ptum(cfg: ExperimentConfig, out: Path, args) -> int:
     family, eps, delta, budget, star, approx, theta_eps, bound = _identification(cfg)
 
     def one_run(i):
@@ -73,7 +67,6 @@ def cmd_run_ptum(args) -> int:
         return (i, res.tau, res.mode, int(opt), int(star_survived), res.queries_total)
 
     rows = sweep(one_run, cfg.num_runs)
-    out = _out_dir(cfg, args)
     write_csv(out / "ptum_results.csv",
               ["run", "tau", "mode", "eps_optimal", "star_survived", "queries_total"],
               rows)
@@ -83,7 +76,7 @@ def cmd_run_ptum(args) -> int:
         "eps": eps,
         "delta": delta,
         "num_runs": cfg.num_runs,
-        "tau": aggregate(taus).as_dict(),
+        "tau": dataclasses.asdict(aggregate(taus)),
         "eps_optimal_fraction": sum(r[3] for r in rows) / len(rows),
         "star_survived_fraction": sum(r[4] for r in rows) / len(rows),
         "theta_eps": sorted(theta_eps),
@@ -112,8 +105,7 @@ def _sequential_config(cfg: ExperimentConfig, static: bool) -> SequentialConfig:
     return SequentialConfig(**values)
 
 
-def cmd_run_sequential(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_run_sequential(cfg: ExperimentConfig, out: Path, args) -> int:
     family, chain = build_family(cfg)
     if chain is None:
         raise ConfigError("run-sequential needs a scenario with a task chain")
@@ -126,7 +118,6 @@ def cmd_run_sequential(args) -> int:
 
     results = sweep(one_run, cfg.num_runs)
     rows = [(i, *row) for i, trace in results for row in trace.rows()]
-    out = _out_dir(cfg, args)
     variant = "static" if args.static else "sequential"
     write_csv(out / f"{variant}_trace.csv", ["run", *SequenceTrace.COLUMNS], rows)
     transfer_queries = [
@@ -141,7 +132,7 @@ def cmd_run_sequential(args) -> int:
         "degraded_fraction": float(np.mean([
             t.degraded_fraction() for _, t in results
         ])),
-        "transfer_queries": aggregate(transfer_queries).as_dict()
+        "transfer_queries": dataclasses.asdict(aggregate(transfer_queries))
         if transfer_queries else None,
     }
     write_json(out / f"{variant}_summary.json", summary)
@@ -150,8 +141,7 @@ def cmd_run_sequential(args) -> int:
     return EXIT_OK
 
 
-def cmd_learn_hmm(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_learn_hmm(cfg: ExperimentConfig, out: Path, args) -> int:
     if cfg.scenario != "synthetic-hmm":
         raise ConfigError("learn-hmm needs the synthetic-hmm scenario")
     k = cfg.typed("num_tasks", int, 3)
@@ -161,6 +151,16 @@ def cmd_learn_hmm(args) -> int:
     steps = cfg.typed("steps", int, 300)
     per_pair = cfg.typed("samples_per_pair", int, 20)
     gamma = cfg.typed("gamma", float, 0.9)
+    with config_values():
+        if min(k, S, A, U, per_pair) < 1:
+            raise ValueError("num_tasks, num_states, num_actions, num_rewards and "
+                             "samples_per_pair must be at least 1")
+        # With fewer than k triples the second moment has rank below k.
+        if steps < 3 * k:
+            raise ValueError(f"steps must be at least 3 * num_tasks = {3 * k}, "
+                             f"got {steps}")
+        if not 0.0 <= gamma < 1.0:
+            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
 
     def one_run(i):
         rng = run_rng(cfg.base_seed, i)
@@ -173,21 +173,19 @@ def cmd_learn_hmm(args) -> int:
         return (i, *estimate_errors(est, o_true, chain.transition))
 
     rows = sweep(one_run, cfg.num_runs)
-    out = _out_dir(cfg, args)
     write_csv(out / "hmm_results.csv", ["run", "o_col_err_max", "t_err_max"], rows)
     summary = {
         "num_runs": cfg.num_runs,
         "steps": steps,
-        "o_col_err_max": aggregate([r[1] for r in rows]).as_dict(),
-        "t_err_max": aggregate([r[2] for r in rows]).as_dict(),
+        "o_col_err_max": dataclasses.asdict(aggregate([r[1] for r in rows])),
+        "t_err_max": dataclasses.asdict(aggregate([r[2] for r in rows])),
     }
     write_json(out / "hmm_summary.json", summary)
     print(f"learn-hmm: mean max column error {summary['o_col_err_max']['mean']:.4f}")
     return EXIT_OK
 
 
-def cmd_diagnose(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_diagnose(cfg: ExperimentConfig, out: Path, args) -> int:
     _, eps, delta, _, star, approx, theta_eps, bound = _identification(cfg)
     gap = approx.min_gap(star)
     report = {
@@ -199,23 +197,20 @@ def cmd_diagnose(args) -> int:
         "query_bound": bound if math.isfinite(bound) else None,
         "min_gap": gap,
     }
-    out = _out_dir(cfg, args)
     write_json(out / "diagnose.json", report)
     print(f"diagnose: |Theta_eps| = {len(theta_eps)}, min gap {gap:.6g}, "
           f"bound {bound:.6g}")
     return EXIT_OK
 
 
-def cmd_export_env(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_export_env(cfg: ExperimentConfig, out: Path, args) -> int:
     family, chain = build_family(cfg)
-    doc = export_models_json(family)
+    doc = {"models": [m.to_json_dict() for m in family]}
     if chain is not None:
         doc["chain"] = {
             "transition": chain.transition.tolist(),
             "initial": chain.initial.tolist(),
         }
-    out = _out_dir(cfg, args)
     write_json(out / "models.json", doc)
     print(f"export-env: wrote {len(family)} models to {out / 'models.json'}")
     return EXIT_OK
@@ -252,7 +247,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        cfg = ExperimentConfig.from_file(args.config)
+        return args.fn(cfg, Path(args.output_dir or cfg.output_dir or "."), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

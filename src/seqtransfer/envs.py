@@ -340,11 +340,12 @@ class TaskChain:
             raise ValueError("transition matrix must be square")
         if init.shape != (t.shape[0],):
             raise ValueError("initial distribution has wrong length")
-        if np.any(t < -PROB_TOL) or np.any(init < -PROB_TOL):
-            raise ValueError("negative probability entry")
-        if np.max(np.abs(t.sum(axis=0) - 1.0)) > PROB_TOL:
+        # Each check passes only on a True comparison, so a NaN fails it.
+        if not (np.all(t >= -PROB_TOL) and np.all(init >= -PROB_TOL)):
+            raise ValueError("negative or NaN probability entry")
+        if not np.max(np.abs(t.sum(axis=0) - 1.0)) <= PROB_TOL:
             raise ValueError("columns must sum to 1")
-        if abs(init.sum() - 1.0) > PROB_TOL:
+        if not abs(init.sum() - 1.0) <= PROB_TOL:
             raise ValueError("initial distribution must sum to 1")
         t.setflags(write=False)
         init.setflags(write=False)

@@ -82,6 +82,8 @@ class ExperimentConfig:
             )
         if self.num_runs < 1:
             raise ConfigError("num_runs must be at least 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be non-negative, got {self.base_seed}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -96,6 +98,8 @@ class ExperimentConfig:
             if key not in ("scenario", "num_runs", "base_seed", "output_dir")
         }
         out_dir = doc.get("output_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ConfigError(f"'output_dir' must be a path string, got {out_dir!r}")
         return cls(
             scenario=scenario,
             num_runs=_typed(doc, "num_runs", int, 1),
@@ -152,15 +156,6 @@ class AggregateResult:
     count: int
     level: float
 
-    def as_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "sd": self.sd,
-            "half_width": self.half_width,
-            "count": self.count,
-            "level": self.level,
-        }
-
 
 def aggregate(values, level: float = 0.99) -> AggregateResult:
     """Mean, sample sd and t_{level, n-1} * sd / sqrt(n) half-width.
@@ -203,13 +198,22 @@ def format_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_text(path, text: str) -> None:
+    """``text`` written to ``path`` (LF line endings) in a directory made
+    only now, so a run that fails before it writes leaves none."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, newline="\n")
+
+
 def write_csv(path, header, rows) -> None:
     """``format_csv(header, rows)`` written to ``path``."""
-    Path(path).write_text(format_csv(header, rows), newline="\n")
+    _write_text(path, format_csv(header, rows))
 
 
 def write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """``doc`` as indented, key-sorted JSON written to ``path``."""
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def build_family(cfg: ExperimentConfig):
@@ -248,10 +252,6 @@ def build_family(cfg: ExperimentConfig):
         if len(family) < 2:
             raise ValueError(f"a task family needs at least 2 tasks, got {len(family)}")
     return family, chain
-
-
-def export_models_json(family) -> dict:
-    return {"models": [m.to_json_dict() for m in family]}
 
 
 def random_hmm_family(k: int, S: int, A: int, U: int, gamma: float, rng):

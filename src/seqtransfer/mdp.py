@@ -18,7 +18,7 @@ _TIE_SCALE = 64.0 * np.finfo(float).eps
 
 
 class ShapeMismatchError(ValueError):
-    """Two models that must share (S, A, U, gamma) do not."""
+    """Models that must share (S, A, U, gamma) do not."""
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,16 @@ class TabularMdp:
         S, A, _ = p.shape
         if q.shape != (S, A, u.shape[0]):
             raise ValueError(f"reward tensor must be (S, A, U), got {q.shape}")
+        # Each check passes only on a True comparison, so a NaN fails it.
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if np.any(u < 0.0) or np.any(u > 1.0):
+        if not (np.all(u >= 0.0) and np.all(u <= 1.0)):
             raise ValueError("reward support values must lie in [0, 1]")
-        if np.any(p < -PROB_TOL) or np.any(q < -PROB_TOL):
-            raise ValueError("negative probability entry")
-        if np.max(np.abs(p.sum(axis=2) - 1.0)) > PROB_TOL:
+        if not (np.all(p >= -PROB_TOL) and np.all(q >= -PROB_TOL)):
+            raise ValueError("negative or NaN probability entry")
+        if not np.max(np.abs(p.sum(axis=2) - 1.0)) <= PROB_TOL:
             raise ValueError("transition rows must sum to 1")
-        if np.max(np.abs(q.sum(axis=2) - 1.0)) > PROB_TOL:
+        if not np.max(np.abs(q.sum(axis=2) - 1.0)) <= PROB_TOL:
             raise ValueError("reward rows must sum to 1")
         for arr in (p, u, q):
             arr.setflags(write=False)
@@ -99,22 +100,14 @@ class TabularMdp:
         }
 
 
-def require_same_shape(a: TabularMdp, b: TabularMdp) -> None:
-    if not (
-        a.p.shape == b.p.shape
-        and a.q.shape == b.q.shape
-        and np.array_equal(a.reward_support, b.reward_support)
-        and a.gamma == b.gamma
-    ):
-        raise ShapeMismatchError("models must share (S, A, U, gamma)")
-
-
 def _shared_shape(models):
-    """The (S, A, gamma) that ``models`` must share."""
+    """The (S, A, gamma) that ``models`` must share, with their reward
+    support; raises ShapeMismatchError when they do not."""
     first = models[0]
     for m in models[1:]:
-        if m.p.shape != first.p.shape or m.gamma != first.gamma:
-            raise ShapeMismatchError("models must share (S, A, gamma)")
+        if not (m.p.shape == first.p.shape and m.gamma == first.gamma
+                and np.array_equal(m.reward_support, first.reward_support)):
+            raise ShapeMismatchError("models must share (S, A, U, gamma)")
     return first.num_states, first.num_actions, first.gamma
 
 
@@ -142,7 +135,7 @@ def _solve_policies(ps, rs, rows, gamma, identity):
 
 def policy_values(models, pi: np.ndarray) -> np.ndarray:
     """Value function of one deterministic policy in each of k models that
-    share (S, A, gamma), shape (k, S): one stacked linear solve, exact up to
+    share (S, A, U, gamma), shape (k, S): one stacked linear solve, exact up to
     floating point, each row bit for bit the model's ``policy_evaluation``."""
     S, A, gamma = _shared_shape(models)
     pi = np.asarray(pi, dtype=int)
@@ -168,7 +161,7 @@ def is_eps_optimal(mdp: TabularMdp, v_star: np.ndarray, pi: np.ndarray,
 
 def plan(models):
     """Optimal value functions and greedy policies of k models that share
-    (S, A, gamma): (values (k, S), policies (k, S)).
+    (S, A, U, gamma): (values (k, S), policies (k, S)).
 
     Policy iteration (greedy step + exact evaluation), which converges in
     finitely many steps and is robust to discounts close to 1.  A model
@@ -263,7 +256,7 @@ def simulation_gap_bound(
     Diagnostic only: the occupancy is taken under theta2 and the value
     function under theta, matching the first simulation inequality.
     """
-    require_same_shape(theta, theta2)
+    _shared_shape([theta, theta2])
     pi = np.asarray(pi, dtype=int)
     nu = discounted_occupancy(theta2, pi, start_state)
     v_pi = policy_evaluation(theta, pi)

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .envs import GenerativeModel
-from .mdp import TabularMdp, plan, policy_values, require_same_shape, value_iteration
+from .mdp import TabularMdp, plan, policy_values, value_iteration
 
 INF = math.inf
 
@@ -44,17 +44,18 @@ def transfer_gate(delta_max: float, eps: float, gamma: float) -> bool:
 class ApproxModelSet:
     """Candidate models with their planning byproducts, all precomputed.
 
-    Holds, for k models over shared (S, A, U, gamma): optimal values and
-    policies (``mdp.plan``, one call for the set), the cross-evaluation
-    table xval[i, j] = value of model i's optimal policy evaluated in model
-    j (one stacked solve per policy i), reward/transition-value standard
-    deviations, pairwise gap tables, and the uncertainty level ``delta``:
-    the largest error, in any reward or transition mean or standard
-    deviation, of the model that approximates the true task (0 for exact
-    models).  It is the one source of these tables for the loop, the
-    diagnostics and the CLI.  Immutable once built, its arrays read-only,
-    so one set can serve many runs; the information-index table and the
-    tables' extremes are computed on first use.
+    Holds, for k models over shared (S, A, U, gamma), which ``mdp.plan``
+    checks: optimal values and policies (one ``plan`` call for the set),
+    the cross-evaluation table xval[i, j] = value of model i's optimal
+    policy evaluated in model j (one stacked solve per policy i),
+    reward/transition-value standard deviations, pairwise gap tables, and
+    the uncertainty level ``delta``: the largest error, in any reward or
+    transition mean or standard deviation, of the model that approximates
+    the true task (0 for exact models).  It is the one source of these
+    tables for the loop, the diagnostics and the CLI.  Immutable once
+    built, its arrays read-only, so one set can serve many runs; the
+    information-index table and the tables' extremes are computed on first
+    use.
     """
 
     def __init__(self, models, delta: float = 0.0):
@@ -62,8 +63,6 @@ class ApproxModelSet:
             raise ValueError("need at least one model")
         if not delta >= 0.0:
             raise ValueError("the uncertainty level must be non-negative")
-        for m in models[1:]:
-            require_same_shape(models[0], m)
         self.models = list(models)
         self.delta = float(delta)
         k = len(models)
@@ -174,34 +173,28 @@ def reward_stats(reward_counts, n, support):
     return mean, np.where(n > 1, std, 0.0)
 
 
-def transition_value_stats(next_counts, n, v):
-    """Empirical mean p_hat . v and std (N-1 denominator; 0 when N <= 1) of
-    v(S').
+def transition_value_stats(next_counts, n, values):
+    """Empirical means p_hat . v and stds (N-1 denominator; 0 when N <= 1)
+    of v(S'), for each row v of the (k, S) stack ``values``.
 
     ``next_counts`` (..., S) counts the draws of each next state and ``n``
     (...) is their total.  Leading axes stack count snapshots, and each
-    snapshot gets, bit for bit, what it alone would get.  ``v`` is one
-    value function (S,) or a stack (k, S), which adds a trailing axis k to
-    both results.  The squared deviations are formed only at the next
-    states some snapshot has seen and are 0 elsewhere, where p_hat is 0
-    and the dense product term is 0 too, so every sum is that of the
+    snapshot gets, bit for bit, what it alone would get.  Both results
+    have shape (..., k).  The squared deviations are formed only at the
+    next states some snapshot has seen and are 0 elsewhere, where p_hat is
+    0 and the dense product term is 0 too, so every sum is that of the
     dense formula for finite squares.
     """
     n = np.asarray(n)
     next_counts = np.asarray(next_counts)
-    v = np.asarray(v, dtype=float)
-    stack = np.atleast_2d(v)                                          # (k, S)
     p_hat = (next_counts / np.maximum(n, 1)[..., None])[..., :, None]   # (..., S, 1)
-    mean = stack @ p_hat                                              # (..., k, 1)
+    mean = values @ p_hat                                             # (..., k, 1)
     seen = np.flatnonzero(next_counts.any(axis=tuple(range(next_counts.ndim - 1))))
-    sq_dev = np.zeros(mean.shape[:-1] + stack.shape[-1:])             # (..., k, S)
-    sq_dev[..., seen] = (stack[:, seen] - mean) ** 2
+    sq_dev = np.zeros(mean.shape[:-1] + values.shape[-1:])            # (..., k, S)
+    sq_dev[..., seen] = (values[:, seen] - mean) ** 2
     var = (sq_dev @ p_hat)[..., 0] * n[..., None] / np.maximum(n - 1, 1)[..., None]
     std = np.where((n > 1)[..., None], np.sqrt(np.maximum(var, 0.0)), 0.0)
-    mean = mean[..., 0]
-    if v.ndim == 1:
-        return mean[..., 0], std[..., 0]
-    return mean, std
+    return mean[..., 0], std
 
 
 class EmpiricalModel:
@@ -219,10 +212,6 @@ class EmpiricalModel:
     @property
     def num_states(self) -> int:
         return self.next_counts.shape[2]
-
-    @property
-    def num_actions(self) -> int:
-        return self.counts.shape[1]
 
     def add_sample(self, s: int, a: int, next_state: int, reward_value: float) -> None:
         self.counts[s, a] += 1
@@ -258,20 +247,19 @@ class EmpiricalModel:
                 self.reward_counts[s, a] + reward_counts.cumsum(axis=0),
                 self.next_counts[s, a] + next_counts.cumsum(axis=0))
 
-    def min_count(self) -> int:
-        return int(self.counts.min())
-
-    def to_mdp(self, gamma: float) -> TabularMdp:
-        """Empirical MDP from the counts; every (s, a) needs N >= 1."""
-        if self.min_count() < 1:
+    def frequencies(self):
+        """The empirical reward and transition distributions, (q_hat
+        (S, A, U), p_hat (S, A, S)): each count over N; every (s, a) needs
+        N >= 1."""
+        if self.counts.min() < 1:
             raise ValueError("every state-action pair needs at least one sample")
         n = self.counts[:, :, None]
-        return TabularMdp(
-            p=self.next_counts / n,
-            reward_support=self.reward_support,
-            q=self.reward_counts / n,
-            gamma=gamma,
-        )
+        return self.reward_counts / n, self.next_counts / n
+
+    def to_mdp(self, gamma: float) -> TabularMdp:
+        """The empirical MDP of ``frequencies``."""
+        q, p = self.frequencies()
+        return TabularMdp(p=p, reward_support=self.reward_support, q=q, gamma=gamma)
 
 
 def _log_terms(approx: ApproxModelSet, budget: int, delta: float):

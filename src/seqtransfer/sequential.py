@@ -1,11 +1,11 @@
 """Sequential transfer across tasks drawn from a hidden Markov chain.
 
 Each task is solved (by the elimination algorithm when the uncertainty
-gate allows, by uniform sampling otherwise), its samples are turned into
-an observation for the spectral learner, the task models and the chain
-are re-estimated, the uncertainty level is refreshed from the error-bound
-schedule, and unlikely next tasks are pre-eliminated from the candidate
-set of the following round.
+gate allows, by uniform sampling otherwise), the empirical frequencies of
+its samples become an observation for the spectral learner, the task
+models and the chain are re-estimated, the uncertainty level is refreshed
+from the error-bound schedule, and unlikely next tasks are pre-eliminated
+from the candidate set of the following round.
 
 The moments read whole triples of consecutive observations, so one
 estimate is made per triple count: the first at max(3k, startup_tasks)
@@ -20,12 +20,16 @@ infinite ``delta_h`` and the full candidate set.
 An estimate's error bound and pre-elimination slack are computed when it
 is made, from the 3*floor(n/3) observations it read and ``rho_at`` of the
 task that made it.  A task is ``degraded`` when its attempted estimate
-raised.  A failed triple is not retried: the last good estimate, if any,
-stays in use with its bound and slack until the next triple; with none,
-the tasks fall back with an infinite ``delta_h``.  One candidate model
-set is built per estimate, at the first task that runs the elimination
-algorithm on it, and serves every later such task until the next estimate
-is made; a failed triple keeps it with the estimate.
+raised.  The tasks after an attempt read its outcome; an attempt by the
+last task (when ``num_tasks`` is a count that makes an estimate, such as
+a multiple of 3 from max(3k, startup_tasks) on) sets only that task's
+error columns and ``degraded``.  A failed triple is not retried: the last
+good estimate, if any, stays in use with its bound and slack until the
+next triple; with none, the tasks fall back with an infinite ``delta_h``.
+One candidate model set is built per estimate, at the first task that
+runs the elimination algorithm on it, and serves every later such task
+until the next estimate is made; a failed triple keeps it with the
+estimate.
 """
 from __future__ import annotations
 
@@ -52,7 +56,6 @@ from .spectral import (
     model_error_bound,
     spectral_estimate,
     unpack_models,
-    vectorize_observation,
 )
 
 
@@ -147,12 +150,6 @@ class SequenceTrace:
 
     COLUMNS = tuple(f.name for f in fields(TaskRecord))
 
-    def append(self, rec: TaskRecord) -> None:
-        self.records.append(rec)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
     def rows(self):
         """One tuple of ``COLUMNS`` values per task."""
         return [tuple(getattr(r, c) for c in self.COLUMNS) for r in self.records]
@@ -163,8 +160,8 @@ class SequenceTrace:
         return sum(r.eps_optimal for r in self.records) / len(self.records)
 
     def degraded_fraction(self) -> float:
-        """Share of tasks whose estimate raised; only the estimates a later
-        task reads are made, so only those can count."""
+        """Share of tasks whose attempted estimate raised, the last task's
+        attempt included (module docstring)."""
         if not self.records:
             return 0.0
         return sum(r.degraded for r in self.records) / len(self.records)
@@ -209,8 +206,8 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
     samples, to evaluate returned policies, and (for diagnostics only) to
     align the spectral estimates to true task labels.  One estimate is
     made per triple count, from ``max(3k, cfg.startup_tasks)`` observations
-    on (module docstring), so ``degraded`` marks only estimates that a later
-    task reads; the start-up rows before the first estimate have NaN
+    on (module docstring); ``degraded`` marks the task whose attempt raised,
+    and the start-up rows before the first estimate have NaN
     ``o_col_err_max`` and ``t_err_max``.  An estimate and its bound change
     together, so the model set built at the first gated task that reads an
     estimate carries the ``delta_h`` of every task that reuses it.
@@ -242,7 +239,6 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
     approx: ApproxModelSet | None = None
     # The triple count of the last attempted estimate.
     estimate_triples = None
-    delta_h = math.inf
     active: set = set(range(k))
     current_task: int | None = None
 
@@ -254,12 +250,10 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
         truth = family[current_task]
         g = GenerativeModel(truth)
 
+        # Infinite until an estimate succeeds, which keeps the gate closed.
+        delta_h = estimate_bound
         in_startup = h < cfg.startup_tasks
-        gate_open = (
-            not in_startup
-            and estimate is not None
-            and transfer_gate(delta_h, cfg.eps, gamma)
-        )
+        gate_open = not in_startup and transfer_gate(delta_h, cfg.eps, gamma)
         tau = None
         if gate_open:
             if approx is None:
@@ -283,7 +277,7 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
         solve_queries = g.queries_used
 
         collect_post_samples(g, emp, cfg.post_sample_per_pair, rng)
-        observations.append(vectorize_observation(emp, layout))
+        observations.append(layout.vectorize(*emp.frequencies()))
 
         degraded = False
         # With fewer than k triples M2 has rank below k and whitening fails,
@@ -324,13 +318,12 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
             tau=tau,
             true_in_active=current_task in active,
         )
-        trace.append(record)
+        trace.records.append(record)
 
         if cfg.pre_elimination and estimate is not None:
             active = pre_eliminate(estimate.transition, survived,
                                    estimate_obs, cfg, layout.dim)
         else:
             active = set(range(k))
-        delta_h = estimate_bound
 
     return trace

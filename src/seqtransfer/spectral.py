@@ -4,6 +4,10 @@ Multi-view moment estimation, whitening, robust tensor power decomposition,
 parameter recovery with simplex repair, column alignment, and the
 h-dependent error-bound schedule.
 
+An observation is one solved task's empirical reward and transition
+frequencies (``EmpiricalModel.frequencies``), flattened by
+``ObservationLayout.vectorize``; the pipeline reads only these vectors.
+
 The pipeline splits into a deterministic stage and a random one.
 ``whitened_moments`` (moments, whitening, whitened third moment) draws no
 random numbers and reads only whole observation triples.  It signs each
@@ -35,7 +39,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .mdp import TabularMdp
-from .ptum import EmpiricalModel
 
 PINV_RCOND = 1e-10
 # Whitening needs k eigenvalues of M2 above this fraction of the largest.
@@ -88,17 +91,6 @@ class ObservationLayout:
         return q, p
 
 
-def vectorize_observation(emp: EmpiricalModel, layout: ObservationLayout) -> np.ndarray:
-    """Flatten the empirical reward and transition distributions.
-
-    Requires at least one sample in every (s, a).
-    """
-    if emp.min_count() < 1:
-        raise ValueError("every state-action pair needs at least one sample")
-    n = emp.counts[:, :, None]
-    return layout.vectorize(emp.reward_counts / n, emp.next_counts / n)
-
-
 def project_simplex(raw: np.ndarray) -> np.ndarray:
     """Clip negatives and renormalize along the last axis; a row that clips
     to zero everywhere becomes uniform."""
@@ -126,7 +118,8 @@ def _truncated_pinv(mat: np.ndarray, rank: int | None = None) -> np.ndarray:
 
 @dataclass
 class MomentSet:
-    """Second/third-moment estimates from m observation triples.
+    """Second/third-moment estimates from m observation triples, one row of
+    each view per triple.
 
     All matrices are stored in reduced coordinates of the observation span:
     the full form of an (r, r) matrix X is ``to_full(to_full(X).T).T``.
@@ -146,7 +139,6 @@ class MomentSet:
     # (r, r) sigma[(2, 1)] @ pinv(sigma[(3, 1)]) at the rank cap: maps the
     # third views' conditional means to the observation matrix.
     recovery: np.ndarray
-    num_triples: int
 
     def to_full(self, reduced: np.ndarray) -> np.ndarray:
         """Map the rows of an (r, ...) array from reduced to observation
@@ -161,7 +153,7 @@ class MomentSet:
         a = self.view1 @ w_reduced
         b = self.view2 @ w_reduced
         c = self.view3 @ w_reduced
-        t = np.einsum("li,lj,lk->ijk", a, b, c) / self.num_triples
+        t = np.einsum("li,lj,lk->ijk", a, b, c) / len(self.view3)
         return symmetrize_tensor(t)
 
 
@@ -225,7 +217,6 @@ def estimate_moments(observations, rank: int) -> MomentSet:
     return MomentSet(
         observations=trimmed, basis_weights=weights,
         view1=view1, view2=view2, view3=o3, m2=m2, recovery=recovery,
-        num_triples=m,
     )
 
 
@@ -336,10 +327,6 @@ class HmmEstimate:
     transition: np.ndarray       # (k, k), column-stochastic after projection
     layout: ObservationLayout
 
-    @property
-    def num_tasks(self) -> int:
-        return self.observation.shape[1]
-
 
 def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
                        layout: ObservationLayout) -> HmmEstimate:
@@ -447,8 +434,8 @@ def unpack_models(est: HmmEstimate, reward_support, gamma: float):
     if support.shape[0] != est.layout.num_rewards:
         raise ValueError("support length does not match the layout")
     models = []
-    for j in range(est.num_tasks):
-        q, p = est.layout.unpack(est.observation[:, j])
+    for column in est.observation.T:
+        q, p = est.layout.unpack(column)
         models.append(TabularMdp(p=p, reward_support=support, q=q, gamma=gamma))
     return models
 

@@ -180,6 +180,16 @@ class TestTaskChain:
     def test_column_stochastic_enforced(self):
         with pytest.raises(ValueError):
             TaskChain(transition=np.ones((2, 2)), initial=np.array([0.5, 0.5]))
+        # A NaN entry is no probability, though every comparison with it is
+        # False.
+        with pytest.raises(ValueError):
+            TaskChain(transition=np.array([[np.nan, 0.0], [1.0, 1.0]]),
+                      initial=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            TaskChain(transition=np.eye(2), initial=np.array([np.nan, 1.0]))
+        for knob in ({"p_succ": np.nan}, {"p_skip": np.nan}):
+            with pytest.raises(ValueError):
+                successor_chain(4, **knob)
 
     def test_successor_chain_frequencies(self):
         chain = successor_chain(8)

@@ -2,7 +2,7 @@
 import inspect
 import json
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -134,9 +134,11 @@ class TestAggregate:
             aggregate([1.0, 2.0], level=1.0)
 
     def test_as_dict_round_trip(self):
+        # The summaries write ``asdict`` of a result.
         res = AggregateResult(mean=1.0, sd=0.5, half_width=0.2, count=9, level=0.99)
-        doc = res.as_dict()
-        assert doc["count"] == 9 and doc["half_width"] == 0.2
+        doc = asdict(res)
+        assert list(doc) == ["mean", "sd", "half_width", "count", "level"]
+        assert AggregateResult(**doc) == res
 
 
 class TestCsv:
@@ -365,6 +367,9 @@ class TestCli:
         ("export-env", {"scenario": "objectworld", "num_runs": True,
                         "num_tasks": 3, "side": 2}),
         ("diagnose", {"scenario": "two-rooms", "eps": False}),
+        # Each of these two exited 3 with a TypeError from ``Path``.
+        ("export-env", {"scenario": "two-rooms", "output_dir": 5}),
+        ("export-env", {"scenario": "two-rooms", "output_dir": True}),
     ])
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, command, doc):
         cfg = self.write_cfg(tmp_path, doc)
@@ -386,6 +391,10 @@ class TestCli:
           for knob in ({"true_task": -1}, {"true_task": 12}, {"eps": float("nan")},
                        {"eps": -0.1}, {"budget": -5}, {"delta": 2},
                        {"delta": float("nan")})],
+        # These exited 3: a negative seed at the first run's stream, and a
+        # NaN chain probability at the first draw of the task path.
+        ("run-ptum", {"scenario": "two-rooms", "base_seed": -1}),
+        ("run-sequential", {"scenario": "objectworld", "p_succ": float("nan")}),
     ])
     def test_value_a_constructor_rejects_is_a_config_error(self, tmp_path, capsys,
                                                            command, doc):
@@ -468,6 +477,22 @@ class TestCli:
             (out2 / "ptum_results.csv").read_bytes()
         summary = json.loads((out1 / "ptum_summary.json").read_text())
         assert summary["num_runs"] == 2
+
+    @pytest.mark.parametrize("knob", [
+        {"steps": 2}, {"steps": 8}, {"samples_per_pair": 0}, {"num_tasks": 0},
+        {"num_states": 0}, {"num_actions": -1}, {"num_rewards": 0}, {"gamma": 1.5},
+        {"gamma": float("nan")},
+    ])
+    def test_learn_hmm_knob_no_run_can_use_is_a_config_error(self, tmp_path, capsys,
+                                                            knob):
+        # Each exited 3 with a traceback from the sweep; 8 steps hold 2 of
+        # the 3 triples the default 3 tasks need.
+        cfg = self.write_cfg(tmp_path, {"scenario": "synthetic-hmm", **knob})
+        out = tmp_path / "out"
+        assert main(["learn-hmm", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_learn_hmm(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {

@@ -34,12 +34,7 @@ from seqtransfer.mdp import (
     value_iteration,
 )
 from seqtransfer.ptum import ApproxModelSet, EmpiricalModel, info_index_table
-from seqtransfer.spectral import (
-    ObservationLayout,
-    spectral_estimate,
-    unpack_models,
-    vectorize_observation,
-)
+from seqtransfer.spectral import ObservationLayout, spectral_estimate, unpack_models
 
 
 def transition_value_std(mdp: TabularMdp, s: int, a: int, v: np.ndarray) -> float:
@@ -123,7 +118,7 @@ def learned_objectworld_models(seed=3, tasks=30, per_pair=20):
         g = GenerativeModel(family[task])
         emp = EmpiricalModel(g.num_states, g.num_actions, g.reward_support)
         emp.add_table(*g.query_table(need, rng))
-        observations.append(vectorize_observation(emp, layout))
+        observations.append(layout.vectorize(*emp.frequencies()))
     est = spectral_estimate(observations, 8, layout, restarts=5, iters=30, rng=rng)
     return unpack_models(est, base.reward_support, base.gamma)
 
@@ -162,6 +157,15 @@ class TestTabularMdp:
         p = np.ones((1, 1, 1)) * 0.5
         with pytest.raises(ValueError):
             TabularMdp(p=p, reward_support=np.array([0.0]), q=np.ones((1, 1, 1)), gamma=0.9)
+        # A NaN entry is no probability, though every comparison with it is
+        # False.
+        nan_row = np.array([[[np.nan, 1.0]]])
+        with pytest.raises(ValueError):
+            TabularMdp(p=np.ones((1, 1, 1)), reward_support=np.array([0.0, 1.0]),
+                       q=nan_row, gamma=0.9)
+        with pytest.raises(ValueError):
+            TabularMdp(p=np.concatenate([nan_row, [[[0.5, 0.5]]]]),
+                       reward_support=np.array([0.0]), q=np.ones((2, 1, 1)), gamma=0.9)
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
@@ -170,6 +174,8 @@ class TestTabularMdp:
     def test_rejects_reward_outside_unit_interval(self):
         with pytest.raises(ValueError):
             single_state_mdp(reward=1.5)
+        with pytest.raises(ValueError):
+            single_state_mdp(reward=float("nan"))
 
     def test_arrays_immutable(self):
         m = single_state_mdp()
@@ -451,6 +457,9 @@ class TestGaps:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             ApproxModelSet([single_state_mdp(), two_state_chain()])
+        # Same S, A and gamma, another reward support.
+        with pytest.raises(ShapeMismatchError):
+            ApproxModelSet([single_state_mdp(reward=1.0), single_state_mdp(reward=0.5)])
 
 
 class TestMinGap:

@@ -203,9 +203,7 @@ class TestTrace:
                           o_col_err_max=0.1, t_err_max=0.05)
 
     def test_csv_shape(self):
-        trace = SequenceTrace()
-        trace.append(self.record(0))
-        trace.append(self.record(1, eps_optimal=False))
+        trace = SequenceTrace([self.record(0), self.record(1, eps_optimal=False)])
         trace.records[1].degraded = True
         trace.records[1].tau = 7
         trace.records[1].true_in_active = False
@@ -220,9 +218,7 @@ class TestTrace:
         assert lines[2].endswith(",1,7,0")
 
     def test_fractions(self):
-        trace = SequenceTrace()
-        trace.append(self.record(0))
-        trace.append(self.record(1, eps_optimal=False))
+        trace = SequenceTrace([self.record(0), self.record(1, eps_optimal=False)])
         assert trace.eps_optimal_fraction() == pytest.approx(0.5)
         assert trace.degraded_fraction() == 0.0
 
@@ -242,7 +238,7 @@ class TestRunSequential:
         chain = successor_chain(3)
         cfg = make_cfg(num_tasks=2, startup_tasks=5)
         trace = run_sequential(cfg, fam, chain, np.random.default_rng(1))
-        assert len(trace) == 2
+        assert len(trace.records) == 2
         assert all(r.mode == "startup" for r in trace.records)
         # Each startup task pays uniform sampling plus the post-sample top-up.
         assert all(r.queries == 2 * 2 * 5 for r in trace.records)

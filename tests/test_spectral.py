@@ -30,7 +30,6 @@ from seqtransfer.spectral import (
     spectral_estimate,
     symmetrize_tensor,
     unpack_models,
-    vectorize_observation,
     whiten,
     whitened_moments,
 )
@@ -68,14 +67,17 @@ class TestLayout:
 
     def test_vectorize_requires_samples(self):
         emp = EmpiricalModel(2, 1, [0.0, 1.0])
+        emp.add_sample(0, 0, 1, 1.0)
         with pytest.raises(ValueError):
-            vectorize_observation(emp, ObservationLayout(2, 1, 2))
+            emp.frequencies()
+        with pytest.raises(ValueError):
+            emp.to_mdp(0.9)
 
     def test_vectorize_empirical_frequencies(self):
         emp = EmpiricalModel(1, 1, [0.0, 1.0])
         emp.add_sample(0, 0, 0, 1.0)
         emp.add_sample(0, 0, 0, 0.0)
-        vec = vectorize_observation(emp, ObservationLayout(1, 1, 2))
+        vec = ObservationLayout(1, 1, 2).vectorize(*emp.frequencies())
         assert np.array_equal(vec, [0.5, 0.5, 1.0])
 
 
@@ -98,7 +100,9 @@ class TestMoments:
     def test_leftover_observations_discarded(self):
         rng = np.random.default_rng(1)
         obs = rng.normal(size=(7, 5))
-        assert estimate_moments(obs, rank=2).num_triples == 2
+        mom = estimate_moments(obs, rank=2)
+        assert len(mom.observations) == 6
+        assert len(mom.view1) == len(mom.view2) == len(mom.view3) == 2
 
     def test_needs_three_observations(self):
         with pytest.raises(ValueError):

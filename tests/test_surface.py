@@ -1,0 +1,72 @@
+"""Every function, class and method in ``src/seqtransfer`` has a caller.
+
+A definition is used when some file of ``src/`` or ``bench/`` names it: as
+a name, an attribute, an import or a string constant (``bench/tracing.py``
+wraps methods by their names as strings).  Dunder methods are called by
+the language, not by name, and are left out.  A definition only the tests
+reach belongs in the tests, unless it is on ``TEST_ONLY`` with the reason
+it stays in ``src/``.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "seqtransfer"
+
+TEST_ONLY = {
+    "ptum.info_index": "the scalar reference for info_index_table",
+    "ptum.EmpiricalModel.add_sample": "the one-sample step of reference_run_ptum",
+    "mdp.simulation_gap_bound": "the simulation-lemma bound criterion 11 checks",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions() -> dict:
+    """Qualified name -> bare name of each top-level function and class of
+    the package, and of each method of a top-level class."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, _DEFS):
+                continue
+            found[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, _DEFS) and not (
+                            item.name.startswith("__") and item.name.endswith("__")):
+                        found[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    return found
+
+
+def named() -> set:
+    """Every name, attribute, imported name and string constant in
+    ``src/`` and ``bench/``."""
+    names = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_definition_is_named_outside_the_tests():
+    used = named()
+    unused = {qual for qual, name in definitions().items() if name not in used}
+    assert unused - TEST_ONLY.keys() == set(), "move to the tests or delete"
+
+
+def test_every_test_only_entry_is_still_an_unused_definition():
+    # Also fails if the scan finds no definitions at all.
+    defined = definitions()
+    used = named()
+    stale = {qual for qual in TEST_ONLY
+             if qual not in defined or defined[qual] in used}
+    assert stale == set(), "drop these from TEST_ONLY"
+
