@@ -518,7 +518,7 @@ class GenerativeModel:
         and a leading zero entry draws no binomial and leaves numpy's
         remaining mass at exactly 1.0, so the counts and the state ``rng``
         is left in are those of one ``query_batch`` call per pair with
-        ``need > 0``, in row-major order.
+        ``need > 0``, in row-major order; with no such pair, no call.
         """
         need = np.asarray(need)
         S, A = self.num_states, self.num_actions
@@ -526,5 +526,6 @@ class GenerativeModel:
             raise ValueError(f"need must have shape {(S, A)}")
         n = np.maximum(need, 0)
         self.queries_used += int(n.sum())
-        return self._unpad(rng.multinomial(
-            np.broadcast_to(n[:, :, None], (S, A, 2)), self._pvals))
+        counts = (rng.multinomial(np.broadcast_to(n[:, :, None], (S, A, 2)), self._pvals)
+                  if n.any() else np.zeros(self._pvals.shape, dtype=np.int64))
+        return self._unpad(counts)

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .envs import GenerativeModel
-from .mdp import TabularMdp, plan, policy_values, value_iteration
+from .mdp import VALUE_TOL, TabularMdp, plan, policy_values, value_iteration
 
 INF = math.inf
 
@@ -46,8 +46,8 @@ class ApproxModelSet:
 
     Holds, for k models over shared (S, A, U, gamma), which ``mdp.plan``
     checks: optimal values and policies (one ``plan`` call for the set),
-    the cross-evaluation table xval[i, j] = value of model i's optimal
-    policy evaluated in model j (one stacked solve per policy i),
+    the one-step advantage adv[i, j] = min_s Q*_j(s, pi_i(s)) - V*_j(s) of
+    model i's optimal policy in model j (``check_stop``'s screen),
     reward/transition-value standard deviations, pairwise gap tables, and
     the uncertainty level ``delta``: the largest error, in any reward or
     transition mean or standard deviation, of the model that approximates
@@ -70,15 +70,6 @@ class ApproxModelSet:
         self.gamma = models[0].gamma
 
         self.values, self.policies = plan(self.models)
-        # xval[i, j]: the diagonal is the planner's own V*_i, and one
-        # stacked solve per policy row fills in the other models.
-        self.xval = np.repeat(self.values[:, None], k, axis=1)
-        for i in range(k):
-            others = [j for j in range(k) if j != i]
-            if others:
-                self.xval[i, others] = policy_values([models[j] for j in others],
-                                                     self.policies[i])
-
         self.rewards = np.stack([m.reward_means() for m in models])      # (k, S, A)
         self.sigma_r = np.stack([m.reward_stds() for m in models])       # (k, S, A)
         # pv[i, j] = p_i(s, a) . V*_j, used by the pruning conditions, and
@@ -97,7 +88,9 @@ class ApproxModelSet:
         self.reward_gap = np.abs(self.rewards[:, None] - self.rewards[None, :])
         own = self.pv[np.arange(k), np.arange(k)]                       # (k, S, A)
         self.trans_gap = np.abs(own[:, None] - self.pv.transpose(1, 0, 2, 3))
-        for table in (self.values, self.policies, self.xval, self.rewards, self.sigma_r,
+        q_own = self.rewards + self.gamma * own                         # Q*_j, (k, S, A)
+        self.adv = (q_own[:, np.arange(S), self.policies] - self.values[:, None]).min(axis=2).T
+        for table in (self.values, self.policies, self.adv, self.rewards, self.sigma_r,
                       self.sigma_p, self.pv, self.reward_gap, self.trans_gap):
             table.setflags(write=False)
 
@@ -127,7 +120,7 @@ class ApproxModelSet:
         and ``sigma_p``; ``pv_dev``, the widest gap between an entry of
         ``pv[:, j]`` and one of V*_j; ``v_range``, the widest range of a
         V*_j; and ``v_scale``, the largest magnitude in ``values``, ``pv``
-        and ``sigma_p``."""
+        and ``sigma_p`` (also the value scale of the stop screen's tol)."""
         v_lo, v_hi = self.values.min(axis=1), self.values.max(axis=1)
         pv_lo, pv_hi = self.pv.min(axis=(0, 2, 3)), self.pv.max(axis=(0, 2, 3))
         return dict(
@@ -409,23 +402,39 @@ def stop_margin(eps: float, delta_max: float, gamma: float) -> float:
     return margin
 
 
+def _screened_out(idx, approx: ApproxModelSet, margin: float):
+    """The pairs (theta, theta' != theta) of ``idx`` that ``check_stop`` rules out."""
+    rel = 64.0 * (approx.num_states + 2) * np.finfo(float).eps * (1.0 + approx.gamma)
+    tol = VALUE_TOL + rel / (1.0 - approx.gamma) * (1.0 + approx.extremes["v_scale"] + margin)
+    return (approx.adv[idx][:, idx] < -margin - tol) & ~np.eye(len(idx), dtype=bool)
+
+
 def check_stop(active, approx: ApproxModelSet, eps: float):
     """Lowest-index active model whose optimal policy is good enough for
     every active model, or None.
 
-    Returns (theta, policy) when some theta satisfies, at every state and
-    for every active theta', xval[theta, theta'] >= V*_theta' - margin.
+    Returns (theta, policy) for the lowest theta whose policy is worth at
+    least V*_theta' - margin at every state of every other active theta'
+    (one ``policy_values`` call), unless a screen rules theta out first: an
+    active theta' with adv[theta, theta'] < -margin - tol.  As V^pi(s) <=
+    Q*(s, pi(s)), the computed V^pi_theta in theta' exceeds adv + V*_theta'
+    by at most gamma |V* - V| (``VALUE_TOL``; round-off of the tie rule and
+    solve at a repeated policy), LU round-off c*S*u*(1+gamma)/(1-gamma)
+    max|V| (u machine epsilon) and less for Q and the comparisons: in all at
+    most tol = VALUE_TOL + 64(S+2)u(1+gamma)/(1-gamma)(1 + v_scale + margin)
+    (``extremes``; v_scale >= max|V*|).  So the result is the exhaustive test's.
     """
     if not active:
         raise ValueError("active set must be non-empty")
     margin = stop_margin(eps, approx.delta, approx.gamma)
     idx = sorted(active)
-    good = np.all(approx.xval[np.ix_(idx, idx)] >= approx.values[idx] - margin,
-                  axis=(1, 2))
-    if not good.any():
-        return None
-    theta = idx[int(np.argmax(good))]
-    return theta, approx.policies[theta].copy()
+    for theta, out in zip(idx, _screened_out(idx, approx, margin).any(axis=1)):
+        others = [j for j in idx if j != theta]
+        if not out and (not others or np.all(policy_values(
+                [approx.models[j] for j in others], approx.policies[theta])
+                >= approx.values[others] - margin)):
+            return theta, approx.policies[theta].copy()
+    return None
 
 
 def info_index(theta: int, theta2: int, s: int, a: int, approx: ApproxModelSet) -> float:
@@ -555,8 +564,8 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     S, A = approx.num_states, approx.num_actions
     gamma = approx.gamma
     initial = set(range(k)) if active is None else set(active)
-    if not initial:
-        raise ValueError("initial active set must be non-empty")
+    if not initial or not initial <= set(range(k)):
+        raise ValueError(f"the initial active set must be a non-empty subset of [0, {k})")
 
     def _fallback(mode: str, emp, query_log, trace, tau):
         per_pair = fallback_per_pair

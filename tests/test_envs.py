@@ -396,20 +396,20 @@ class TestGenerativeModel:
         with pytest.raises(ValueError):
             g.query_table(np.ones((S + 1, A), dtype=int), rng)
 
+    class CountingGenerator:
+        """A generator that counts its multinomial calls."""
+
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def multinomial(self, *args, **kwargs):
+            self.calls += 1
+            return self.rng.multinomial(*args, **kwargs)
+
     def test_table_is_one_multinomial_call(self):
-        class CountingGenerator:
-            """A generator that counts its multinomial calls."""
-
-            def __init__(self, rng):
-                self.rng, self.calls = rng, 0
-
-            def multinomial(self, *args, **kwargs):
-                self.calls += 1
-                return self.rng.multinomial(*args, **kwargs)
-
         mdp = self.table_models()[0]
         g = GenerativeModel(mdp)
-        rng = CountingGenerator(np.random.default_rng(1))
+        rng = self.CountingGenerator(np.random.default_rng(1))
         next_counts, reward_counts = g.query_table(
             np.full((mdp.num_states, mdp.num_actions), 50), rng)
         assert rng.calls == 1
@@ -417,6 +417,25 @@ class TestGenerativeModel:
         assert np.all(next_counts.sum(axis=2) == 50)
         assert np.all(reward_counts.sum(axis=2) == 50)
         assert g.queries_used == 25 * 4 * 50
+
+    def test_a_table_with_no_draw_due_calls_nothing(self):
+        # need clipped to 0 everywhere: no multinomial call, the generator
+        # untouched, and the zero tables the draw itself returns, on every
+        # padding case.
+        for mdp in self.table_models():
+            S, A = mdp.num_states, mdp.num_actions
+            need = -np.random.default_rng(S).integers(0, 3, size=(S, A))
+            g = GenerativeModel(mdp)
+            rng = self.CountingGenerator(np.random.default_rng(5))
+            ref = np.random.default_rng(5)
+            drawn = g._unpad(ref.multinomial(np.zeros((S, A, 2), dtype=int), g._pvals))
+            assert same_state(ref, np.random.default_rng(5))
+            got = g.query_table(need, rng)
+            assert rng.calls == 0 and same_state(rng.rng, ref)
+            for table, want in zip(got, drawn):
+                assert table.dtype == want.dtype and table.shape == want.shape
+                assert np.array_equal(table, want)
+            assert g.queries_used == 0
 
 
 def same_state(rng1, rng2) -> bool:

@@ -85,19 +85,21 @@ def reference_value_iteration(mdp: TabularMdp):
 
 def reference_tables(models) -> dict:
     """The tables of ``ApproxModelSet(models)`` built one model and one pair
-    at a time: ``value_iteration`` per model, ``policy_evaluation`` per
-    pair, and p_i @ V*_j plus ``transition_value_std_table`` per pair."""
+    at a time: ``value_iteration`` per model, p_i @ V*_j plus
+    ``transition_value_std_table`` per pair, and per pair the one-step
+    advantage min_s Q*_j(s, pi_i(s)) - V*_j(s)."""
     k = len(models)
     values, policies = (np.array(t) for t in zip(*map(value_iteration, models)))
-    xval = np.array([[values[i] if i == j else policy_evaluation(models[j], policies[i])
-                      for j in range(k)] for i in range(k)])
+    states = np.arange(values.shape[1])
+    adv = np.array([[np.min((m.reward_means() + m.gamma * (m.p @ v))[states, pi] - v)
+                     for m, v in zip(models, values)] for pi in policies])
     pv = np.array([[m.p @ v for v in values] for m in models])
     sigma_p = np.array([[transition_value_std_table(m, v) for v in values]
                         for m in models])
     rewards = np.array([m.reward_means() for m in models])
     own = pv[np.arange(k), np.arange(k)]
     return dict(
-        values=values, policies=policies, xval=xval, pv=pv, sigma_p=sigma_p,
+        values=values, policies=policies, adv=adv, pv=pv, sigma_p=sigma_p,
         rewards=rewards, sigma_r=np.array([m.reward_stds() for m in models]),
         reward_gap=np.abs(rewards[:, None] - rewards[None, :]),
         trans_gap=np.abs(own[:, None] - pv.transpose(1, 0, 2, 3)),
@@ -290,8 +292,12 @@ class TestStackedPlanner:
         assert not np.array_equal(v, policy_evaluation(slow, pi))
         assert max(reference_value_iteration(m)[2] for m in others) > step
         self.assert_matches_reference([slow] + others)
-        # The model set's xval diagonal is the planner's V*, not V^pi.
-        assert np.array_equal(ApproxModelSet([slow] + others).xval[0, 0], v)
+        # The model set's tables read the planner's V*, not V^pi: its own
+        # one-step advantage is that of v.
+        approx = ApproxModelSet([slow] + others)
+        assert np.array_equal(approx.values[0], v)
+        q = slow.reward_means() + slow.gamma * (slow.p @ v)
+        assert approx.adv[0, 0] == np.min(q[[0, 1], pi] - v)
 
     def test_zero_discount(self):
         rng = np.random.default_rng(14)

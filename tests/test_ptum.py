@@ -1,4 +1,6 @@
 """Unit tests for the identification loop and its pieces."""
+import functools
+import itertools
 import math
 from unittest import mock
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_mdp import learned_objectworld_models
 
 from seqtransfer import ptum
 from seqtransfer.envs import (
@@ -16,7 +19,13 @@ from seqtransfer.envs import (
     two_rooms_family,
 )
 from seqtransfer.harness import run_rng
-from seqtransfer.mdp import PROB_TOL, TabularMdp, policy_evaluation, value_iteration
+from seqtransfer.mdp import (
+    PROB_TOL,
+    TabularMdp,
+    policy_evaluation,
+    policy_values,
+    value_iteration,
+)
 from seqtransfer.ptum import (
     INF,
     ApproxModelSet,
@@ -121,7 +130,7 @@ class TestUncertaintyLevel:
 class TestReadOnlyModelSet:
     # One set serves every task that reads its estimate, so a write by any
     # caller would leak into the later tasks.
-    @pytest.mark.parametrize("table", ["values", "policies", "xval", "rewards",
+    @pytest.mark.parametrize("table", ["values", "policies", "adv", "rewards",
                                        "sigma_r", "sigma_p", "pv", "reward_gap",
                                        "trans_gap", "info_table"])
     def test_writing_a_table_raises(self, table):
@@ -382,6 +391,128 @@ class TestStopping:
             stop_margin(eps=0.1, delta_max=0.1, gamma=0.99)
 
 
+@functools.lru_cache(maxsize=4)
+def cross_values(approx):
+    """xval[i, j]: model i's optimal policy evaluated in model j, one stacked
+    solve per policy; the diagonal is the planner's own V*_i."""
+    k = approx.num_models
+    xval = np.repeat(approx.values[:, None], k, axis=1)
+    for i in range(k):
+        others = [j for j in range(k) if j != i]
+        if others:
+            xval[i, others] = policy_values([approx.models[j] for j in others],
+                                            approx.policies[i])
+    xval.setflags(write=False)
+    return xval
+
+
+def reference_check_stop(active, approx, eps):
+    """``check_stop`` by the exhaustive test over the whole k x k table of
+    policy evaluations: the lowest active theta with xval[theta, theta'] >=
+    V*_theta' - margin at every state, for every active theta'."""
+    margin = stop_margin(eps, approx.delta, approx.gamma)
+    idx = sorted(active)
+    good = np.all(cross_values(approx)[np.ix_(idx, idx)] >= approx.values[idx] - margin,
+                  axis=(1, 2))
+    if not good.any():
+        return None
+    theta = idx[int(np.argmax(good))]
+    return theta, approx.policies[theta].copy()
+
+
+def assert_stop_is_the_exhaustive_test(approx, subsets, margins):
+    """Every pair the screen rules out fails the exact test, and
+    ``check_stop`` equals ``reference_check_stop`` on every subset; the set
+    has delta 0, so eps is the margin.  Returns the pairs ruled out."""
+    assert approx.delta == 0.0
+    k = approx.num_models
+    xval = cross_values(approx)
+    ruled_out = 0
+    for margin in margins:
+        out = ptum._screened_out(list(range(k)), approx, margin)
+        for i, j in zip(*np.nonzero(out)):
+            assert np.any(xval[i, j] < approx.values[j] - margin), (i, j, margin)
+        ruled_out += int(out.sum())
+        for active in subsets:
+            got = check_stop(active, approx, margin)
+            want = reference_check_stop(active, approx, margin)
+            assert (got is None) == (want is None), (active, margin)
+            if got is not None:
+                assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    return ruled_out
+
+
+def all_subsets(k):
+    return [set(c) for r in range(1, k + 1) for c in itertools.combinations(range(k), r)]
+
+
+@st.composite
+def stop_cases(draw):
+    """Random model sets over stochastic rows, some models near-duplicates
+    (an earlier model's rows moved by up to 1e-12 to 1e-2, or not at all),
+    and stop margins in [0, 1]."""
+    S, A = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    U, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    gamma = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.9999]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    support = np.sort(rng.choice(np.linspace(0.0, 1.0, 11), U, replace=False))
+    rows = []
+    for _ in range(k):
+        source = draw(st.integers(-1, len(rows) - 1))
+        if source < 0:
+            rows.append((random_rows(rng, (S, A), S), random_rows(rng, (S, A), U)))
+            continue
+        shift = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2]))
+        rows.append(tuple((1.0 - shift) * r + shift * random_rows(rng, (S, A), r.shape[-1])
+                          for r in rows[source]))
+    models = [TabularMdp(p=p, reward_support=support, q=q, gamma=gamma) for p, q in rows]
+    margins = draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1, max_size=3))
+    return ApproxModelSet(models), margins
+
+
+class TestStopScreen:
+    # check_stop rules candidates out by the one-step advantage before it
+    # evaluates any policy; its result must be that of the exhaustive test.
+
+    @settings(max_examples=150, deadline=None)
+    @given(stop_cases())
+    def test_random_sets_stop_as_the_exhaustive_test(self, case):
+        approx, margins = case
+        assert_stop_is_the_exhaustive_test(approx, all_subsets(approx.num_models), margins)
+
+    def test_every_subset_of_a_learned_set(self):
+        approx = ApproxModelSet(learned_objectworld_models())
+        ruled_out = assert_stop_is_the_exhaustive_test(approx, all_subsets(8),
+                                                       [0.0, 0.05, 0.5, 1.0])
+        assert ruled_out > 0
+
+    # Margins up to 1 rule out every pair of these families; the wider ones
+    # reach the spread of adv and leave pairs to the exact test.
+    @pytest.mark.parametrize("family, margins", [
+        (two_rooms_family, [0.0, 1.0, 2.05, 97.5]),
+        (multi_goal_family, [0.0, 1.0, 980.0, 2000.0]),
+    ])
+    def test_random_subsets_of_the_grid_families(self, family, margins):
+        approx = ApproxModelSet(family())
+        k = approx.num_models
+        rng = np.random.default_rng(k)
+        subsets = [set(np.flatnonzero(rng.random(k) < 0.4).tolist()) or {0}
+                   for _ in range(30)] + [set(range(k))]
+        ruled_out = assert_stop_is_the_exhaustive_test(approx, subsets, margins)
+        assert 0 < ruled_out < len(margins) * k * (k - 1)
+
+    def test_two_rooms_identification_evaluates_no_policy(self):
+        # The screen settles every stop check of a two-rooms run, and the
+        # set's build evaluates no policy either.
+        fam = two_rooms_family()
+        with mock.patch.object(ptum, "policy_values", wraps=ptum.policy_values) as spy:
+            approx = ApproxModelSet(fam)
+            res = run_ptum(approx, GenerativeModel(fam[0]), 0.1, 0.01, 100_000,
+                           run_rng(101, 0))
+        assert res.mode == "transfer-stopped" and res.chosen_model == 0
+        assert spy.call_count == 0
+
+
 class TestInfoIndex:
     def test_same_model_zero(self):
         fam = small_family()
@@ -508,6 +639,15 @@ class TestRunPtum:
         with pytest.raises(ValueError, match="oracle"):
             run_ptum(approx, g, eps=0.1, delta=0.05, n=100, rng=np.random.default_rng(0))
         assert g.queries_used == 0
+
+    @pytest.mark.parametrize("active", [{-1}, {-12, 3}, {12}])
+    def test_active_index_outside_the_set_rejected(self, active):
+        # Negative indices would alias the last models, and one past the end
+        # would fail deep inside the loop.
+        fam = two_rooms_family()
+        with pytest.raises(ValueError, match="subset"):
+            run_ptum(ApproxModelSet(fam), GenerativeModel(fam[0]), 0.1, 0.01, 1000,
+                     run_rng(101, 0), active=active)
 
     def test_budget_exhaustion_falls_back(self):
         fam = small_family()
