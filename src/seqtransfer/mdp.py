@@ -166,9 +166,11 @@ def plan(models):
     Policy iteration (greedy step + exact evaluation), which converges in
     finitely many steps and is robust to discounts close to 1.  A model
     stops once the Bellman residual of its V is at most
-    VALUE_TOL*(1-gamma)/(2*gamma), which guarantees sup-norm error at most
-    ``VALUE_TOL``, or once its greedy policy repeats.  Greedy ties break
-    toward the lowest action index.
+    VALUE_TOL*(1-gamma)/max(2*gamma, 1), or once its greedy policy repeats.
+    A residual of at most e puts V within e/(1-gamma) of V*, and the greedy
+    policy's value within 2*gamma*e/(1-gamma) of V*, so on the residual rule
+    both are within ``VALUE_TOL`` in sup norm.  Greedy ties break toward the
+    lowest action index.
 
     The models are planned as one stack: each step backs up every model
     still running, and one stacked solve evaluates their new policies.
@@ -177,7 +179,7 @@ def plan(models):
     """
     S, A, gamma = _shared_shape(models)
     k = len(models)
-    target = VALUE_TOL * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else VALUE_TOL
+    target = VALUE_TOL * (1.0 - gamma) / max(2.0 * gamma, 1.0)
     offsets, identity = np.arange(S) * A, np.eye(S)
     values = np.empty((k, S))
     policies = np.empty((k, S), dtype=int)

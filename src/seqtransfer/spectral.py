@@ -19,16 +19,22 @@ restart stops at the first step that moves none of its entries by more
 than ``RTP_STEP_TOL``; the iteration count is only a cap, and no draw
 depends on when a restart stops.
 
-Observations live in dimension d = S*A*(S+U), which can be large; every
-covariance and pseudo-inverse is handled in reduced coordinates of the
-observation span (rank <= number of observations), which is exact because
-all estimated moments live in that span.  Everything downstream (the
-covariances, their pseudo-inverses, M2 and the whitened third moment) is
-invariant under an orthogonal change of these coordinates, so any
-coordinates whose Gram matrix is the observations' one serve.  With fewer
-observations than dimensions they come from the eigendecomposition of the
-small Gram matrix X X^T; otherwise they are the observations themselves.
-The d-dimensional basis behind them is never formed.
+Observations live in dimension d = S*A*(S+U), which can be large, so each
+view (the first, second or third observations of the m triples) is handled
+in coordinates of its own row span, of rank r_i <= min(m, d).  With m < d
+they come from the eigendecomposition of the view's m x m Gram matrix
+X_i X_i^T; otherwise they are the view's rows.  Each cross-view covariance
+is then an r_i x r_j core between two views' coordinates.  The orthonormal
+bases behind the coordinates change no singular value, so each truncated
+pseudo-inverse is the core's, cut at the same ``PINV_RCOND`` and rank cap.
+Views 1 and 2 are mapped into view-3 coordinates, where M2, its whitening
+and the whitened third moment live; recovery maps the observation matrix
+back through the view-2 basis and the third views' conditional means
+through the view-3 basis.  A d-dimensional basis is only ever applied to k
+columns, never formed.  One estimate costs O(m^2 d + m^3): three m x m Gram
+matrices (3 m^2 d multiply-adds) and factorizations of matrices no larger
+than m x m, where one basis for all 3m observations would take a 3m x 3m
+Gram matrix (9 m^2 d) and 3m x 3m factorizations (27 m^3).
 """
 from __future__ import annotations
 
@@ -41,7 +47,8 @@ from scipy.optimize import linear_sum_assignment
 from .mdp import TabularMdp
 
 PINV_RCOND = 1e-10
-# Whitening needs k eigenvalues of M2 above this fraction of the largest.
+# Whitening needs k eigenvalues of M2 above this fraction of the larger of
+# its largest eigenvalue and 1.
 WHITEN_RTOL = 1e-12
 # A power-iteration step that moves no entry of a vector by more than this
 # leaves the vector at its fixed point, up to rounding.
@@ -121,31 +128,34 @@ class MomentSet:
     """Second/third-moment estimates from m observation triples, one row of
     each view per triple.
 
-    All matrices are stored in reduced coordinates of the observation span:
-    the full form of an (r, r) matrix X is ``to_full(to_full(X).T).T``.
-    The orthonormal basis behind the coordinates is
-    ``observations.T @ basis_weights`` (d x r), or the identity when
-    ``basis_weights`` is None; it is never formed.  sigma[(i, j)] =
-    E[o_i o_j^T] names the cross-view covariances; the pipeline reads them
-    only through ``m2`` and ``recovery``.
+    View i's rows X_i (m x d) are c_i B_i^T, with coordinates c_i (m x r_i)
+    and an orthonormal basis B_i (d x r_i) of their span (``_view_coordinates``).
+    The cross-view covariance sigma[(i, j)] = E[o_i o_j^T] is then
+    B_i (c_i^T c_j / m) B_j^T.  The transformed views, ``m2`` and the
+    whitening live in view-3 coordinates, so the full form of ``m2`` is
+    B_3 m2 B_3^T; ``recovery`` maps view-3 to view-2 coordinates, and its
+    full form is B_2 recovery B_3^T.  ``to_full`` applies B_2 or B_3 as
+    ``X_i^T @ weights[i]``, or the identity when the weights are None; the
+    bases are never formed.
     """
 
     observations: np.ndarray     # (3m, d) the observations of the triples
-    basis_weights: np.ndarray | None  # (3m, r), or None for the identity
-    view1: np.ndarray            # (m, r) transformed first views
-    view2: np.ndarray            # (m, r) transformed second views
-    view3: np.ndarray            # (m, r) raw third views
-    m2: np.ndarray               # (r, r) symmetrized second cross moment
-    # (r, r) sigma[(2, 1)] @ pinv(sigma[(3, 1)]) at the rank cap: maps the
+    weights: dict                # view 2, 3 -> (m, r_i) basis weights or None
+    view1: np.ndarray            # (m, r3) first views in view-3 coordinates
+    view2: np.ndarray            # (m, r3) second views in view-3 coordinates
+    view3: np.ndarray            # (m, r3) third views' own coordinates
+    m2: np.ndarray               # (r3, r3) symmetrized second cross moment
+    # (r2, r3) sigma[(2, 1)] @ pinv(sigma[(3, 1)]) at the rank cap: maps the
     # third views' conditional means to the observation matrix.
     recovery: np.ndarray
 
-    def to_full(self, reduced: np.ndarray) -> np.ndarray:
-        """Map the rows of an (r, ...) array from reduced to observation
-        coordinates."""
-        if self.basis_weights is None:
+    def to_full(self, view: int, reduced: np.ndarray) -> np.ndarray:
+        """Map the rows of an (r_view, ...) array from the coordinates of
+        view 2 or 3 to observation coordinates."""
+        weights = self.weights[view]
+        if weights is None:
             return reduced
-        return self.observations.T @ (self.basis_weights @ reduced)
+        return self.observations[view - 1::3].T @ (weights @ reduced)
 
     def whitened_third_moment(self, w_reduced: np.ndarray) -> np.ndarray:
         """Contract the implicit third moment with W on all modes, then
@@ -169,20 +179,20 @@ def symmetrize_tensor(t: np.ndarray) -> np.ndarray:
     ) / 6.0
 
 
-def _span_coordinates(obs: np.ndarray):
-    """Coordinates of the rows of ``obs`` (n x d) in an orthonormal basis of
-    their span, and the weights that give that basis from the rows.
+def _view_coordinates(view: np.ndarray):
+    """Coordinates of the rows of ``view`` (m x d) in an orthonormal basis
+    of their span, and the weights that give that basis from the rows.
 
-    With n < d the coordinates are ``V sqrt(L)`` from the eigenpairs of the
-    n x n Gram matrix ``obs @ obs.T`` above ``n * eps`` of the largest, and
-    the basis is ``obs.T @ V / sqrt(L)``; otherwise the coordinates are the
-    rows themselves and the weights None (the identity basis).
+    With m < d the coordinates are ``V sqrt(L)`` from the eigenpairs of the
+    m x m Gram matrix ``view @ view.T`` above ``m * eps`` of the largest,
+    and the basis is ``view.T @ V / sqrt(L)``; otherwise the coordinates
+    are the rows themselves and the weights None (the identity basis).
     """
-    n, d = obs.shape
-    if n >= d:
-        return obs, None
-    vals, vecs = np.linalg.eigh(obs @ obs.T)
-    keep = vals > n * np.finfo(float).eps * vals[-1]
+    m, d = view.shape
+    if m >= d:
+        return view, None
+    vals, vecs = np.linalg.eigh(view @ view.T)
+    keep = vals > m * np.finfo(float).eps * vals[-1]
     vals, vecs = vals[keep], vecs[:, keep]
     roots = np.sqrt(vals)
     return vecs * roots, vecs / roots
@@ -198,14 +208,13 @@ def estimate_moments(observations, rank: int) -> MomentSet:
     obs = np.asarray(observations, dtype=float)
     if obs.ndim != 2 or obs.shape[0] < 3:
         raise ValueError("need at least 3 observations")
-    h, d = obs.shape
-    m = h // 3
+    m = obs.shape[0] // 3
     trimmed = obs[: 3 * m]
 
-    coords, weights = _span_coordinates(trimmed)  # (3m, r), (3m, r) or None
-    o1, o2, o3 = coords[0::3], coords[1::3], coords[2::3]
+    (o1, _), (o2, w2), (o3, w3) = (_view_coordinates(trimmed[i::3])
+                                   for i in range(3))
 
-    # The cross-view covariances sigma[(i, j)].
+    # The cores of the cross-view covariances sigma[(i, j)].
     s12, s21 = o1.T @ o2 / m, o2.T @ o1 / m
     s31, s32 = o3.T @ o1 / m, o3.T @ o2 / m
 
@@ -215,7 +224,7 @@ def estimate_moments(observations, rank: int) -> MomentSet:
     m2 = (m2 + m2.T) / 2.0
     recovery = s21 @ _truncated_pinv(s31, rank)
     return MomentSet(
-        observations=trimmed, basis_weights=weights,
+        observations=trimmed, weights={2: w2, 3: w3},
         view1=view1, view2=view2, view3=o3, m2=m2, recovery=recovery,
     )
 
@@ -332,7 +341,7 @@ def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
                        layout: ObservationLayout) -> HmmEstimate:
     """Back out the observation and transition matrices from RTP eigenpairs.
 
-    ``w_reduced`` must be the whitening matrix in the moment set's reduced
+    ``w_reduced`` must be the whitening matrix in the moment set's view-3
     coordinates, and the moment set must be built with its rank capped at
     the number of eigenpairs.  Every (s, a) block of every column is
     repaired onto the simplex.
@@ -340,11 +349,10 @@ def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
     lams = np.array([lam for lam, _ in eigpairs])
     vecs = np.stack([v for _, v in eigpairs], axis=1)  # (k, k)
     k = lams.shape[0]
-    wt_pinv = _truncated_pinv(w_reduced.T)             # (r, k) pseudo-inverse of W^T
-    mu3_reduced = wt_pinv @ (vecs * lams[None, :])     # (r, k)
-    obs_reduced = moments.recovery @ mu3_reduced
-    obs_full = moments.to_full(obs_reduced)            # (d, k)
-    trans = _truncated_pinv(obs_reduced, k) @ mu3_reduced
+    wt_pinv = _truncated_pinv(w_reduced.T)             # (r3, k) pseudo-inverse of W^T
+    mu3_reduced = wt_pinv @ (vecs * lams[None, :])     # (r3, k), view-3 coordinates
+    obs_full = moments.to_full(2, moments.recovery @ mu3_reduced)  # (d, k)
+    trans = _truncated_pinv(obs_full, k) @ moments.to_full(3, mu3_reduced)
 
     # Rows of C-contiguous copies of obs_full.T and trans.T are their
     # columns; projecting a strided transpose would sum in another order.

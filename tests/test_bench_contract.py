@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqtransfer import sequential
+from seqtransfer import harness, sequential, spectral
 from seqtransfer.envs import successor_chain
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -91,6 +91,23 @@ def test_one_traced_model_set_per_estimate_a_gated_task_read():
     read = len({r.h // 3 for r in gated})
     builds = taken["spans"]["ptum.ApproxModelSet"][0]
     assert builds == taken["counts"]["estimates_used"] == read < len(gated)
+
+
+def test_one_estimate_reaches_every_spectral_layer():
+    # Each spectral layer the benchmark reports is reached by the name
+    # it wraps: a layer no call reaches would read 0, not fail.
+    rng = np.random.default_rng(35)
+    family, chain = harness.random_hmm_family(3, 5, 2, 3, 0.9, rng)
+    layout = spectral.ObservationLayout(5, 2, 3)
+    o_true = np.stack([layout.vectorize(m.q, m.p) for m in family], axis=1)
+    obs, _ = harness.simulate_hmm_observations(family, chain, 90, 20, rng)
+    with tracing.session() as tracer:
+        spectral.spectral_estimate(obs, 3, layout, restarts=10, iters=30,
+                                   rng=rng, reference=o_true)
+        spans = tracer.take()["spans"]
+    layers = [name for name in tracing.LAYER_NAMES if name.startswith("spectral.")]
+    assert len(layers) == 7
+    assert [name for name in layers if spans.get(name, [0])[0] < 1] == []
 
 
 def test_sequential_workload_runs_criterion_10s_configs():

@@ -62,7 +62,7 @@ def reference_value_iteration(mdp: TabularMdp):
     steps taken and the stop rule that ended them, "residual" or
     "repeat"."""
     gamma = mdp.gamma
-    target = VALUE_TOL * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else VALUE_TOL
+    target = VALUE_TOL * (1.0 - gamma) / max(2.0 * gamma, 1.0)
     r = mdp.reward_means()
     S = mdp.num_states
     v = np.zeros(S)
@@ -298,6 +298,25 @@ class TestStackedPlanner:
         assert np.array_equal(approx.values[0], v)
         q = slow.reward_means() + slow.gamma * (slow.p @ v)
         assert approx.adv[0, 0] == np.min(q[[0, 1], pi] - v)
+
+    def test_small_discount_stops_within_value_tol(self):
+        # At gamma = 0.1 staying in state 0 pays 0.5, and moving to the
+        # absorbing state 1, which pays 1, is better by 3e-8.  After the
+        # first evaluation (stay) the residual is 3e-8: a target of
+        # VALUE_TOL (1 - gamma) / (2 gamma) = 4.5e-8 would stop there with
+        # V(0) 3e-8 below V*(0); the target 9e-9 runs one more step.
+        move = 0.4 / 0.9 + 3e-8
+        support = np.array([0.0, move, 0.5, 1.0])
+        p = np.zeros((2, 2, 2))
+        p[0, 0, 0] = p[0, 1, 1] = p[1, :, 1] = 1.0
+        q = np.zeros((2, 2, 4))
+        q[0, 0, 2] = q[0, 1, 1] = q[1, :, 3] = 1.0
+        m = TabularMdp(p=p, reward_support=support, q=q, gamma=0.1)
+        v_star = np.array([move + 0.1 / 0.9, 1.0 / 0.9])
+        v, pi = value_iteration(m)
+        assert pi.tolist() == [1, 0]
+        assert np.max(np.abs(v - v_star)) <= VALUE_TOL
+        self.assert_matches_reference([m])
 
     def test_zero_discount(self):
         rng = np.random.default_rng(14)

@@ -20,6 +20,7 @@ from seqtransfer.spectral import (
     _orient_whitening,
     _power_iterate,
     _truncated_pinv,
+    _view_coordinates,
     align_columns,
     apply_permutation,
     estimate_moments,
@@ -81,20 +82,48 @@ class TestLayout:
         assert np.array_equal(vec, [0.5, 0.5, 1.0])
 
 
-def full_matrix(mom, reduced):
-    """An (r, r) matrix of reduced coordinates in observation coordinates."""
-    return mom.to_full(mom.to_full(reduced).T).T
+def full_matrix(mom, reduced, rows, cols):
+    """A matrix from view-``cols`` to view-``rows`` coordinates, in
+    observation coordinates: B_rows reduced B_cols^T."""
+    return mom.to_full(rows, mom.to_full(cols, reduced.T).T)
+
+
+def dense_moments(obs):
+    """M2 and the recovery map of the first 3m observations, computed
+    naively with d x d covariances and their pseudo-inverses."""
+    m = len(obs) // 3
+    o1, o2, o3 = obs[0:3 * m:3], obs[1:3 * m:3], obs[2:3 * m:3]
+    s12, s21 = o1.T @ o2 / m, o2.T @ o1 / m
+    s31, s32 = o3.T @ o1 / m, o3.T @ o2 / m
+    v1 = (s32 @ np.linalg.pinv(s12, rcond=1e-10) @ o1.T).T
+    v2 = (s31 @ np.linalg.pinv(s21, rcond=1e-10) @ o2.T).T
+    m2 = v1.T @ v2 / m
+    return (m2 + m2.T) / 2, s21 @ np.linalg.pinv(s31, rcond=1e-10)
+
+
+def assert_matches_dense_oracle(obs):
+    """The per-view pipeline gives the oracle's M2 and recovery map.  The
+    rank cap m bounds every covariance's rank, so it cuts nothing the dense
+    pseudo-inverses keep."""
+    m, d = len(obs) // 3, obs.shape[1]
+    mom = estimate_moments(obs, rank=m)
+    for view in (2, 3):
+        assert (mom.weights[view] is None) == (m >= d)
+    m2, recovery = dense_moments(obs)
+    assert np.allclose(full_matrix(mom, mom.m2, 3, 3), m2, atol=1e-8)
+    assert np.allclose(full_matrix(mom, mom.recovery, 2, 3), recovery, atol=1e-8)
+    return mom, m2
 
 
 class TestMoments:
     def test_identical_observations(self):
-        # Fewer observations than dimensions, then more.  Every covariance
-        # is o o^T, so M2 is o o^T and the recovery map projects onto o.
+        # Fewer triples than dimensions, then more.  Every covariance is
+        # o o^T, so M2 is o o^T and the recovery map projects onto o.
         o = np.arange(1.0, 9.0)
-        for obs in (np.tile(o, (6, 1)), np.tile(o, (9, 1))):
+        for obs in (np.tile(o, (6, 1)), np.tile(o, (24, 1))):
             mom = estimate_moments(obs, rank=1)
-            assert np.allclose(full_matrix(mom, mom.m2), np.outer(o, o))
-            assert np.allclose(full_matrix(mom, mom.recovery),
+            assert np.allclose(full_matrix(mom, mom.m2, 3, 3), np.outer(o, o))
+            assert np.allclose(full_matrix(mom, mom.recovery, 2, 3),
                                np.outer(o, o) / (o @ o))
 
     def test_leftover_observations_discarded(self):
@@ -109,47 +138,84 @@ class TestMoments:
             estimate_moments(np.zeros((2, 4)), rank=1)
 
     def test_reduced_basis_matches_dense_oracle(self):
-        # The reduced-coordinate pipeline must agree with a naive dense
-        # computation of M2 and of the recovery map, with more observations
-        # than dimensions (the observations are the coordinates) and with
-        # fewer (Gram coordinates), there with duplicated observations.
-        # The rank cap 10 = m bounds every covariance's rank, so it cuts
-        # nothing the dense pseudo-inverses keep.
+        # With at least as many triples as dimensions each view's rows are
+        # its coordinates; with fewer, Gram coordinates, also when all
+        # observations together span the space (m < d <= 3m).
         rng = np.random.default_rng(2)
-        tall = rng.normal(size=(30, 12)) + 3.0
-        wide = rng.normal(size=(30, 50)) + 3.0
-        wide[[3, 9, 10, 27]] = wide[[0, 0, 4, 1]]
-        for obs in (tall, wide):
-            mom = estimate_moments(obs, rank=10)
-            assert (mom.basis_weights is None) == (obs is tall)
-            m = 10
-            o1, o2, o3 = obs[0::3], obs[1::3], obs[2::3]
-            s12 = o1.T @ o2 / m
-            s21 = o2.T @ o1 / m
-            s31 = o3.T @ o1 / m
-            s32 = o3.T @ o2 / m
-            v1 = (s32 @ np.linalg.pinv(s12, rcond=1e-10) @ o1.T).T
-            v2 = (s31 @ np.linalg.pinv(s21, rcond=1e-10) @ o2.T).T
-            m2 = v1.T @ v2 / m
-            m2 = (m2 + m2.T) / 2
-            assert np.allclose(full_matrix(mom, mom.m2), m2, atol=1e-8)
-            recovery = s21 @ np.linalg.pinv(s31, rcond=1e-10)
-            assert np.allclose(full_matrix(mom, mom.recovery), recovery,
-                               atol=1e-8)
+        for shape in ((45, 12), (30, 20), (30, 50)):
+            assert_matches_dense_oracle(rng.normal(size=shape) + 3.0)
+
+    def test_duplicated_observations_in_one_view(self):
+        # Four distinct second views among ten: view 2 has rank 4, so its
+        # Gram matrix is singular and its coordinates drop the null space.
+        rng = np.random.default_rng(2)
+        obs = rng.normal(size=(30, 50)) + 3.0
+        obs[1::3] = obs[1::3][[0, 1, 2, 3, 0, 0, 1, 2, 3, 3]]
+        mom, _ = assert_matches_dense_oracle(obs)
+        assert mom.recovery.shape == (4, 10)
+
+    def test_view_of_lower_rank_than_the_others(self):
+        # The third views span two dimensions and the others ten: the
+        # moments are the oracle's, and whitening at rank 3 fails as the
+        # oracle's M2 of rank 2 must.
+        rng = np.random.default_rng(33)
+        obs = rng.normal(size=(30, 50)) + 3.0
+        obs[2::3] = rng.dirichlet(np.ones(2), size=10) @ rng.normal(size=(2, 50))
+        mom, m2 = assert_matches_dense_oracle(obs)
+        assert mom.view3.shape == (10, 2)
+        assert np.linalg.matrix_rank(m2) == 2
+        with pytest.raises(DegenerateMomentsError):
+            whitened_moments(obs, 3)
 
     def test_gram_coordinates_drop_the_null_space(self):
-        # Ten distinct rows among 30 in dimension 50: the coordinates have
-        # rank 10, and their basis is orthonormal.
+        # Ten draws from ten distinct rows in dimension 50: each view's
+        # coordinates have the rank of its distinct rows, their basis is
+        # orthonormal and gives the rows back, and the moment set applies
+        # that basis.
         rng = np.random.default_rng(19)
         obs = rng.normal(size=(10, 50))[rng.integers(0, 10, size=30)]
         mom = estimate_moments(obs, rank=10)
-        basis = mom.to_full(np.eye(mom.basis_weights.shape[1]))
-        assert basis.shape == (50, 10)
-        assert np.allclose(basis.T @ basis, np.eye(10), atol=1e-10)
+        for view in (1, 2, 3):
+            rows = obs[view - 1::3]
+            coords, weights = _view_coordinates(rows)
+            rank = len(np.unique(rows, axis=0))
+            basis = rows.T @ weights
+            assert coords.shape == (10, rank) and basis.shape == (50, rank)
+            assert np.allclose(basis.T @ basis, np.eye(rank), atol=1e-10)
+            assert np.allclose(coords @ basis.T, rows, atol=1e-10)
+            if view > 1:
+                assert np.allclose(mom.to_full(view, np.eye(rank)), basis,
+                                   atol=1e-12)
 
     def test_zero_observations_lose_the_rank(self):
         with pytest.raises(DegenerateMomentsError):
             estimate_moments(np.zeros((6, 10)), rank=2)
+
+    def test_no_factorization_larger_than_a_view(self, monkeypatch):
+        # With 3m < d the deterministic stage and recovery factorize only
+        # m x m Gram matrices, cores of at most m x m, and matrices with
+        # k columns: no factorized matrix has both sides above max(m, k).
+        seen = []
+
+        def spy(fn):
+            def factorize(a, *args, **kwargs):
+                seen.append((fn.__name__, np.shape(a)))
+                return fn(a, *args, **kwargs)
+            return factorize
+
+        for name in ("eigh", "svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+        k, layout = 3, ObservationLayout(5, 2, 3)
+        rng = np.random.default_rng(34)
+        fam, chain = random_hmm_family(k, 5, 2, 3, 0.9, rng)
+        obs, _ = simulate_hmm_observations(fam, chain, 60, 20, rng)
+        m = len(obs) // 3
+        assert 3 * m < layout.dim
+        moments, w, t3 = whitened_moments(obs, k)
+        pairs = rtp_decompose(t3, k, restarts=10, iters=30, rng=rng)
+        recover_parameters(moments, pairs, w, layout)
+        assert {name for name, _ in seen} >= {"eigh", "svd"}
+        assert not [shape for _, shape in seen if min(shape[-2:]) > max(m, k)]
 
 
 class TestWhiten:
@@ -459,8 +525,8 @@ class TestRecovery:
 
     def test_gram_coordinates_match_the_qr_basis(self):
         # Objectworld-sized observations (d = 3700) from fewer triples than
-        # dimensions: the Gram coordinates recover the observation matrix
-        # of the QR basis to rounding.
+        # dimensions: the per-view Gram coordinates recover the observation
+        # matrix of one QR basis of all observations to rounding.
         rng = np.random.default_rng(20)
         fam, chain = random_hmm_family(3, 25, 4, 12, 0.9, rng)
         layout = ObservationLayout(25, 4, 12)
