@@ -120,9 +120,7 @@ def cmd_run_sequential(cfg: ExperimentConfig, out: Path, args) -> int:
     rows = [(i, *row) for i, trace in results for row in trace.rows()]
     variant = "static" if args.static else "sequential"
     write_csv(out / f"{variant}_trace.csv", ["run", *SequenceTrace.COLUMNS], rows)
-    transfer_queries = [
-        r.queries for _, t in results for r in t.records if r.mode != "startup"
-    ]
+    transfer = [r for _, t in results for r in t.records if r.mode != "startup"]
     summary = {
         "variant": variant,
         "num_runs": cfg.num_runs,
@@ -132,9 +130,12 @@ def cmd_run_sequential(cfg: ExperimentConfig, out: Path, args) -> int:
         "degraded_fraction": float(np.mean([
             t.degraded_fraction() for _, t in results
         ])),
-        "transfer_queries": dataclasses.asdict(aggregate(transfer_queries))
-        if transfer_queries else None,
+        # The transfer tasks' solve queries, then their post-sample queries.
+        "transfer_queries": [r.queries for r in transfer],
+        "transfer_post_queries": [r.post_queries for r in transfer],
     }
+    for key in ("transfer_queries", "transfer_post_queries"):
+        summary[key] = dataclasses.asdict(aggregate(summary[key])) if transfer else None
     write_json(out / f"{variant}_summary.json", summary)
     print(f"run-sequential ({variant}): {cfg.num_runs} runs, "
           f"eps-optimal fraction {summary['eps_optimal_fraction']:.3f}")

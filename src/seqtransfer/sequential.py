@@ -1,11 +1,18 @@
 """Sequential transfer across tasks drawn from a hidden Markov chain.
 
-Each task is solved (by the elimination algorithm when the uncertainty
-gate allows, by uniform sampling otherwise), the empirical frequencies of
-its samples become an observation for the spectral learner, the task
-models and the chain are re-estimated, the uncertainty level is refreshed
-from the error-bound schedule, and unlikely next tasks are pre-eliminated
-from the candidate set of the following round.
+The run has two parts.  The ``Learner`` is the paper's agent: it sees one
+generative model per task and its own past.  It solves each task (by the
+elimination algorithm when the uncertainty gate allows, by uniform
+sampling otherwise), makes the empirical frequencies of its samples an
+observation for the spectral learner, re-estimates the task models and the
+chain, refreshes the uncertainty level from the error-bound schedule, and
+pre-eliminates unlikely next tasks from the candidate set of the following
+round.  ``run_sequential`` is the evaluator: it holds the hidden family and
+chain, draws each task, hands the learner an oracle of it, and grades the
+policy and the estimate against the truth.  One channel from the truth into
+the learner remains: each estimate is aligned to the true observation
+columns (the learner's ``reference``), and those labels are the ones
+``active`` and pre-elimination carry across rounds.
 
 The moments read whole triples of consecutive observations, so one
 estimate is made per triple count: the first at max(3k, startup_tasks)
@@ -40,23 +47,11 @@ import numpy as np
 
 from .envs import GenerativeModel, TaskChain, sample_initial_task, sample_next_task
 from .mdp import is_eps_optimal, plan
-from .ptum import (
-    ApproxModelSet,
-    EmpiricalModel,
-    run_ptum,
-    transfer_gate,
-    uniform_pac_fallback,
-)
-from .spectral import (
-    DecompositionFailureError,
-    DegenerateMomentsError,
-    HmmEstimate,
-    ObservationLayout,
-    estimate_errors,
-    model_error_bound,
-    spectral_estimate,
-    unpack_models,
-)
+from .ptum import (ApproxModelSet, EmpiricalModel, run_ptum, transfer_gate,
+                   uniform_pac_fallback)
+from .spectral import (DecompositionFailureError, DegenerateMomentsError, HmmEstimate,
+                       ObservationLayout, estimate_errors, model_error_bound,
+                       spectral_estimate, unpack_models)
 
 
 @dataclass(frozen=True)
@@ -140,6 +135,7 @@ class TaskRecord:
     degraded: bool = False
     tau: int | None = None
     true_in_active: bool = True
+    post_queries: int = 0
 
 
 @dataclass
@@ -175,13 +171,17 @@ def collect_post_samples(g: GenerativeModel, emp: EmpiricalModel, per_pair: int,
     return emp
 
 
-def pre_eliminate(t_hat: np.ndarray, survived, h: int, cfg: SequentialConfig,
-                  obs_dim: int):
+def pre_eliminate(t_hat: np.ndarray, survived, estimate_obs: int,
+                  cfg: SequentialConfig, obs_dim: int):
     """Candidate tasks for the next round, per the transition-probability rule.
 
     A task theta is eliminated when its predicted probability mass plus the
     estimation slack falls at or below eta; the top cfg.top_keep tasks by
     predicted mass are always retained.  Never returns an empty set.
+    ``estimate_obs`` is the count n of observations the estimate of
+    ``t_hat`` read, 3*floor(n/3); the slack is delta*k, plus
+    rho_t*k*sqrt(log(9 k d m^2 / delta_prime) / n) when rho_t and n are
+    positive, with d = ``obs_dim`` and m = ``cfg.num_tasks``.
     """
     t_hat = np.asarray(t_hat, dtype=float)
     k = t_hat.shape[0]
@@ -190,82 +190,61 @@ def pre_eliminate(t_hat: np.ndarray, survived, h: int, cfg: SequentialConfig,
         raise ValueError("the survived set must be non-empty")
     score = t_hat[:, survivors].sum(axis=1)
     slack = cfg.delta * k
-    if cfg.rho_t > 0 and h > 0:
+    if cfg.rho_t > 0 and estimate_obs > 0:
         log_arg = 9.0 * k * obs_dim * cfg.num_tasks ** 2 / cfg.delta_prime
-        slack += cfg.rho_t * k * math.sqrt(math.log(log_arg) / h)
+        slack += cfg.rho_t * k * math.sqrt(math.log(log_arg) / estimate_obs)
     keep = {theta for theta in range(k) if score[theta] + slack > cfg.eta}
     top = np.argsort(-score, kind="stable")[: cfg.top_keep]
     keep.update(int(t) for t in top)
     return keep
 
 
-def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> SequenceTrace:
-    """The full per-task loop over ``cfg.num_tasks`` tasks.
+class Learner:
+    """The agent of one sequence: it sees one oracle per task and its past.
 
-    ``family`` holds the hidden ground-truth models; they are used to draw
-    samples, to evaluate returned policies, and (for diagnostics only) to
-    align the spectral estimates to true task labels.  One estimate is
-    made per triple count, from ``max(3k, cfg.startup_tasks)`` observations
-    on (module docstring); ``degraded`` marks the task whose attempt raised,
-    and the start-up rows before the first estimate have NaN
-    ``o_col_err_max`` and ``t_err_max``.  An estimate and its bound change
-    together, so the model set built at the first gated task that reads an
-    estimate carries the ``delta_h`` of every task that reuses it.
+    ``reference`` is the (d, k) matrix each spectral estimate is aligned
+    to, so that its columns keep their task labels across rounds.
+    ``run_sequential`` passes the true observation columns, the one channel
+    from the hidden family into the learner.
     """
-    family = list(family)
-    k = len(family)
-    if chain.num_tasks != k:
-        raise ValueError("chain size must match the family size")
-    base = family[0]
-    S, A, U = base.num_states, base.num_actions, base.num_rewards
-    gamma = base.gamma
-    layout = ObservationLayout(S, A, U)
 
-    true_values, _ = plan(family)
-    o_true = np.stack(
-        [layout.vectorize(m.q, m.p) for m in family], axis=1
-    )
-    t_true = chain.transition
+    def __init__(self, cfg: SequentialConfig, layout: ObservationLayout,
+                 reward_support, gamma: float, reference: np.ndarray):
+        self.cfg, self.layout, self.reference = cfg, layout, reference
+        self.reward_support, self.gamma = reward_support, gamma
+        self.observations: list = []
+        self.estimate: HmmEstimate | None = None
+        # The observation count the current estimate read and its error
+        # bound; a stale estimate keeps both.
+        self.estimate_obs, self.estimate_bound = 0, math.inf
+        # The current estimate's model set, built at its first gated task.
+        self.approx: ApproxModelSet | None = None
+        # The triple count of the last attempted estimate.
+        self.estimate_triples = None
+        self.active: set = set(range(reference.shape[1]))
 
-    trace = SequenceTrace()
-    observations: list = []
-    estimate: HmmEstimate | None = None
-    # The observation count the current estimate read, its error bound and
-    # its (diagnostic) errors against the truth; a stale estimate keeps all.
-    estimate_obs = 0
-    estimate_bound = math.inf
-    errors = (math.nan, math.nan)
-    # The current estimate's model set, built at its first gated task.
-    approx: ApproxModelSet | None = None
-    # The triple count of the last attempted estimate.
-    estimate_triples = None
-    active: set = set(range(k))
-    current_task: int | None = None
+    def solve(self, g: GenerativeModel, rng):
+        """Solve the next task through its oracle ``g`` and learn from it.
 
-    for h in range(cfg.num_tasks):
-        if current_task is None:
-            current_task = sample_initial_task(chain, rng)
-        else:
-            current_task = sample_next_task(chain, current_task, rng)
-        truth = family[current_task]
-        g = GenerativeModel(truth)
-
+        Returns the policy and the learner's columns of the task's
+        ``TaskRecord``.  An estimate and its bound change together, so the
+        model set built at the first gated task that reads an estimate
+        carries the ``delta_h`` of every task that reuses it.
+        """
+        cfg, layout = self.cfg, self.layout
+        k, h = self.reference.shape[1], len(self.observations)
         # Infinite until an estimate succeeds, which keeps the gate closed.
-        delta_h = estimate_bound
+        delta_h = self.estimate_bound
         in_startup = h < cfg.startup_tasks
-        gate_open = not in_startup and transfer_gate(delta_h, cfg.eps, gamma)
         tau = None
-        if gate_open:
-            if approx is None:
-                approx = ApproxModelSet(
-                    unpack_models(estimate, base.reward_support, gamma), delta_h)
-            result = run_ptum(
-                approx, g, cfg.eps, cfg.delta, cfg.budget, rng,
-                fallback_per_pair=cfg.fallback_per_pair, active=active,
-            )
+        if not in_startup and transfer_gate(delta_h, cfg.eps, self.gamma):
+            if self.approx is None:
+                self.approx = ApproxModelSet(unpack_models(
+                    self.estimate, self.reward_support, self.gamma), delta_h)
+            result = run_ptum(self.approx, g, cfg.eps, cfg.delta, cfg.budget, rng,
+                              fallback_per_pair=cfg.fallback_per_pair, active=self.active)
             policy, emp, mode = result.policy, result.empirical, result.mode
-            tau = result.tau
-            survived = result.survived
+            tau, survived = result.tau, result.survived
         else:
             if in_startup or cfg.fallback_per_pair is None:
                 per_pair = cfg.startup_per_pair
@@ -277,53 +256,74 @@ def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> Sequ
         solve_queries = g.queries_used
 
         collect_post_samples(g, emp, cfg.post_sample_per_pair, rng)
-        observations.append(layout.vectorize(*emp.frequencies()))
+        self.observations.append(layout.vectorize(*emp.frequencies()))
 
         degraded = False
         # With fewer than k triples M2 has rank below k and whitening fails,
         # no solve reads an estimate made before the last start-up task, and
         # the moments read whole triples only.
-        n = len(observations)
-        if n >= max(3 * k, cfg.startup_tasks) and n // 3 != estimate_triples:
-            estimate_triples = n // 3
+        n = h + 1
+        if n >= max(3 * k, cfg.startup_tasks) and n // 3 != self.estimate_triples:
+            self.estimate_triples = n // 3
             try:
-                estimate = spectral_estimate(
-                    observations, k, layout,
-                    restarts=cfg.rtp_restarts, iters=cfg.rtp_iters,
-                    rng=rng, reference=o_true,
-                )
+                self.estimate = spectral_estimate(
+                    self.observations, k, layout, restarts=cfg.rtp_restarts,
+                    iters=cfg.rtp_iters, rng=rng, reference=self.reference)
             except (DegenerateMomentsError, DecompositionFailureError):
                 degraded = True
             else:
-                estimate_obs = 3 * estimate_triples
-                estimate_bound = model_error_bound(
-                    estimate_obs, cfg.rho_at(h), cfg.delta_prime, S, A, U)
-                errors = estimate_errors(estimate, o_true, t_true)
-                approx = None
+                self.estimate_obs, self.approx = 3 * self.estimate_triples, None
+                self.estimate_bound = model_error_bound(
+                    self.estimate_obs, cfg.rho_at(h), cfg.delta_prime,
+                    layout.num_states, layout.num_actions, layout.num_rewards)
         elif n >= 3 * k:
             # Spend the skipped estimate's RTP draws, to keep the stream.
             rng.standard_normal((k, cfg.rtp_restarts, k))
 
-        record = TaskRecord(
-            h=h,
-            true_task=current_task,
-            mode=mode,
-            queries=solve_queries,
-            eps_optimal=is_eps_optimal(truth, true_values[current_task], policy, cfg.eps),
-            active_set_size=len(active),
-            delta_h=delta_h,
-            o_col_err_max=errors[0],
-            t_err_max=errors[1],
-            degraded=degraded,
-            tau=tau,
-            true_in_active=current_task in active,
-        )
-        trace.records.append(record)
-
-        if cfg.pre_elimination and estimate is not None:
-            active = pre_eliminate(estimate.transition, survived,
-                                   estimate_obs, cfg, layout.dim)
+        columns = dict(mode=mode, queries=solve_queries, degraded=degraded,
+                       active_set_size=len(self.active), delta_h=delta_h,
+                       tau=tau, post_queries=g.queries_used - solve_queries)
+        if cfg.pre_elimination and self.estimate is not None:
+            self.active = pre_eliminate(self.estimate.transition, survived,
+                                        self.estimate_obs, cfg, layout.dim)
         else:
-            active = set(range(k))
+            self.active = set(range(k))
+        return policy, columns
 
+
+def run_sequential(cfg: SequentialConfig, family, chain: TaskChain, rng) -> SequenceTrace:
+    """The evaluator of one sequence of ``cfg.num_tasks`` tasks.
+
+    The hidden ``family`` and ``chain`` draw each task and grade the
+    ``Learner``'s policy for it; the error columns are measured when the
+    learner's estimate changes, so a stale estimate keeps its errors.  The
+    true observation columns are the learner's alignment ``reference``.
+    """
+    family = list(family)
+    k = len(family)
+    if chain.num_tasks != k:
+        raise ValueError("chain size must match the family size")
+    base = family[0]
+    layout = ObservationLayout(base.num_states, base.num_actions, base.num_rewards)
+    true_values, _ = plan(family)
+    o_true = np.stack([layout.vectorize(m.q, m.p) for m in family], axis=1)
+    learner = Learner(cfg, layout, base.reward_support, base.gamma, o_true)
+
+    trace = SequenceTrace()
+    measured, errors = None, (math.nan, math.nan)
+    for h in range(cfg.num_tasks):
+        current_task = (sample_initial_task(chain, rng) if h == 0
+                        else sample_next_task(chain, current_task, rng))
+        truth = family[current_task]
+        true_in_active = current_task in learner.active
+        policy, columns = learner.solve(GenerativeModel(truth), rng)
+        if learner.estimate is not measured:
+            measured = learner.estimate
+            errors = estimate_errors(measured, o_true, chain.transition)
+        trace.records.append(TaskRecord(
+            h=h, true_task=current_task, true_in_active=true_in_active,
+            eps_optimal=is_eps_optimal(truth, true_values[current_task],
+                                       policy, cfg.eps),
+            o_col_err_max=errors[0], t_err_max=errors[1], **columns,
+        ))
     return trace

@@ -446,7 +446,7 @@ def test_criterion_10_sequential_vs_static(seq_static_sweep):
 
 
 # The pre-elimination runs of criterion 10 return wrong policies in silence
-# (ROADMAP item 1): 4 of the 250 transfer tasks are not eps-optimal, and in
+# (ROADMAP item 2): 4 of the 250 transfer tasks are not eps-optimal, and in
 # 11 the true task is missing from the candidate set.  Criterion 10 does
 # not see either; this count must not grow.
 KNOWN_SEQ_FAILURES, KNOWN_SEQ_MISSES = 4, 11

@@ -155,14 +155,14 @@ class TestPreEliminate:
     def test_zero_eta_keeps_everything(self):
         cfg = make_cfg(pre_elimination=True, eta=0.0, top_keep=1)
         t_hat = np.eye(5)
-        keep = pre_eliminate(t_hat, {0}, h=10, cfg=cfg, obs_dim=30)
+        keep = pre_eliminate(t_hat, {0}, estimate_obs=10, cfg=cfg, obs_dim=30)
         assert keep == set(range(5))
 
     def test_identity_chain_keeps_successor(self):
         cfg = make_cfg(pre_elimination=True, eta=0.5, top_keep=1,
                        delta=1e-6, delta_prime=0.1, num_tasks=4)
         t_hat = np.eye(5)
-        keep = pre_eliminate(t_hat, {2}, h=10, cfg=cfg, obs_dim=30)
+        keep = pre_eliminate(t_hat, {2}, estimate_obs=10, cfg=cfg, obs_dim=30)
         # Only task 2 carries mass from the survivor; slack is negligible.
         assert keep == {2}
 
@@ -170,7 +170,7 @@ class TestPreEliminate:
         cfg = make_cfg(pre_elimination=True, eta=2.0, top_keep=3,
                        delta=1e-6, delta_prime=0.1, num_tasks=4)
         chain = successor_chain(6)
-        keep = pre_eliminate(chain.transition, {1}, h=50, cfg=cfg, obs_dim=30)
+        keep = pre_eliminate(chain.transition, {1}, estimate_obs=50, cfg=cfg, obs_dim=30)
         # eta above any attainable score: only the forced top 3 survive,
         # led by the 0.97-probability successor.
         assert len(keep) == 3
@@ -183,15 +183,15 @@ class TestPreEliminate:
                          delta=1e-6, delta_prime=0.1, num_tasks=4, rho_t=0.5)
         t_hat = np.full((4, 4), 0.04)
         t_hat += np.diag(1.0 - t_hat.sum(axis=0))
-        strict = pre_eliminate(t_hat, {0}, h=4, cfg=base, obs_dim=30)
-        loose = pre_eliminate(t_hat, {0}, h=4, cfg=noisy, obs_dim=30)
+        strict = pre_eliminate(t_hat, {0}, estimate_obs=4, cfg=base, obs_dim=30)
+        loose = pre_eliminate(t_hat, {0}, estimate_obs=4, cfg=noisy, obs_dim=30)
         assert strict <= loose
         assert loose == {0, 1, 2, 3}
 
     def test_empty_survivors_rejected(self):
         cfg = make_cfg(pre_elimination=True)
         with pytest.raises(ValueError):
-            pre_eliminate(np.eye(3), set(), h=1, cfg=cfg, obs_dim=10)
+            pre_eliminate(np.eye(3), set(), estimate_obs=1, cfg=cfg, obs_dim=10)
 
 
 class TestTrace:
@@ -212,10 +212,10 @@ class TestTrace:
         # The header is the TaskRecord fields, in their order.
         assert lines[0] == ("h,true_task,mode,queries,eps_optimal,active_set_size,"
                             "delta_h,o_col_err_max,t_err_max,degraded,tau,"
-                            "true_in_active")
+                            "true_in_active,post_queries")
         assert len(lines) == 3
-        assert lines[1] == "0,0,transfer-stopped,10,1,3,0.25,0.1,0.05,0,,1"
-        assert lines[2].endswith(",1,7,0")
+        assert lines[1] == "0,0,transfer-stopped,10,1,3,0.25,0.1,0.05,0,,1,0"
+        assert lines[2].endswith(",1,7,0,0")
 
     def test_fractions(self):
         trace = SequenceTrace([self.record(0), self.record(1, eps_optimal=False)])

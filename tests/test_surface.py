@@ -62,6 +62,32 @@ def test_every_definition_is_named_outside_the_tests():
     assert unused - TEST_ONLY.keys() == set(), "move to the tests or delete"
 
 
+def test_the_learner_names_no_truth():
+    # The sequential learner sees one oracle per task and its own past; the
+    # hidden family and chain, and the evaluator's truth-side helpers, are
+    # named only by run_sequential.  Checked over the Learner and every
+    # definition of its module that it reaches by name.
+    truth = {"family", "chain", "TaskChain", "plan", "is_eps_optimal",
+             "estimate_errors", "sample_initial_task", "sample_next_task"}
+    tree = ast.parse((PACKAGE / "sequential.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, _DEFS)}
+    reached, todo, names = set(), {"Learner"}, set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+        todo = (names & defs.keys()) - reached
+    assert {"Learner", "collect_post_samples", "pre_eliminate"} <= reached
+    assert "run_sequential" not in reached
+    assert names & truth == set()
+
+
 def test_every_test_only_entry_is_still_an_unused_definition():
     # Also fails if the scan finds no definitions at all.
     defined = definitions()
