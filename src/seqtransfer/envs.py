@@ -80,12 +80,15 @@ def _grid_transitions(spec: GridSpec) -> np.ndarray:
     return p
 
 
-def build_grid(spec: GridSpec) -> TabularMdp:
+def build_grid(spec: GridSpec, support=None) -> TabularMdp:
     """Gridworld over the spec's cells, with an optional wall with a single
-    door, and absorbing goal cells; the reward support is 0 and the goal
-    rewards."""
+    door, and absorbing goal cells.  The reward support is ``support``,
+    which must hold 0 and every goal reward; by default it is exactly
+    those values."""
     p = _grid_transitions(spec)
-    support = np.array(sorted({0.0} | set(spec.goal_cells.values())))
+    if support is None:
+        support = sorted({0.0} | set(spec.goal_cells.values()))
+    support = np.asarray(support, dtype=float)
     u_index = {v: i for i, v in enumerate(support)}
     q = np.zeros((spec.num_cells, NUM_ACTIONS, support.shape[0]))
     q[:, :, u_index[0.0]] = 1.0
@@ -102,26 +105,16 @@ def build_multi_goal_grid(spec: GridSpec, per_task_goal_rewards) -> list:
     """One MDP per task over shared goal positions, differing only in rewards.
 
     per_task_goal_rewards: list (one entry per task) of dicts
-    cell -> reward value; all tasks must use the same goal cells.
+    cell -> reward value; all tasks must use the same goal cells.  Every
+    task is built over the family's reward support: 0 and every task's
+    goal rewards.
     """
     cells = set(spec.goal_cells)
-    mdps = []
-    for rewards in per_task_goal_rewards:
-        if set(rewards) != cells:
-            raise ValueError("all tasks must share the goal positions")
-        mdps.append(build_grid(replace(spec, goal_cells=dict(rewards))))
-    # Force a shared reward support across tasks.
+    if any(set(rewards) != cells for rewards in per_task_goal_rewards):
+        raise ValueError("all tasks must share the goal positions")
     support = sorted({0.0} | {v for r in per_task_goal_rewards for v in r.values()})
-    return [_with_support(m, np.array(support)) for m in mdps]
-
-
-def _with_support(mdp: TabularMdp, support: np.ndarray) -> TabularMdp:
-    """Re-express reward distributions over a (super)set support."""
-    idx = {v: i for i, v in enumerate(support)}
-    q = np.zeros((mdp.num_states, mdp.num_actions, support.shape[0]))
-    for i, v in enumerate(mdp.reward_support):
-        q[:, :, idx[float(v)]] += mdp.q[:, :, i]
-    return TabularMdp(p=mdp.p, reward_support=support, q=q, gamma=mdp.gamma)
+    return [build_grid(replace(spec, goal_cells=dict(rewards)), support)
+            for rewards in per_task_goal_rewards]
 
 
 def two_rooms_family(

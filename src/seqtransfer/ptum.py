@@ -191,7 +191,8 @@ def transition_value_stats(next_counts, n, values):
 
 
 class EmpiricalModel:
-    """Per-(s, a) sufficient statistics collected from generative queries."""
+    """Per-(s, a) sufficient statistics collected from generative queries:
+    count tables, or one pair's rows, added by ``add_counts``."""
 
     def __init__(self, num_states: int, num_actions: int, reward_support):
         S, A = num_states, num_actions
@@ -202,37 +203,28 @@ class EmpiricalModel:
         self.reward_counts = np.zeros((S, A, U), dtype=np.int64)
         self.next_counts = np.zeros((S, A, S), dtype=np.int64)
 
-    @property
-    def num_states(self) -> int:
-        return self.next_counts.shape[2]
-
     def add_sample(self, s: int, a: int, next_state: int, reward_value: float) -> None:
         self.counts[s, a] += 1
         self.reward_counts[s, a, self._u_index[float(reward_value)]] += 1
         self.next_counts[s, a, next_state] += 1
 
-    def add_batch(self, s: int, a: int, next_state_counts, reward_index_counts) -> None:
-        total = int(np.sum(next_state_counts))
-        if total != int(np.sum(reward_index_counts)):
+    def add_counts(self, next_counts, reward_counts, at=()) -> None:
+        """Add next-state and reward counts at the pairs ``at`` indexes: the
+        whole (S, A, S) and (S, A, U) tables by default, or one pair's (S,)
+        and (U,) rows with ``at=(s, a)``."""
+        next_counts, reward_counts = np.asarray(next_counts), np.asarray(reward_counts)
+        total = next_counts.sum(axis=-1)
+        if not np.array_equal(total, reward_counts.sum(axis=-1)):
             raise ValueError("inconsistent batch counts")
-        self.counts[s, a] += total
-        self.next_counts[s, a] += np.asarray(next_state_counts, dtype=np.int64)
-        self.reward_counts[s, a] += np.asarray(reward_index_counts, dtype=np.int64)
-
-    def add_table(self, next_counts, reward_counts) -> None:
-        """Add an (S, A, S) next-state and an (S, A, U) reward count table."""
-        total = next_counts.sum(axis=2)
-        if not np.array_equal(total, reward_counts.sum(axis=2)):
-            raise ValueError("inconsistent batch counts")
-        self.counts += total
-        self.next_counts += next_counts
-        self.reward_counts += reward_counts
+        self.counts[at] += total
+        self.next_counts[at] += next_counts
+        self.reward_counts[at] += reward_counts
 
     def snapshots(self, s: int, a: int, next_states, reward_indices):
         """The counts at (s, a) after each draw of a run of draws there,
         stacked: (n (B,), reward_counts (B, U), next_counts (B, S))."""
         steps = np.arange(len(next_states))
-        next_counts = np.zeros((steps.size, self.num_states), dtype=np.int64)
+        next_counts = np.zeros((steps.size, self.next_counts.shape[2]), dtype=np.int64)
         next_counts[steps, next_states] = 1
         reward_counts = np.zeros((steps.size, self.reward_support.size), dtype=np.int64)
         reward_counts[steps, reward_indices] = 1
@@ -520,7 +512,7 @@ def uniform_pac_fallback(g: GenerativeModel, per_pair_budget: int, rng,
     if emp is None:
         emp = EmpiricalModel(g.num_states, g.num_actions, g.reward_support)
     need = np.full((g.num_states, g.num_actions), per_pair_budget)
-    emp.add_table(*g.query_table(need, rng))
+    emp.add_counts(*g.query_table(need, rng))
     _, policy = value_iteration(emp.to_mdp(g.gamma))
     return policy, emp
 
@@ -636,8 +628,9 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
             next_states, reward_indices = g.query_many(
                 s, a, min(_RUN_BLOCK, n - len(query_log)), rng, keep=first_elimination)
             used = len(next_states)
-            emp.add_batch(s, a, np.bincount(next_states, minlength=S),
-                          np.bincount(reward_indices, minlength=emp.reward_support.size))
+            emp.add_counts(np.bincount(next_states, minlength=S),
+                           np.bincount(reward_indices, minlength=emp.reward_support.size),
+                           at=(s, a))
             t0 = len(query_log)
             query_log.extend((t0 + j, s, a) for j in range(used))
             eliminated = bool(fails[used - 1].any())
@@ -655,7 +648,9 @@ def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: fl
                         n: int):
     """The set of models that must be eliminated before stopping, and the
     worst-case query bound for doing so.  Diagnostic only.  Rejects a
-    ``star``, ``eps``, ``delta`` or ``n`` that ``run_ptum`` cannot use."""
+    ``star``, ``eps``, ``delta`` or ``n`` that ``run_ptum`` cannot use, and
+    a model set whose uncertainty level closes ``transfer_gate`` at ``eps``,
+    where ``run_ptum`` falls back without eliminating."""
     k = approx.num_models
     if not 0 <= star < k:
         raise ValueError(f"the true task must be in [0, {k}), got {star}")
@@ -665,9 +660,9 @@ def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: fl
         raise ValueError("budget must be non-negative")
     log_term, _ = _log_terms(approx, n, delta)
     gamma = approx.gamma
-    kappa = (1.0 - gamma) * eps / 4.0 - approx.delta * (1.0 + gamma) / 2.0
-    if eps > 0 and kappa <= 0:
+    if not transfer_gate(approx.delta, eps, gamma):
         raise ValueError("transfer gate fails for these parameters")
+    kappa = (1.0 - gamma) * eps / 4.0 - approx.delta * (1.0 + gamma) / 2.0
     S, A = approx.num_states, approx.num_actions
     r_dev, p_dev = approx.sup_gaps(star)
     p_thresh = kappa / gamma if gamma > 0 else INF

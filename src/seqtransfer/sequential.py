@@ -14,9 +14,9 @@ the learner remains: each estimate is aligned to the true observation
 columns (the learner's ``reference``), and those labels are the ones
 ``active`` and pre-elimination carry across rounds.
 
-The moments read whole triples of consecutive observations, so one
-estimate is made per triple count: the first at max(3k, startup_tasks)
-observations, then at each count that completes a triple.  With fewer
+The moments read whole triples of consecutive observations, so an
+estimate is attempted, from the observation count n alone, at n =
+max(3k, startup_tasks) and then at each later multiple of 3.  With fewer
 than k triples the second moment has rank below k, and the start-up tasks
 read no estimate.  Every count from 3k on that makes no estimate draws
 the normals its RTP starts would have drawn, so the stream is the one
@@ -167,7 +167,7 @@ def collect_post_samples(g: GenerativeModel, emp: EmpiricalModel, per_pair: int,
     """Top every (s, a) count up to per_pair with extra uniform queries."""
     if per_pair < 1:
         raise ValueError("per_pair must be at least 1")
-    emp.add_table(*g.query_table(np.maximum(per_pair - emp.counts, 0), rng))
+    emp.add_counts(*g.query_table(np.maximum(per_pair - emp.counts, 0), rng))
     return emp
 
 
@@ -219,8 +219,6 @@ class Learner:
         self.estimate_obs, self.estimate_bound = 0, math.inf
         # The current estimate's model set, built at its first gated task.
         self.approx: ApproxModelSet | None = None
-        # The triple count of the last attempted estimate.
-        self.estimate_triples = None
         self.active: set = set(range(reference.shape[1]))
 
     def solve(self, g: GenerativeModel, rng):
@@ -262,9 +260,8 @@ class Learner:
         # With fewer than k triples M2 has rank below k and whitening fails,
         # no solve reads an estimate made before the last start-up task, and
         # the moments read whole triples only.
-        n = h + 1
-        if n >= max(3 * k, cfg.startup_tasks) and n // 3 != self.estimate_triples:
-            self.estimate_triples = n // 3
+        n, first = h + 1, max(3 * k, cfg.startup_tasks)
+        if n == first or (n > first and n % 3 == 0):
             try:
                 self.estimate = spectral_estimate(
                     self.observations, k, layout, restarts=cfg.rtp_restarts,
@@ -272,7 +269,7 @@ class Learner:
             except (DegenerateMomentsError, DecompositionFailureError):
                 degraded = True
             else:
-                self.estimate_obs, self.approx = 3 * self.estimate_triples, None
+                self.estimate_obs, self.approx = 3 * (n // 3), None
                 self.estimate_bound = model_error_bound(
                     self.estimate_obs, cfg.rho_at(h), cfg.delta_prime,
                     layout.num_states, layout.num_actions, layout.num_rewards)

@@ -7,6 +7,8 @@ h-dependent error-bound schedule.
 An observation is one solved task's empirical reward and transition
 frequencies (``EmpiricalModel.frequencies``), flattened by
 ``ObservationLayout.vectorize``; the pipeline reads only these vectors.
+``ObservationLayout.unpack``, over any leading batch axes, is the one
+split of observations back into reward and transition blocks.
 
 The pipeline splits into a deterministic stage and a random one.
 ``whitened_moments`` (moments, whitening, whitened third moment) draws no
@@ -89,13 +91,15 @@ class ObservationLayout:
                               axis=-1)
 
     def unpack(self, vec: np.ndarray):
-        """Inverse of vectorize; returns (q, p)."""
+        """Inverse of vectorize over the trailing axis; leading axes are
+        batch axes.  Returns (q (..., S, A, U), p (..., S, A, S))."""
         S, A, U = self.num_states, self.num_actions, self.num_rewards
-        if vec.shape != (self.dim,):
+        vec = np.asarray(vec)
+        if vec.shape[-1:] != (self.dim,):
             raise ValueError(f"observation must have dimension {self.dim}")
-        q = vec[: self.reward_dim].reshape(S, A, U)
-        p = vec[self.reward_dim:].reshape(S, A, S)
-        return q, p
+        batch = vec.shape[:-1]
+        return (vec[..., :self.reward_dim].reshape(batch + (S, A, U)),
+                vec[..., self.reward_dim:].reshape(batch + (S, A, S)))
 
 
 def project_simplex(raw: np.ndarray) -> np.ndarray:
@@ -214,7 +218,8 @@ def estimate_moments(observations, rank: int) -> MomentSet:
     (o1, _), (o2, w2), (o3, w3) = (_view_coordinates(trimmed[i::3])
                                    for i in range(3))
 
-    # The cores of the cross-view covariances sigma[(i, j)].
+    # The cores of the cross-view covariances sigma[(i, j)].  Near the rank
+    # cap, pinv(s12)^T differs from pinv(s21) by more than rounding.
     s12, s21 = o1.T @ o2 / m, o2.T @ o1 / m
     s31, s32 = o3.T @ o1 / m, o3.T @ o2 / m
 
@@ -235,8 +240,7 @@ def whiten(m2: np.ndarray, k: int):
     Returns W with W^T m2 W = I_k.  Raises when fewer than k eigenvalues
     clear ``WHITEN_RTOL`` (empirical rank deficiency).
     """
-    sym = (m2 + m2.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.linalg.eigh(m2)
     order = np.argsort(vals)[::-1][:k]
     top_vals = vals[order]
     if top_vals.size < k or np.any(top_vals <= WHITEN_RTOL * max(vals.max(), 1.0)):
@@ -357,9 +361,7 @@ def recover_parameters(moments: MomentSet, eigpairs, w_reduced: np.ndarray,
     # Rows of C-contiguous copies of obs_full.T and trans.T are their
     # columns; projecting a strided transpose would sum in another order.
     cols = np.ascontiguousarray(obs_full.T)            # (k, d)
-    S, A, U = layout.num_states, layout.num_actions, layout.num_rewards
-    rewards = project_simplex(cols[:, :layout.reward_dim].reshape(k, S, A, U))
-    moves = project_simplex(cols[:, layout.reward_dim:].reshape(k, S, A, S))
+    rewards, moves = (project_simplex(x) for x in layout.unpack(cols))
     obs_proj = np.ascontiguousarray(layout.vectorize(rewards, moves).T)
     trans_proj = np.ascontiguousarray(
         project_simplex(np.ascontiguousarray(trans.T)).T
@@ -437,15 +439,10 @@ def estimate_errors(est: HmmEstimate, o_true: np.ndarray, t_true: np.ndarray):
 
 
 def unpack_models(est: HmmEstimate, reward_support, gamma: float):
-    """One TabularMdp per column of the estimated observation matrix."""
-    support = np.asarray(reward_support, dtype=float)
-    if support.shape[0] != est.layout.num_rewards:
-        raise ValueError("support length does not match the layout")
-    models = []
-    for column in est.observation.T:
-        q, p = est.layout.unpack(column)
-        models.append(TabularMdp(p=p, reward_support=support, q=q, gamma=gamma))
-    return models
+    """One TabularMdp per column of the estimated observation matrix;
+    ``TabularMdp`` rejects a support whose length is not the layout's."""
+    return [TabularMdp(p=p, reward_support=reward_support, q=q, gamma=gamma)
+            for q, p in zip(*est.layout.unpack(est.observation.T))]
 
 
 def model_error_bound(h: int, rho: float, delta_prime: float, S: int, A: int,

@@ -239,7 +239,7 @@ def reference_task_path(chain, steps, rng):
         p = chain.initial if task is None else chain.transition[:, task]
         task = int(rng.choice(chain.num_tasks, p=p))
         path.append(task)
-    return path
+    return np.array(path, dtype=int)
 
 
 @st.composite
@@ -265,7 +265,7 @@ class TestChainSamplers:
         rng, rng_ref = run_rng(seed, 0), run_rng(seed, 0)
         path = sample_task_path(chain, steps, rng)
         assert path.shape == (steps,)
-        assert path.tolist() == reference_task_path(chain, steps, rng_ref)
+        assert path.tolist() == reference_task_path(chain, steps, rng_ref).tolist()
         assert same_state(rng, rng_ref)
 
     @pytest.mark.parametrize("chain", [successor_chain(8), TaskChain(
@@ -364,7 +364,7 @@ class TestGenerativeModel:
         return objectworld, hmm_family[0], cls.tolerance_model()
 
     def test_table_equals_the_per_pair_loop(self):
-        # query_table plus add_table against one rng.multinomial on each
+        # query_table plus add_counts against one rng.multinomial on each
         # repaired row per pair with need > 0, the next-state row first, in
         # row order: the same counts, charges and generator state, bit for
         # bit, drawn twice on top of counts already held.
@@ -376,11 +376,11 @@ class TestGenerativeModel:
             g = GenerativeModel(mdp)
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             emp = EmpiricalModel(S, A, mdp.reward_support)
-            emp.add_table(*GenerativeModel(mdp).query_table(
+            emp.add_counts(*GenerativeModel(mdp).query_table(
                 np.full((S, A), 3), np.random.default_rng(99)))
             counts = [emp.next_counts.copy(), emp.reward_counts.copy()]
             for _ in range(2):
-                emp.add_table(*g.query_table(need, rng))
+                emp.add_counts(*g.query_table(need, rng))
                 for s in range(S):
                     for a in range(A):
                         if need[s, a] > 0:
@@ -392,7 +392,7 @@ class TestGenerativeModel:
             assert g.queries_used == 2 * need.clip(0).sum()
             assert same_state(rng, ref)
         with pytest.raises(ValueError):
-            emp.add_table(np.ones((S, A, S)), np.ones((S, A, mdp.num_rewards + 1)))
+            emp.add_counts(np.ones((S, A, S)), np.ones((S, A, mdp.num_rewards + 1)))
         with pytest.raises(ValueError):
             g.query_table(np.ones((S + 1, A), dtype=int), rng)
 

@@ -6,6 +6,7 @@ from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 import pytest
+from test_envs import reference_task_path
 
 from seqtransfer import harness
 from seqtransfer.cli import EXIT_CONFIG, EXIT_OK, _sequential_config, main
@@ -311,16 +312,6 @@ class TestSingleSource:
         assert _sequential_config(every, static) == _sequential_config(absent, static)
 
 
-def one_choice_per_step(chain, steps, rng):
-    """The chain path as one ``rng.choice`` per step."""
-    path, task = [], None
-    for _ in range(steps):
-        p = chain.initial if task is None else chain.transition[:, task]
-        task = int(rng.choice(chain.num_tasks, p=p))
-        path.append(task)
-    return np.array(path, dtype=int)
-
-
 class TestSimulationStream:
     @pytest.mark.parametrize("steps", [0, 1, 2, 1500])
     def test_equals_one_choice_per_step(self, steps, monkeypatch):
@@ -332,7 +323,7 @@ class TestSimulationStream:
             return obs, path, repr(rng.bit_generator.state)
 
         obs, path, state = criterion_7_run()
-        monkeypatch.setattr(harness, "sample_task_path", one_choice_per_step)
+        monkeypatch.setattr(harness, "sample_task_path", reference_task_path)
         obs_ref, path_ref, state_ref = criterion_7_run()
         assert path.shape == (steps,)
         assert np.array_equal(path, path_ref) and path.dtype == path_ref.dtype

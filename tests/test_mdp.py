@@ -119,7 +119,7 @@ def learned_objectworld_models(seed=3, tasks=30, per_pair=20):
     for task in sample_task_path(successor_chain(8), tasks, rng):
         g = GenerativeModel(family[task])
         emp = EmpiricalModel(g.num_states, g.num_actions, g.reward_support)
-        emp.add_table(*g.query_table(need, rng))
+        emp.add_counts(*g.query_table(need, rng))
         observations.append(layout.vectorize(*emp.frequencies()))
     est = spectral_estimate(observations, 8, layout, restarts=5, iters=30, rng=rng)
     return unpack_models(est, base.reward_support, base.gamma)

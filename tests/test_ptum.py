@@ -192,7 +192,7 @@ class TestConfidenceRadii:
 
     def test_value_stack_gives_one_transition_radius_per_row(self):
         emp = EmpiricalModel(3, 1, [0.0, 1.0])
-        emp.add_batch(0, 0, [2, 5, 3], [10, 0])
+        emp.add_counts([2, 5, 3], [10, 0], at=(0, 0))
         stack = np.array([[0.0, 1.0, 2.0], [4.0, 0.0, 1.0], [3.0, 3.0, 3.0]])
         approx = uniform_set(3, 1)
         c_r, c_p, c_sr, c_sp = self.radii(emp, stack, approx)
@@ -326,7 +326,7 @@ class TestPruning:
         emp = EmpiricalModel(approx.num_states, 1, approx.models[0].reward_support)
         reward_counts = np.zeros(approx.models[0].num_rewards, dtype=int)
         reward_counts[0] = sum(next_counts)
-        emp.add_batch(0, 0, next_counts, reward_counts)
+        emp.add_counts(next_counts, reward_counts, at=(0, 0))
         return emp, prune_confidence_set({0, 1}, emp, approx,
                                          _log_terms(approx, 1000, 0.1))
 
@@ -710,9 +710,22 @@ class TestDiagnostics:
 
     def test_gate_failure_raises(self):
         fam = small_family()
-        approx = ApproxModelSet(fam, 0.5)
+        # transfer_gate's threshold at eps = 0.1 and gamma = 0.9.  Below
+        # twice it, kappa is still positive, yet run_ptum falls back at the
+        # gate, so the diagnostic must refuse the set there too.
+        gate = 0.1 * (1.0 - 0.9) / (4.0 * (1.0 + 0.9))
+        for level in (0.5, gate, 1.5 * gate, 1.99 * gate):
+            approx = ApproxModelSet(fam, level)
+            with pytest.raises(ValueError):
+                theta_eps_and_bound(approx, 0, eps=0.1, delta=0.1, n=100)
+            res = run_ptum(approx, GenerativeModel(fam[0]), 0.1, 0.1, 100,
+                           np.random.default_rng(0))
+            assert res.mode == "fallback-gate"
+        # eps = 0 is exact identification, which needs exact models.
         with pytest.raises(ValueError):
-            theta_eps_and_bound(approx, 0, eps=0.1, delta=0.1, n=100)
+            theta_eps_and_bound(ApproxModelSet(fam, 1e-6), 0, eps=0.0, delta=0.1, n=100)
+        assert theta_eps_and_bound(ApproxModelSet(fam), 0, eps=0.0, delta=0.1,
+                                   n=100)[0] == {1, 2}
 
 
 def reference_run_ptum(approx, g, eps, delta, n, rng, fallback_per_pair=None,

@@ -9,6 +9,9 @@ two-rooms identification the stop step, queries, mode and survivors.  The
 pinned values were recorded from the per-model planner (one
 ``value_iteration`` per model, one ``policy_evaluation`` per pair).
 """
+import sys
+from pathlib import Path
+
 from seqtransfer.envs import (
     GenerativeModel,
     ObjectworldSpec,
@@ -20,6 +23,10 @@ from seqtransfer.envs import (
 from seqtransfer.harness import run_rng
 from seqtransfer.ptum import ApproxModelSet, run_ptum
 from seqtransfer.sequential import SequentialConfig, run_sequential
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 SEED = 19
 STARTUP = 24
@@ -77,6 +84,15 @@ TWO_ROOMS_STREAMS = [
     (195, 195, 'transfer-stopped', [0]),
 ]
 
+# The benchmark's sequential-objectworld pair: per run, the solve queries
+# of its transfer tasks and (h, true task a candidate) of each task whose
+# policy is not eps-optimal.  The workload's queries_per_solve is
+# (4022 + 10879) / 44 = 338.659.
+BENCHMARK_PAIR = [
+    (4022, [(117, False), (120, False), (121, False)]),
+    (10879, []),
+]
+
 
 def sequential_pair():
     """A 40-task pre-elimination run and its static twin on the paper's
@@ -127,3 +143,21 @@ def test_sequential_pair_decisions():
 
 def test_two_rooms_stream_decisions():
     assert two_rooms_streams() == TWO_ROOMS_STREAMS
+
+
+def benchmark_pair():
+    """The pre-elimination and static runs of ``bench/workloads.py``'s
+    ``SequentialObjectworld`` on its fixed stream, summarised as
+    ``BENCHMARK_PAIR`` is."""
+    workload = workloads.SequentialObjectworld
+    family, chain, configs = workload(0).setup()
+    out = []
+    for cfg in configs:
+        records = run_sequential(cfg, family, chain, run_rng(*workload.STREAM)).records
+        out.append((sum(r.queries for r in records if r.h >= workload.STARTUP),
+                    [(r.h, r.true_in_active) for r in records if not r.eps_optimal]))
+    return out
+
+
+def test_benchmark_pair_decisions():
+    assert benchmark_pair() == BENCHMARK_PAIR

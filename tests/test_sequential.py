@@ -117,7 +117,7 @@ class TestPostSamples:
         for s in range(2):
             for a in range(2):
                 nc, rc = g.query_batch(s, a, 7, rng)
-                emp.add_batch(s, a, nc, rc)
+                emp.add_counts(nc, rc, at=(s, a))
         used = g.queries_used
         collect_post_samples(g, emp, 5, rng)
         assert g.queries_used == used
@@ -136,7 +136,7 @@ class TestPostSamples:
         emp = EmpiricalModel(2, 2, fam[0].reward_support)
         rng = np.random.default_rng(2)
         nc, rc = g.query_batch(0, 0, 10, rng)
-        emp.add_batch(0, 0, nc, rc)
+        emp.add_counts(nc, rc, at=(0, 0))
         collect_post_samples(g, emp, 4, rng)
         # Pair (0, 0) already exceeds the target; the other three pairs
         # each need 4 queries.

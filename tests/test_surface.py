@@ -5,7 +5,8 @@ a name, an attribute, an import or a string constant (``bench/tracing.py``
 wraps methods by their names as strings).  Dunder methods are called by
 the language, not by name, and are left out.  A definition only the tests
 reach belongs in the tests, unless it is on ``TEST_ONLY`` with the reason
-it stays in ``src/``.
+it stays in ``src/``.  No module imports another module's private name,
+unless it is on ``PRIVATE_IMPORTS`` with the reason.
 """
 import ast
 from pathlib import Path
@@ -17,6 +18,16 @@ TEST_ONLY = {
     "ptum.info_index": "the scalar reference for info_index_table",
     "ptum.EmpiricalModel.add_sample": "the one-sample step of reference_run_ptum",
     "mdp.simulation_gap_bound": "the simulation-lemma bound criterion 11 checks",
+}
+
+# Private names one module of the package imports from another, with the
+# reason each stays private to its home module.
+PRIVATE_IMPORTS = {
+    "harness <- envs._multinomial_pvals":
+        "simulate_hmm_observations draws all of a task's observations at a "
+        "pair with one size= call; one GenerativeModel.query_table per "
+        "observation took 46 -> 781 ms median over a learn-hmm-sweep run's "
+        "simulations (one BLAS thread, 2 vCPUs)",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -96,3 +107,16 @@ def test_every_test_only_entry_is_still_an_unused_definition():
              if qual not in defined or defined[qual] in used}
     assert stale == set(), "drop these from TEST_ONLY"
 
+
+def test_no_module_imports_another_modules_private_name():
+    # A leading underscore marks a name as its module's own; another module
+    # of the package that needs it names it here, with the reason.
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                home = (node.module or "").rsplit(".", 1)[-1]
+                found |= {f"{path.stem} <- {home}.{alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")}
+    assert found - PRIVATE_IMPORTS.keys() == set(), "make public or keep at home"
+    assert PRIVATE_IMPORTS.keys() - found == set(), "drop these from PRIVATE_IMPORTS"
