@@ -62,9 +62,8 @@ def cmd_run_ptum(cfg: ExperimentConfig, out: Path, args) -> int:
         rng = run_rng(cfg.base_seed, i)
         g = GenerativeModel(family[star])
         res = run_ptum(approx, g, eps, delta, budget, rng)
-        star_survived = all(star in step for step in res.survived_trace)
         opt = is_eps_optimal(family[star], approx.values[star], res.policy, eps)
-        return (i, res.tau, res.mode, int(opt), int(star_survived), res.queries_total)
+        return (i, res.tau, res.mode, int(opt), int(star in res.survived), res.queries_total)
 
     rows = sweep(one_run, cfg.num_runs)
     write_csv(out / "ptum_results.csv",
@@ -95,8 +94,7 @@ def _sequential_config(cfg: ExperimentConfig, static: bool) -> SequentialConfig:
         num_tasks_sequence=int, startup_tasks=int, startup_per_pair=int,
         post_sample_per_pair=int, eps=float, delta=float, delta_prime=float,
         rho=float, eta=float, rho_t=float, top_keep=int, budget=int,
-        fallback_per_pair=int, rho_final=float, rho_decay_tasks=int,
-        rtp_restarts=int, rtp_iters=int,
+        rho_final=float, rho_decay_tasks=int, rtp_restarts=int, rtp_iters=int,
     )
     if "num_tasks_sequence" in values:
         values["num_tasks"] = values.pop("num_tasks_sequence")

@@ -258,14 +258,14 @@ def build_objectworld_family(spec: ObjectworldSpec, k: int, rng) -> list:
     """k objectworld tasks over a shared grid and reward support.
 
     Tasks listed in ``spec.duplicate_of`` (task index -> base task index) are
-    near-duplicates of an earlier task; the rest are sampled independently
+    near-duplicates of another task; the rest are sampled independently
     from ``BASE_VALUES``.
     """
     if k < 2:
         raise ValueError("need at least 2 tasks")
     S = spec.side * spec.side
     duplicates = spec.duplicate_of or {}
-    if any(not 0 <= b < k or b == i for i, b in duplicates.items()):
+    if any(not (0 <= i < k and 0 <= b < k) or b == i for i, b in duplicates.items()):
         raise ValueError("invalid duplicate mapping")
 
     pick_actions = {cell: int(rng.integers(NUM_ACTIONS)) for cell in range(S)}

@@ -112,7 +112,7 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         try:
             doc = json.loads(text)

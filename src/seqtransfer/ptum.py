@@ -198,14 +198,13 @@ class EmpiricalModel:
         S, A = num_states, num_actions
         self.reward_support = np.asarray(reward_support, dtype=float)
         U = self.reward_support.shape[0]
-        self._u_index = {float(v): i for i, v in enumerate(self.reward_support)}
         self.counts = np.zeros((S, A), dtype=np.int64)
         self.reward_counts = np.zeros((S, A, U), dtype=np.int64)
         self.next_counts = np.zeros((S, A, S), dtype=np.int64)
 
     def add_sample(self, s: int, a: int, next_state: int, reward_value: float) -> None:
         self.counts[s, a] += 1
-        self.reward_counts[s, a, self._u_index[float(reward_value)]] += 1
+        self.reward_counts[s, a, list(self.reward_support).index(reward_value)] += 1
         self.next_counts[s, a, next_state] += 1
 
     def add_counts(self, next_counts, reward_counts, at=()) -> None:
@@ -480,20 +479,28 @@ def select_query(active, approx: ApproxModelSet):
 
 @dataclass
 class PtumResult:
-    """Outcome of one identification run."""
+    """Outcome of one identification run.
+
+    ``survived_trace`` is the initial candidate set, then the set left by
+    each elimination that left one, each sorted.  A segment is the queries
+    made from one of these sets up to the next elimination, all at the
+    pair ``select_query`` picks from it; ``queried`` has one (s, a, count)
+    per segment that queried, and the counts sum to ``tau``.  ``survived``
+    is the last set, after ``fallback-eliminated`` the one it emptied.
+    """
 
     policy: np.ndarray
     tau: int
     mode: str  # transfer-stopped | fallback-gate | fallback-budget | fallback-eliminated
     chosen_model: int | None
     survived_trace: list
-    query_log: list
+    queried: list
     queries_total: int
-    empirical: EmpiricalModel | None = None
+    empirical: EmpiricalModel
 
     @property
     def survived(self) -> set:
-        return set(self.survived_trace[-1]) if self.survived_trace else set()
+        return set(self.survived_trace[-1])
 
 
 def default_fallback_per_pair(eps: float, delta: float, S: int, A: int, gamma: float) -> int:
@@ -523,8 +530,7 @@ _RUN_BLOCK = 64
 
 
 def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: float,
-             n: int, rng, fallback_per_pair: int | None = None,
-             active: set | None = None) -> PtumResult:
+             n: int, rng, active: set | None = None) -> PtumResult:
     """Full identification loop: gate, elimination, stop, query selection.
 
     ``n`` bounds the queries of the elimination phase.  ``active`` restricts
@@ -535,10 +541,10 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     gate (``fallback-gate``), once the n queries are spent
     (``fallback-budget``), or once every candidate is eliminated
     (``fallback-eliminated``).  The fallback queries every pair
-    ``fallback_per_pair`` times, by default min(theory count, n // (S*A)),
-    on top of what elimination spent, so a run may charge about 2n queries
-    in all.  The oracle ``g`` must share the model set's states, actions,
-    reward support and discount.
+    min(theory count, max(n // (S*A), 1)) times, on top of what
+    elimination spent, so a run may charge about 2n queries in all.  The
+    oracle ``g`` must share the model set's states, actions, reward
+    support and discount.
 
     Each run of queries at the chosen pair is drawn at once and pruned
     after every draw in one stacked pass (``compatibility_failures``),
@@ -554,49 +560,25 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
                          "differ from the model set's")
     k = approx.num_models
     S, A = approx.num_states, approx.num_actions
-    gamma = approx.gamma
-    initial = set(range(k)) if active is None else set(active)
-    if not initial or not initial <= set(range(k)):
+    active_set = set(range(k)) if active is None else set(active)
+    if not active_set or not active_set <= set(range(k)):
         raise ValueError(f"the initial active set must be a non-empty subset of [0, {k})")
 
-    def _fallback(mode: str, emp, query_log, trace, tau):
-        per_pair = fallback_per_pair
-        if per_pair is None:
-            # The theory count is often far past any practical budget; cap
-            # it at n spread over the pairs, whatever elimination spent.
-            per_pair = min(
-                default_fallback_per_pair(eps, delta, S, A, gamma),
-                max(n // (S * A), 1),
-            )
-        policy, emp = uniform_pac_fallback(g, per_pair, rng, emp)
-        return PtumResult(
-            policy=policy, tau=tau, mode=mode, chosen_model=None,
-            survived_trace=trace, query_log=query_log,
-            queries_total=g.queries_used, empirical=emp,
-        )
-
-    emp = EmpiricalModel(S, A, g.reward_support)
-    if not transfer_gate(approx.delta, eps, gamma):
-        return _fallback("fallback-gate", emp, [], [sorted(initial)], 0)
-
     logs = _log_terms(approx, n, delta)
-    active_set = set(initial)
-    trace = [sorted(active_set)]
-    query_log = []
+    emp = EmpiricalModel(S, A, g.reward_support)
+    trace, queried, tau = [sorted(active_set)], [], 0
+    theta = None
+    mode = None if transfer_gate(approx.delta, eps, approx.gamma) else "fallback-gate"
     # may_fail[N]: whether some model can fail a condition after N draws at
     # a pair.  It depends on N alone, so it grows only as counts pass it.
     may_fail = np.zeros(0, dtype=bool)
 
-    while True:
+    while mode is None:
         # The stop test and the query choice depend only on the active set.
         stopped = check_stop(active_set, approx, eps)
         if stopped is not None:
-            theta, policy = stopped
-            return PtumResult(
-                policy=policy, tau=len(query_log), mode="transfer-stopped",
-                chosen_model=theta, survived_trace=trace, query_log=query_log,
-                queries_total=g.queries_used, empirical=emp,
-            )
+            mode, (theta, policy) = "transfer-stopped", stopped
+            break
         s, a = select_query(active_set, approx)
         idx = np.array(sorted(active_set))
         fails = None
@@ -623,25 +605,36 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
             return int(np.argmax(hit)) + 1 if hit.any() else hit.size
 
         # Query (s, a) until a prune changes the active set.
-        eliminated = False
-        while not eliminated and len(query_log) < n:
+        eliminated, start = False, tau
+        while not eliminated and tau < n:
             next_states, reward_indices = g.query_many(
-                s, a, min(_RUN_BLOCK, n - len(query_log)), rng, keep=first_elimination)
+                s, a, min(_RUN_BLOCK, n - tau), rng, keep=first_elimination)
             used = len(next_states)
             emp.add_counts(np.bincount(next_states, minlength=S),
                            np.bincount(reward_indices, minlength=emp.reward_support.size),
                            at=(s, a))
-            t0 = len(query_log)
-            query_log.extend((t0 + j, s, a) for j in range(used))
+            tau += used
             eliminated = bool(fails[used - 1].any())
-            trace.extend(idx.tolist() for _ in range(used - 1 if eliminated else used))
-            if eliminated:
-                active_set = set(idx[~fails[used - 1]].tolist())
+        if tau > start:
+            queried.append((s, a, tau - start))
         if not eliminated:
-            return _fallback("fallback-budget", emp, query_log, trace, len(query_log))
+            mode = "fallback-budget"
+            break
+        active_set = set(idx[~fails[used - 1]].tolist())
         if not active_set:
-            return _fallback("fallback-eliminated", emp, query_log, trace, len(query_log))
+            mode = "fallback-eliminated"
+            break
         trace.append(sorted(active_set))
+
+    if theta is None:
+        # The theory count is often far past any practical budget; cap it
+        # at n spread over the pairs, whatever elimination spent.
+        per_pair = min(default_fallback_per_pair(eps, delta, S, A, approx.gamma),
+                       max(n // (S * A), 1))
+        policy, emp = uniform_pac_fallback(g, per_pair, rng, emp)
+    return PtumResult(policy=policy, tau=tau, mode=mode, chosen_model=theta,
+                      survived_trace=trace, queried=queried,
+                      queries_total=g.queries_used, empirical=emp)
 
 
 def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: float,

@@ -61,7 +61,8 @@ class SequentialConfig:
     The defaults are ``run-sequential``'s, and their ``delta`` is within
     the pre-elimination cap ``delta_prime`` / (3 ``num_tasks``^2).
     Every value a run would reject at some task is rejected here, before
-    the start-up phase.
+    the start-up phase.  A task whose gate is closed, in the start-up
+    phase or after it, queries every pair ``startup_per_pair`` times.
     """
 
     num_tasks: int = 150
@@ -77,7 +78,6 @@ class SequentialConfig:
     top_keep: int = 3
     pre_elimination: bool = True
     budget: int = 100_000
-    fallback_per_pair: int | None = None
     rho_final: float | None = None
     rho_decay_tasks: int = 0
     rtp_restarts: int = 20
@@ -106,8 +106,6 @@ class SequentialConfig:
             raise ValueError("eps must be positive")
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
-        if self.fallback_per_pair is not None and self.fallback_per_pair < 1:
-            raise ValueError("fallback_per_pair must be at least 1")
         if self.top_keep < 1:
             raise ValueError("top_keep must be at least 1")
 
@@ -240,15 +238,11 @@ class Learner:
                 self.approx = ApproxModelSet(unpack_models(
                     self.estimate, self.reward_support, self.gamma), delta_h)
             result = run_ptum(self.approx, g, cfg.eps, cfg.delta, cfg.budget, rng,
-                              fallback_per_pair=cfg.fallback_per_pair, active=self.active)
+                              active=self.active)
             policy, emp, mode = result.policy, result.empirical, result.mode
             tau, survived = result.tau, result.survived
         else:
-            if in_startup or cfg.fallback_per_pair is None:
-                per_pair = cfg.startup_per_pair
-            else:
-                per_pair = cfg.fallback_per_pair
-            policy, emp = uniform_pac_fallback(g, per_pair, rng)
+            policy, emp = uniform_pac_fallback(g, cfg.startup_per_pair, rng)
             mode = "startup" if in_startup else "fallback-gate"
             survived = set(range(k))
         solve_queries = g.queries_used

@@ -174,12 +174,13 @@ def multi_goal_run(i, setup):
     g = GenerativeModel(family[0])
     res = run_ptum(approx, g, MULTI_GOAL_EPS, MULTI_GOAL_DELTA,
                    MULTI_GOAL_BUDGET, rng)
+    # A segment's queries are informative when some action's reward at
+    # their state splits the set they were chosen from.
     informative = 0
-    for t, s, a in res.query_log:
-        alive = sorted(res.survived_trace[min(t, len(res.survived_trace) - 1)])
+    for (s, _, count), alive in zip(res.queried, res.survived_trace):
         spread = rewards[alive, s, :].max(axis=0) - rewards[alive, s, :].min(axis=0)
         if spread.max() > 1e-9:
-            informative += 1
+            informative += count
     frac = informative / max(res.tau, 1)
     v_pi = policy_evaluation(family[0], res.policy)
     eps_opt = bool(np.max(values[0] - v_pi) <= MULTI_GOAL_EPS + 1e-6)

@@ -170,6 +170,13 @@ class TestObjectworld:
         with pytest.raises(ValueError):
             build_objectworld_family(spec, 3, np.random.default_rng(4))
 
+    @pytest.mark.parametrize("duplicates", [{-1: 0}, {3: 0}])
+    def test_duplicate_task_out_of_range_rejected(self, duplicates):
+        # -1 would silently make the last task a duplicate.
+        with pytest.raises(ValueError):
+            build_objectworld_family(ObjectworldSpec(duplicate_of=duplicates), 3,
+                                     np.random.default_rng(4))
+
 
 class TestTaskChain:
     def test_identity_chain(self):

@@ -306,7 +306,9 @@ class TestSingleSource:
         table = constructor_defaults(SequentialConfig)
         field_of = {key: "num_tasks" if key == "num_tasks_sequence" else key
                     for key in keys}
-        assert keys and set(field_of.values()) <= set(table)
+        # Every field but pre_elimination, which --static sets, is a key, so
+        # a field added or removed cannot leave a missing or stale key.
+        assert keys and set(field_of.values()) == set(table) - {"pre_elimination"}
         every = ExperimentConfig.from_dict(
             {"scenario": "objectworld", **{key: table[field_of[key]] for key in keys}})
         assert _sequential_config(every, static) == _sequential_config(absent, static)
@@ -341,6 +343,14 @@ class TestCli:
     def test_missing_config_file(self, tmp_path):
         code = main(["diagnose", str(tmp_path / "none.json")])
         assert code == EXIT_CONFIG
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        # This exited 3 with a UnicodeDecodeError traceback.
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'\xff\xfe{"scenario": "two-rooms"}')
+        assert main(["diagnose", str(path), "--output-dir", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["not-a-command", "x.json"]) == EXIT_CONFIG
@@ -386,6 +396,10 @@ class TestCli:
         # NaN chain probability at the first draw of the task path.
         ("run-ptum", {"scenario": "two-rooms", "base_seed": -1}),
         ("run-sequential", {"scenario": "objectworld", "p_succ": float("nan")}),
+        # A duplicate_of task key out of range, like {"1": 9}'s base: -1 made
+        # task 7 a duplicate and exited 0, 8 exited 3 with an IndexError.
+        ("export-env", {"scenario": "objectworld", "duplicate_of": {"-1": 0}, "base_seed": 3}),
+        ("export-env", {"scenario": "objectworld", "duplicate_of": {"8": 0}}),
     ])
     def test_value_a_constructor_rejects_is_a_config_error(self, tmp_path, capsys,
                                                            command, doc):

@@ -587,10 +587,13 @@ class TestRunPtum:
         fam = small_family()
         approx = ApproxModelSet(fam, 0.5)
         g = GenerativeModel(fam[0])
-        res = run_ptum(approx, g, eps=0.1, delta=0.05, n=200,
-                       rng=np.random.default_rng(1), fallback_per_pair=2)
+        # The theory count is far past n, so each pair gets n // (S*A) = 2.
+        pairs = approx.num_states * approx.num_actions
+        res = run_ptum(approx, g, eps=0.1, delta=0.05, n=2 * pairs + 1,
+                       rng=np.random.default_rng(1))
         assert res.mode == "fallback-gate"
-        assert g.queries_used == approx.num_states * approx.num_actions * 2
+        assert (res.tau, res.queried, res.survived_trace) == (0, [], [[0, 1, 2]])
+        assert g.queries_used == pairs * 2
 
     def test_trace_monotone_and_deterministic(self):
         fam = small_family()
@@ -603,10 +606,10 @@ class TestRunPtum:
 
         a, b = run(), run()
         assert a.mode == "transfer-stopped"
-        assert a.query_log == b.query_log
+        assert a.queried == b.queried
         assert a.survived_trace == b.survived_trace
         sets = [set(step) for step in a.survived_trace]
-        assert all(t1 >= t2 for t1, t2 in zip(sets, sets[1:]))
+        assert all(t1 > t2 for t1, t2 in zip(sets, sets[1:]))
         assert all(0 in step for step in sets)
 
     def test_loop_follows_stop_and_select(self):
@@ -615,13 +618,11 @@ class TestRunPtum:
         res = run_ptum(approx, GenerativeModel(fam[0]), eps=0.1, delta=0.01,
                        n=100_000, rng=np.random.default_rng(11))
         assert res.mode == "transfer-stopped"
-        assert res.query_log
+        assert len(res.queried) == len(res.survived_trace) - 1 > 0
         assert res.chosen_model == check_stop(res.survived, approx, 0.1)[0]
         assert all(check_stop(set(step), approx, 0.1) is None
                    for step in res.survived_trace[:-1])
-        # The query at step t is chosen from the active set after t prunes.
-        for t, s, a in res.query_log:
-            assert (s, a) == select_query(set(res.survived_trace[t]), approx)
+        assert_segment_record(res, approx)
 
     @pytest.mark.parametrize("change", ["states", "actions", "reward_support", "gamma"])
     def test_oracle_must_match_the_model_set(self, change):
@@ -654,8 +655,10 @@ class TestRunPtum:
         approx = ApproxModelSet(fam)
         g = GenerativeModel(fam[0])
         res = run_ptum(approx, g, eps=0.3, delta=0.05, n=3,
-                       rng=np.random.default_rng(2), fallback_per_pair=1)
+                       rng=np.random.default_rng(2))
         assert res.mode == "fallback-budget"
+        # n // (S*A) is 0, so the fallback queries every pair once.
+        assert g.queries_used == 3 + approx.num_states * approx.num_actions
         assert res.policy.shape == (approx.num_states,)
 
 
@@ -728,43 +731,43 @@ class TestDiagnostics:
                                    n=100)[0] == {1, 2}
 
 
-def reference_run_ptum(approx, g, eps, delta, n, rng, fallback_per_pair=None,
-                       active=None):
+def reference_run_ptum(approx, g, eps, delta, n, rng, active=None):
     """The identification loop one query at a time, kept as the reference
     for ``run_ptum``, which draws and prunes whole runs of queries at once:
     after every query it prunes with ``prune_confidence_set`` at that
-    query's pair."""
+    query's pair.  Its per-query log is compressed into ``run_ptum``'s
+    segments only for the result (``segment_record``)."""
     k = approx.num_models
     S, A = approx.num_states, approx.num_actions
     gamma = approx.gamma
     initial = set(range(k)) if active is None else set(active)
 
-    def fallback(mode, emp, query_log, trace, tau):
-        per_pair = fallback_per_pair
-        if per_pair is None:
+    def result(mode, emp, log, trace, policy=None, theta=None):
+        if policy is None:
             per_pair = min(default_fallback_per_pair(eps, delta, S, A, gamma),
                            max(n // (S * A), 1))
-        policy, emp = uniform_pac_fallback(g, per_pair, rng, emp)
-        return PtumResult(policy=policy, tau=tau, mode=mode, chosen_model=None,
-                          survived_trace=trace, query_log=query_log,
-                          queries_total=g.queries_used, empirical=emp)
+            policy, emp = uniform_pac_fallback(g, per_pair, rng, emp)
+        survived_trace, queried = segment_record(log, trace)
+        return PtumResult(policy=policy, tau=len(log), mode=mode,
+                          chosen_model=theta, survived_trace=survived_trace,
+                          queried=queried, queries_total=g.queries_used,
+                          empirical=emp)
 
     emp = EmpiricalModel(S, A, g.reward_support)
     if not transfer_gate(approx.delta, eps, gamma):
-        return fallback("fallback-gate", emp, [], [sorted(initial)], 0)
+        return result("fallback-gate", emp, [], [sorted(initial)])
     logs = _log_terms(approx, n, delta)
     active_set = set(initial)
     trace = [sorted(active_set)]
-    query_log = []
+    log = []
     changed = True
     for t in range(n + 1):
-        if query_log:
-            _, s, a = query_log[-1]
+        if log:
+            _, s, a = log[-1]
             new_active = prune_confidence_set(active_set, emp, approx, logs,
                                               pairs=[(s, a)])
             if not new_active:
-                return fallback("fallback-eliminated", emp, query_log, trace,
-                                len(query_log))
+                return result("fallback-eliminated", emp, log, trace)
             changed = new_active != active_set
             active_set = new_active
             trace.append(sorted(active_set))
@@ -772,10 +775,7 @@ def reference_run_ptum(approx, g, eps, delta, n, rng, fallback_per_pair=None,
             stopped = check_stop(active_set, approx, eps)
             if stopped is not None:
                 theta, policy = stopped
-                return PtumResult(policy=policy, tau=t, mode="transfer-stopped",
-                                  chosen_model=theta, survived_trace=trace,
-                                  query_log=query_log, queries_total=g.queries_used,
-                                  empirical=emp)
+                return result("transfer-stopped", emp, log, trace, policy, theta)
             query = select_query(active_set, approx)
             changed = False
         if t == n:
@@ -783,8 +783,33 @@ def reference_run_ptum(approx, g, eps, delta, n, rng, fallback_per_pair=None,
         s, a = query
         s2, u = g.query(s, a, rng)
         emp.add_sample(s, a, s2, u)
-        query_log.append((t, s, a))
-    return fallback("fallback-budget", emp, query_log, trace, len(query_log))
+        log.append((t, s, a))
+    return result("fallback-budget", emp, log, trace)
+
+
+def segment_record(log, trace):
+    """A per-query log of (t, s, a) and a per-prune trace of active sets,
+    whose entry t is the set query t was chosen from, as ``PtumResult``'s
+    record: the distinct sets of the trace in order, and one (s, a, count)
+    per segment of queries made from one of them."""
+    segment = np.cumsum([0] + [now != before for before, now in zip(trace, trace[1:])])
+    sets = [trace[0]] + [now for before, now in zip(trace, trace[1:]) if now != before]
+    queried = [(s, a, len(list(run))) for (_, s, a), run in
+               itertools.groupby(log, key=lambda q: (segment[q[0]], q[1], q[2]))]
+    return sets, queried
+
+
+def assert_segment_record(res, approx):
+    """The invariants of ``PtumResult``'s segment record."""
+    assert all(later < earlier for earlier, later in
+               zip(map(set, res.survived_trace), map(set, res.survived_trace[1:])))
+    for theta in range(approx.num_models):
+        assert all(theta in step for step in res.survived_trace) == (theta in res.survived)
+    assert sum(c for *_, c in res.queried) == res.tau
+    assert all(c > 0 for *_, c in res.queried)
+    assert len(res.survived_trace) - 1 <= len(res.queried) <= len(res.survived_trace)
+    for (s, a, _), step in zip(res.queried, res.survived_trace):
+        assert (s, a) == select_query(set(step), approx)
 
 
 def same_state(rng1, rng2) -> bool:
@@ -856,8 +881,7 @@ def identification_cases(draw, budgets=st.integers(0, 600) | SHORT_BUDGETS):
     active = draw(st.none() | st.sets(st.integers(0, k - 1), min_size=1))
     return dict(approx=ApproxModelSet(models, level), truth=truth, eps=eps,
                 delta=draw(st.sampled_from([0.05, 0.3])), n=n,
-                active=active, fallback_per_pair=draw(st.sampled_from([None, 1, 2])),
-                seed=draw(st.integers(0, 1000)))
+                active=active, seed=draw(st.integers(0, 1000)))
 
 
 def identify(loop, case, wrap=lambda g: g):
@@ -865,7 +889,7 @@ def identify(loop, case, wrap=lambda g: g):
     g = GenerativeModel(case["truth"])
     rng = run_rng(case["seed"], 0)
     result = loop(case["approx"], wrap(g), case["eps"], case["delta"], case["n"],
-                  rng, fallback_per_pair=case["fallback_per_pair"], active=case["active"])
+                  rng, active=case["active"])
     return result, g, rng
 
 
@@ -877,44 +901,74 @@ def assert_same_identification(case, wrap=SamplesOnly):
     assert g.queries_used == g_ref.queries_used
     assert same_state(rng, rng_ref)
     assert np.array_equal(got.policy, ref.policy)
-    assert (got.tau, got.mode, got.chosen_model, got.survived_trace, got.query_log,
+    assert (got.tau, got.mode, got.chosen_model, got.survived_trace, got.queried,
             got.queries_total) == (ref.tau, ref.mode, ref.chosen_model,
-                                   ref.survived_trace, ref.query_log, ref.queries_total)
+                                   ref.survived_trace, ref.queried, ref.queries_total)
     for name in ("counts", "reward_counts", "next_counts"):
         assert np.array_equal(getattr(got.empirical, name), getattr(ref.empirical, name))
     return got
 
 
+def split_branch(row):
+    """From state 0, action 0 leads by ``row``; action 1 leads surely to
+    state 3, which pays 0.5.  State 1 pays 1; every other state pays 0."""
+    q = np.zeros((4, 2, 3))
+    q[[0, 1, 2, 3], :, [0, 2, 0, 1]] = 1.0
+    p = np.zeros((4, 2, 4))
+    p[0, 0] = row
+    p[0, 1, 3] = 1.0
+    p[np.arange(1, 4), :, np.arange(1, 4)] = 1.0
+    return TabularMdp(p=p, reward_support=np.array([0.0, 0.5, 1.0]), q=q, gamma=0.5)
+
+
+# Action 0 leads surely to the paying state 1 in one model and surely to
+# state 2 in the other, which therefore prefers action 1: neither policy
+# serves both, and the truth, branching evenly, matches neither.
+ELIMINATED_CASE = dict(
+    approx=ApproxModelSet([split_branch([0, 1, 0, 0]), split_branch([0, 0, 1, 0])]),
+    truth=split_branch([0, 0.5, 0.5, 0]), eps=0.1, delta=0.05, n=2000, active=None,
+    seed=3)
+
+
+def two_rooms_case(n, level=0.0, seed=101):
+    fam = two_rooms_family()
+    return dict(approx=ApproxModelSet(fam, level), truth=fam[0], eps=0.1, delta=0.01,
+                n=n, active=None, seed=seed)
+
+
+class TestSegmentRecord:
+    # With a budget of 98 or 100 each two-rooms segment eliminates at its
+    # 49th query, so 98 ends with a third set that is never queried.  The
+    # eliminated case's one segment empties the initial set.
+    CASES = {  # case, mode, queried, sets in survived_trace
+        "stopped": (two_rooms_case(100_000), "transfer-stopped",
+                    [(8, 0, 65), (20, 0, 65), (31, 0, 65)], 4),
+        "gate": (two_rooms_case(100_000, 0.5), "fallback-gate", [], 1),
+        "budget": (two_rooms_case(100), "fallback-budget",
+                   [(8, 0, 49), (20, 0, 49), (31, 0, 2)], 3),
+        "budget-spent-at-an-elimination": (two_rooms_case(98), "fallback-budget",
+                                           [(8, 0, 49), (20, 0, 49)], 3),
+        "eliminated": (ELIMINATED_CASE, "fallback-eliminated", [(0, 0, 123)], 1),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_one_record_per_segment(self, name):
+        case, mode, queried, sets = self.CASES[name]
+        got = assert_same_identification(case)
+        assert (got.mode, got.queried, len(got.survived_trace)) == (mode, queried, sets)
+        assert_segment_record(got, case["approx"])
+        if mode == "fallback-eliminated":
+            assert got.survived == {0, 1}
+
+
 class TestRunsOfQueries:
     @pytest.mark.parametrize("seed", [101, 102])
     def test_two_rooms_runs_equal_the_one_query_loop(self, seed):
-        fam = two_rooms_family()
-        case = dict(approx=ApproxModelSet(fam), truth=fam[0], eps=0.1, delta=0.01,
-                    n=100_000, active=None, fallback_per_pair=None,
-                    seed=seed)
-        got = assert_same_identification(case)
+        got = assert_same_identification(two_rooms_case(100_000, seed=seed))
         assert got.mode == "transfer-stopped" and got.tau == 195
 
     def test_all_eliminated_equals_the_one_query_loop(self):
-        # From state 0, action 0 leads surely to the paying state 1 in one
-        # model and surely to state 2 in the other, which therefore prefers
-        # action 1 (to state 3, paying 0.5): neither policy serves both, and
-        # the truth, branching evenly, matches neither.
-        q = np.zeros((4, 2, 3))
-        q[[0, 1, 2, 3], :, [0, 2, 0, 1]] = 1.0
-        support = np.array([0.0, 0.5, 1.0])
-
-        def model(row):
-            p = np.zeros((4, 2, 4))
-            p[0, 0] = row
-            p[0, 1, 3] = 1.0
-            p[np.arange(1, 4), :, np.arange(1, 4)] = 1.0
-            return TabularMdp(p=p, reward_support=support, q=q, gamma=0.5)
-
-        approx = ApproxModelSet([model([0, 1, 0, 0]), model([0, 0, 1, 0])])
-        case = dict(approx=approx, truth=model([0, 0.5, 0.5, 0]), eps=0.1, delta=0.05,
-                    n=2000, active=None, fallback_per_pair=1, seed=3)
-        got = assert_same_identification(case)
+        got = assert_same_identification(ELIMINATED_CASE)
         assert got.mode == "fallback-eliminated" and got.tau < 2000
         assert got.survived_trace[-1] == [0, 1]
 
@@ -923,8 +977,7 @@ class TestRunsOfQueries:
     def test_runs_equal_the_one_query_loop(self, case):
         got = assert_same_identification(case)
         assert got.tau <= case["n"]
-        sets = [set(step) for step in got.survived_trace]
-        assert all(later <= earlier for earlier, later in zip(sets, sets[1:]))
+        assert_segment_record(got, case["approx"])
         if got.mode == "transfer-stopped":
             approx = case["approx"]
             margin = stop_margin(case["eps"], approx.delta, approx.gamma)
@@ -1062,9 +1115,7 @@ class TestPassOnlyWhereAModelCanFail:
     def test_two_rooms_pass_starts_where_the_elimination_falls(self, seed):
         # Each of the three queried pairs eliminates at N = 65, the first
         # count the certificate allows: the pass runs once per pair.
-        fam = two_rooms_family()
-        case = dict(approx=ApproxModelSet(fam), truth=fam[0], eps=0.1, delta=0.01,
-                    n=100_000, active=None, fallback_per_pair=None, seed=seed)
+        case = two_rooms_case(100_000, seed=seed)
         starts = []
 
         def spy(idx, s, a, n, *rest):
@@ -1076,7 +1127,7 @@ class TestPassOnlyWhereAModelCanFail:
         assert starts == [65, 65, 65]
         assert got.mode == "transfer-stopped" and got.tau == 195
         ref = assert_same_identification(case)
-        assert ref.query_log == got.query_log and ref.survived_trace == got.survived_trace
+        assert ref.queried == got.queried and ref.survived_trace == got.survived_trace
 
     @settings(max_examples=100, deadline=None)
     @given(identification_cases(budgets=SHORT_BUDGETS))

@@ -82,14 +82,14 @@ class TestConfig:
         assert getattr(make_cfg(**{field: 1}), field) == 1
 
     @pytest.mark.parametrize("field, bad", [
-        ("eps", 0.0), ("budget", -1), ("fallback_per_pair", 0), ("top_keep", 0),
+        ("eps", 0.0), ("budget", -1), ("top_keep", 0),
         ("eta", -0.01), ("rho_t", -0.01), ("rho", float("nan")),
         ("eta", float("nan")), ("rho_t", float("nan")), ("rho_final", float("nan")),
     ])
     def test_values_a_run_cannot_use_rejected(self, field, bad):
         # A run would raise on each of these only at its first transfer or
         # gated task, after the start-up phase, or silently replace it (a
-        # zero fallback_per_pair, a zero top_keep), or never check it.  A NaN
+        # zero top_keep), or never check it.  A NaN
         # rate makes delta_h NaN, which the gate reads as closed: the run
         # would never transfer.
         with pytest.raises(ValueError):
@@ -269,11 +269,10 @@ class TestRunSequential:
 
     def test_gate_closed_falls_back(self):
         # A huge rho keeps the uncertainty above the gate forever, so the
-        # post-startup tasks use the uniform fallback.
+        # post-startup tasks use the uniform fallback at the start-up count.
         fam = tiny_family(2, seed=9)
         chain = successor_chain(2)
-        cfg = make_cfg(num_tasks=5, startup_tasks=3, rho=50.0,
-                       fallback_per_pair=4)
+        cfg = make_cfg(num_tasks=5, startup_tasks=3, rho=50.0, startup_per_pair=4)
         trace = run_sequential(cfg, fam, chain, np.random.default_rng(4))
         assert all(r.mode == "fallback-gate" for r in trace.records[3:])
         assert all(r.queries == 2 * 2 * 4 for r in trace.records[3:])
