@@ -2,7 +2,8 @@
 
 Subcommands: run-ptum, run-sequential (with --static ablation), learn-hmm,
 diagnose, export-env.  ``main`` reads the config and resolves the output
-directory once, for every subcommand.  Exit codes: 0 success,
+directory once, for every subcommand.  Each subcommand accepts only the
+keys it reads (``ExperimentConfig.check_keys``).  Exit codes: 0 success,
 2 configuration error, 3 runtime failure.
 """
 from __future__ import annotations
@@ -49,6 +50,7 @@ def _identification(cfg: ExperimentConfig):
     delta = cfg.typed("delta", float, 0.01)
     budget = cfg.typed("budget", int, 100_000)
     star = cfg.typed("true_task", int, 0)
+    cfg.check_keys()
     approx = ApproxModelSet(family)
     with config_values():
         theta_eps, bound = theta_eps_and_bound(approx, star, eps, delta, budget)
@@ -109,6 +111,7 @@ def cmd_run_sequential(cfg: ExperimentConfig, out: Path, args) -> int:
         raise ConfigError("run-sequential needs a scenario with a task chain")
     with config_values():
         seq_cfg = _sequential_config(cfg, args.static)
+    cfg.check_keys()
 
     def one_run(i):
         rng = run_rng(cfg.base_seed, i)
@@ -150,6 +153,7 @@ def cmd_learn_hmm(cfg: ExperimentConfig, out: Path, args) -> int:
     steps = cfg.typed("steps", int, 300)
     per_pair = cfg.typed("samples_per_pair", int, 20)
     gamma = cfg.typed("gamma", float, 0.9)
+    cfg.check_keys()
     with config_values():
         if min(k, S, A, U, per_pair) < 1:
             raise ValueError("num_tasks, num_states, num_actions, num_rewards and "
@@ -204,6 +208,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def cmd_export_env(cfg: ExperimentConfig, out: Path, args) -> int:
     family, chain = build_family(cfg)
+    cfg.check_keys()
     doc = {"models": [m.to_json_dict() for m in family]}
     if chain is not None:
         doc["chain"] = {

@@ -74,6 +74,8 @@ class ExperimentConfig:
     base_seed: int
     params: dict = field(default_factory=dict)
     output_dir: Path | None = None
+    # The params keys ``typed``, ``given`` and ``value`` have been asked for.
+    keys_read: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -124,14 +126,31 @@ class ExperimentConfig:
         """Parameter ``key`` converted by ``kind`` (int or float), or
         ``default`` when it is absent or null; raises ConfigError when
         ``kind`` rejects it."""
+        self.keys_read.add(key)
         return _typed(self.params, key, kind, default)
 
     def given(self, **kinds) -> dict:
         """``typed`` of each ``key=kind`` that the config sets to a non-null
         value; a key left out or set to null is left out of the result too,
         so the callee's own default applies."""
+        self.keys_read.update(kinds)
         return {key: _typed(self.params, key, kind, None)
                 for key, kind in kinds.items() if self.params.get(key) is not None}
+
+    def value(self, key):
+        """Parameter ``key`` as the config holds it, or None."""
+        self.keys_read.add(key)
+        return self.params.get(key)
+
+    def check_keys(self) -> None:
+        """Raise ConfigError naming every parameter no ``typed``, ``given``
+        or ``value`` call has asked for: a subcommand calls this once it
+        has read its knobs, so a misspelt or stale key does not run with
+        the default."""
+        unknown = sorted(set(self.params) - self.keys_read)
+        if unknown:
+            raise ConfigError(f"unknown config keys for this command and scenario: "
+                              f"{', '.join(map(repr, unknown))}")
 
 
 def run_rng(base_seed: int, run_index: int) -> np.random.Generator:
@@ -232,7 +251,7 @@ def build_family(cfg: ExperimentConfig):
             family = multi_goal_family(**cfg.given(
                 num_tasks=int, width=int, height=int, gamma=float))
         elif cfg.scenario == "objectworld":
-            duplicates = cfg.params.get("duplicate_of")
+            duplicates = cfg.value("duplicate_of")
             if duplicates == "paper":
                 duplicates = paper_objectworld_duplicates()
             elif duplicates is not None:

@@ -52,10 +52,15 @@ class ApproxModelSet:
     the uncertainty level ``delta``: the largest error, in any reward or
     transition mean or standard deviation, of the model that approximates
     the true task (0 for exact models).  It is the one source of these
-    tables for the loop, the diagnostics and the CLI.  Immutable once
-    built, its arrays read-only, so one set can serve many runs; the
-    information-index table and the tables' extremes are computed on first
-    use.
+    tables for the loop, the diagnostics and the CLI.  Its arrays are
+    read-only, so one set can serve many runs; the information-index table
+    and the tables' extremes are computed on first use.  Its only mutable
+    state is two memos, of results fixed by the set and the key:
+    ``select_query``'s pair per sorted active tuple and ``check_stop``'s
+    stopping model (or None) per (sorted active tuple, eps).  Every run on
+    the set, and every caller of those two functions, reads them; an entry
+    is what any call would compute, so concurrent runs at worst compute
+    one twice.
     """
 
     def __init__(self, models, delta: float = 0.0):
@@ -93,6 +98,8 @@ class ApproxModelSet:
         for table in (self.values, self.policies, self.adv, self.rewards, self.sigma_r,
                       self.sigma_p, self.pv, self.reward_gap, self.trans_gap):
             table.setflags(write=False)
+        self._queries: dict = {}
+        self._stops: dict = {}
 
     @property
     def num_models(self) -> int:
@@ -219,17 +226,22 @@ class EmpiricalModel:
         self.next_counts[at] += next_counts
         self.reward_counts[at] += reward_counts
 
-    def snapshots(self, s: int, a: int, next_states, reward_indices):
-        """The counts at (s, a) after each draw of a run of draws there,
-        stacked: (n (B,), reward_counts (B, U), next_counts (B, S))."""
-        steps = np.arange(len(next_states))
-        next_counts = np.zeros((steps.size, self.next_counts.shape[2]), dtype=np.int64)
-        next_counts[steps, next_states] = 1
-        reward_counts = np.zeros((steps.size, self.reward_support.size), dtype=np.int64)
-        reward_counts[steps, reward_indices] = 1
-        return (self.counts[s, a] + steps + 1,
-                self.reward_counts[s, a] + reward_counts.cumsum(axis=0),
-                self.next_counts[s, a] + next_counts.cumsum(axis=0))
+    def snapshots(self, s: int, a: int, next_states, reward_indices, start: int = 0):
+        """The counts at (s, a) after each draw of a run of draws there, from
+        draw ``start`` on, stacked: (n (B,), reward_counts (B, U),
+        next_counts (B, S)) with B = len(next_states) - start.  The draws
+        before ``start`` are summed once, not row by row."""
+        S, U = self.next_counts.shape[2], self.reward_support.size
+        rows = np.arange(len(next_states) - start)
+        next_counts = np.zeros((rows.size, S), dtype=np.int64)
+        next_counts[rows, next_states[start:]] = 1
+        reward_counts = np.zeros((rows.size, U), dtype=np.int64)
+        reward_counts[rows, reward_indices[start:]] = 1
+        return (self.counts[s, a] + start + rows + 1,
+                self.reward_counts[s, a] + np.bincount(reward_indices[:start], minlength=U)
+                + reward_counts.cumsum(axis=0),
+                self.next_counts[s, a] + np.bincount(next_states[:start], minlength=S)
+                + next_counts.cumsum(axis=0))
 
     def frequencies(self):
         """The empirical reward and transition distributions, (q_hat
@@ -414,17 +426,29 @@ def check_stop(active, approx: ApproxModelSet, eps: float):
     max|V| (u machine epsilon) and less for Q and the comparisons: in all at
     most tol = VALUE_TOL + 64(S+2)u(1+gamma)/(1-gamma)(1 + v_scale + margin)
     (``extremes``; v_scale >= max|V*|).  So the result is the exhaustive test's.
+
+    The stopping model is memoized on ``approx`` per (sorted active tuple,
+    eps); each call hands back a fresh, writable copy of its policy.
     """
     if not active:
         raise ValueError("active set must be non-empty")
-    margin = stop_margin(eps, approx.delta, approx.gamma)
     idx = sorted(active)
+    key = (tuple(idx), eps)
+    if key not in approx._stops:
+        approx._stops[key] = _stopping_model(idx, approx, eps)
+    theta = approx._stops[key]
+    return None if theta is None else (theta, approx.policies[theta].copy())
+
+
+def _stopping_model(idx, approx: ApproxModelSet, eps: float):
+    """``check_stop``'s model for the sorted active list ``idx``, or None."""
+    margin = stop_margin(eps, approx.delta, approx.gamma)
     for theta, out in zip(idx, _screened_out(idx, approx, margin).any(axis=1)):
         others = [j for j in idx if j != theta]
         if not out and (not others or np.all(policy_values(
                 [approx.models[j] for j in others], approx.policies[theta])
                 >= approx.values[others] - margin)):
-            return theta, approx.policies[theta].copy()
+            return theta
     return None
 
 
@@ -466,15 +490,16 @@ def info_index_table(approx: ApproxModelSet) -> np.ndarray:
 def select_query(active, approx: ApproxModelSet):
     """The (s, a) maximizing the pairwise information over active models.
 
-    Ties break toward the lowest flat index s * A + a.
+    Ties break toward the lowest flat index s * A + a.  The pair is
+    memoized on ``approx`` per sorted active tuple.
     """
     if not active:
         raise ValueError("active set must be non-empty")
-    idx = sorted(active)
-    psi = approx.info_table[np.ix_(idx, idx)].max(axis=(0, 1))
-    flat = int(np.argmax(psi))
-    A = approx.num_actions
-    return flat // A, flat % A
+    key = tuple(sorted(active))
+    if key not in approx._queries:
+        psi = approx.info_table[np.ix_(key, key)].max(axis=(0, 1))
+        approx._queries[key] = divmod(int(np.argmax(psi)), approx.num_actions)
+    return approx._queries[key]
 
 
 @dataclass
@@ -550,6 +575,11 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     after every draw in one stacked pass (``compatibility_failures``),
     which starts at the first count where ``_may_fail`` lets some model
     fail; the prunes before it keep the whole set, as the pass would.
+    When a run holds the pair's first such count, that one snapshot is
+    pruned first (the probe): where it eliminates, the rest of the run is
+    handed back unpruned, and otherwise the pass starts one draw later.
+    Once a probe keeps the whole set, the run's later segments skip it.
+    ``check_stop`` and ``select_query`` read the memos on ``approx``.
     """
     if n < 0:
         raise ValueError("budget must be non-negative")
@@ -572,6 +602,9 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     # may_fail[N]: whether some model can fail a condition after N draws at
     # a pair.  It depends on N alone, so it grows only as counts pass it.
     may_fail = np.zeros(0, dtype=bool)
+    # Whether to probe a pair's first open count before the stacked pass;
+    # where probes miss, they only add passes, so one miss ends them.
+    probe = True
 
     while mode is None:
         # The stop test and the query choice depend only on the active set.
@@ -584,22 +617,35 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
         fails = None
 
         def first_elimination(next_states, reward_indices):
-            # Prunes after every draw of the run at once: the draws past the
-            # first prune that eliminates go back to the oracle unused.  The
-            # pass starts at the first count where a model may fail; every
-            # prune before it keeps the whole set.
-            nonlocal fails, may_fail
-            last = emp.counts[s, a] + len(next_states)
+            """How many of the drawn queries to keep: up to the first prune
+            that eliminates, else all; the prunes go to ``fails``.
+
+            The pass starts at the first count where a model may fail;
+            every prune before it keeps the whole set.  Where that count is
+            the pair's first open one, it is probed alone first, and the
+            draws end there if the probe eliminates.  A probe that keeps
+            the whole set turns ``probe`` off for the rest of the
+            identification."""
+            nonlocal fails, may_fail, probe
+            before = emp.counts[s, a]
+            last = before + len(next_states)
             if last >= may_fail.size:
                 may_fail = np.append(may_fail, _may_fail(
                     np.arange(may_fail.size, last + 1), emp.reward_support, approx, logs))
-            open_ = may_fail[emp.counts[s, a] + 1:last + 1]
+            open_ = may_fail[before + 1:last + 1]
             fails = np.zeros((open_.size, idx.size), dtype=bool)
-            if open_.any():
-                f = int(np.argmax(open_))
+            f = int(np.argmax(open_)) if open_.any() else open_.size
+            if probe and f < open_.size and not may_fail[before + f]:
+                fails[f] = compatibility_failures(
+                    idx, s, a, *emp.snapshots(s, a, next_states[:f + 1],
+                                              reward_indices[:f + 1], f),
+                    emp.reward_support, approx, logs)[0]
+                if fails[f].any():
+                    return f + 1
+                probe, f = False, f + 1
+            if f < open_.size:
                 fails[f:] = compatibility_failures(
-                    idx, s, a, *(x[f:] for x in emp.snapshots(s, a, next_states,
-                                                              reward_indices)),
+                    idx, s, a, *emp.snapshots(s, a, next_states, reward_indices, f),
                     emp.reward_support, approx, logs)
             hit = fails.any(axis=1)
             return int(np.argmax(hit)) + 1 if hit.any() else hit.size

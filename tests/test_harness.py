@@ -412,6 +412,36 @@ class TestCli:
         assert "config error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command, doc", [
+        # A misspelt knob ran with the default width and exited 0.
+        ("export-env", {"scenario": "two-rooms", "widht": 3}),
+        # A knob removed from the run config was ignored like any other.
+        ("run-sequential", {"scenario": "objectworld", "fallback_per_pair": 2}),
+        # Knobs of another subcommand or scenario.
+        ("export-env", {"scenario": "two-rooms", "p_succ": 0.9}),
+        ("export-env", {"scenario": "objectworld", "eps": 0.1}),
+        ("diagnose", {"scenario": "two-rooms", "steps": 300}),
+        ("run-ptum", {"scenario": "two-rooms", "rho": 0.1}),
+        ("learn-hmm", {"scenario": "synthetic-hmm", "eps": None}),
+    ])
+    def test_unknown_key_is_a_config_error(self, tmp_path, capsys, command, doc):
+        cfg = self.write_cfg(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([command, cfg, "--output-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        unknown = [key for key in doc if key != "scenario"]
+        assert "config error: unknown config keys" in err and repr(unknown[0]) in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_a_key_read_but_left_out_is_not_unknown(self):
+        cfg = ExperimentConfig.from_dict({"scenario": "two-rooms", "eps": 0.2,
+                                          "num_runs": 2, "base_seed": 1,
+                                          "output_dir": "x"})
+        with pytest.raises(ConfigError, match="'eps'"):
+            cfg.check_keys()
+        assert cfg.given(width=int, eps=float) == {"eps": 0.2}
+        cfg.check_keys()
+
+    @pytest.mark.parametrize("command, doc", [
         ("export-env", {"scenario": "objectworld", "num_tasks": 2.7}),
         ("export-env", {"scenario": "two-rooms", "num_tasks": 0}),
         ("diagnose", {"scenario": "two-rooms", "num_tasks": 0}),

@@ -139,10 +139,14 @@ class TestReadOnlyModelSet:
             getattr(approx, table)[0] = 0
 
     def test_stop_returns_a_writable_copy_of_the_policy(self):
+        # Also from the memo: a written copy changes no later result.
         approx = ApproxModelSet(small_family())
         theta, policy = check_stop({1}, approx, 0.1)
         policy[:] = 1 - policy
         assert not np.array_equal(approx.policies[theta], policy)
+        again, copy = check_stop({1}, approx, 0.1)
+        assert again == theta and copy is not policy and copy.flags.writeable
+        assert np.array_equal(copy, approx.policies[theta])
 
 
 class TestConfidenceRadii:
@@ -279,6 +283,23 @@ class TestStackedStatistics:
         assert all(np.all(np.isinf(r[n <= 1])) for r in radii)
         assert np.all(np.isfinite(radii[0][n > 1]))
         assert np.all(sr[n <= 1] == 0.0) and np.all(sp[n <= 1] == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(S=st.integers(1, 8), U=st.integers(1, 4), before=st.integers(0, 50),
+           B=st.integers(0, 70), start=st.integers(0, 70), seed=st.integers(0, 2 ** 32 - 1))
+    def test_snapshots_from_a_start_are_the_full_stacks_rows(self, S, U, before, B, start,
+                                                             seed):
+        rng = np.random.default_rng(seed)
+        emp = EmpiricalModel(S, 2, np.linspace(0.0, 1.0, U))
+        emp.add_counts(rng.multinomial(before, np.full(S, 1.0 / S)),
+                       rng.multinomial(before, np.full(U, 1.0 / U)), at=(S - 1, 1))
+        next_states, reward_indices = rng.integers(S, size=B), rng.integers(U, size=B)
+        start = min(start, B)
+        full = emp.snapshots(S - 1, 1, next_states, reward_indices)
+        rows = emp.snapshots(S - 1, 1, next_states, reward_indices, start)
+        for x, y in zip(rows, full):
+            assert x.dtype == y.dtype and x.tobytes() == y[start:].tobytes()
+        assert full[0].tolist() == list(range(before + 1, before + B + 1))
 
     def test_failures_of_a_stack_equal_those_of_each_snapshot(self):
         fam = small_family()
@@ -986,6 +1007,55 @@ class TestRunsOfQueries:
                 assert np.all(value >= approx.values[theta] - margin - 1e-6)
 
 
+def assert_same_result(got, want):
+    """Two ``PtumResult``s agree in every field."""
+    assert np.array_equal(got.policy, want.policy)
+    assert (got.tau, got.mode, got.chosen_model, got.survived_trace, got.queried,
+            got.queries_total) == (want.tau, want.mode, want.chosen_model,
+                                   want.survived_trace, want.queried, want.queries_total)
+    for name in ("counts", "reward_counts", "next_counts"):
+        assert np.array_equal(getattr(got.empirical, name), getattr(want.empirical, name))
+
+
+class TestSetMemos:
+    """``select_query`` and ``check_stop`` memoize on the model set, so a set
+    that served earlier runs gives a later run what a fresh set would."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(identification_cases(), st.integers(0, 1000),
+           st.sampled_from([0.5, 1.0, 2.0]))
+    def test_a_shared_set_gives_what_a_fresh_set_gives(self, case, seed, scale):
+        shared = case["approx"]
+        runs = [case, dict(case, seed=seed), dict(case, eps=case["eps"] * scale,
+                                                  active=None), case]
+        for run in runs:
+            fresh = dict(run, approx=ApproxModelSet(shared.models, shared.delta))
+            got, g, rng = identify(run_ptum, run)
+            want, g_fresh, rng_fresh = identify(run_ptum, fresh)
+            assert_same_result(got, want)
+            assert same_state(rng, rng_fresh)
+
+    def test_a_repeated_run_reads_the_memos(self):
+        case = two_rooms_case(100_000)
+        first, _, _ = identify(run_ptum, case)
+        with mock.patch.object(ptum, "policy_values", side_effect=AssertionError), \
+                mock.patch.object(ptum, "_screened_out", side_effect=AssertionError), \
+                mock.patch.object(case["approx"], "info_table", new=None):
+            again, _, _ = identify(run_ptum, case)
+        assert_same_result(again, first)
+
+    def test_each_eps_gets_its_own_stop(self):
+        fam = two_rooms_family()
+        every = set(range(len(fam)))
+        approx = ApproxModelSet(fam)
+        assert check_stop(every, approx, 0.1) is None
+        assert check_stop(every, approx, 1e3)[0] == 0
+        assert check_stop(every, approx, 0.1) is None
+        fresh = ApproxModelSet(fam)
+        assert check_stop(every, fresh, 1e3)[0] == 0
+        assert check_stop(every, fresh, 0.1) is None
+
+
 @st.composite
 def certificate_cases(draw):
     """Random model sets, some with rows off by up to PROB_TOL, an
@@ -1114,20 +1184,42 @@ class TestPassOnlyWhereAModelCanFail:
     @pytest.mark.parametrize("seed", [101, 102])
     def test_two_rooms_pass_starts_where_the_elimination_falls(self, seed):
         # Each of the three queried pairs eliminates at N = 65, the first
-        # count the certificate allows: the pass runs once per pair.
+        # count the certificate allows: the probe of that one snapshot is
+        # the pair's only pass.
         case = two_rooms_case(100_000, seed=seed)
-        starts = []
+        starts, sizes = [], []
 
         def spy(idx, s, a, n, *rest):
             starts.append(int(n[0]))
+            sizes.append(len(n))
             return compatibility_failures(idx, s, a, n, *rest)
 
         with mock.patch.object(ptum, "compatibility_failures", spy):
             got, _, _ = identify(run_ptum, case, SamplesOnly)
-        assert starts == [65, 65, 65]
+        assert starts == [65, 65, 65] and sizes == [1, 1, 1]
         assert got.mode == "transfer-stopped" and got.tau == 195
         ref = assert_same_identification(case)
         assert ref.queried == got.queried and ref.survived_trace == got.survived_trace
+
+    def test_a_probe_that_keeps_the_set_ends_the_runs_probes(self):
+        # On multi-goal, true task 1, every pair first opens at N = 78, where
+        # nothing fails yet.  The first segment probes there and keeps the
+        # set; the second starts its stacked pass at 78 without a probe.
+        fam = multi_goal_family()
+        case = dict(approx=ApproxModelSet(fam), truth=fam[1], eps=0.1, delta=0.01,
+                    n=100_000, active=None, seed=101)
+        calls = []
+
+        def spy(idx, s, a, n, *rest):
+            calls.append((int(n[0]), len(n)))
+            return compatibility_failures(idx, s, a, n, *rest)
+
+        with mock.patch.object(ptum, "compatibility_failures", spy):
+            got, _, _ = identify(run_ptum, case, SamplesOnly)
+        assert got.queried == [(6, 0, 566), (11, 0, 566)]
+        assert calls[:2] == [(78, 1), (79, 50)]
+        assert [c for c in calls if c[0] == 78] == [(78, 1), (78, 51)]
+        assert_same_identification(case)
 
     @settings(max_examples=100, deadline=None)
     @given(identification_cases(budgets=SHORT_BUDGETS))
