@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mdp import TabularMdp, PROB_TOL
+from .mdp import PROB_TOL, TabularMdp, normalized_cumsum
 
 # Action order: up, down, right, left.
 ACTION_DELTAS = ((-1, 0), (1, 0), (0, 1), (0, -1))
@@ -285,40 +285,6 @@ def paper_objectworld_duplicates() -> dict:
     return {1: 0, 7: 0, 4: 5, 6: 5}
 
 
-def _normalized_cumsum(p) -> np.ndarray:
-    """Cumulative sums of ``p`` scaled to end at 1, the array that
-    ``rng.choice(len(p), p=p)`` searches its one uniform double in
-    (``side="right"``).
-
-    Entries are clipped at 0 first, which changes no bit for a non-negative
-    ``p`` and lets the entries down to ``-PROB_TOL`` that the models and
-    the chain accept be sampled, where ``rng.choice`` would raise.
-    """
-    cdf = np.cumsum(np.maximum(p, 0.0))
-    cdf /= cdf[-1]
-    return cdf
-
-
-def _multinomial_pvals(p) -> np.ndarray:
-    """``p`` with each row (last axis) that ``rng.multinomial`` rejects
-    clipped at 0 and renormalised.
-
-    ``rng.multinomial`` rejects an entry outside [0, 1] and a row whose
-    first n-1 entries sum past 1 + 1e-12, both of which a model's rows may
-    hold within ``PROB_TOL``.  Every other row is passed through as it is,
-    so a valid model keeps its draws bit for bit.
-    """
-    p = np.asarray(p, dtype=float)
-    bad = (np.any((p < 0.0) | (p > 1.0), axis=-1)
-           | (p[..., :-1].sum(axis=-1) > 1.0 + 1e-12))
-    if not bad.any():
-        return p
-    clipped = np.maximum(p[bad], 0.0)
-    fixed = p.copy()
-    fixed[bad] = clipped / clipped.sum(axis=-1, keepdims=True)
-    return fixed
-
-
 @dataclass(frozen=True)
 class TaskChain:
     """Markov chain over task indices; column j holds P(next | current=j)."""
@@ -354,8 +320,8 @@ class TaskChain:
         """The initial row and each column as normalized cumulative sums in
         Python lists, built on first use: ``bisect_right`` on one with a
         uniform double gives what ``rng.choice`` gives for that double."""
-        return (_normalized_cumsum(self.initial).tolist(),
-                [_normalized_cumsum(col).tolist() for col in self.transition.T])
+        return (normalized_cumsum(self.initial).tolist(),
+                normalized_cumsum(self.transition.T).tolist())
 
 
 def successor_chain(k: int, p_succ: float = 0.97, p_skip: float = 0.015) -> TaskChain:
@@ -402,13 +368,15 @@ class GenerativeModel:
     """Sampling oracle over a hidden ground-truth MDP.
 
     Exposes only structural information (sizes, support, discount); the
-    hidden transition and reward tables never leave this object.
+    hidden transition and reward tables never leave this object.  It draws
+    from the sampling tables the model builds once (``cumulative_rows``,
+    ``padded_pvals``), so its only mutable state is the charge
+    ``queries_used``.
     """
 
     def __init__(self, mdp: TabularMdp):
         self._mdp = mdp
         self.queries_used = 0
-        self._cdfs = {}   # (s, a) -> cumulative next-state and reward rows
 
     @property
     def num_states(self) -> int:
@@ -426,35 +394,11 @@ class GenerativeModel:
     def gamma(self) -> float:
         return self._mdp.gamma
 
-    def _cumulative_rows(self, s: int, a: int):
-        """The next-state and reward rows at (s, a) as normalized cumulative
-        sums, built on first use: searching one with a uniform double gives
-        what ``rng.choice(n, p=row)`` gives for that double."""
-        if (s, a) not in self._cdfs:
-            self._cdfs[s, a] = [_normalized_cumsum(row)
-                                for row in (self._mdp.p[s, a], self._mdp.q[s, a])]
-        return self._cdfs[s, a]
-
-    @cached_property
-    def _pvals(self):
-        """Each pair's next-state row and then its reward row as
-        ``rng.multinomial`` takes them (``_multinomial_pvals``), each
-        left-padded with zeros to K = max(S, U): a read-only (S, A, 2, K)
-        table, built on first use."""
-        rows = _multinomial_pvals(self._mdp.p), _multinomial_pvals(self._mdp.q)
-        K = max(row.shape[-1] for row in rows)
-        table = np.zeros((self.num_states, self.num_actions, 2, K))
-        for kind, row in enumerate(rows):
-            table[:, :, kind, K - row.shape[-1]:] = row
-        table.setflags(write=False)
-        return table
-
     def _unpad(self, counts):
-        """The next-state and reward counts of draws from ``_pvals`` rows,
-        the padding sliced off."""
-        K = counts.shape[-1]
-        return (counts[..., 0, K - self.num_states:],
-                counts[..., 1, K - self.reward_support.size:])
+        """The next-state and reward counts of draws from ``padded_pvals``
+        rows: the last S and the last U counts of each."""
+        return (counts[..., 0, -self.num_states:],
+                counts[..., 1, -self.reward_support.size:])
 
     def query(self, s: int, a: int, rng):
         """One independent draw of (next_state, reward_value) at (s, a)."""
@@ -472,7 +416,7 @@ class GenerativeModel:
         ``keep`` is None): only those m are charged and returned, and
         ``rng`` is left as m ``query`` calls would leave it.
         """
-        cdf_p, cdf_q = self._cumulative_rows(s, a)
+        cdf_p, cdf_q = (rows[s, a] for rows in self._mdp.cumulative_rows)
         saved = None if keep is None else rng.bit_generator.state
         # Two doubles per query, the next state's first, as rng.choice uses.
         u = rng.random((count, 2))
@@ -492,25 +436,21 @@ class GenerativeModel:
 
         Returns (next_state_counts, reward_index_counts); equivalent in law
         to count repeated single queries.  One ``rng.multinomial`` call
-        draws the pair's two ``_pvals`` rows, the next-state row first, each
-        left-padded with zeros to max(S, U) entries.  A leading zero entry
-        draws no binomial and leaves numpy's remaining mass at exactly 1.0,
-        so the counts and the state ``rng`` is left in are those of
+        draws the pair's two ``padded_pvals`` rows, the next-state row
+        first, so the counts and the state ``rng`` is left in are those of
         ``rng.multinomial(count, row)`` on each unpadded row in turn.
         """
         self.queries_used += count
-        return self._unpad(rng.multinomial(count, self._pvals[s, a]))
+        return self._unpad(rng.multinomial(count, self._mdp.padded_pvals[s, a]))
 
     def query_table(self, need, rng):
         """``need[s, a]`` i.i.d. draws at every (s, a), as count tables.
 
         Returns (next_counts (S, A, S), reward_counts (S, A, U)).  One
-        ``rng.multinomial`` call draws every pair's two ``_pvals`` rows, each
-        left-padded with zeros to max(S, U) entries, in row-major order with
-        n = ``need[s, a]`` clipped at 0.  A row with n = 0 draws nothing,
-        and a leading zero entry draws no binomial and leaves numpy's
-        remaining mass at exactly 1.0, so the counts and the state ``rng``
-        is left in are those of one ``query_batch`` call per pair with
+        ``rng.multinomial`` call draws every pair's two ``padded_pvals``
+        rows, in row-major order with n = ``need[s, a]`` clipped at 0.  A
+        row with n = 0 draws nothing, so the counts and the state ``rng`` is
+        left in are those of one ``query_batch`` call per pair with
         ``need > 0``, in row-major order; with no such pair, no call.
         """
         need = np.asarray(need)
@@ -519,6 +459,7 @@ class GenerativeModel:
             raise ValueError(f"need must have shape {(S, A)}")
         n = np.maximum(need, 0)
         self.queries_used += int(n.sum())
-        counts = (rng.multinomial(np.broadcast_to(n[:, :, None], (S, A, 2)), self._pvals)
-                  if n.any() else np.zeros(self._pvals.shape, dtype=np.int64))
+        pvals = self._mdp.padded_pvals
+        counts = (rng.multinomial(np.broadcast_to(n[:, :, None], (S, A, 2)), pvals)
+                  if n.any() else np.zeros(pvals.shape, dtype=np.int64))
         return self._unpad(counts)

@@ -18,7 +18,6 @@ from scipy import stats
 from .envs import (
     ObjectworldSpec,
     TaskChain,
-    _multinomial_pvals,
     build_objectworld_family,
     multi_goal_family,
     paper_objectworld_duplicates,
@@ -303,8 +302,9 @@ def simulate_hmm_observations(family, chain: TaskChain, steps: int, per_pair: in
     Each observation holds the empirical reward and transition frequencies
     from per_pair independent draws at every (s, a); draws are batched per
     task for speed (equivalent in law to querying one sample at a time),
-    from the ``_multinomial_pvals`` rows that ``GenerativeModel`` pads into
-    its sampling table, the reward row first at each (s, a).
+    from the model's ``padded_pvals`` rows that ``GenerativeModel`` draws
+    from, the reward row first at each (s, a); a padded row draws what its
+    unpadded row draws, and its last S or U counts are the row's.
     Returns (observations array of shape (steps, d), hidden path).
     """
     base = family[0]
@@ -316,14 +316,14 @@ def simulate_hmm_observations(family, chain: TaskChain, steps: int, per_pair: in
         rows = np.flatnonzero(path == j)
         if rows.size == 0:
             continue
-        q, p = _multinomial_pvals(mdp.q), _multinomial_pvals(mdp.p)
+        pvals = mdp.padded_pvals
         q_hat = np.empty((rows.size, S, A, U))
         p_hat = np.empty((rows.size, S, A, S))
         for s in range(S):
             for a in range(A):
-                q_hat[:, s, a] = rng.multinomial(per_pair, q[s, a],
-                                                 size=rows.size) / per_pair
-                p_hat[:, s, a] = rng.multinomial(per_pair, p[s, a],
-                                                 size=rows.size) / per_pair
+                q_hat[:, s, a] = rng.multinomial(per_pair, pvals[s, a, 1],
+                                                 size=rows.size)[:, -U:] / per_pair
+                p_hat[:, s, a] = rng.multinomial(per_pair, pvals[s, a, 0],
+                                                 size=rows.size)[:, -S:] / per_pair
         obs[rows] = layout.vectorize(q_hat, p_hat)
     return obs, path

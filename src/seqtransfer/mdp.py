@@ -2,11 +2,13 @@
 statistics and the simulation-lemma bound.
 
 All operations are pure functions over immutable arrays; a ``TabularMdp``
-is never mutated after construction.
+is never mutated after construction, and the sampling tables it builds on
+first use are read-only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +21,40 @@ _TIE_SCALE = 64.0 * np.finfo(float).eps
 
 class ShapeMismatchError(ValueError):
     """Models that must share (S, A, U, gamma) do not."""
+
+
+def normalized_cumsum(p) -> np.ndarray:
+    """Cumulative sums of each row (last axis) of ``p`` scaled to end at 1,
+    the array that ``rng.choice(len(row), p=row)`` searches its one uniform
+    double in (``side="right"``).
+
+    Entries are clipped at 0 first, which changes no bit for a non-negative
+    ``p`` and lets the entries down to ``-PROB_TOL`` that the models and
+    the task chain accept be sampled, where ``rng.choice`` would raise.
+    """
+    cdf = np.cumsum(np.maximum(p, 0.0), axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _multinomial_pvals(p) -> np.ndarray:
+    """``p`` with each row (last axis) that ``rng.multinomial`` rejects
+    clipped at 0 and renormalised.
+
+    ``rng.multinomial`` rejects an entry outside [0, 1] and a row whose
+    first n-1 entries sum past 1 + 1e-12, both of which a model's rows may
+    hold within ``PROB_TOL``.  Every other row is passed through as it is,
+    so a valid model keeps its draws bit for bit.
+    """
+    p = np.asarray(p, dtype=float)
+    bad = (np.any((p < 0.0) | (p > 1.0), axis=-1)
+           | (p[..., :-1].sum(axis=-1) > 1.0 + 1e-12))
+    if not bad.any():
+        return p
+    clipped = np.maximum(p[bad], 0.0)
+    fixed = p.copy()
+    fixed[bad] = clipped / clipped.sum(axis=-1, keepdims=True)
+    return fixed
 
 
 @dataclass(frozen=True)
@@ -90,6 +126,34 @@ class TabularMdp:
         second = self.q @ (self.reward_support ** 2)
         var = np.maximum(second - mean ** 2, 0.0)
         return np.sqrt(var)
+
+    @cached_property
+    def cumulative_rows(self):
+        """The next-state and reward rows of every pair as normalized
+        cumulative sums (``normalized_cumsum``), (S, A, S) and (S, A, U),
+        read-only and built once per model: searching row (s, a) with a
+        uniform double gives what ``rng.choice(n, p=row)`` gives for it."""
+        rows = normalized_cumsum(self.p), normalized_cumsum(self.q)
+        for row in rows:
+            row.setflags(write=False)
+        return rows
+
+    @cached_property
+    def padded_pvals(self) -> np.ndarray:
+        """Each pair's next-state row and then its reward row as
+        ``rng.multinomial`` takes them (``_multinomial_pvals``), each
+        left-padded with zeros to K = max(S, U): a read-only (S, A, 2, K)
+        table, built once per model.  A leading zero entry draws no
+        binomial and leaves numpy's remaining mass at exactly 1.0, so a
+        padded row draws what its unpadded row draws, and the last S or U
+        counts are the row's."""
+        rows = _multinomial_pvals(self.p), _multinomial_pvals(self.q)
+        K = max(row.shape[-1] for row in rows)
+        table = np.zeros((self.num_states, self.num_actions, 2, K))
+        for kind, row in enumerate(rows):
+            table[:, :, kind, K - row.shape[-1]:] = row
+        table.setflags(write=False)
+        return table
 
     def to_json_dict(self) -> dict:
         return {

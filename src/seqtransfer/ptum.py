@@ -55,12 +55,13 @@ class ApproxModelSet:
     tables for the loop, the diagnostics and the CLI.  Its arrays are
     read-only, so one set can serve many runs; the information-index table
     and the tables' extremes are computed on first use.  Its only mutable
-    state is two memos, of results fixed by the set and the key:
-    ``select_query``'s pair per sorted active tuple and ``check_stop``'s
-    stopping model (or None) per (sorted active tuple, eps).  Every run on
-    the set, and every caller of those two functions, reads them; an entry
-    is what any call would compute, so concurrent runs at worst compute
-    one twice.
+    state is three memos, of results fixed by the set and the key:
+    ``select_query``'s pair per sorted active tuple, ``check_stop``'s
+    stopping model (or None) per (sorted active tuple, eps) and
+    ``_schedule``'s read-only ``_may_fail`` array per log terms, which
+    grows by replacement, never in place.  Every run on the set, and every
+    caller of those functions, reads them; an entry is what any call would
+    compute, so concurrent runs at worst compute one twice.
     """
 
     def __init__(self, models, delta: float = 0.0):
@@ -100,6 +101,7 @@ class ApproxModelSet:
             table.setflags(write=False)
         self._queries: dict = {}
         self._stops: dict = {}
+        self._schedules: dict = {}
 
     @property
     def num_models(self) -> int:
@@ -349,6 +351,33 @@ def _may_fail(n, support, approx: ApproxModelSet, logs):
     )
 
 
+def _schedule(approx: ApproxModelSet, logs, last: int) -> np.ndarray:
+    """``_may_fail`` at every count from 0 to at least ``last`` at a pair,
+    for the log terms ``logs``: read-only, memoized on ``approx`` per
+    ``logs``.  It depends on the count alone, so it is computed once per
+    set and ``logs``; when ``last`` lies past it, it is replaced by a copy
+    at least twice as long, never extended in place."""
+    known = approx._schedules.get(logs, np.zeros(0, dtype=bool))
+    if last >= known.size:
+        counts = np.arange(known.size, max(last + 1, 2 * known.size))
+        known = np.append(known, _may_fail(counts, approx.models[0].reward_support,
+                                           approx, logs))
+        known.setflags(write=False)
+        approx._schedules[logs] = known
+    return known
+
+
+def _first_open(approx: ApproxModelSet, logs, count: int, limit: int) -> int:
+    """The first count in (``count``, ``limit``] at which ``_schedule``
+    opens, or ``limit`` where none does.  The schedule grows only as far as
+    the search reads: one ``_RUN_BLOCK`` past ``count``, then doubling."""
+    known = _schedule(approx, logs, min(limit, count + _RUN_BLOCK))
+    while not known[count + 1:limit + 1].any() and known.size <= limit:
+        known = _schedule(approx, logs, known.size)
+    ahead = known[count + 1:limit + 1]
+    return count + 1 + int(np.argmax(ahead)) if ahead.any() else limit
+
+
 def compatibility_failures(idx, s, a, n, reward_counts, next_counts, support,
                            approx: ApproxModelSet, logs):
     """Which of the models ``idx`` break a compatibility condition at
@@ -549,9 +578,13 @@ def uniform_pac_fallback(g: GenerativeModel, per_pair_budget: int, rng,
     return policy, emp
 
 
-# Queries drawn at once at the current pair; the draws after an elimination
-# are handed back, so this sets only the work thrown away, not the results.
+# Each run of queries at the current pair draws at least _RUN_BLOCK, and
+# more to reach the pair's next count where a model may fail, but looks at
+# most _RUN_LOOKAHEAD counts ahead for it, so that one draw does not grow
+# with the budget.  The draws after an elimination are handed back, so the
+# two set only the work thrown away, not the results.
 _RUN_BLOCK = 64
+_RUN_LOOKAHEAD = 4096
 
 
 def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: float,
@@ -571,15 +604,20 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     oracle ``g`` must share the model set's states, actions, reward
     support and discount.
 
-    Each run of queries at the chosen pair is drawn at once and pruned
-    after every draw in one stacked pass (``compatibility_failures``),
-    which starts at the first count where ``_may_fail`` lets some model
-    fail; the prunes before it keep the whole set, as the pass would.
-    When a run holds the pair's first such count, that one snapshot is
-    pruned first (the probe): where it eliminates, the rest of the run is
-    handed back unpruned, and otherwise the pass starts one draw later.
-    Once a probe keeps the whole set, the run's later segments skip it.
-    ``check_stop`` and ``select_query`` read the memos on ``approx``.
+    Each run of queries at the chosen pair is drawn at once: at least
+    ``_RUN_BLOCK`` of them, and as many as reach the pair's next count
+    where ``_may_fail`` lets some model fail (looking at most
+    ``_RUN_LOOKAHEAD`` ahead), within the budget.  A run is pruned after
+    every draw in one stacked pass (``compatibility_failures``), which
+    starts at the first count where some model may fail; the prunes before
+    it keep the whole set, as the pass would.  When a run holds the pair's
+    first such count, that one snapshot is pruned first (the probe): where
+    it eliminates, the rest of the run is handed back unpruned, and
+    otherwise the pass starts one draw later.  Once a probe keeps the whole
+    set, the run's later segments skip it.  So a segment that eliminates
+    at its first open count makes one draw and one probe, and hands
+    nothing back.  ``check_stop``, ``select_query`` and the ``_may_fail``
+    schedule (``_schedule``) read the memos on ``approx``.
     """
     if n < 0:
         raise ValueError("budget must be non-negative")
@@ -599,9 +637,6 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     trace, queried, tau = [sorted(active_set)], [], 0
     theta = None
     mode = None if transfer_gate(approx.delta, eps, approx.gamma) else "fallback-gate"
-    # may_fail[N]: whether some model can fail a condition after N draws at
-    # a pair.  It depends on N alone, so it grows only as counts pass it.
-    may_fail = np.zeros(0, dtype=bool)
     # Whether to probe a pair's first open count before the stacked pass;
     # where probes miss, they only add passes, so one miss ends them.
     probe = True
@@ -626,12 +661,12 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
             draws end there if the probe eliminates.  A probe that keeps
             the whole set turns ``probe`` off for the rest of the
             identification."""
-            nonlocal fails, may_fail, probe
+            nonlocal fails, probe
             before = emp.counts[s, a]
             last = before + len(next_states)
-            if last >= may_fail.size:
-                may_fail = np.append(may_fail, _may_fail(
-                    np.arange(may_fail.size, last + 1), emp.reward_support, approx, logs))
+            # may_fail[N]: whether some model can fail a condition after N
+            # draws at a pair.
+            may_fail = _schedule(approx, logs, last)
             open_ = may_fail[before + 1:last + 1]
             fails = np.zeros((open_.size, idx.size), dtype=bool)
             f = int(np.argmax(open_)) if open_.any() else open_.size
@@ -653,8 +688,11 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
         # Query (s, a) until a prune changes the active set.
         eliminated, start = False, tau
         while not eliminated and tau < n:
+            before = int(emp.counts[s, a])
+            reach = _first_open(approx, logs, before,
+                                before + min(n - tau, _RUN_LOOKAHEAD)) - before
             next_states, reward_indices = g.query_many(
-                s, a, min(_RUN_BLOCK, n - tau), rng, keep=first_elimination)
+                s, a, min(max(_RUN_BLOCK, reach), n - tau), rng, keep=first_elimination)
             used = len(next_states)
             emp.add_counts(np.bincount(next_states, minlength=S),
                            np.bincount(reward_indices, minlength=emp.reward_support.size),

@@ -1,5 +1,6 @@
 """Unit tests for the benchmark environments and the query interface."""
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from seqtransfer.envs import (
     ObjectworldSpec,
     TaskChain,
     _grid_transitions,
-    _multinomial_pvals,
     _objectworld_mdp,
     build_grid,
     build_multi_goal_grid,
@@ -29,7 +29,7 @@ from seqtransfer.envs import (
     two_rooms_family,
 )
 from seqtransfer.harness import random_hmm_family, run_rng
-from seqtransfer.mdp import TabularMdp, value_iteration
+from seqtransfer.mdp import TabularMdp, _multinomial_pvals, value_iteration
 from seqtransfer.ptum import ApproxModelSet, EmpiricalModel
 
 
@@ -403,6 +403,54 @@ class TestGenerativeModel:
         with pytest.raises(ValueError):
             g.query_table(np.ones((S + 1, A), dtype=int), rng)
 
+    def test_a_second_oracle_of_a_model_builds_no_table(self):
+        # The sampling tables are the model's, built once: a second oracle
+        # of the same model, drawing through every method, builds nothing.
+        from seqtransfer import mdp as mdp_module
+        for model in self.table_models():
+            S, A = model.num_states, model.num_actions
+            first = GenerativeModel(model)
+            first.query_many(0, 0, 3, np.random.default_rng(0))
+            first.query_table(np.ones((S, A), dtype=int), np.random.default_rng(0))
+            tables = model.cumulative_rows, model.padded_pvals
+            with mock.patch.object(mdp_module, "normalized_cumsum",
+                                   side_effect=AssertionError), \
+                    mock.patch.object(mdp_module, "_multinomial_pvals",
+                                      side_effect=AssertionError):
+                second = GenerativeModel(model)
+                rng = np.random.default_rng(1)
+                second.query(S - 1, A - 1, rng)
+                second.query_many(0, A - 1, 5, rng, keep=lambda n, r: 2)
+                second.query_batch(S - 1, 0, 4, rng)
+                second.query_table(np.full((S, A), 2), rng)
+            assert (model.cumulative_rows, model.padded_pvals) == tables
+            assert model.cumulative_rows is tables[0]
+            assert model.padded_pvals is tables[1]
+
+    def test_writing_a_table_raises(self):
+        model = self.table_models()[0]
+        for table in (*model.cumulative_rows, model.padded_pvals):
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 0.5
+
+    def test_tables_hold_each_rows_own_sums(self):
+        # Row by row, what rng.choice searches for that row alone and what
+        # rng.multinomial takes for it, left-padded with zeros.
+        for model in (*self.table_models(), TestQueryMany.sampler_model()):
+            cdf_p, cdf_q = model.cumulative_rows
+            pvals = model.padded_pvals
+            p, q = _multinomial_pvals(model.p), _multinomial_pvals(model.q)
+            for s, a in itertools.product(range(model.num_states),
+                                          range(model.num_actions)):
+                for cdf, row in ((cdf_p, model.p[s, a]), (cdf_q, model.q[s, a])):
+                    want = np.cumsum(np.maximum(row, 0.0))
+                    want /= want[-1]
+                    assert cdf[s, a].tobytes() == want.tobytes()
+                for kind, row in enumerate((p[s, a], q[s, a])):
+                    pad = pvals.shape[-1] - row.size
+                    assert not pvals[s, a, kind, :pad].any()
+                    assert pvals[s, a, kind, pad:].tobytes() == row.tobytes()
+
     class CountingGenerator:
         """A generator that counts its multinomial calls."""
 
@@ -435,7 +483,7 @@ class TestGenerativeModel:
             g = GenerativeModel(mdp)
             rng = self.CountingGenerator(np.random.default_rng(5))
             ref = np.random.default_rng(5)
-            drawn = g._unpad(ref.multinomial(np.zeros((S, A, 2), dtype=int), g._pvals))
+            drawn = g._unpad(ref.multinomial(np.zeros((S, A, 2), dtype=int), mdp.padded_pvals))
             assert same_state(ref, np.random.default_rng(5))
             got = g.query_table(need, rng)
             assert rng.calls == 0 and same_state(rng.rng, ref)

@@ -191,6 +191,29 @@ class TestFamilies:
             err = np.abs(obs[rows].mean(axis=0) - true_vec).max()
             assert err < 0.02
 
+    def test_simulation_draws_each_unpadded_row(self):
+        # Per task, then per (s, a), one rng.multinomial call of size= on
+        # the reward row and one on the next-state row, as the model's
+        # repaired rows: the padded table changes no draw.
+        for S, U in ((2, 3), (3, 2)):
+            rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+            family, chain = random_hmm_family(2, S, 2, U, 0.9, np.random.default_rng(S))
+            obs, path = simulate_hmm_observations(family, chain, 30, 7, rng)
+            want = np.empty_like(obs)
+            layout = ObservationLayout(S, 2, U)
+            ref.random(30)   # the path's doubles
+            for j, mdp in enumerate(family):
+                rows = np.flatnonzero(path == j)
+                q_hat = np.empty((rows.size, S, 2, U))
+                p_hat = np.empty((rows.size, S, 2, S))
+                for s in range(S):
+                    for a in range(2):
+                        q_hat[:, s, a] = ref.multinomial(7, mdp.q[s, a], size=rows.size) / 7
+                        p_hat[:, s, a] = ref.multinomial(7, mdp.p[s, a], size=rows.size) / 7
+                want[rows] = layout.vectorize(q_hat, p_hat)
+            assert obs.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_simulates_rows_within_tolerance(self):
         # Rows that TabularMdp accepts within PROB_TOL (a negative entry, an
         # entry above 1) are drawn from as clipped, renormalised rows.

@@ -854,6 +854,20 @@ class SamplesOnly:
         return getattr(self._oracle, name)
 
 
+class CountingDraws(SamplesOnly):
+    """A public-surface oracle that logs (count, kept) per ``query_many``
+    call in ``draws``; kept < count is a hand-back."""
+
+    def __init__(self, oracle, draws):
+        super().__init__(oracle)
+        self._draws = draws
+
+    def query_many(self, s, a, count, rng, keep=None):
+        drawn = self._oracle.query_many(s, a, count, rng, keep=keep)
+        self._draws.append((count, len(drawn[0])))
+        return drawn
+
+
 def random_rows(rng, shape, width):
     """Distributions over ``width`` outcomes, many sparse or one-point."""
     rows = rng.dirichlet(np.full(width, 0.5), size=shape)
@@ -1007,6 +1021,41 @@ class TestRunsOfQueries:
                 assert np.all(value >= approx.values[theta] - margin - 1e-6)
 
 
+class TestRunSizes:
+    """The size of each run of draws sets only the work thrown away: with
+    any ``_RUN_BLOCK`` and ``_RUN_LOOKAHEAD`` the loop gives what the one
+    query loop gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(identification_cases(), st.sampled_from([1, 7, 64, 10_000]),
+           st.sampled_from([3, 4096]))
+    def test_results_do_not_depend_on_the_run_sizes(self, case, block, lookahead):
+        with mock.patch.object(ptum, "_RUN_BLOCK", block), \
+                mock.patch.object(ptum, "_RUN_LOOKAHEAD", lookahead):
+            assert_same_identification(case)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 10_000])
+    def test_two_rooms_and_multi_goal_do_not_depend_on_the_block(self, block):
+        fam = multi_goal_family()
+        multi_goal = dict(approx=ApproxModelSet(fam), truth=fam[1], eps=0.1,
+                          delta=0.01, n=2000, active=None, seed=101)
+        with mock.patch.object(ptum, "_RUN_BLOCK", block):
+            for case in (two_rooms_case(100_000), multi_goal):
+                assert_same_identification(case)
+
+    def test_a_draw_looks_no_further_than_the_lookahead(self):
+        # Two-rooms pairs first open at N = 65.  With blocks of one query
+        # and a look-ahead of 20, each segment draws 20 three times, then
+        # the 5 that reach 65, where its probe eliminates.
+        draws = []
+        with mock.patch.object(ptum, "_RUN_BLOCK", 1), \
+                mock.patch.object(ptum, "_RUN_LOOKAHEAD", 20):
+            got, _, _ = identify(run_ptum, two_rooms_case(100_000),
+                                 lambda g: CountingDraws(g, draws))
+        assert got.mode == "transfer-stopped" and got.tau == 195
+        assert draws == ([(20, 20)] * 3 + [(5, 5)]) * 3
+
+
 def assert_same_result(got, want):
     """Two ``PtumResult``s agree in every field."""
     assert np.array_equal(got.policy, want.policy)
@@ -1018,16 +1067,23 @@ def assert_same_result(got, want):
 
 
 class TestSetMemos:
-    """``select_query`` and ``check_stop`` memoize on the model set, so a set
-    that served earlier runs gives a later run what a fresh set would."""
+    """``select_query``, ``check_stop`` and the ``_may_fail`` schedule
+    memoize on the model set, so a set that served earlier runs gives a
+    later run what a fresh set would."""
 
     @settings(max_examples=100, deadline=None)
     @given(identification_cases(), st.integers(0, 1000),
-           st.sampled_from([0.5, 1.0, 2.0]))
-    def test_a_shared_set_gives_what_a_fresh_set_gives(self, case, seed, scale):
+           st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 600),
+           st.sampled_from([0.01, 0.05, 0.3]))
+    def test_a_shared_set_gives_what_a_fresh_set_gives(self, case, seed, scale, n,
+                                                       delta):
+        # Runs with another budget or confidence read another schedule
+        # (its key, the log terms, changes); the set serves them all.
         shared = case["approx"]
         runs = [case, dict(case, seed=seed), dict(case, eps=case["eps"] * scale,
-                                                  active=None), case]
+                                                  active=None),
+                dict(case, n=n), dict(case, delta=delta), dict(case, n=n, seed=seed),
+                case]
         for run in runs:
             fresh = dict(run, approx=ApproxModelSet(shared.models, shared.delta))
             got, g, rng = identify(run_ptum, run)
@@ -1040,6 +1096,7 @@ class TestSetMemos:
         first, _, _ = identify(run_ptum, case)
         with mock.patch.object(ptum, "policy_values", side_effect=AssertionError), \
                 mock.patch.object(ptum, "_screened_out", side_effect=AssertionError), \
+                mock.patch.object(ptum, "_may_fail", side_effect=AssertionError), \
                 mock.patch.object(case["approx"], "info_table", new=None):
             again, _, _ = identify(run_ptum, case)
         assert_same_result(again, first)
@@ -1185,7 +1242,7 @@ class TestPassOnlyWhereAModelCanFail:
     def test_two_rooms_pass_starts_where_the_elimination_falls(self, seed):
         # Each of the three queried pairs eliminates at N = 65, the first
         # count the certificate allows: the probe of that one snapshot is
-        # the pair's only pass.
+        # the pair's only pass, and nothing drawn is handed back.
         case = two_rooms_case(100_000, seed=seed)
         starts, sizes = [], []
 
@@ -1194,31 +1251,37 @@ class TestPassOnlyWhereAModelCanFail:
             sizes.append(len(n))
             return compatibility_failures(idx, s, a, n, *rest)
 
+        draws = []
         with mock.patch.object(ptum, "compatibility_failures", spy):
-            got, _, _ = identify(run_ptum, case, SamplesOnly)
+            got, _, _ = identify(run_ptum, case, lambda g: CountingDraws(g, draws))
         assert starts == [65, 65, 65] and sizes == [1, 1, 1]
+        # One draw per segment, sized to reach N = 65, all of it kept.
+        assert draws == [(65, 65)] * 3
         assert got.mode == "transfer-stopped" and got.tau == 195
         ref = assert_same_identification(case)
         assert ref.queried == got.queried and ref.survived_trace == got.survived_trace
 
     def test_a_probe_that_keeps_the_set_ends_the_runs_probes(self):
         # On multi-goal, true task 1, every pair first opens at N = 78, where
-        # nothing fails yet.  The first segment probes there and keeps the
-        # set; the second starts its stacked pass at 78 without a probe.
+        # nothing fails yet.  Each segment's first run draws up to 78 and
+        # ends with that one snapshot: the first segment's probe, which
+        # keeps the set, and the second's stacked pass, as probing has
+        # stopped.  Every later run is one block of 64, up to the one that
+        # holds the elimination at 566.
         fam = multi_goal_family()
         case = dict(approx=ApproxModelSet(fam), truth=fam[1], eps=0.1, delta=0.01,
                     n=100_000, active=None, seed=101)
-        calls = []
+        calls, draws = [], []
 
         def spy(idx, s, a, n, *rest):
             calls.append((int(n[0]), len(n)))
             return compatibility_failures(idx, s, a, n, *rest)
 
         with mock.patch.object(ptum, "compatibility_failures", spy):
-            got, _, _ = identify(run_ptum, case, SamplesOnly)
+            got, _, _ = identify(run_ptum, case, lambda g: CountingDraws(g, draws))
         assert got.queried == [(6, 0, 566), (11, 0, 566)]
-        assert calls[:2] == [(78, 1), (79, 50)]
-        assert [c for c in calls if c[0] == 78] == [(78, 1), (78, 51)]
+        assert calls == ([(78, 1)] + [(79 + 64 * i, 64) for i in range(8)]) * 2
+        assert draws == ([(78, 78)] + [(64, 64)] * 7 + [(64, 40)]) * 2
         assert_same_identification(case)
 
     @settings(max_examples=100, deadline=None)

@@ -22,13 +22,7 @@ TEST_ONLY = {
 
 # Private names one module of the package imports from another, with the
 # reason each stays private to its home module.
-PRIVATE_IMPORTS = {
-    "harness <- envs._multinomial_pvals":
-        "simulate_hmm_observations draws all of a task's observations at a "
-        "pair with one size= call; one GenerativeModel.query_table per "
-        "observation took 46 -> 781 ms median over a learn-hmm-sweep run's "
-        "simulations (one BLAS thread, 2 vCPUs)",
-}
+PRIVATE_IMPORTS: dict = {}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
