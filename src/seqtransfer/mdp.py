@@ -230,7 +230,11 @@ def plan(models):
     Policy iteration (greedy step + exact evaluation), which converges in
     finitely many steps and is robust to discounts close to 1.  A model
     stops once the Bellman residual of its V is at most
-    VALUE_TOL*(1-gamma)/max(2*gamma, 1), or once its greedy policy repeats.
+    VALUE_TOL*(1-gamma)/max(2*gamma, 1), or once its greedy policy repeats,
+    or once it returns to the policy evaluated before the last one: exact
+    policy iteration never does, but near gamma = 1 the solve's round-off
+    can make two policies whose values differ by round-off alternate, and
+    the model then keeps the last policy evaluated, whose exact value V is.
     A residual of at most e puts V within e/(1-gamma) of V*, and the greedy
     policy's value within 2*gamma*e/(1-gamma) of V*, so on the residual rule
     both are within ``VALUE_TOL`` in sup norm.  Greedy ties break toward the
@@ -253,7 +257,7 @@ def plan(models):
     ps = [m.p for m in models]
     r = np.array([m.reward_means() for m in models])
     v = np.zeros((k, S))
-    pi = None
+    pi = before = None
     # The backup r + gamma p.v of v = 0 is r, bit for bit.
     q = r
     backup = np.empty((k, S, A))
@@ -273,6 +277,11 @@ def plan(models):
             # satisfies the optimality equation, so v = V* up to the
             # solve's round-off.
             stop |= np.logical_and.reduce(greedy == pi, axis=1)
+        if before is not None:
+            # Back to the policy before the last: a round-off alternation.
+            back = ~stop & np.logical_and.reduce(greedy == before, axis=1)
+            greedy[back] = pi[back]
+            stop |= back
         stopped = stop.tolist()
         if any(stopped):
             for slot, done in enumerate(stopped):
@@ -282,8 +291,9 @@ def plan(models):
                 return values, policies
             run = ~stop
             ids, r, greedy = ids[run], r[run], greedy[run]
+            pi = None if pi is None else pi[run]
             ps = [p for p, done in zip(ps, stopped) if not done]
-        pi = greedy
+        before, pi = pi, greedy
         v = _solve_policies(ps, r, offsets + pi, gamma, identity)
         q = backup[:ids.size]
         for p, v_m, out in zip(ps, v, q):

@@ -58,10 +58,9 @@ class ApproxModelSet:
     state is three memos, of results fixed by the set and the key:
     ``select_query``'s pair per sorted active tuple, ``check_stop``'s
     stopping model (or None) per (sorted active tuple, eps) and
-    ``_schedule``'s read-only ``_may_fail`` array per log terms, which
-    grows by replacement, never in place.  Every run on the set, and every
-    caller of those functions, reads them; an entry is what any call would
-    compute, so concurrent runs at worst compute one twice.
+    ``_opening``'s count per (log terms, budget).  Every run on the set,
+    and every caller of those functions, reads them; an entry is what any
+    call would compute, so concurrent runs at worst compute one twice.
     """
 
     def __init__(self, models, delta: float = 0.0):
@@ -101,7 +100,7 @@ class ApproxModelSet:
             table.setflags(write=False)
         self._queries: dict = {}
         self._stops: dict = {}
-        self._schedules: dict = {}
+        self._openings: dict = {}
 
     @property
     def num_models(self) -> int:
@@ -351,31 +350,24 @@ def _may_fail(n, support, approx: ApproxModelSet, logs):
     )
 
 
-def _schedule(approx: ApproxModelSet, logs, last: int) -> np.ndarray:
-    """``_may_fail`` at every count from 0 to at least ``last`` at a pair,
-    for the log terms ``logs``: read-only, memoized on ``approx`` per
-    ``logs``.  It depends on the count alone, so it is computed once per
-    set and ``logs``; when ``last`` lies past it, it is replaced by a copy
-    at least twice as long, never extended in place."""
-    known = approx._schedules.get(logs, np.zeros(0, dtype=bool))
-    if last >= known.size:
-        counts = np.arange(known.size, max(last + 1, 2 * known.size))
-        known = np.append(known, _may_fail(counts, approx.models[0].reward_support,
-                                           approx, logs))
-        known.setflags(write=False)
-        approx._schedules[logs] = known
-    return known
-
-
-def _first_open(approx: ApproxModelSet, logs, count: int, limit: int) -> int:
-    """The first count in (``count``, ``limit``] at which ``_schedule``
-    opens, or ``limit`` where none does.  The schedule grows only as far as
-    the search reads: one ``_RUN_BLOCK`` past ``count``, then doubling."""
-    known = _schedule(approx, logs, min(limit, count + _RUN_BLOCK))
-    while not known[count + 1:limit + 1].any() and known.size <= limit:
-        known = _schedule(approx, logs, known.size)
-    ahead = known[count + 1:limit + 1]
-    return count + 1 + int(np.argmax(ahead)) if ahead.any() else limit
+def _opening(approx: ApproxModelSet, logs, n: int) -> int:
+    """The opening count of a run with log terms ``logs`` and budget ``n``:
+    the first count N <= ``n`` at which ``_may_fail`` holds at a pair, or
+    n + 1 where none does.  ``_may_fail`` depends on the count alone, so
+    it is searched once, over chunks of counts that double from
+    ``_RUN_BLOCK``, and memoized on ``approx`` per (``logs``, ``n``)."""
+    key = (logs, n)
+    if key not in approx._openings:
+        opening, start, size = n + 1, 0, _RUN_BLOCK
+        while start <= n:
+            counts = np.arange(start, min(start + size, n + 1))
+            may = _may_fail(counts, approx.models[0].reward_support, approx, logs)
+            if may.any():
+                opening = start + int(np.argmax(may))
+                break
+            start, size = start + size, 2 * size
+        approx._openings[key] = opening
+    return approx._openings[key]
 
 
 def compatibility_failures(idx, s, a, n, reward_counts, next_counts, support,
@@ -578,11 +570,11 @@ def uniform_pac_fallback(g: GenerativeModel, per_pair_budget: int, rng,
     return policy, emp
 
 
-# Each run of queries at the current pair draws at least _RUN_BLOCK, and
-# more to reach the pair's next count where a model may fail, but looks at
-# most _RUN_LOOKAHEAD counts ahead for it, so that one draw does not grow
-# with the budget.  The draws after an elimination are handed back, so the
-# two set only the work thrown away, not the results.
+# A run of queries at a pair below the opening count draws up to it, and
+# any other run draws _RUN_BLOCK; no run draws more than _RUN_LOOKAHEAD, so
+# that one draw does not grow with the budget.  The draws after an
+# elimination are handed back, so the two set only the work thrown away,
+# not the results.
 _RUN_BLOCK = 64
 _RUN_LOOKAHEAD = 4096
 
@@ -604,20 +596,16 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     oracle ``g`` must share the model set's states, actions, reward
     support and discount.
 
-    Each run of queries at the chosen pair is drawn at once: at least
-    ``_RUN_BLOCK`` of them, and as many as reach the pair's next count
-    where ``_may_fail`` lets some model fail (looking at most
-    ``_RUN_LOOKAHEAD`` ahead), within the budget.  A run is pruned after
-    every draw in one stacked pass (``compatibility_failures``), which
-    starts at the first count where some model may fail; the prunes before
-    it keep the whole set, as the pass would.  When a run holds the pair's
-    first such count, that one snapshot is pruned first (the probe): where
-    it eliminates, the rest of the run is handed back unpruned, and
-    otherwise the pass starts one draw later.  Once a probe keeps the whole
-    set, the run's later segments skip it.  So a segment that eliminates
-    at its first open count makes one draw and one probe, and hands
-    nothing back.  ``check_stop``, ``select_query`` and the ``_may_fail``
-    schedule (``_schedule``) read the memos on ``approx``.
+    Each run of queries at the chosen pair is drawn at once: up to the
+    opening count (``_opening``, the first count where ``_may_fail`` lets
+    some model fail) while the pair is below it, else ``_RUN_BLOCK`` of
+    them, at most ``_RUN_LOOKAHEAD`` and within the budget.  A run is
+    pruned after every draw in one stacked pass (``compatibility_failures``)
+    from the opening count on; the prunes before it keep the whole set, as
+    the pass would.  So a segment that eliminates at the opening count
+    makes one draw and a one-snapshot pass, and hands nothing back.
+    ``check_stop``, ``select_query`` and ``_opening`` read the memos on
+    ``approx``.
     """
     if n < 0:
         raise ValueError("budget must be non-negative")
@@ -637,9 +625,7 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     trace, queried, tau = [sorted(active_set)], [], 0
     theta = None
     mode = None if transfer_gate(approx.delta, eps, approx.gamma) else "fallback-gate"
-    # Whether to probe a pair's first open count before the stacked pass;
-    # where probes miss, they only add passes, so one miss ends them.
-    probe = True
+    opening = None if mode else _opening(approx, logs, n)
 
     while mode is None:
         # The stop test and the query choice depend only on the active set.
@@ -653,32 +639,13 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
 
         def first_elimination(next_states, reward_indices):
             """How many of the drawn queries to keep: up to the first prune
-            that eliminates, else all; the prunes go to ``fails``.
-
-            The pass starts at the first count where a model may fail;
-            every prune before it keeps the whole set.  Where that count is
-            the pair's first open one, it is probed alone first, and the
-            draws end there if the probe eliminates.  A probe that keeps
-            the whole set turns ``probe`` off for the rest of the
-            identification."""
-            nonlocal fails, probe
-            before = emp.counts[s, a]
-            last = before + len(next_states)
-            # may_fail[N]: whether some model can fail a condition after N
-            # draws at a pair.
-            may_fail = _schedule(approx, logs, last)
-            open_ = may_fail[before + 1:last + 1]
-            fails = np.zeros((open_.size, idx.size), dtype=bool)
-            f = int(np.argmax(open_)) if open_.any() else open_.size
-            if probe and f < open_.size and not may_fail[before + f]:
-                fails[f] = compatibility_failures(
-                    idx, s, a, *emp.snapshots(s, a, next_states[:f + 1],
-                                              reward_indices[:f + 1], f),
-                    emp.reward_support, approx, logs)[0]
-                if fails[f].any():
-                    return f + 1
-                probe, f = False, f + 1
-            if f < open_.size:
+            that eliminates, else all; the prunes go to ``fails``.  The
+            pass starts at the opening count; every prune before it keeps
+            the whole set."""
+            nonlocal fails
+            f = max(opening - int(emp.counts[s, a]) - 1, 0)
+            fails = np.zeros((len(next_states), idx.size), dtype=bool)
+            if f < len(next_states):
                 fails[f:] = compatibility_failures(
                     idx, s, a, *emp.snapshots(s, a, next_states, reward_indices, f),
                     emp.reward_support, approx, logs)
@@ -688,11 +655,10 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
         # Query (s, a) until a prune changes the active set.
         eliminated, start = False, tau
         while not eliminated and tau < n:
-            before = int(emp.counts[s, a])
-            reach = _first_open(approx, logs, before,
-                                before + min(n - tau, _RUN_LOOKAHEAD)) - before
+            count = int(emp.counts[s, a])
+            run = opening - count if count < opening else _RUN_BLOCK
             next_states, reward_indices = g.query_many(
-                s, a, min(max(_RUN_BLOCK, reach), n - tau), rng, keep=first_elimination)
+                s, a, min(run, _RUN_LOOKAHEAD, n - tau), rng, keep=first_elimination)
             used = len(next_states)
             emp.add_counts(np.bincount(next_states, minlength=S),
                            np.bincount(reward_indices, minlength=emp.reward_support.size),

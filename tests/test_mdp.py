@@ -59,14 +59,14 @@ def transition_value_std_table(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
 def reference_value_iteration(mdp: TabularMdp):
     """Policy iteration on one model, one step at a time: the loop that
     ``plan`` runs on a stack.  Returns (v, pi, steps, rule): the greedy
-    steps taken and the stop rule that ended them, "residual" or
-    "repeat"."""
+    steps taken and the stop rule that ended them, "residual", "repeat"
+    or "alternate"."""
     gamma = mdp.gamma
     target = VALUE_TOL * (1.0 - gamma) / max(2.0 * gamma, 1.0)
     r = mdp.reward_means()
     S = mdp.num_states
     v = np.zeros(S)
-    prev_pi = None
+    prev_pi = before = None
     for step in range(10_000):
         q = r + gamma * (mdp.p @ v)
         qmax = q.max(axis=1)
@@ -77,9 +77,11 @@ def reference_value_iteration(mdp: TabularMdp):
             return v, pi, step, "residual"
         if prev_pi is not None and np.array_equal(pi, prev_pi):
             return v, pi, step, "repeat"
+        if before is not None and np.array_equal(pi, before):
+            return v, prev_pi, step, "alternate"
         idx = np.arange(S)
         v = np.linalg.solve(np.eye(S) - gamma * mdp.p[idx, pi, :], r[idx, pi])
-        prev_pi = pi
+        before, prev_pi = prev_pi, pi
     raise RuntimeError("policy iteration failed to converge")
 
 
@@ -298,6 +300,35 @@ class TestStackedPlanner:
         assert np.array_equal(approx.values[0], v)
         q = slow.reward_means() + slow.gamma * (slow.p @ v)
         assert approx.adv[0, 0] == np.min(q[[0, 1], pi] - v)
+
+    def test_a_round_off_alternation_stops(self):
+        # Every state pays 1 at gamma = 0.9999, so every policy is worth
+        # 1e4 and the Q gaps are the solve's round-off, about 1e-9: more than
+        # the tie tolerance.  Policy iteration goes [0, 0, 0], [2, 0, 0] and
+        # back, and stops there with the last policy it evaluated.
+        p = np.array([
+            [[1.0, 0.0, 0.0], [0.5975596539157535, 0.06728960912083902, 0.3351507369634075],
+             [1.820525225090911e-13, 0.15456878905929267, 0.8454312109405252]],
+            [[4.694739098294663e-13, 0.999999999999, 5.305260901705337e-13],
+             [0.46710970200644314, 0.2554098990353344, 0.2774803989582224],
+             [0.0, 0.09942065074853099, 0.9005793492514689]],
+            [[0.14112368290013494, 0.05559504380817209, 0.8032812732916931],
+             [0.999999999999, 1e-12, 0.0],
+             [0.999999999999, 7.4073070651005e-13, 2.592692934899499e-13]]])
+        support = np.array([0.0, 1.0])
+        m = TabularMdp(p=p, reward_support=support, q=np.eye(2)[np.ones((3, 3), int)],
+                       gamma=0.9999)
+        v, pi, step, rule = reference_value_iteration(m)
+        assert (step, rule, pi.tolist()) == (2, "alternate", [2, 0, 0])
+        assert np.array_equal(v, policy_evaluation(m, pi))
+        assert np.max(np.abs(v - 1e4)) <= 1e-6
+        rng = np.random.default_rng(18)
+        other = TabularMdp(p=rng.dirichlet(np.ones(3), size=(3, 3)), reward_support=support,
+                           q=rng.dirichlet(np.ones(2), size=(3, 3)), gamma=0.9999)
+        assert reference_value_iteration(other)[3] != "alternate"
+        self.assert_matches_reference([m])
+        self.assert_matches_reference([other, m])
+        self.assert_matches_reference([m, other])
 
     def test_small_discount_stops_within_value_tol(self):
         # At gamma = 0.1 staying in state 0 pays 0.5, and moving to the

@@ -33,6 +33,7 @@ from seqtransfer.ptum import (
     PtumResult,
     _log_terms,
     _may_fail,
+    _opening,
     check_stop,
     compatibility_failures,
     confidence_radii,
@@ -1044,9 +1045,9 @@ class TestRunSizes:
                 assert_same_identification(case)
 
     def test_a_draw_looks_no_further_than_the_lookahead(self):
-        # Two-rooms pairs first open at N = 65.  With blocks of one query
-        # and a look-ahead of 20, each segment draws 20 three times, then
-        # the 5 that reach 65, where its probe eliminates.
+        # Two-rooms pairs open at N = 65.  With blocks of one query and a
+        # look-ahead of 20, each segment draws 20 three times, then the 5
+        # that reach 65, where its one-snapshot pass eliminates.
         draws = []
         with mock.patch.object(ptum, "_RUN_BLOCK", 1), \
                 mock.patch.object(ptum, "_RUN_LOOKAHEAD", 20):
@@ -1054,6 +1055,18 @@ class TestRunSizes:
                                  lambda g: CountingDraws(g, draws))
         assert got.mode == "transfer-stopped" and got.tau == 195
         assert draws == ([(20, 20)] * 3 + [(5, 5)]) * 3
+
+    @pytest.mark.parametrize("block", [1, 64, 100, 10_000])
+    def test_a_fresh_pairs_first_draw_ends_at_the_opening_count(self, block):
+        # Each two-rooms segment queries a fresh pair, which opens and
+        # eliminates at N = 65: whatever the block, its one draw ends there.
+        draws = []
+        with mock.patch.object(ptum, "_RUN_BLOCK", block):
+            got, _, _ = identify(run_ptum, two_rooms_case(100_000),
+                                 lambda g: CountingDraws(g, draws))
+            assert_same_identification(two_rooms_case(100_000))
+        assert got.mode == "transfer-stopped" and got.tau == 195
+        assert draws == [(65, 65)] * 3
 
 
 def assert_same_result(got, want):
@@ -1067,9 +1080,9 @@ def assert_same_result(got, want):
 
 
 class TestSetMemos:
-    """``select_query``, ``check_stop`` and the ``_may_fail`` schedule
-    memoize on the model set, so a set that served earlier runs gives a
-    later run what a fresh set would."""
+    """``select_query``, ``check_stop`` and ``_opening`` memoize on the
+    model set, so a set that served earlier runs gives a later run what a
+    fresh set would."""
 
     @settings(max_examples=100, deadline=None)
     @given(identification_cases(), st.integers(0, 1000),
@@ -1077,8 +1090,9 @@ class TestSetMemos:
            st.sampled_from([0.01, 0.05, 0.3]))
     def test_a_shared_set_gives_what_a_fresh_set_gives(self, case, seed, scale, n,
                                                        delta):
-        # Runs with another budget or confidence read another schedule
-        # (its key, the log terms, changes); the set serves them all.
+        # Runs with another budget or confidence read another opening
+        # count (its key, the log terms and budget, changes); the set
+        # serves them all.
         shared = case["approx"]
         runs = [case, dict(case, seed=seed), dict(case, eps=case["eps"] * scale,
                                                   active=None),
@@ -1179,9 +1193,9 @@ def certificate_cases(draw):
 
 
 class TestPassOnlyWhereAModelCanFail:
-    """``run_ptum`` runs the stacked pass only from the first count of a run
-    where ``_may_fail`` lets some model fail; the rows before it are the
-    all-False rows the pass would give."""
+    """``run_ptum`` runs the stacked pass only from the opening count, the
+    first count where ``_may_fail`` lets some model fail; the rows before it
+    are the all-False rows the pass would give."""
 
     @settings(max_examples=300, deadline=None)
     @given(certificate_cases())
@@ -1194,6 +1208,24 @@ class TestPassOnlyWhereAModelCanFail:
         assert may.shape == case["n"].shape
         assert not may[case["n"] <= 1].any()
         assert np.all(may[fails.any(axis=1)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(certificate_cases(), st.lists(st.integers(0, 5000), min_size=1, max_size=3))
+    def test_the_opening_is_the_first_count_that_may_fail(self, case, budgets):
+        approx = case["approx"]
+        for n in budgets:
+            may = _may_fail(np.arange(n + 1), approx.models[0].reward_support, approx,
+                            case["logs"])
+            want = int(np.argmax(may)) if may.any() else n + 1
+            assert _opening(approx, case["logs"], n) == want
+            # A set that answered other keys answers this one as a fresh set.
+            fresh = ApproxModelSet(approx.models, approx.delta)
+            assert _opening(fresh, case["logs"], n) == want
+
+    def test_no_opening_within_the_budget_gives_one_past_it(self):
+        approx = ApproxModelSet(two_rooms_family())
+        assert _opening(approx, _log_terms(approx, 10, 0.01), 10) == 11
+        assert _opening(approx, _log_terms(approx, 100_000, 0.01), 100_000) == 65
 
     # One uncertainty level widens all four radii alike, so a case where one
     # condition fails before any other can must come from the tables.  The
@@ -1240,9 +1272,9 @@ class TestPassOnlyWhereAModelCanFail:
 
     @pytest.mark.parametrize("seed", [101, 102])
     def test_two_rooms_pass_starts_where_the_elimination_falls(self, seed):
-        # Each of the three queried pairs eliminates at N = 65, the first
-        # count the certificate allows: the probe of that one snapshot is
-        # the pair's only pass, and nothing drawn is handed back.
+        # Each of the three queried pairs eliminates at N = 65, the opening
+        # count: a pass over that one snapshot is the pair's only pass, and
+        # nothing drawn is handed back.
         case = two_rooms_case(100_000, seed=seed)
         starts, sizes = [], []
 
@@ -1261,13 +1293,12 @@ class TestPassOnlyWhereAModelCanFail:
         ref = assert_same_identification(case)
         assert ref.queried == got.queried and ref.survived_trace == got.survived_trace
 
-    def test_a_probe_that_keeps_the_set_ends_the_runs_probes(self):
-        # On multi-goal, true task 1, every pair first opens at N = 78, where
+    def test_an_opening_pass_that_keeps_the_set(self):
+        # On multi-goal, true task 1, every pair opens at N = 78, where
         # nothing fails yet.  Each segment's first run draws up to 78 and
-        # ends with that one snapshot: the first segment's probe, which
-        # keeps the set, and the second's stacked pass, as probing has
-        # stopped.  Every later run is one block of 64, up to the one that
-        # holds the elimination at 566.
+        # ends with a pass over that one snapshot, which keeps the set.
+        # Every later run is one block of 64, up to the one that holds the
+        # elimination at 566.
         fam = multi_goal_family()
         case = dict(approx=ApproxModelSet(fam), truth=fam[1], eps=0.1, delta=0.01,
                     n=100_000, active=None, seed=101)
