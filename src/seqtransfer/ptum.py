@@ -58,9 +58,11 @@ class ApproxModelSet:
     state is three memos, of results fixed by the set and the key:
     ``select_query``'s pair per sorted active tuple, ``check_stop``'s
     stopping model (or None) per (sorted active tuple, eps) and
-    ``_opening``'s count per (log terms, budget).  Every run on the set,
-    and every caller of those functions, reads them; an entry is what any
-    call would compute, so concurrent runs at worst compute one twice.
+    ``_opening``'s two counts (where any compatibility condition, and
+    where a transition condition, may first fail) per (log terms,
+    budget).  Every run on the set, and every caller of those functions,
+    reads them; an entry is what any call would compute, so concurrent
+    runs at worst compute one twice.
     """
 
     def __init__(self, models, delta: float = 0.0):
@@ -210,11 +212,6 @@ class EmpiricalModel:
         self.reward_counts = np.zeros((S, A, U), dtype=np.int64)
         self.next_counts = np.zeros((S, A, S), dtype=np.int64)
 
-    def add_sample(self, s: int, a: int, next_state: int, reward_value: float) -> None:
-        self.counts[s, a] += 1
-        self.reward_counts[s, a, list(self.reward_support).index(reward_value)] += 1
-        self.next_counts[s, a, next_state] += 1
-
     def add_counts(self, next_counts, reward_counts, at=()) -> None:
         """Add next-state and reward counts at the pairs ``at`` indexes: the
         whole (S, A, S) and (S, A, U) tables by default, or one pair's (S,)
@@ -276,58 +273,80 @@ def _data_free_parts(n1, gamma: float, logs):
     """The parts of the four radii (reward, transition, reward-std,
     transition-std) that read no sample statistic, for N - 1 = ``n1``:
     7L/(3(N-1)), 7L/(3(N-1)(1-gamma)), sqrt(2L'/(N-1)) and that root over
-    (1-gamma).  ``confidence_radii`` adds them to the data terms and
-    ``_may_fail`` compares them with the widest deviations, so both see
-    the same floats."""
+    (1-gamma).  ``reward_radii`` and ``transition_radii`` add them to the
+    data terms and ``_may_fail`` compares them with the widest deviations,
+    so all three see the same floats."""
     l_mean, l_std = logs
     root = np.sqrt(2.0 * l_std / n1)
     return (7.0 * l_mean / (3.0 * n1), 7.0 * l_mean / (3.0 * n1 * (1.0 - gamma)),
             root, root / (1.0 - gamma))
 
 
-def confidence_radii(n, sr, sp, approx: ApproxModelSet, logs):
-    """The four Bernstein radii (reward, transition, reward-std,
-    transition-std) after N = ``n`` samples at a pair; all infinite where
-    N <= 1.
-
-    ``n`` may be a stack of counts.  ``sr`` is the empirical reward std
-    (shape of ``n``) and ``sp`` the empirical std of V(S') for the optimal
-    value function of the comparison model (shape of ``n``), or for a stack
-    of k of them (one more, trailing axis: one transition radius per row).
-    ``logs`` is ``_log_terms(approx, budget, delta)``.  Each radius is a
-    data term (none for the stds), plus its data-free part, plus the
-    uncertainty level.
-    """
-    n = np.asarray(n)
+def _radii(n, std, part_mean, part_std, approx: ApproxModelSet, logs):
+    """A mean radius, sqrt(2 std^2 L / N) + ``part_mean`` + delta, and a
+    std radius, ``part_std`` + delta; both infinite where N <= 1.  ``std``
+    has the shape of ``n`` or one more, trailing axis, which the mean
+    radius keeps."""
     l_mean, _ = logs
     valid = n > 1
-    n0, n1 = np.maximum(n, 1), np.maximum(n - 1, 1)
-    part_r, part_p, part_sr, part_sp = _data_free_parts(n1, approx.gamma, logs)
-    c_r = np.sqrt(2.0 * sr * sr * l_mean / n0) + part_r + approx.delta
-    row = (..., *(None,) * (np.ndim(sp) - n.ndim))   # lines n up with sp
-    c_p = np.sqrt(2.0 * sp * sp * l_mean / n0[row]) + part_p[row] + approx.delta
-    return (np.where(valid, c_r, INF), np.where(valid[row], c_p, INF),
-            np.where(valid, part_sr + approx.delta, INF),
-            np.where(valid, part_sp + approx.delta, INF))
+    row = (..., *(None,) * (np.ndim(std) - n.ndim))   # lines n up with std
+    c_mean = (np.sqrt(2.0 * std * std * l_mean / np.maximum(n, 1)[row]) + part_mean[row]
+              + approx.delta)
+    return (np.where(valid[row], c_mean, INF),
+            np.where(valid, part_std + approx.delta, INF))
+
+
+def reward_radii(n, sr, approx: ApproxModelSet, logs):
+    """The reward and reward-std Bernstein radii after N = ``n`` samples at
+    a pair, (c_r, c_sr); both infinite where N <= 1.
+
+    ``n`` may be a stack of counts, and ``sr`` is the empirical reward std
+    (shape of ``n``).  ``logs`` is ``_log_terms(approx, budget, delta)``.
+    Each radius is a data term (none for the std), plus its data-free part
+    (``_data_free_parts``), plus the uncertainty level.
+    """
+    n = np.asarray(n)
+    part_r, _, part_sr, _ = _data_free_parts(np.maximum(n - 1, 1), approx.gamma, logs)
+    return _radii(n, sr, part_r, part_sr, approx, logs)
+
+
+def transition_radii(n, sp, approx: ApproxModelSet, logs):
+    """The transition and transition-std Bernstein radii after N = ``n``
+    samples at a pair, (c_p, c_sp); both infinite where N <= 1.
+
+    ``sp`` is the empirical std of V(S') for the optimal value function of
+    the comparison model (shape of ``n``), or for a stack of k of them (one
+    more, trailing axis: one transition radius per row; the std radius
+    keeps the shape of ``n``).  Otherwise as ``reward_radii``, with the
+    transition parts of ``_data_free_parts``.
+    """
+    n = np.asarray(n)
+    _, part_p, _, part_sp = _data_free_parts(np.maximum(n - 1, 1), approx.gamma, logs)
+    return _radii(n, sp, part_p, part_sp, approx, logs)
 
 
 def _may_fail(n, support, approx: ApproxModelSet, logs):
     """Where, for a stack of counts ``n`` at one pair, some samples could
     make some model break a compatibility condition; False where none can.
+    Two boolean arrays of the shape of ``n``: the reward half (the reward
+    mean and std conditions) and the transition half (the mean and std of
+    V*_j(S')).  Each half is a certificate alone: where it is False, no
+    samples make its two conditions fail.
 
-    Each radius of ``confidence_radii`` is at least its data-free part
-    (``_data_free_parts``) plus the uncertainty level: the dropped sqrt
-    term is >= 0 and rounding is monotone.  A condition cannot fail while
-    that sum is at least the widest deviation the samples could show
-    against the model tables' extremes (``approx.extremes``): for the
-    reward mean, the range of ``support`` and ``rewards`` together; for
-    the transition means, ``pv_dev``; for an N-1 sample std, half the
-    range of ``support`` or of a V*_j times sqrt(N/(N-1)) (Popoviciu),
-    against ``sigma_r`` or ``sigma_p``.  Each deviation is widened by 1e-9
-    of the largest magnitude involved, for round-off.  With rewards and
-    ``support`` in [0, 1], a std condition cannot open before a mean
-    condition does; the std conditions stay so that soundness does not
-    rest on that.
+    Each radius of ``reward_radii`` and ``transition_radii`` is at least
+    its data-free part (``_data_free_parts``) plus the uncertainty level:
+    the dropped sqrt term is >= 0 and rounding is monotone.  A condition
+    cannot fail while that sum is at least the widest deviation the
+    samples could show against the model tables' extremes
+    (``approx.extremes``): for the reward mean, the range of ``support``
+    and ``rewards`` together; for the transition means, ``pv_dev``; for an
+    N-1 sample std, half the range of ``support`` or of a V*_j times
+    sqrt(N/(N-1)) (Popoviciu), against ``sigma_r`` or ``sigma_p``.  Each
+    deviation is widened by 1e-9 of the largest magnitude involved, for
+    round-off.  The transition half does not read ``support``.  With
+    rewards and ``support`` in [0, 1], a std condition cannot open before
+    the mean condition of its half does; the std conditions stay so that
+    soundness does not rest on that.
     """
     n = np.asarray(n)
     delta = approx.delta
@@ -340,38 +359,45 @@ def _may_fail(n, support, approx: ApproxModelSet, logs):
     n1 = np.maximum(n - 1, 1)
     half_spread = np.sqrt(n / n1) / 2.0
     part_r, part_p, part_sr, part_sp = _data_free_parts(n1, approx.gamma, logs)
-    return (n > 1) & (
+    valid = n > 1
+    reward = valid & (
         (part_r + delta < max(s_hi - r_lo, r_hi - s_lo) + tol_r)
         | (part_sr + delta
-           < np.maximum((s_hi - s_lo) * half_spread - sr_lo, sr_hi) + tol_r)
-        | (part_p + delta < ext["pv_dev"] + tol_p)
+           < np.maximum((s_hi - s_lo) * half_spread - sr_lo, sr_hi) + tol_r))
+    transition = valid & (
+        (part_p + delta < ext["pv_dev"] + tol_p)
         | (part_sp + delta
-           < np.maximum(ext["v_range"] * half_spread - sp_lo, sp_hi) + tol_p)
-    )
+           < np.maximum(ext["v_range"] * half_spread - sp_lo, sp_hi) + tol_p))
+    return reward, transition
 
 
-def _opening(approx: ApproxModelSet, logs, n: int) -> int:
-    """The opening count of a run with log terms ``logs`` and budget ``n``:
-    the first count N <= ``n`` at which ``_may_fail`` holds at a pair, or
-    n + 1 where none does.  ``_may_fail`` depends on the count alone, so
-    it is searched once, over chunks of counts that double from
-    ``_RUN_BLOCK``, and memoized on ``approx`` per (``logs``, ``n``)."""
+def _opening(approx: ApproxModelSet, logs, n: int):
+    """The two opening counts of a run with log terms ``logs`` and budget
+    ``n``: the first count N <= ``n`` at which either half of
+    ``_may_fail`` holds at a pair, and the first at which its transition
+    half does; n + 1 where none does.  Below the second, no transition
+    condition can fail.  ``_may_fail`` depends on the count alone, so it
+    is searched once, over chunks of counts that double from
+    ``_RUN_BLOCK`` until the transition half holds, and the pair is
+    memoized on ``approx`` per (``logs``, ``n``)."""
     key = (logs, n)
     if key not in approx._openings:
-        opening, start, size = n + 1, 0, _RUN_BLOCK
-        while start <= n:
+        reward = transition = n + 1
+        start, size = 0, _RUN_BLOCK
+        while start <= n and transition > n:
             counts = np.arange(start, min(start + size, n + 1))
-            may = _may_fail(counts, approx.models[0].reward_support, approx, logs)
-            if may.any():
-                opening = start + int(np.argmax(may))
-                break
+            may_r, may_p = _may_fail(counts, approx.models[0].reward_support, approx, logs)
+            if reward > n and may_r.any():
+                reward = start + int(np.argmax(may_r))
+            if may_p.any():
+                transition = start + int(np.argmax(may_p))
             start, size = start + size, 2 * size
-        approx._openings[key] = opening
+        approx._openings[key] = (min(reward, transition), transition)
     return approx._openings[key]
 
 
 def compatibility_failures(idx, s, a, n, reward_counts, next_counts, support,
-                           approx: ApproxModelSet, logs):
+                           approx: ApproxModelSet, logs, transition_opening: int):
     """Which of the models ``idx`` break a compatibility condition at
     (s, a), for each of a stack of count snapshots there.
 
@@ -379,28 +405,37 @@ def compatibility_failures(idx, s, a, n, reward_counts, next_counts, support,
     ``support`` and ``next_counts`` (B, S); the result is a (B, len(idx))
     boolean array, False wherever N <= 1.  The transition conditions
     quantify over every reference model j of the full set, not just
-    ``idx``.
+    ``idx``.  The reward conditions are tested on every snapshot; the
+    transition statistics, radii and conditions only on the snapshots with
+    N >= ``transition_opening``: a count below which the transition half
+    of ``_may_fail`` is False (``_opening``'s second count), or 0 to test
+    every snapshot.  So the result is that of all four conditions on every
+    snapshot.
     """
     r_mean, sr = reward_stats(reward_counts, n, support)                  # (B,)
-    pv_hat, sp = transition_value_stats(next_counts, n, approx.values)    # (B, k)
-    c_r, c_p, c_sr, c_sp = confidence_radii(n, sr, sp, approx, logs)
-    return (
-        (np.abs(r_mean[:, None] - approx.rewards[idx, s, a]) > c_r[:, None])
-        | (np.abs(sr[:, None] - approx.sigma_r[idx, s, a]) > c_sr[:, None])
-        | np.any(np.abs(pv_hat[:, None] - approx.pv[idx, :, s, a]) > c_p[:, None],
-                 axis=2)
-        | np.any(np.abs(sp[:, None] - approx.sigma_p[idx, :, s, a])
-                 > c_sp[:, None, None], axis=2)
-    )
+    c_r, c_sr = reward_radii(n, sr, approx, logs)
+    fails = ((np.abs(r_mean[:, None] - approx.rewards[idx, s, a]) > c_r[:, None])
+             | (np.abs(sr[:, None] - approx.sigma_r[idx, s, a]) > c_sr[:, None]))
+    rows = n >= transition_opening
+    if rows.any():
+        n, next_counts = n[rows], next_counts[rows]
+        pv_hat, sp = transition_value_stats(next_counts, n, approx.values)  # (B', k)
+        c_p, c_sp = transition_radii(n, sp, approx, logs)
+        fails[rows] |= (
+            np.any(np.abs(pv_hat[:, None] - approx.pv[idx, :, s, a]) > c_p[:, None],
+                   axis=2)
+            | np.any(np.abs(sp[:, None] - approx.sigma_p[idx, :, s, a])
+                     > c_sp[:, None, None], axis=2))
+    return fails
 
 
 def prune_confidence_set(active, emp: EmpiricalModel, approx: ApproxModelSet,
                          logs, pairs=None):
     """Models from ``active`` still compatible with the empirical MDP.
 
-    At each pair, every active model is tested at once against the four
-    compatibility conditions (``compatibility_failures``), with the log
-    terms ``logs`` of ``_log_terms``.  ``pairs``
+    At each pair, every active model is tested at once against all four
+    compatibility conditions (``compatibility_failures`` from count 0),
+    with the log terms ``logs`` of ``_log_terms``.  ``pairs``
     optionally restricts the (s, a) pairs re-checked; conditions at
     unvisited pairs hold vacuously, and eliminations are permanent, so
     callers updating one pair per step may pass just that pair.
@@ -414,7 +449,7 @@ def prune_confidence_set(active, emp: EmpiricalModel, approx: ApproxModelSet,
     for s, a in pairs:
         keep &= ~compatibility_failures(
             idx, s, a, emp.counts[s, a][None], emp.reward_counts[s, a][None],
-            emp.next_counts[s, a][None], emp.reward_support, approx, logs)[0]
+            emp.next_counts[s, a][None], emp.reward_support, approx, logs, 0)[0]
     return set(idx[keep].tolist())
 
 
@@ -473,29 +508,15 @@ def _stopping_model(idx, approx: ApproxModelSet, eps: float):
     return None
 
 
-def info_index(theta: int, theta2: int, s: int, a: int, approx: ApproxModelSet) -> float:
-    """Information for discriminating theta from theta2 at (s, a).
-
-    Clipped gaps [gap - 8*delta]_+ over the first model's standard
-    deviations; zero-variance components with a positive gap fall back to
-    the linear term.
-    """
-    gamma = approx.gamma
-    dr = max(approx.reward_gap[theta, theta2, s, a] - 8.0 * approx.delta, 0.0)
-    dp = max(approx.trans_gap[theta, theta2, s, a] - 8.0 * approx.delta, 0.0)
-    psi_r = 0.0
-    if dr > 0.0:
-        sr = approx.sigma_r[theta, s, a]
-        psi_r = min((dr / sr) ** 2 if sr > 0 else INF, dr)
-    psi_p = 0.0
-    if dp > 0.0:
-        sp = approx.sigma_p[theta, theta, s, a]
-        psi_p = min((dp / sp) ** 2 if sp > 0 else INF, (1.0 - gamma) * dp)
-    return max(psi_r, psi_p)
-
-
 def info_index_table(approx: ApproxModelSet) -> np.ndarray:
-    """Vectorized info_index over all ordered pairs, shape (k, k, S, A)."""
+    """Information for discriminating model i from model j at (s, a), for
+    every ordered pair of models and every (s, a): shape (k, k, S, A).
+
+    The gaps clipped by 8 delta, [gap - 8*delta]_+, over model i's
+    standard deviations: the larger of min((dr/sigma_r)^2, dr) and
+    min((dp/sigma_p)^2, (1-gamma) dp), each 0 where its clipped gap is 0;
+    a zero standard deviation with a positive gap gives the linear term.
+    """
     gamma = approx.gamma
     dr = np.maximum(approx.reward_gap - 8.0 * approx.delta, 0.0)
     dp = np.maximum(approx.trans_gap - 8.0 * approx.delta, 0.0)
@@ -549,11 +570,15 @@ class PtumResult:
         return set(self.survived_trace[-1])
 
 
-def default_fallback_per_pair(eps: float, delta: float, S: int, A: int, gamma: float) -> int:
-    """Theory-flavored per-pair budget for the uniform fallback."""
-    if eps <= 0:
-        raise ValueError("the uniform fallback needs eps > 0")
-    return math.ceil(2.0 * math.log(4.0 * S * A / delta) / (eps ** 2 * (1.0 - gamma) ** 3))
+def default_fallback_per_pair(eps: float, delta: float, S: int, A: int, gamma: float):
+    """Theory-flavored per-pair budget for the uniform fallback: an int, or
+    ``INF`` where it is unbounded (eps = 0, or so small the count
+    overflows), so that ``run_ptum``'s cap decides."""
+    if not eps >= 0:
+        raise ValueError("the uniform fallback needs eps >= 0")
+    scale = eps ** 2 * (1.0 - gamma) ** 3
+    count = 2.0 * math.log(4.0 * S * A / delta) / scale if scale > 0 else INF
+    return count if count == INF else math.ceil(count)
 
 
 def uniform_pac_fallback(g: GenerativeModel, per_pair_budget: int, rng,
@@ -597,15 +622,17 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     support and discount.
 
     Each run of queries at the chosen pair is drawn at once: up to the
-    opening count (``_opening``, the first count where ``_may_fail`` lets
-    some model fail) while the pair is below it, else ``_RUN_BLOCK`` of
-    them, at most ``_RUN_LOOKAHEAD`` and within the budget.  A run is
+    opening count (``_opening``'s first count, where ``_may_fail`` first
+    lets some model fail) while the pair is below it, else ``_RUN_BLOCK``
+    of them, at most ``_RUN_LOOKAHEAD`` and within the budget.  A run is
     pruned after every draw in one stacked pass (``compatibility_failures``)
     from the opening count on; the prunes before it keep the whole set, as
-    the pass would.  So a segment that eliminates at the opening count
-    makes one draw and a one-snapshot pass, and hands nothing back.
-    ``check_stop``, ``select_query`` and ``_opening`` read the memos on
-    ``approx``.
+    the pass would.  The pass tests the transition conditions only from
+    ``_opening``'s second count on, where their half of ``_may_fail``
+    first holds.  So a segment that eliminates at the opening count makes
+    one draw and a one-snapshot pass, and hands nothing back; on two-rooms
+    that pass tests the reward conditions alone.  ``check_stop``,
+    ``select_query`` and ``_opening`` read the memos on ``approx``.
     """
     if n < 0:
         raise ValueError("budget must be non-negative")
@@ -625,7 +652,7 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     trace, queried, tau = [sorted(active_set)], [], 0
     theta = None
     mode = None if transfer_gate(approx.delta, eps, approx.gamma) else "fallback-gate"
-    opening = None if mode else _opening(approx, logs, n)
+    opening, transition_opening = (None, None) if mode else _opening(approx, logs, n)
 
     while mode is None:
         # The stop test and the query choice depend only on the active set.
@@ -641,14 +668,15 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
             """How many of the drawn queries to keep: up to the first prune
             that eliminates, else all; the prunes go to ``fails``.  The
             pass starts at the opening count; every prune before it keeps
-            the whole set."""
+            the whole set.  It tests the transition conditions from the
+            transition opening count on."""
             nonlocal fails
             f = max(opening - int(emp.counts[s, a]) - 1, 0)
             fails = np.zeros((len(next_states), idx.size), dtype=bool)
             if f < len(next_states):
                 fails[f:] = compatibility_failures(
                     idx, s, a, *emp.snapshots(s, a, next_states, reward_indices, f),
-                    emp.reward_support, approx, logs)
+                    emp.reward_support, approx, logs, transition_opening)
             hit = fails.any(axis=1)
             return int(np.argmax(hit)) + 1 if hit.any() else hit.size
 
@@ -677,8 +705,9 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
         trace.append(sorted(active_set))
 
     if theta is None:
-        # The theory count is often far past any practical budget; cap it
-        # at n spread over the pairs, whatever elimination spent.
+        # The theory count is often far past any practical budget, and
+        # unbounded at eps = 0; cap it at n spread over the pairs,
+        # whatever elimination spent.
         per_pair = min(default_fallback_per_pair(eps, delta, S, A, approx.gamma),
                        max(n // (S * A), 1))
         policy, emp = uniform_pac_fallback(g, per_pair, rng, emp)

@@ -536,6 +536,15 @@ class TestCli:
         summary = json.loads((out1 / "ptum_summary.json").read_text())
         assert summary["num_runs"] == 2
 
+    def test_run_ptum_at_eps_zero_falls_back(self, tmp_path, capsys):
+        # It exited 3 with a traceback: the fallback's theory count refused
+        # eps = 0 once the budget ran out.
+        cfg = self.write_cfg(tmp_path, {"scenario": "two-rooms", "eps": 0.0, "budget": 50})
+        assert main(["run-ptum", cfg, "--output-dir", str(tmp_path)]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (tmp_path / "ptum_results.csv").read_text().splitlines()
+        assert rows[1].split(",")[1:3] == ["50", "fallback-budget"]
+
     @pytest.mark.parametrize("knob", [
         {"steps": 2}, {"steps": 8}, {"samples_per_pair": 0}, {"num_tasks": 0},
         {"num_states": 0}, {"num_actions": -1}, {"num_rewards": 0}, {"gamma": 1.5},

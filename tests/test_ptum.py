@@ -36,20 +36,28 @@ from seqtransfer.ptum import (
     _opening,
     check_stop,
     compatibility_failures,
-    confidence_radii,
     default_fallback_per_pair,
-    info_index,
     info_index_table,
     prune_confidence_set,
+    reward_radii,
     reward_stats,
     run_ptum,
     select_query,
     stop_margin,
     theta_eps_and_bound,
     transfer_gate,
+    transition_radii,
     transition_value_stats,
     uniform_pac_fallback,
 )
+
+
+def confidence_radii(n, sr, sp, approx, logs):
+    """The four radii (reward, transition, reward-std, transition-std) of
+    ``reward_radii`` and ``transition_radii``."""
+    (c_r, c_sr), (c_p, c_sp) = (reward_radii(n, sr, approx, logs),
+                                transition_radii(n, sp, approx, logs))
+    return c_r, c_p, c_sr, c_sp
 
 
 def branch_pair(pays, next_a, next_b):
@@ -169,7 +177,7 @@ class TestConfidenceRadii:
 
     def test_one_sample_still_infinite(self):
         emp = EmpiricalModel(2, 2, [0.0, 1.0])
-        emp.add_sample(0, 0, 1, 1.0)
+        add_sample(emp, 0, 0, 1, 1.0)
         assert self.radii(emp, np.zeros(2), uniform_set(2, 2))[0] == INF
 
     def test_reward_radius_formula(self):
@@ -177,7 +185,7 @@ class TestConfidenceRadii:
         # L = log(8*2*2*100*4/0.1) = log(128000), sigma_hat = sqrt(2.5/9).
         emp = EmpiricalModel(2, 2, [0.0, 1.0])
         for i in range(10):
-            emp.add_sample(0, 0, i % 2, float(i % 2))
+            add_sample(emp, 0, 0, i % 2, float(i % 2))
         L = math.log(8 * 2 * 2 * 100 * 4 / 0.1)
         sigma = math.sqrt(2.5 / 9)
         expected = math.sqrt(2 * sigma * sigma * L / 10) + 7 * L / (3 * 9)
@@ -311,13 +319,13 @@ class TestStackedStatistics:
         logs = _log_terms(approx, 1000, 0.1)
         idx = np.array([0, 2])
         stacked = compatibility_failures(idx, 0, 1, n, reward_counts, next_counts,
-                                         fam[0].reward_support, approx, logs)
+                                         fam[0].reward_support, approx, logs, 0)
         assert stacked.shape == (25, 2) and stacked.any()
         assert not stacked[n <= 1].any()
         for i in range(25):
             one = compatibility_failures(idx, 0, 1, n[i:i + 1], reward_counts[i:i + 1],
                                          next_counts[i:i + 1], fam[0].reward_support,
-                                         approx, logs)
+                                         approx, logs, 0)
             assert np.array_equal(one[0], stacked[i])
 
 
@@ -336,7 +344,7 @@ class TestPruning:
         # Cell 0 distinguishes the tasks: rewards 0.5 / 0.6 / 0.7. Feed a
         # large sample exactly matching task 0.
         for _ in range(5000):
-            emp.add_sample(0, 0, 0, 0.5)
+            add_sample(emp, 0, 0, 0, 0.5)
         survivors = prune_confidence_set({0, 1, 2}, emp, approx,
                                          _log_terms(approx, 10_000, 0.1))
         assert 0 in survivors
@@ -535,6 +543,28 @@ class TestStopScreen:
         assert spy.call_count == 0
 
 
+def info_index(theta, theta2, s, a, approx):
+    """Information for discriminating theta from theta2 at (s, a), one
+    entry at a time: the scalar reference for ``info_index_table``.
+
+    Clipped gaps [gap - 8*delta]_+ over the first model's standard
+    deviations; zero-variance components with a positive gap fall back to
+    the linear term.
+    """
+    gamma = approx.gamma
+    dr = max(approx.reward_gap[theta, theta2, s, a] - 8.0 * approx.delta, 0.0)
+    dp = max(approx.trans_gap[theta, theta2, s, a] - 8.0 * approx.delta, 0.0)
+    psi_r = 0.0
+    if dr > 0.0:
+        sr = approx.sigma_r[theta, s, a]
+        psi_r = min((dr / sr) ** 2 if sr > 0 else INF, dr)
+    psi_p = 0.0
+    if dp > 0.0:
+        sp = approx.sigma_p[theta, theta, s, a]
+        psi_p = min((dp / sp) ** 2 if sp > 0 else INF, (1.0 - gamma) * dp)
+    return max(psi_r, psi_p)
+
+
 class TestInfoIndex:
     def test_same_model_zero(self):
         fam = small_family()
@@ -717,6 +747,14 @@ class TestFallback:
         expected = math.ceil(2 * math.log(4 * 8 / 0.1) / (0.25 * 0.1 ** 3))
         assert got == expected
 
+    def test_per_pair_count_is_unbounded_at_eps_zero(self):
+        # So run_ptum's cap, max(n // (S*A), 1), decides; eps < 0 stays an error.
+        assert default_fallback_per_pair(0.0, 0.1, 4, 2, 0.9) == INF
+        assert default_fallback_per_pair(1e-170, 0.1, 4, 2, 0.9) == INF
+        for eps in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                default_fallback_per_pair(eps, 0.1, 4, 2, 0.9)
+
 
 class TestDiagnostics:
     def test_all_models_close_gives_empty_set(self):
@@ -751,6 +789,14 @@ class TestDiagnostics:
             theta_eps_and_bound(ApproxModelSet(fam, 1e-6), 0, eps=0.0, delta=0.1, n=100)
         assert theta_eps_and_bound(ApproxModelSet(fam), 0, eps=0.0, delta=0.1,
                                    n=100)[0] == {1, 2}
+
+
+def add_sample(emp, s, a, next_state, reward_value):
+    """Add one query's outcome at (s, a) to ``emp``: the one-sample step of
+    ``reference_run_ptum``."""
+    emp.counts[s, a] += 1
+    emp.reward_counts[s, a, list(emp.reward_support).index(reward_value)] += 1
+    emp.next_counts[s, a, next_state] += 1
 
 
 def reference_run_ptum(approx, g, eps, delta, n, rng, active=None):
@@ -804,7 +850,7 @@ def reference_run_ptum(approx, g, eps, delta, n, rng, active=None):
             break
         s, a = query
         s2, u = g.query(s, a, rng)
-        emp.add_sample(s, a, s2, u)
+        add_sample(emp, s, a, s2, u)
         log.append((t, s, a))
     return result("fallback-budget", emp, log, trace)
 
@@ -1022,6 +1068,22 @@ class TestRunsOfQueries:
                 assert np.all(value >= approx.values[theta] - margin - 1e-6)
 
 
+class TestExactIdentificationFallback:
+    """At eps = 0 the theory count of the uniform fallback is unbounded, so
+    a run that falls back queries every pair max(n // (S*A), 1) times."""
+
+    @pytest.mark.parametrize("case, mode", [
+        (dict(two_rooms_case(50), eps=0.0), "fallback-budget"),
+        (dict(ELIMINATED_CASE, eps=0.0), "fallback-eliminated"),
+    ])
+    def test_fallback_takes_the_cap(self, case, mode):
+        got = assert_same_identification(case)
+        approx = case["approx"]
+        cells = approx.num_states * approx.num_actions
+        assert got.mode == mode
+        assert got.queries_total == got.tau + cells * max(case["n"] // cells, 1)
+
+
 class TestRunSizes:
     """The size of each run of draws sets only the work thrown away: with
     any ``_RUN_BLOCK`` and ``_RUN_LOOKAHEAD`` the loop gives what the one
@@ -1132,7 +1194,8 @@ def certificate_cases(draw):
     """Random model sets, some with rows off by up to PROB_TOL, an
     uncertainty level up to and past the gate, and stacks of count snapshots
     at one pair over the models' reward support or one ten times wider:
-    counts near the first one ``_may_fail`` allows and at random, piled on
+    counts near the first one ``_may_fail`` allows, near the first one its
+    transition half allows, and at random, piled on
     the extremes of the reward support and of a V*_j, split evenly between
     them, or spread at random."""
     S, A = draw(st.integers(1, 6)), draw(st.integers(1, 3))
@@ -1166,9 +1229,11 @@ def certificate_cases(draw):
                       draw(st.sampled_from([0.01, 0.05, 0.3])))
     s, a = int(rng.integers(S)), int(rng.integers(A))
 
-    may = _may_fail(np.arange(20_000), samples, approx, logs)
-    first = int(np.argmax(may)) if may.any() else 20_000
+    reward, transition = _may_fail(np.arange(20_000), samples, approx, logs)
+    first, first_p = (int(np.argmax(may)) if may.any() else 20_000
+                      for may in (reward | transition, transition))
     n = np.concatenate([np.arange(max(first - 4, 0), first + 6),
+                        np.arange(max(first_p - 4, 0), first_p + 6),
                         rng.integers(0, 4 * first + 10, 30)])
     B = n.size
     widest = np.argmax(np.ptp(approx.values, axis=1))
@@ -1192,31 +1257,68 @@ def certificate_cases(draw):
                 reward_counts=reward_counts, next_counts=next_counts, support=samples)
 
 
+def dense_conditions(idx, s, a, n, reward_counts, next_counts, support, approx, logs):
+    """The failures of the reward conditions and of the transition
+    conditions, each (B, len(idx)), all four tested on every snapshot: the
+    pass without skipping, kept as the reference."""
+    r_mean, sr = reward_stats(reward_counts, n, support)
+    pv_hat, sp = transition_value_stats(next_counts, n, approx.values)
+    c_r, c_p, c_sr, c_sp = confidence_radii(n, sr, sp, approx, logs)
+    reward = ((np.abs(r_mean[:, None] - approx.rewards[idx, s, a]) > c_r[:, None])
+              | (np.abs(sr[:, None] - approx.sigma_r[idx, s, a]) > c_sr[:, None]))
+    transition = (
+        np.any(np.abs(pv_hat[:, None] - approx.pv[idx, :, s, a]) > c_p[:, None], axis=2)
+        | np.any(np.abs(sp[:, None] - approx.sigma_p[idx, :, s, a])
+                 > c_sp[:, None, None], axis=2))
+    return reward, transition
+
+
 class TestPassOnlyWhereAModelCanFail:
     """``run_ptum`` runs the stacked pass only from the opening count, the
     first count where ``_may_fail`` lets some model fail; the rows before it
-    are the all-False rows the pass would give."""
+    are the all-False rows the pass would give.  The pass tests the
+    transition conditions only from the transition opening count, the
+    first count where the transition half of ``_may_fail`` holds."""
 
     @settings(max_examples=300, deadline=None)
     @given(certificate_cases())
     def test_every_failure_is_allowed(self, case):
+        # Each half of the certificate is sound alone: where it is False,
+        # its two conditions hold for every model.
         approx = case["approx"]
-        fails = compatibility_failures(
+        fails = dense_conditions(
             np.arange(approx.num_models), *case["pair"], case["n"], case["reward_counts"],
             case["next_counts"], case["support"], approx, case["logs"])
-        may = _may_fail(case["n"], case["support"], approx, case["logs"])
-        assert may.shape == case["n"].shape
-        assert not may[case["n"] <= 1].any()
-        assert np.all(may[fails.any(axis=1)])
+        halves = _may_fail(case["n"], case["support"], approx, case["logs"])
+        for may, failed in zip(halves, fails):
+            assert may.shape == case["n"].shape
+            assert not may[case["n"] <= 1].any()
+            assert np.all(may[failed.any(axis=1)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_cases(), st.integers(0, 20_000))
+    def test_the_skipping_pass_equals_the_dense_pass(self, case, budget):
+        # The stacks straddle both opening counts, in no order.
+        approx = case["approx"]
+        idx = np.arange(approx.num_models)
+        args = (*case["pair"], case["n"], case["reward_counts"], case["next_counts"],
+                case["support"], approx, case["logs"])
+        reward, transition = dense_conditions(idx, *args)
+        _, transition_opening = _opening(approx, case["logs"], budget)
+        for start in (0, transition_opening):
+            got = compatibility_failures(idx, *args, start)
+            assert got.shape == reward.shape and np.array_equal(got, reward | transition)
 
     @settings(max_examples=100, deadline=None)
     @given(certificate_cases(), st.lists(st.integers(0, 5000), min_size=1, max_size=3))
     def test_the_opening_is_the_first_count_that_may_fail(self, case, budgets):
         approx = case["approx"]
         for n in budgets:
-            may = _may_fail(np.arange(n + 1), approx.models[0].reward_support, approx,
-                            case["logs"])
-            want = int(np.argmax(may)) if may.any() else n + 1
+            reward, transition = _may_fail(np.arange(n + 1),
+                                           approx.models[0].reward_support, approx,
+                                           case["logs"])
+            want = tuple(int(np.argmax(may)) if may.any() else n + 1
+                         for may in (reward | transition, transition))
             assert _opening(approx, case["logs"], n) == want
             # A set that answered other keys answers this one as a fresh set.
             fresh = ApproxModelSet(approx.models, approx.delta)
@@ -1224,8 +1326,11 @@ class TestPassOnlyWhereAModelCanFail:
 
     def test_no_opening_within_the_budget_gives_one_past_it(self):
         approx = ApproxModelSet(two_rooms_family())
-        assert _opening(approx, _log_terms(approx, 10, 0.01), 10) == 11
-        assert _opening(approx, _log_terms(approx, 100_000, 0.01), 100_000) == 65
+        # At n = 100 the reward conditions open at 49, the transition ones
+        # not within the budget.
+        assert _opening(approx, _log_terms(approx, 10, 0.01), 10) == (11, 11)
+        assert _opening(approx, _log_terms(approx, 100, 0.01), 100) == (49, 101)
+        assert _opening(approx, _log_terms(approx, 100_000, 0.01), 100_000) == (65, 255)
 
     # One uncertainty level widens all four radii alike, so a case where one
     # condition fails before any other can must come from the tables.  The
@@ -1265,28 +1370,36 @@ class TestPassOnlyWhereAModelCanFail:
         next_counts[:, next_state] = n
         logs = _log_terms(approx, 1000, 0.1)
         fails = compatibility_failures(np.arange(1), 0, 0, n, reward_counts, next_counts,
-                                       np.array(support), approx, logs).any(axis=1)
-        may = _may_fail(n, np.array(support), approx, logs)
+                                       np.array(support), approx, logs, 0).any(axis=1)
+        reward, transition = _may_fail(n, np.array(support), approx, logs)
+        may = transition if condition == "transition" else reward
         assert fails.any() and np.all(may[fails])
-        assert np.argmax(fails) == np.argmax(may)
+        assert np.argmax(fails) == np.argmax(may) == np.argmax(reward | transition)
 
     @pytest.mark.parametrize("seed", [101, 102])
     def test_two_rooms_pass_starts_where_the_elimination_falls(self, seed):
         # Each of the three queried pairs eliminates at N = 65, the opening
         # count: a pass over that one snapshot is the pair's only pass, and
-        # nothing drawn is handed back.
+        # nothing drawn is handed back.  The transition conditions open at
+        # N = 255, so no pass computes a transition statistic.
         case = two_rooms_case(100_000, seed=seed)
-        starts, sizes = [], []
+        starts, sizes, transition_rows = [], [], []
 
         def spy(idx, s, a, n, *rest):
             starts.append(int(n[0]))
             sizes.append(len(n))
             return compatibility_failures(idx, s, a, n, *rest)
 
+        def stats_spy(next_counts, n, values):
+            transition_rows.extend(np.atleast_1d(n).tolist())
+            return transition_value_stats(next_counts, n, values)
+
         draws = []
-        with mock.patch.object(ptum, "compatibility_failures", spy):
+        with mock.patch.object(ptum, "compatibility_failures", spy), \
+                mock.patch.object(ptum, "transition_value_stats", stats_spy):
             got, _, _ = identify(run_ptum, case, lambda g: CountingDraws(g, draws))
         assert starts == [65, 65, 65] and sizes == [1, 1, 1]
+        assert transition_rows == []
         # One draw per segment, sized to reach N = 65, all of it kept.
         assert draws == [(65, 65)] * 3
         assert got.mode == "transfer-stopped" and got.tau == 195
@@ -1298,20 +1411,28 @@ class TestPassOnlyWhereAModelCanFail:
         # nothing fails yet.  Each segment's first run draws up to 78 and
         # ends with a pass over that one snapshot, which keeps the set.
         # Every later run is one block of 64, up to the one that holds the
-        # elimination at 566.
+        # elimination at 566.  The transition conditions open at 566 too:
+        # only the last pass of a segment computes transition statistics,
+        # on its snapshots from 566 on.
         fam = multi_goal_family()
         case = dict(approx=ApproxModelSet(fam), truth=fam[1], eps=0.1, delta=0.01,
                     n=100_000, active=None, seed=101)
-        calls, draws = [], []
+        calls, draws, transition_rows = [], [], []
 
         def spy(idx, s, a, n, *rest):
             calls.append((int(n[0]), len(n)))
             return compatibility_failures(idx, s, a, n, *rest)
 
-        with mock.patch.object(ptum, "compatibility_failures", spy):
+        def stats_spy(next_counts, n, values):
+            transition_rows.append(np.atleast_1d(n).tolist())
+            return transition_value_stats(next_counts, n, values)
+
+        with mock.patch.object(ptum, "compatibility_failures", spy), \
+                mock.patch.object(ptum, "transition_value_stats", stats_spy):
             got, _, _ = identify(run_ptum, case, lambda g: CountingDraws(g, draws))
         assert got.queried == [(6, 0, 566), (11, 0, 566)]
         assert calls == ([(78, 1)] + [(79 + 64 * i, 64) for i in range(8)]) * 2
+        assert transition_rows == [list(range(566, 591))] * 2
         assert draws == ([(78, 78)] + [(64, 64)] * 7 + [(64, 40)]) * 2
         assert_same_identification(case)
 

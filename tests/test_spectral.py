@@ -68,7 +68,7 @@ class TestLayout:
 
     def test_vectorize_requires_samples(self):
         emp = EmpiricalModel(2, 1, [0.0, 1.0])
-        emp.add_sample(0, 0, 1, 1.0)
+        emp.add_counts([0, 1], [0, 1], at=(0, 0))   # one sample: state 1, reward 1
         with pytest.raises(ValueError):
             emp.frequencies()
         with pytest.raises(ValueError):
@@ -76,8 +76,7 @@ class TestLayout:
 
     def test_vectorize_empirical_frequencies(self):
         emp = EmpiricalModel(1, 1, [0.0, 1.0])
-        emp.add_sample(0, 0, 0, 1.0)
-        emp.add_sample(0, 0, 0, 0.0)
+        emp.add_counts([2], [1, 1], at=(0, 0))   # two samples: rewards 1 and 0
         vec = ObservationLayout(1, 1, 2).vectorize(*emp.frequencies())
         assert np.array_equal(vec, [0.5, 0.5, 1.0])
 

@@ -15,8 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "seqtransfer"
 
 TEST_ONLY = {
-    "ptum.info_index": "the scalar reference for info_index_table",
-    "ptum.EmpiricalModel.add_sample": "the one-sample step of reference_run_ptum",
     "mdp.simulation_gap_bound": "the simulation-lemma bound criterion 11 checks",
 }
 
