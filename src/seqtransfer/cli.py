@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 import traceback
 from pathlib import Path
@@ -81,7 +80,7 @@ def cmd_run_ptum(cfg: ExperimentConfig, out: Path, args) -> int:
         "eps_optimal_fraction": sum(r[3] for r in rows) / len(rows),
         "star_survived_fraction": sum(r[4] for r in rows) / len(rows),
         "theta_eps": sorted(theta_eps),
-        "query_bound": bound if math.isfinite(bound) else None,
+        "query_bound": bound,
     }
     write_json(out / "ptum_summary.json", summary)
     print(f"run-ptum: {cfg.num_runs} runs, mean tau {summary['tau']['mean']:.1f}, "
@@ -197,7 +196,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out: Path, args) -> int:
         "eps": eps,
         "delta": delta,
         "theta_eps": sorted(theta_eps),
-        "query_bound": bound if math.isfinite(bound) else None,
+        "query_bound": bound,
         "min_gap": gap,
     }
     write_json(out / "diagnose.json", report)

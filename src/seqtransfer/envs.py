@@ -163,7 +163,8 @@ def multi_goal_family(
 
     Task 0 (the designated true task) has its best goal at 0.8; every other
     task has a different best goal at 0.81.  Actions fail with probability
-    0.1.
+    0.1.  A grid so small that two tasks' best goals share a cell is a
+    ValueError.
     """
     corners = [
         (0, 0), (0, width - 1), (height - 1, 0), (height - 1, width - 1),
@@ -172,6 +173,9 @@ def multi_goal_family(
     if not 1 <= num_tasks <= len(corners):
         raise ValueError(f"the multi-goal family has 1 to {len(corners)} tasks")
     goal_cells = [r * width + c for r, c in corners[:num_tasks]]
+    if len(set(goal_cells)) < num_tasks:
+        raise ValueError(f"a {width} x {height} grid puts two of the {num_tasks} "
+                         f"tasks' best goals in one cell")
     per_task = []
     for i in range(num_tasks):
         rewards = {g: 0.7 for g in goal_cells}

@@ -229,9 +229,24 @@ def write_csv(path, header, rows) -> None:
     _write_text(path, format_csv(header, rows))
 
 
+def _finite_or_null(doc):
+    """``doc`` with every non-finite float, at any depth of its dicts,
+    lists and tuples, replaced by None."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _finite_or_null(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite_or_null(value) for value in doc]
+    return doc
+
+
 def write_json(path, doc) -> None:
-    """``doc`` as indented, key-sorted JSON written to ``path``."""
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """``doc`` as indented, key-sorted, strictly valid JSON written to
+    ``path``: a non-finite float (an infinite half-width or bound) is
+    written as null."""
+    text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
 def build_family(cfg: ExperimentConfig):

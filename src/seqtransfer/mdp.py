@@ -1,5 +1,5 @@
-"""Tabular MDP representation, exact planning of model stacks, reward
-statistics and the simulation-lemma bound.
+"""Tabular MDP representation, exact planning of model stacks and reward
+statistics.
 
 All operations are pure functions over immutable arrays; a ``TabularMdp``
 is never mutated after construction, and the sampling tables it builds on
@@ -229,16 +229,23 @@ def plan(models):
 
     Policy iteration (greedy step + exact evaluation), which converges in
     finitely many steps and is robust to discounts close to 1.  A model
-    stops once the Bellman residual of its V is at most
-    VALUE_TOL*(1-gamma)/max(2*gamma, 1), or once its greedy policy repeats,
-    or once it returns to the policy evaluated before the last one: exact
-    policy iteration never does, but near gamma = 1 the solve's round-off
-    can make two policies whose values differ by round-off alternate, and
-    the model then keeps the last policy evaluated, whose exact value V is.
-    A residual of at most e puts V within e/(1-gamma) of V*, and the greedy
-    policy's value within 2*gamma*e/(1-gamma) of V*, so on the residual rule
-    both are within ``VALUE_TOL`` in sup norm.  Greedy ties break toward the
-    lowest action index.
+    stops on one of two rules:
+
+    - its Bellman residual is at most VALUE_TOL*(1-gamma)/max(2*gamma, 1).
+      A residual of at most e puts V within e/(1-gamma) of V*, and the
+      greedy policy's value within 2*gamma*e/(1-gamma) of V*, so both are
+      within ``VALUE_TOL`` in sup norm; the model keeps V and the greedy
+      policy.
+    - its greedy policy is one it has already evaluated.  A greedy policy
+      equal to the last one evaluated means V solves the optimality
+      equation, so V = V* up to the solve's round-off.  Exact policy
+      iteration never returns to an earlier policy, but near gamma = 1 the
+      solve's round-off can make policies whose values differ by round-off
+      cycle.  Either way the model keeps the last policy it evaluated, with
+      that policy's exact values.  There are finitely many policies, so
+      every model stops.
+
+    Greedy ties break toward the lowest action index.
 
     The models are planned as one stack: each step backs up every model
     still running, and one stacked solve evaluates their new policies.
@@ -252,55 +259,51 @@ def plan(models):
     values = np.empty((k, S))
     policies = np.empty((k, S), dtype=int)
     # The models still running: their indices, transitions, reward means,
-    # values and last greedy policies.
+    # values, last evaluated policies and the bytes of every policy each
+    # has evaluated.
     ids = np.arange(k)
     ps = [m.p for m in models]
     r = np.array([m.reward_means() for m in models])
     v = np.zeros((k, S))
-    pi = before = None
+    pi = None
+    evaluated = [set() for _ in range(k)]
     # The backup r + gamma p.v of v = 0 is r, bit for bit.
     q = r
     backup = np.empty((k, S, A))
     # At k = 1 this loop plans every uniform-fallback solve, so it calls
     # ufunc reductions and in-place operators, which skip numpy's method
     # wrappers.
-    for _ in range(10_000):
+    while True:
         qmax = np.maximum.reduce(q, axis=2)
         residual = np.maximum.reduce(np.abs(qmax - v), axis=1)
         # Treat actions within round-off of the best as exact ties; without
         # this, discounts near 1 make the greedy policy cycle on noise.
         tie_tol = _TIE_SCALE * np.maximum(1.0, np.maximum.reduce(np.abs(qmax), axis=1))
         greedy = (q >= (qmax - tie_tol[:, None])[..., None]).argmax(axis=2)
-        stop = residual <= target
-        if pi is not None:
-            # A repeated greedy policy means v is its exact value and
-            # satisfies the optimality equation, so v = V* up to the
-            # solve's round-off.
-            stop |= np.logical_and.reduce(greedy == pi, axis=1)
-        if before is not None:
-            # Back to the policy before the last: a round-off alternation.
-            back = ~stop & np.logical_and.reduce(greedy == before, axis=1)
-            greedy[back] = pi[back]
-            stop |= back
-        stopped = stop.tolist()
+        stopped = (residual <= target).tolist()
+        for slot, (row, seen) in enumerate(zip(greedy, evaluated)):
+            if not stopped[slot] and row.tobytes() in seen:
+                greedy[slot] = pi[slot]
+                stopped[slot] = True
         if any(stopped):
             for slot, done in enumerate(stopped):
                 if done:
                     values[ids[slot]], policies[ids[slot]] = v[slot], greedy[slot]
             if all(stopped):
                 return values, policies
-            run = ~stop
+            run = [slot for slot, done in enumerate(stopped) if not done]
             ids, r, greedy = ids[run], r[run], greedy[run]
-            pi = None if pi is None else pi[run]
-            ps = [p for p, done in zip(ps, stopped) if not done]
-        before, pi = pi, greedy
+            ps = [ps[slot] for slot in run]
+            evaluated = [evaluated[slot] for slot in run]
+        for row, seen in zip(greedy, evaluated):
+            seen.add(row.tobytes())
+        pi = greedy
         v = _solve_policies(ps, r, offsets + pi, gamma, identity)
         q = backup[:ids.size]
         for p, v_m, out in zip(ps, v, q):
             np.matmul(p, v_m, out=out)
         q *= gamma
         q += r
-    raise RuntimeError("policy iteration failed to converge")  # pragma: no cover
 
 
 def value_iteration(mdp: TabularMdp):
@@ -308,35 +311,3 @@ def value_iteration(mdp: TabularMdp):
     with one model (policy iteration; the values within ``VALUE_TOL``)."""
     values, policies = plan([mdp])
     return values[0], policies[0]
-
-
-def discounted_occupancy(mdp: TabularMdp, pi: np.ndarray, start_state: int) -> np.ndarray:
-    """Discounted state visitation frequencies of pi from a start state.
-
-    Solves the occupancy linear system exactly; the result sums to
-    1/(1 - gamma).
-    """
-    pi = np.asarray(pi, dtype=int)
-    S = mdp.num_states
-    p_pi = mdp.p[np.arange(S), pi]
-    e = np.zeros(S)
-    e[start_state] = 1.0
-    return np.linalg.solve(np.eye(S) - mdp.gamma * p_pi.T, e)
-
-
-def simulation_gap_bound(
-    theta: TabularMdp, theta2: TabularMdp, pi: np.ndarray, start_state: int
-) -> float:
-    """Occupancy-weighted upper bound on |V^pi_theta(s) - V^pi_theta2(s)|.
-
-    Diagnostic only: the occupancy is taken under theta2 and the value
-    function under theta, matching the first simulation inequality.
-    """
-    _shared_shape([theta, theta2])
-    pi = np.asarray(pi, dtype=int)
-    nu = discounted_occupancy(theta2, pi, start_state)
-    v_pi = policy_evaluation(theta, pi)
-    idx = np.arange(theta.num_states)
-    r_gap = np.abs(theta.reward_means() - theta2.reward_means())[idx, pi]
-    p_gap = np.abs((theta.p - theta2.p) @ v_pi)[idx, pi]
-    return float(nu @ (r_gap + theta.gamma * p_gap))

@@ -183,19 +183,13 @@ def transition_value_stats(next_counts, n, values):
     ``next_counts`` (..., S) counts the draws of each next state and ``n``
     (...) is their total.  Leading axes stack count snapshots, and each
     snapshot gets, bit for bit, what it alone would get.  Both results
-    have shape (..., k).  The squared deviations are formed only at the
-    next states some snapshot has seen and are 0 elsewhere, where p_hat is
-    0 and the dense product term is 0 too, so every sum is that of the
-    dense formula for finite squares.
+    have shape (..., k).
     """
     n = np.asarray(n)
-    next_counts = np.asarray(next_counts)
     p_hat = (next_counts / np.maximum(n, 1)[..., None])[..., :, None]   # (..., S, 1)
     mean = values @ p_hat                                             # (..., k, 1)
-    seen = np.flatnonzero(next_counts.any(axis=tuple(range(next_counts.ndim - 1))))
-    sq_dev = np.zeros(mean.shape[:-1] + values.shape[-1:])            # (..., k, S)
-    sq_dev[..., seen] = (values[:, seen] - mean) ** 2
-    var = (sq_dev @ p_hat)[..., 0] * n[..., None] / np.maximum(n - 1, 1)[..., None]
+    var = ((values - mean) ** 2 @ p_hat)[..., 0] * n[..., None] \
+        / np.maximum(n - 1, 1)[..., None]
     std = np.where((n > 1)[..., None], np.sqrt(np.maximum(var, 0.0)), 0.0)
     return mean[..., 0], std
 

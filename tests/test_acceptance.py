@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from test_mdp import simulation_gap_bound
 
 from seqtransfer.envs import (
     GenerativeModel,
@@ -29,12 +30,7 @@ from seqtransfer.harness import (
     run_rng,
     simulate_hmm_observations,
 )
-from seqtransfer.mdp import (
-    TabularMdp,
-    policy_evaluation,
-    simulation_gap_bound,
-    value_iteration,
-)
+from seqtransfer.mdp import TabularMdp, policy_evaluation, value_iteration
 from seqtransfer.ptum import (
     ApproxModelSet,
     default_fallback_per_pair,

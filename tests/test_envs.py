@@ -140,6 +140,24 @@ class TestMultiGoal:
         # slightly better alternative appear in the shared support.
         assert set(np.round(fam[0].reward_support, 4)) == {0.0, 0.7, 0.8, 0.81}
 
+    @pytest.mark.parametrize("size, num_tasks", [
+        ((2, 12), 7), ((2, 12), 5), ((1, 1), 2), ((5, 2), 7), ((12, 2), 7), ((3, 1), 3),
+    ])
+    def test_tasks_sharing_a_best_goal_rejected(self, size, num_tasks):
+        # Width 2 built task 4 equal to task 1 and task 5 equal to task 3,
+        # and a 1 x 1 grid made tasks 1-6 equal, with no error.
+        width, height = size
+        with pytest.raises(ValueError, match="best goals in one cell"):
+            multi_goal_family(num_tasks=num_tasks, width=width, height=height)
+
+    @pytest.mark.parametrize("size, num_tasks", [((2, 12), 4), ((12, 2), 6), ((5, 2), 6)])
+    def test_tasks_with_distinct_best_goals_differ(self, size, num_tasks):
+        width, height = size
+        fam = multi_goal_family(num_tasks=num_tasks, width=width, height=height)
+        means = [m.reward_means() for m in fam]
+        assert all(not np.array_equal(means[i], means[j])
+                   for i in range(num_tasks) for j in range(i))
+
 
 class TestObjectworld:
     def test_paper_family_builds(self):

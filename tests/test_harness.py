@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 from dataclasses import asdict, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from seqtransfer.harness import (
     simulate_hmm_observations,
     sweep,
     write_csv,
+    write_json,
 )
 from seqtransfer.mdp import TabularMdp
 from seqtransfer.ptum import ApproxModelSet
@@ -142,6 +144,14 @@ class TestAggregate:
         assert AggregateResult(**doc) == res
 
 
+def strict_json(path):
+    """The JSON document at ``path``, refusing Infinity, -Infinity and NaN,
+    which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 class TestCsv:
     def test_format_cell(self):
         assert format_cell(True) == "1"
@@ -157,6 +167,13 @@ class TestCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw == b"a,b\n1,0.1\n2,1\n"
+
+    def test_write_json_writes_non_finite_floats_as_null(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"a": math.inf, "b": [1.5, -math.inf, (math.nan, 2)],
+                          "c": {"d": float(np.float64("inf")), "e": 7}})
+        assert strict_json(path) == {"a": None, "b": [1.5, None, [None, 2]],
+                                     "c": {"d": None, "e": 7}}
 
 
 class TestFamilies:
@@ -423,6 +440,10 @@ class TestCli:
         # task 7 a duplicate and exited 0, 8 exited 3 with an IndexError.
         ("export-env", {"scenario": "objectworld", "duplicate_of": {"-1": 0}, "base_seed": 3}),
         ("export-env", {"scenario": "objectworld", "duplicate_of": {"8": 0}}),
+        # Two tasks with one best goal cell: width 2 exited 0 with equal
+        # tasks, and height 2 (tasks 3 and 6) exited 3 from the planner.
+        ("export-env", {"scenario": "multi-goal", "width": 2}),
+        ("diagnose", {"scenario": "multi-goal", "height": 2}),
     ])
     def test_value_a_constructor_rejects_is_a_config_error(self, tmp_path, capsys,
                                                            command, doc):
@@ -521,6 +542,35 @@ class TestCli:
         # Referenced to task 3 the gap is about 1.14; to task 0, about 2.98.
         assert report["min_gap"] == pytest.approx(1.1375, abs=1e-4)
         assert approx.min_gap(0) == pytest.approx(2.9779, abs=1e-4)
+
+    def test_diagnose_plans_a_model_that_cycles_on_round_off(self, tmp_path, capsys):
+        # Task 1 of this family cycles through three policies at
+        # gamma = 0.9999; diagnose exited 3 when the planner gave up.
+        cfg = self.write_cfg(tmp_path, {"scenario": "multi-goal", "num_tasks": 6,
+                                        "width": 12, "height": 2})
+        assert main(["diagnose", cfg, "--output-dir", str(tmp_path)]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        report = strict_json(tmp_path / "diagnose.json")
+        assert report["min_gap"] > 0 and 0 not in report["theta_eps"]
+
+    @pytest.mark.parametrize("command, doc, name, keys", [
+        ("run-ptum", {"scenario": "two-rooms", "budget": 2000}, "ptum_summary.json",
+         ["tau"]),
+        ("learn-hmm", {"scenario": "synthetic-hmm", "steps": 30}, "hmm_summary.json",
+         ["o_col_err_max", "t_err_max"]),
+        # One startup task, then exactly one transfer task.
+        ("run-sequential", {"scenario": "objectworld", "num_tasks_sequence": 2,
+                            "startup_tasks": 1, "side": 2, "num_tasks": 3},
+         "sequential_summary.json", ["transfer_queries", "transfer_post_queries"]),
+    ])
+    def test_one_value_summary_is_strict_json(self, tmp_path, command, doc, name, keys):
+        # One value has no confidence interval: its infinite half-width was
+        # written as Infinity, which is not JSON.
+        cfg = self.write_cfg(tmp_path, doc)
+        assert main([command, cfg, "--output-dir", str(tmp_path)]) == EXIT_OK
+        summary = strict_json(tmp_path / name)
+        for key in keys:
+            assert summary[key]["count"] == 1 and summary[key]["half_width"] is None
 
     def test_run_ptum_and_rerun_identical(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {

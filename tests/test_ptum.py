@@ -220,44 +220,9 @@ class TestConfidenceRadii:
                                                          ddof=1)), rel=1e-12)
 
 
-def dense_transition_value_stats(next_counts, n, values):
-    """``transition_value_stats`` with (v - mean)^2 formed at every next
-    state, seen or not: the dense formula, kept as the reference."""
-    n = np.asarray(n)
-    p_hat = (next_counts / np.maximum(n, 1)[..., None])[..., :, None]
-    mean = values @ p_hat
-    var = ((values - mean) ** 2 @ p_hat)[..., 0] * n[..., None] \
-        / np.maximum(n - 1, 1)[..., None]
-    std = np.where((n > 1)[..., None], np.sqrt(np.maximum(var, 0.0)), 0.0)
-    return mean[..., 0], std
-
-
 class TestStackedStatistics:
     """A stack of count snapshots gets, row by row and bit for bit, what
     each snapshot gets alone."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(S=st.integers(1, 12), B=st.integers(0, 40), k=st.integers(1, 5),
-           stacked=st.booleans(), start=st.integers(0, 3), seen=st.integers(1, 12),
-           scale=st.sampled_from([1.0, 1e-3, 1e6, 1e100]), seed=st.integers(0, 2 ** 32 - 1))
-    def test_values_equal_the_dense_formula(self, S, B, k, stacked, start, seen, scale,
-                                            seed):
-        # Cumulative counts of a run of draws that reach only ``seen`` of the
-        # S next states, from ``start`` earlier draws, N = 0 rows included.
-        rng = np.random.default_rng(seed)
-        states = rng.choice(S, size=min(seen, S), replace=False)
-        base = rng.multinomial(start, np.bincount(states, minlength=S) / states.size)
-        draws = np.zeros((B + 1, S), dtype=np.int64)
-        draws[np.arange(1, B + 1), rng.choice(states, size=B)] = 1
-        next_counts = base + draws.cumsum(axis=0)
-        n = next_counts.sum(axis=1)
-        v = (rng.normal(size=(k, S)) - rng.normal()) * scale
-        if not stacked:
-            next_counts, n = next_counts[-1], n[-1]
-        got = transition_value_stats(next_counts, n, v)
-        want = dense_transition_value_stats(next_counts, n, v)
-        for x, y in zip(got, want):
-            assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
     @staticmethod
     def snapshots(rng, B, S, U, most=40):
