@@ -166,14 +166,15 @@ def reward_stats(reward_counts, n, support):
 
     ``reward_counts`` (..., U) counts the draws of each ``support`` value
     and ``n`` (...) is their total.  Leading axes stack count snapshots,
-    and each snapshot gets, bit for bit, what it alone would get.
+    and each snapshot gets, bit for bit, what it alone would get.  The sum
+    of squares is a sum of non-negative terms, exactly 0 when N <= 1 (every
+    draw, if any, is the mean), so the std needs no clip and no mask.
     """
     n = np.asarray(n)
     counts = np.asarray(reward_counts)[..., None, :]
     mean = (counts @ support[:, None])[..., 0, 0] / np.maximum(n, 1)
     ss = (counts @ ((support - mean[..., None]) ** 2)[..., None])[..., 0, 0]
-    std = np.sqrt(np.maximum(ss / np.maximum(n - 1, 1), 0.0))
-    return mean, np.where(n > 1, std, 0.0)
+    return mean, np.sqrt(ss / np.maximum(n - 1, 1))
 
 
 def transition_value_stats(next_counts, n, values):
@@ -183,15 +184,15 @@ def transition_value_stats(next_counts, n, values):
     ``next_counts`` (..., S) counts the draws of each next state and ``n``
     (...) is their total.  Leading axes stack count snapshots, and each
     snapshot gets, bit for bit, what it alone would get.  Both results
-    have shape (..., k).
+    have shape (..., k).  As in ``reward_stats``, the variance is a sum of
+    non-negative terms, exactly 0 when N <= 1.
     """
     n = np.asarray(n)
     p_hat = (next_counts / np.maximum(n, 1)[..., None])[..., :, None]   # (..., S, 1)
     mean = values @ p_hat                                             # (..., k, 1)
     var = ((values - mean) ** 2 @ p_hat)[..., 0] * n[..., None] \
         / np.maximum(n - 1, 1)[..., None]
-    std = np.where((n > 1)[..., None], np.sqrt(np.maximum(var, 0.0)), 0.0)
-    return mean[..., 0], std
+    return mean[..., 0], np.sqrt(var)
 
 
 class EmpiricalModel:
@@ -222,18 +223,19 @@ class EmpiricalModel:
         """The counts at (s, a) after each draw of a run of draws there, from
         draw ``start`` on, stacked: (n (B,), reward_counts (B, U),
         next_counts (B, S)) with B = len(next_states) - start.  The draws
-        before ``start`` are summed once, not row by row."""
+        before ``start`` are summed once, not row by row; one row (``start``
+        at the last draw) is the stored counts plus one bincount of the
+        run, with no per-draw table."""
         S, U = self.next_counts.shape[2], self.reward_support.size
-        rows = np.arange(len(next_states) - start)
-        next_counts = np.zeros((rows.size, S), dtype=np.int64)
-        next_counts[rows, next_states[start:]] = 1
-        reward_counts = np.zeros((rows.size, U), dtype=np.int64)
-        reward_counts[rows, reward_indices[start:]] = 1
-        return (self.counts[s, a] + start + rows + 1,
+        n = self.counts[s, a] + np.arange(start, len(next_states)) + 1
+        if n.size == 1:
+            return (n, (self.reward_counts[s, a] + np.bincount(reward_indices, minlength=U))[None],
+                    (self.next_counts[s, a] + np.bincount(next_states, minlength=S))[None])
+        return (n,
                 self.reward_counts[s, a] + np.bincount(reward_indices[:start], minlength=U)
-                + reward_counts.cumsum(axis=0),
+                + (reward_indices[start:, None] == np.arange(U)).cumsum(axis=0),
                 self.next_counts[s, a] + np.bincount(next_states[:start], minlength=S)
-                + next_counts.cumsum(axis=0))
+                + (next_states[start:, None] == np.arange(S)).cumsum(axis=0))
 
     def frequencies(self):
         """The empirical reward and transition distributions, (q_hat
@@ -264,30 +266,30 @@ def _log_terms(approx: ApproxModelSet, budget: int, delta: float):
 
 
 def _data_free_parts(n1, gamma: float, logs):
-    """The parts of the four radii (reward, transition, reward-std,
-    transition-std) that read no sample statistic, for N - 1 = ``n1``:
-    7L/(3(N-1)), 7L/(3(N-1)(1-gamma)), sqrt(2L'/(N-1)) and that root over
-    (1-gamma).  ``reward_radii`` and ``transition_radii`` add them to the
-    data terms and ``_may_fail`` compares them with the widest deviations,
-    so all three see the same floats."""
+    """The parts of a mean and a std radius that read no sample statistic,
+    for N - 1 = ``n1``: 7L/(3(N-1)(1-gamma)) and sqrt(2L'/(N-1))/(1-gamma).
+    The transition radii take the model set's gamma; the reward radii take
+    gamma = 0, where the factor 1 - gamma = 1 leaves each float as it is.
+    ``reward_radii`` and ``transition_radii`` add them to the data terms
+    and ``_may_fail`` compares them with the widest deviations, so all
+    three see the same floats."""
     l_mean, l_std = logs
-    root = np.sqrt(2.0 * l_std / n1)
-    return (7.0 * l_mean / (3.0 * n1), 7.0 * l_mean / (3.0 * n1 * (1.0 - gamma)),
-            root, root / (1.0 - gamma))
+    return (7.0 * l_mean / (3.0 * n1 * (1.0 - gamma)),
+            np.sqrt(2.0 * l_std / n1) / (1.0 - gamma))
 
 
-def _radii(n, std, part_mean, part_std, approx: ApproxModelSet, logs):
-    """A mean radius, sqrt(2 std^2 L / N) + ``part_mean`` + delta, and a
-    std radius, ``part_std`` + delta; both infinite where N <= 1.  ``std``
-    has the shape of ``n`` or one more, trailing axis, which the mean
-    radius keeps."""
+def _radii(n, std, gamma: float, approx: ApproxModelSet, logs):
+    """A mean radius, sqrt(2 std^2 L / N) + its data-free part + delta, and
+    a std radius, its data-free part + delta (``_data_free_parts`` at
+    ``gamma``); both infinite where N <= 1, where INF stands in for delta
+    (every other term is finite).  ``std`` has the shape of ``n`` or one
+    more, trailing axis, which the mean radius keeps."""
     l_mean, _ = logs
-    valid = n > 1
+    part_mean, part_std = _data_free_parts(np.maximum(n - 1, 1), gamma, logs)
+    level = np.where(n > 1, approx.delta, INF)
     row = (..., *(None,) * (np.ndim(std) - n.ndim))   # lines n up with std
-    c_mean = (np.sqrt(2.0 * std * std * l_mean / np.maximum(n, 1)[row]) + part_mean[row]
-              + approx.delta)
-    return (np.where(valid[row], c_mean, INF),
-            np.where(valid, part_std + approx.delta, INF))
+    return (np.sqrt(2.0 * std * std * l_mean / np.maximum(n, 1)[row]) + part_mean[row]
+            + level[row], part_std + level)
 
 
 def reward_radii(n, sr, approx: ApproxModelSet, logs):
@@ -297,11 +299,9 @@ def reward_radii(n, sr, approx: ApproxModelSet, logs):
     ``n`` may be a stack of counts, and ``sr`` is the empirical reward std
     (shape of ``n``).  ``logs`` is ``_log_terms(approx, budget, delta)``.
     Each radius is a data term (none for the std), plus its data-free part
-    (``_data_free_parts``), plus the uncertainty level.
+    (``_data_free_parts`` at gamma = 0), plus the uncertainty level.
     """
-    n = np.asarray(n)
-    part_r, _, part_sr, _ = _data_free_parts(np.maximum(n - 1, 1), approx.gamma, logs)
-    return _radii(n, sr, part_r, part_sr, approx, logs)
+    return _radii(np.asarray(n), sr, 0.0, approx, logs)
 
 
 def transition_radii(n, sp, approx: ApproxModelSet, logs):
@@ -312,11 +312,9 @@ def transition_radii(n, sp, approx: ApproxModelSet, logs):
     the comparison model (shape of ``n``), or for a stack of k of them (one
     more, trailing axis: one transition radius per row; the std radius
     keeps the shape of ``n``).  Otherwise as ``reward_radii``, with the
-    transition parts of ``_data_free_parts``.
+    model set's gamma in ``_data_free_parts``.
     """
-    n = np.asarray(n)
-    _, part_p, _, part_sp = _data_free_parts(np.maximum(n - 1, 1), approx.gamma, logs)
-    return _radii(n, sp, part_p, part_sp, approx, logs)
+    return _radii(np.asarray(n), sp, approx.gamma, approx, logs)
 
 
 def _may_fail(n, support, approx: ApproxModelSet, logs):
@@ -352,7 +350,8 @@ def _may_fail(n, support, approx: ApproxModelSet, logs):
     tol_p = 1e-9 * ext["v_scale"]
     n1 = np.maximum(n - 1, 1)
     half_spread = np.sqrt(n / n1) / 2.0
-    part_r, part_p, part_sr, part_sp = _data_free_parts(n1, approx.gamma, logs)
+    (part_r, part_sr), (part_p, part_sp) = (_data_free_parts(n1, 0.0, logs),
+                                            _data_free_parts(n1, approx.gamma, logs))
     valid = n > 1
     reward = valid & (
         (part_r + delta < max(s_hi - r_lo, r_hi - s_lo) + tol_r)
@@ -399,10 +398,11 @@ def compatibility_failures(idx, s, a, n, reward_counts, next_counts, support,
     ``support`` and ``next_counts`` (B, S); the result is a (B, len(idx))
     boolean array, False wherever N <= 1.  The transition conditions
     quantify over every reference model j of the full set, not just
-    ``idx``.  The reward conditions are tested on every snapshot; the
-    transition statistics, radii and conditions only on the snapshots with
-    N >= ``transition_opening``: a count below which the transition half
-    of ``_may_fail`` is False (``_opening``'s second count), or 0 to test
+    ``idx``.  The reward conditions are tested on every snapshot, from the
+    reward statistics and the reward radii alone; the transition
+    statistics, radii and conditions only on the snapshots with N >=
+    ``transition_opening``: a count below which the transition half of
+    ``_may_fail`` is False (``_opening``'s second count), or 0 to test
     every snapshot.  So the result is that of all four conditions on every
     snapshot.
     """
@@ -619,14 +619,17 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
     opening count (``_opening``'s first count, where ``_may_fail`` first
     lets some model fail) while the pair is below it, else ``_RUN_BLOCK``
     of them, at most ``_RUN_LOOKAHEAD`` and within the budget.  A run is
-    pruned after every draw in one stacked pass (``compatibility_failures``)
-    from the opening count on; the prunes before it keep the whole set, as
-    the pass would.  The pass tests the transition conditions only from
-    ``_opening``'s second count on, where their half of ``_may_fail``
-    first holds.  So a segment that eliminates at the opening count makes
-    one draw and a one-snapshot pass, and hands nothing back; on two-rooms
-    that pass tests the reward conditions alone.  ``check_stop``,
-    ``select_query`` and ``_opening`` read the memos on ``approx``.
+    pruned after every draw in one stacked pass (``compatibility_failures``
+    on ``EmpiricalModel.snapshots``) from the opening count on, or at its
+    last draw alone if it ends below; the prunes before it keep the whole
+    set, as the pass would.  The pass tests the transition conditions only
+    from ``_opening``'s second count on, where their half of ``_may_fail``
+    first holds.  The snapshot of the last draw kept becomes the pair's
+    counts, so each draw is counted once.  A segment that eliminates at the
+    opening count makes one draw and a one-snapshot pass, one bincount of
+    the draw, and hands nothing back; on two-rooms that pass tests the
+    reward conditions alone.  ``check_stop``, ``select_query`` and
+    ``_opening`` read the memos on ``approx``.
     """
     if n < 0:
         raise ValueError("budget must be non-negative")
@@ -656,43 +659,40 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
             break
         s, a = select_query(active_set, approx)
         idx = np.array(sorted(active_set))
-        fails = None
 
         def first_elimination(next_states, reward_indices):
             """How many of the drawn queries to keep: up to the first prune
-            that eliminates, else all; the prunes go to ``fails``.  The
-            pass starts at the opening count; every prune before it keeps
-            the whole set.  It tests the transition conditions from the
-            transition opening count on."""
-            nonlocal fails
-            f = max(opening - int(emp.counts[s, a]) - 1, 0)
-            fails = np.zeros((len(next_states), idx.size), dtype=bool)
-            if f < len(next_states):
-                fails[f:] = compatibility_failures(
-                    idx, s, a, *emp.snapshots(s, a, next_states, reward_indices, f),
-                    emp.reward_support, approx, logs, transition_opening)
+            that eliminates, else all.  The pass starts at the opening
+            count, or at the last draw if the run ends before it; every
+            prune before it keeps the whole set.  It tests the transition
+            conditions from the transition opening count on.  The kept
+            draws' last snapshot and its prune go to ``kept``."""
+            nonlocal kept
+            f = min(max(opening - int(emp.counts[s, a]) - 1, 0), len(next_states) - 1)
+            snaps = emp.snapshots(s, a, next_states, reward_indices, f)
+            fails = compatibility_failures(idx, s, a, *snaps, emp.reward_support, approx,
+                                           logs, transition_opening)
             hit = fails.any(axis=1)
-            return int(np.argmax(hit)) + 1 if hit.any() else hit.size
+            row = int(hit.argmax()) if hit.any() else hit.size - 1
+            kept = [x[row] for x in (*snaps, fails, hit)]
+            return f + row + 1
 
         # Query (s, a) until a prune changes the active set.
-        eliminated, start = False, tau
+        eliminated, start, kept = False, tau, None
         while not eliminated and tau < n:
             count = int(emp.counts[s, a])
             run = opening - count if count < opening else _RUN_BLOCK
-            next_states, reward_indices = g.query_many(
+            next_states, _ = g.query_many(
                 s, a, min(run, _RUN_LOOKAHEAD, n - tau), rng, keep=first_elimination)
-            used = len(next_states)
-            emp.add_counts(np.bincount(next_states, minlength=S),
-                           np.bincount(reward_indices, minlength=emp.reward_support.size),
-                           at=(s, a))
-            tau += used
-            eliminated = bool(fails[used - 1].any())
+            emp.counts[s, a], emp.reward_counts[s, a], emp.next_counts[s, a], fails, \
+                eliminated = kept
+            tau += len(next_states)
         if tau > start:
             queried.append((s, a, tau - start))
         if not eliminated:
             mode = "fallback-budget"
             break
-        active_set = set(idx[~fails[used - 1]].tolist())
+        active_set = set(idx[~fails].tolist())
         if not active_set:
             mode = "fallback-eliminated"
             break

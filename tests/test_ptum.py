@@ -275,6 +275,24 @@ class TestStackedStatistics:
             assert x.dtype == y.dtype and x.tobytes() == y[start:].tobytes()
         assert full[0].tolist() == list(range(before + 1, before + B + 1))
 
+    @pytest.mark.parametrize("before, B", [(0, 1), (37, 1), (37, 6)])
+    def test_a_pass_at_the_last_draw_is_the_counts_after_it(self, before, B):
+        # start = B - 1: one row, the counts after the run's last draw, on
+        # top of ``before`` earlier draws; the one-query step is the reference.
+        rng = np.random.default_rng(before + B)
+        S, U = 6, 3
+        emp = EmpiricalModel(S, 2, np.linspace(0.0, 1.0, U))
+        for s2, u in zip(rng.integers(S, size=before), rng.integers(U, size=before)):
+            add_sample(emp, 4, 1, s2, emp.reward_support[u])
+        next_states, reward_indices = rng.integers(S, size=B), rng.integers(U, size=B)
+        got = emp.snapshots(4, 1, next_states, reward_indices, B - 1)
+        for s2, u in zip(next_states, reward_indices):
+            add_sample(emp, 4, 1, s2, emp.reward_support[u])
+        want = (emp.counts[4, 1], emp.reward_counts[4, 1], emp.next_counts[4, 1])
+        for x, y in zip(got, want):
+            assert x.dtype == np.int64 and x.shape == (1, *y.shape)
+            assert np.array_equal(x[0], y)
+
     def test_failures_of_a_stack_equal_those_of_each_snapshot(self):
         fam = small_family()
         approx = ApproxModelSet(fam, 0.01)
@@ -1033,6 +1051,57 @@ class TestRunsOfQueries:
                 assert np.all(value >= approx.values[theta] - margin - 1e-6)
 
 
+class TestCountsFromThePass:
+    """A pair's counts are the last kept snapshot of its run's pass, not a
+    second count of the draws: runs that end below the opening count, and
+    a run that hands draws back, give the one-query loop's counts."""
+
+    @staticmethod
+    def passes(case, draws):
+        """``run_ptum``'s result on ``case`` and the counts of each pass."""
+        calls = []
+
+        def spy(idx, s, a, n, *rest):
+            calls.append(n.tolist())
+            return compatibility_failures(idx, s, a, n, *rest)
+
+        with mock.patch.object(ptum, "compatibility_failures", spy):
+            got, _, _ = identify(run_ptum, case, lambda g: CountingDraws(g, draws))
+        return got, calls
+
+    @pytest.mark.parametrize("n, queried", [(10, [(8, 0, 10)]),
+                                            (64, [(8, 0, 48), (20, 0, 16)])])
+    def test_a_budget_that_ends_below_the_opening_count(self, n, queried):
+        # At n = 10 the pairs open at N = 11, past the budget.  At n = 64
+        # they open at 48, where the first segment eliminates; the second
+        # segment's 16 draws end below it.  Each run's pass is its last
+        # draw's snapshot alone.
+        draws = []
+        got, calls = self.passes(two_rooms_case(n), draws)
+        assert got.mode == "fallback-budget" and got.queried == queried
+        assert calls == [[count] for *_, count in queried]
+        assert draws == [(count, count) for *_, count in queried]
+        assert_same_identification(two_rooms_case(n))
+
+    def test_a_run_that_hands_draws_back(self):
+        # Multi-goal, true task 1, blocks of 64: each segment's last run
+        # draws 64 and keeps 40, up to the elimination at N = 566.  The
+        # stopped run's table is the elimination's alone: 566 at each pair.
+        fam = multi_goal_family()
+        case = dict(approx=ApproxModelSet(fam), truth=fam[1], eps=0.1, delta=0.01,
+                    n=100_000, active=None, seed=101)
+        draws = []
+        with mock.patch.object(ptum, "_RUN_BLOCK", 64):
+            got, calls = self.passes(case, draws)
+            assert_same_identification(case)
+        assert got.mode == "transfer-stopped" and got.queried == [(6, 0, 566), (11, 0, 566)]
+        assert draws[8] == draws[17] == (64, 40) and calls[8][39] == 566
+        emp = got.empirical
+        assert emp.counts[6, 0] == emp.counts[11, 0] == 566 == emp.counts.sum() / 2
+        assert np.array_equal(emp.reward_counts.sum(axis=2), emp.counts)
+        assert np.array_equal(emp.next_counts.sum(axis=2), emp.counts)
+
+
 class TestExactIdentificationFallback:
     """At eps = 0 the theory count of the uniform fallback is unbounded, so
     a run that falls back queries every pair max(n // (S*A), 1) times."""
@@ -1403,9 +1472,18 @@ class TestPassOnlyWhereAModelCanFail:
 
     @settings(max_examples=100, deadline=None)
     @given(identification_cases(budgets=SHORT_BUDGETS))
-    def test_short_budgets_never_start_the_pass(self, case):
-        with mock.patch.object(ptum, "compatibility_failures",
-                               side_effect=AssertionError("pass started")):
+    def test_short_budgets_pass_only_their_last_draw(self, case):
+        # A short budget ends below the opening count: one run, whose pass
+        # is its last draw's snapshot, which fails nothing.
+        calls = []
+
+        def spy(idx, s, a, n, *rest):
+            fails = compatibility_failures(idx, s, a, n, *rest)
+            calls.append((n.tolist(), bool(fails.any())))
+            return fails
+
+        with mock.patch.object(ptum, "compatibility_failures", spy):
             got, _, _ = identify(run_ptum, case, SamplesOnly)
         assert got.mode in ("fallback-gate", "fallback-budget") or got.tau == 0
+        assert calls == ([([got.tau], False)] if got.tau else [])
         assert_same_identification(case)

@@ -9,13 +9,17 @@ two-rooms identification the stop step, queries, mode and survivors.  The
 pinned values were recorded from the per-model planner (one
 ``value_iteration`` per model, one ``policy_evaluation`` per pair).
 """
+import hashlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from seqtransfer.envs import (
     GenerativeModel,
     ObjectworldSpec,
     build_objectworld_family,
+    multi_goal_family,
     paper_objectworld_duplicates,
     successor_chain,
     two_rooms_family,
@@ -161,3 +165,63 @@ def benchmark_pair():
 
 def test_benchmark_pair_decisions():
     assert benchmark_pair() == BENCHMARK_PAIR
+
+
+# sha256 fingerprints of identification runs (``identification_fingerprints``),
+# recorded from the loop that counted each run of draws a second time after
+# its pass.  They cover every result field, the empirical tables among them,
+# and the generator state, so a change that keeps the loop bit-identical
+# keeps them.
+IDENTIFICATION_FINGERPRINTS = {
+    "two-rooms seed 101": "4ca895726f1d5ee2f349b93fcb70ecb95eb844cb73b66dd99ae37b73e2b460aa",
+    "two-rooms seed 102": "2c009890bf23c325a040b72779b667f8d40cc8b5b1a2177bf5fe11672d8365c1",
+    "two-rooms seed 103": "20f84859ad77bb5cff5d65435355dc250036767b241e50fdd5c712089fa6d44a",
+    "two-rooms seed 104": "73665de5564dc774677d5034bf66fe454d8c6b1271fdc6f6866e2ba9d0625542",
+    "two-rooms seed 105": "4f990694fc3691ba937e412acb962f40b972d205331788c4487398844d104a27",
+    "two-rooms seed 106": "236065f8b1dc0c2084df24448176126d257ec7217caa2ead1c8b55e4fb9a2b59",
+    "two-rooms seed 107": "b5c6d2aa8f788043ea12bc043eec8b1a203475924f0db0ed7710377fb6f94e94",
+    "two-rooms seed 108": "e3c1b36c8ac4f57922c48b51003f0fd834a26c43241a3d66c444d48ece0a5673",
+    "two-rooms seed 109": "de52edf0acaf2041102f5348773d75eaf6fe76f792f47742688432c06ad5e5c4",
+    "two-rooms seed 110": "fdd257c7989951b845ab868286a66418e22b3f0b7286de0ecc6fac3f14330a8c",
+    "multi-goal task 0": "8d673b785723963ff3bdd40c635788468a19061bed3ed10f3b647a4d51555eb8",
+    "multi-goal task 1": "6a207d462d6570faf6100398b51975cb598d3ca870f3aa2b48b8d2d9f154953b",
+}
+
+
+def identification_digest(result, rng) -> bytes:
+    """sha256 of every ``PtumResult`` field, its three empirical count
+    tables among them, and of ``rng``'s state after the run."""
+    h = hashlib.sha256()
+    emp = result.empirical
+    for table in (result.policy, emp.counts, emp.reward_counts, emp.next_counts):
+        h.update(f"{table.dtype.str}{table.shape}".encode())
+        h.update(np.ascontiguousarray(table).tobytes())
+    h.update(repr((result.tau, result.mode, result.chosen_model, result.survived_trace,
+                   result.queried, result.queries_total)).encode())
+    h.update(repr(rng.bit_generator.state).encode())
+    return h.digest()
+
+
+def identification_fingerprints():
+    """One sha256 per two-rooms seed 101..110 over ``run_ptum``'s runs on
+    streams run_rng(seed, 0..3), task 0 true, at n = 100 000; and one per
+    multi-goal true task 0 and 1 over its runs on run_rng(101..110, 0) at
+    n = 2000.  Both at eps = 0.1 and delta = 0.01 with exact models."""
+    groups = {}
+    for name, family, budget, runs in (
+            ("two-rooms", two_rooms_family(), 100_000,
+             [(f"seed {seed}", 0, seed, i) for seed in range(101, 111) for i in range(4)]),
+            ("multi-goal", multi_goal_family(), 2000,
+             [(f"task {task}", task, seed, 0) for task in (0, 1)
+              for seed in range(101, 111)])):
+        approx = ApproxModelSet(family)
+        for label, task, seed, i in runs:
+            rng = run_rng(seed, i)
+            result = run_ptum(approx, GenerativeModel(family[task]), 0.1, 0.01, budget, rng)
+            groups.setdefault(f"{name} {label}", hashlib.sha256()).update(
+                identification_digest(result, rng))
+    return {key: h.hexdigest() for key, h in groups.items()}
+
+
+def test_identification_fingerprints():
+    assert identification_fingerprints() == IDENTIFICATION_FINGERPRINTS
