@@ -161,6 +161,14 @@ def cmd_learn_hmm(cfg: ExperimentConfig, out: Path, args) -> int:
         if steps < 3 * k:
             raise ValueError(f"steps must be at least 3 * num_tasks = {3 * k}, "
                              f"got {steps}")
+        # Each (s, a) of an observation has U - 1 free reward and S - 1 free
+        # next-state frequencies, so the observations span an affine space
+        # of dimension S*A*(S+U-2) and the second moment has rank at most
+        # one more.
+        if S * A * (S + U - 2) + 1 < k:
+            raise ValueError(f"num_tasks {k} exceeds the rank S*A*(S+U-2)+1 = "
+                             f"{S * A * (S + U - 2) + 1} that observations of "
+                             f"{S} states, {A} actions and {U} rewards can reach")
         if not 0.0 <= gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {gamma}")
 

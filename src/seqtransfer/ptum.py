@@ -197,7 +197,7 @@ def transition_value_stats(next_counts, n, values):
 
 class EmpiricalModel:
     """Per-(s, a) sufficient statistics collected from generative queries:
-    count tables, or one pair's rows, added by ``add_counts``."""
+    count tables added by ``add_counts``."""
 
     def __init__(self, num_states: int, num_actions: int, reward_support):
         S, A = num_states, num_actions
@@ -207,17 +207,15 @@ class EmpiricalModel:
         self.reward_counts = np.zeros((S, A, U), dtype=np.int64)
         self.next_counts = np.zeros((S, A, S), dtype=np.int64)
 
-    def add_counts(self, next_counts, reward_counts, at=()) -> None:
-        """Add next-state and reward counts at the pairs ``at`` indexes: the
-        whole (S, A, S) and (S, A, U) tables by default, or one pair's (S,)
-        and (U,) rows with ``at=(s, a)``."""
+    def add_counts(self, next_counts, reward_counts) -> None:
+        """Add whole (S, A, S) next-state and (S, A, U) reward count tables."""
         next_counts, reward_counts = np.asarray(next_counts), np.asarray(reward_counts)
         total = next_counts.sum(axis=-1)
         if not np.array_equal(total, reward_counts.sum(axis=-1)):
             raise ValueError("inconsistent batch counts")
-        self.counts[at] += total
-        self.next_counts[at] += next_counts
-        self.reward_counts[at] += reward_counts
+        self.counts += total
+        self.next_counts += next_counts
+        self.reward_counts += reward_counts
 
     def snapshots(self, s: int, a: int, next_states, reward_indices, start: int = 0):
         """The counts at (s, a) after each draw of a run of draws there, from
@@ -265,56 +263,29 @@ def _log_terms(approx: ApproxModelSet, budget: int, delta: float):
     return l_mean, l_std
 
 
-def _data_free_parts(n1, gamma: float, logs):
-    """The parts of a mean and a std radius that read no sample statistic,
-    for N - 1 = ``n1``: 7L/(3(N-1)(1-gamma)) and sqrt(2L'/(N-1))/(1-gamma).
-    The transition radii take the model set's gamma; the reward radii take
-    gamma = 0, where the factor 1 - gamma = 1 leaves each float as it is.
-    ``reward_radii`` and ``transition_radii`` add them to the data terms
-    and ``_may_fail`` compares them with the widest deviations, so all
-    three see the same floats."""
+def confidence_radii(n, std, gamma: float, approx: ApproxModelSet, logs):
+    """The empirical-Bernstein radii after N = ``n`` samples at a pair:
+    (mean radius, std radius), both infinite where N <= 1.
+
+    The mean radius is sqrt(2 std^2 L / N) + 7L/(3(N-1)(1-gamma)) + delta,
+    the std radius sqrt(2L'/(N-1))/(1-gamma) + delta, with (L, L') =
+    ``logs`` (``_log_terms``) and delta the model set's uncertainty level;
+    INF stands in for delta where N <= 1 (every other term is finite).
+    The reward half takes gamma = 0, where the factor 1 - gamma = 1 leaves
+    each float as it is, and the transition half the model set's gamma.
+    ``n`` may be a stack of counts; ``std``, the empirical std, has its
+    shape or one more, trailing axis (one mean radius per row of a stack
+    of value functions), which the mean radius keeps.  At std = 0 the mean
+    radius is its floor, which ``_may_fail`` reads.
+    """
+    n = np.asarray(n)
     l_mean, l_std = logs
-    return (7.0 * l_mean / (3.0 * n1 * (1.0 - gamma)),
-            np.sqrt(2.0 * l_std / n1) / (1.0 - gamma))
-
-
-def _radii(n, std, gamma: float, approx: ApproxModelSet, logs):
-    """A mean radius, sqrt(2 std^2 L / N) + its data-free part + delta, and
-    a std radius, its data-free part + delta (``_data_free_parts`` at
-    ``gamma``); both infinite where N <= 1, where INF stands in for delta
-    (every other term is finite).  ``std`` has the shape of ``n`` or one
-    more, trailing axis, which the mean radius keeps."""
-    l_mean, _ = logs
-    part_mean, part_std = _data_free_parts(np.maximum(n - 1, 1), gamma, logs)
+    n1 = np.maximum(n - 1, 1)
     level = np.where(n > 1, approx.delta, INF)
     row = (..., *(None,) * (np.ndim(std) - n.ndim))   # lines n up with std
-    return (np.sqrt(2.0 * std * std * l_mean / np.maximum(n, 1)[row]) + part_mean[row]
-            + level[row], part_std + level)
-
-
-def reward_radii(n, sr, approx: ApproxModelSet, logs):
-    """The reward and reward-std Bernstein radii after N = ``n`` samples at
-    a pair, (c_r, c_sr); both infinite where N <= 1.
-
-    ``n`` may be a stack of counts, and ``sr`` is the empirical reward std
-    (shape of ``n``).  ``logs`` is ``_log_terms(approx, budget, delta)``.
-    Each radius is a data term (none for the std), plus its data-free part
-    (``_data_free_parts`` at gamma = 0), plus the uncertainty level.
-    """
-    return _radii(np.asarray(n), sr, 0.0, approx, logs)
-
-
-def transition_radii(n, sp, approx: ApproxModelSet, logs):
-    """The transition and transition-std Bernstein radii after N = ``n``
-    samples at a pair, (c_p, c_sp); both infinite where N <= 1.
-
-    ``sp`` is the empirical std of V(S') for the optimal value function of
-    the comparison model (shape of ``n``), or for a stack of k of them (one
-    more, trailing axis: one transition radius per row; the std radius
-    keeps the shape of ``n``).  Otherwise as ``reward_radii``, with the
-    model set's gamma in ``_data_free_parts``.
-    """
-    return _radii(np.asarray(n), sp, approx.gamma, approx, logs)
+    return (np.sqrt(2.0 * std * std * l_mean / np.maximum(n, 1)[row])
+            + (7.0 * l_mean / (3.0 * n1 * (1.0 - gamma)))[row] + level[row],
+            np.sqrt(2.0 * l_std / n1) / (1.0 - gamma) + level)
 
 
 def _may_fail(n, support, approx: ApproxModelSet, logs):
@@ -325,43 +296,37 @@ def _may_fail(n, support, approx: ApproxModelSet, logs):
     V*_j(S')).  Each half is a certificate alone: where it is False, no
     samples make its two conditions fail.
 
-    Each radius of ``reward_radii`` and ``transition_radii`` is at least
-    its data-free part (``_data_free_parts``) plus the uncertainty level:
+    Each radius is at least its floor, ``confidence_radii`` at std = 0:
     the dropped sqrt term is >= 0 and rounding is monotone.  A condition
-    cannot fail while that sum is at least the widest deviation the
+    cannot fail while its floor is at least the widest deviation the
     samples could show against the model tables' extremes
     (``approx.extremes``): for the reward mean, the range of ``support``
     and ``rewards`` together; for the transition means, ``pv_dev``; for an
     N-1 sample std, half the range of ``support`` or of a V*_j times
     sqrt(N/(N-1)) (Popoviciu), against ``sigma_r`` or ``sigma_p``.  Each
     deviation is widened by 1e-9 of the largest magnitude involved, for
-    round-off.  The transition half does not read ``support``.  With
+    round-off.  The floors are infinite where N <= 1, so neither half
+    holds there.  The transition half does not read ``support``.  With
     rewards and ``support`` in [0, 1], a std condition cannot open before
     the mean condition of its half does; the std conditions stay so that
     soundness does not rest on that.
     """
     n = np.asarray(n)
-    delta = approx.delta
+    half_spread = np.sqrt(n / np.maximum(n - 1, 1)) / 2.0
+
+    def half(gamma, mean_dev, value_range, std_extremes, tol):
+        floor_mean, floor_std = confidence_radii(n, 0.0, gamma, approx, logs)
+        std_lo, std_hi = std_extremes
+        return ((floor_mean < mean_dev + tol)
+                | (floor_std < np.maximum(value_range * half_spread - std_lo, std_hi) + tol))
+
     ext = approx.extremes
-    (r_lo, r_hi), (sr_lo, sr_hi) = ext["rewards"], ext["sigma_r"]
-    sp_lo, sp_hi = ext["sigma_p"]
+    (r_lo, r_hi), sr_hi = ext["rewards"], ext["sigma_r"][1]
     s_lo, s_hi = float(support.min()), float(support.max())
-    tol_r = 1e-9 * max(abs(s_lo), abs(s_hi), abs(r_lo), abs(r_hi), sr_hi)
-    tol_p = 1e-9 * ext["v_scale"]
-    n1 = np.maximum(n - 1, 1)
-    half_spread = np.sqrt(n / n1) / 2.0
-    (part_r, part_sr), (part_p, part_sp) = (_data_free_parts(n1, 0.0, logs),
-                                            _data_free_parts(n1, approx.gamma, logs))
-    valid = n > 1
-    reward = valid & (
-        (part_r + delta < max(s_hi - r_lo, r_hi - s_lo) + tol_r)
-        | (part_sr + delta
-           < np.maximum((s_hi - s_lo) * half_spread - sr_lo, sr_hi) + tol_r))
-    transition = valid & (
-        (part_p + delta < ext["pv_dev"] + tol_p)
-        | (part_sp + delta
-           < np.maximum(ext["v_range"] * half_spread - sp_lo, sp_hi) + tol_p))
-    return reward, transition
+    return (half(0.0, max(s_hi - r_lo, r_hi - s_lo), s_hi - s_lo, ext["sigma_r"],
+                 1e-9 * max(abs(s_lo), abs(s_hi), abs(r_lo), abs(r_hi), sr_hi)),
+            half(approx.gamma, ext["pv_dev"], ext["v_range"], ext["sigma_p"],
+                 1e-9 * ext["v_scale"]))
 
 
 def _opening(approx: ApproxModelSet, logs, n: int):
@@ -407,14 +372,14 @@ def compatibility_failures(idx, s, a, n, reward_counts, next_counts, support,
     snapshot.
     """
     r_mean, sr = reward_stats(reward_counts, n, support)                  # (B,)
-    c_r, c_sr = reward_radii(n, sr, approx, logs)
+    c_r, c_sr = confidence_radii(n, sr, 0.0, approx, logs)
     fails = ((np.abs(r_mean[:, None] - approx.rewards[idx, s, a]) > c_r[:, None])
              | (np.abs(sr[:, None] - approx.sigma_r[idx, s, a]) > c_sr[:, None]))
     rows = n >= transition_opening
     if rows.any():
         n, next_counts = n[rows], next_counts[rows]
         pv_hat, sp = transition_value_stats(next_counts, n, approx.values)  # (B', k)
-        c_p, c_sp = transition_radii(n, sp, approx, logs)
+        c_p, c_sp = confidence_radii(n, sp, approx.gamma, approx, logs)
         fails[rows] |= (
             np.any(np.abs(pv_hat[:, None] - approx.pv[idx, :, s, a]) > c_p[:, None],
                    axis=2)
@@ -506,21 +471,23 @@ def info_index_table(approx: ApproxModelSet) -> np.ndarray:
     """Information for discriminating model i from model j at (s, a), for
     every ordered pair of models and every (s, a): shape (k, k, S, A).
 
-    The gaps clipped by 8 delta, [gap - 8*delta]_+, over model i's
-    standard deviations: the larger of min((dr/sigma_r)^2, dr) and
-    min((dp/sigma_p)^2, (1-gamma) dp), each 0 where its clipped gap is 0;
-    a zero standard deviation with a positive gap gives the linear term.
+    The larger of one rule applied to the reward gap with model i's
+    sigma_r and scale 1, and to the transition gap with model i's own
+    sigma_p (of V*_i) and scale 1 - gamma: with the gap clipped by 8 delta,
+    d = [gap - 8*delta]_+, the information is min((d/sigma)^2, scale * d),
+    0 where d is 0; a zero standard deviation with a positive d gives the
+    linear term.
     """
-    gamma = approx.gamma
-    dr = np.maximum(approx.reward_gap - 8.0 * approx.delta, 0.0)
-    dp = np.maximum(approx.trans_gap - 8.0 * approx.delta, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_r = np.where(approx.sigma_r[:, None] > 0, dr / approx.sigma_r[:, None], INF) ** 2
-        sp_own = approx.sigma_p[np.arange(approx.num_models), np.arange(approx.num_models)]
-        ratio_p = np.where(sp_own[:, None] > 0, dp / sp_own[:, None], INF) ** 2
-    psi_r = np.where(dr > 0, np.minimum(ratio_r, dr), 0.0)
-    psi_p = np.where(dp > 0, np.minimum(ratio_p, (1.0 - gamma) * dp), 0.0)
-    return np.maximum(psi_r, psi_p)
+    def information(gap, std, scale):
+        d = np.maximum(gap - 8.0 * approx.delta, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(std > 0, d / std, INF) ** 2
+        return np.where(d > 0, np.minimum(ratio, scale * d), 0.0)
+
+    own = np.arange(approx.num_models)
+    return np.maximum(information(approx.reward_gap, approx.sigma_r[:, None], 1.0),
+                      information(approx.trans_gap, approx.sigma_p[own, own][:, None],
+                                  1.0 - approx.gamma))
 
 
 def select_query(active, approx: ApproxModelSet):

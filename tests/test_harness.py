@@ -599,11 +599,14 @@ class TestCli:
         {"steps": 2}, {"steps": 8}, {"samples_per_pair": 0}, {"num_tasks": 0},
         {"num_states": 0}, {"num_actions": -1}, {"num_rewards": 0}, {"gamma": 1.5},
         {"gamma": float("nan")},
+        {"num_states": 1, "num_actions": 1, "num_rewards": 1},
+        {"num_states": 1, "num_actions": 1, "num_rewards": 2, "num_tasks": 3},
     ])
     def test_learn_hmm_knob_no_run_can_use_is_a_config_error(self, tmp_path, capsys,
                                                             knob):
         # Each exited 3 with a traceback from the sweep; 8 steps hold 2 of
-        # the 3 triples the default 3 tasks need.
+        # the 3 triples the default 3 tasks need, and one state and action
+        # with U rewards span observations of rank at most U < 3.
         cfg = self.write_cfg(tmp_path, {"scenario": "synthetic-hmm", **knob})
         out = tmp_path / "out"
         assert main(["learn-hmm", cfg, "--output-dir", str(out)]) == EXIT_CONFIG
@@ -620,6 +623,16 @@ class TestCli:
         assert main(["learn-hmm", cfg, "--output-dir", str(tmp_path)]) == EXIT_OK
         summary = json.loads((tmp_path / "hmm_summary.json").read_text())
         assert summary["o_col_err_max"]["mean"] < 1.0
+
+    def test_learn_hmm_runs_at_the_rank_bound(self, tmp_path):
+        # One state, two actions and two rewards reach rank
+        # S*A*(S+U-2)+1 = 3 = num_tasks exactly.
+        cfg = self.write_cfg(tmp_path, {
+            "scenario": "synthetic-hmm", "num_tasks": 3, "num_states": 1,
+            "num_actions": 2, "num_rewards": 2, "num_runs": 1, "base_seed": 0,
+        })
+        assert main(["learn-hmm", cfg, "--output-dir", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "hmm_summary.json").exists()
 
     def test_run_sequential_requires_chain(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {"scenario": "two-rooms"})

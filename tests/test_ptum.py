@@ -36,27 +36,26 @@ from seqtransfer.ptum import (
     _opening,
     check_stop,
     compatibility_failures,
+    confidence_radii,
     default_fallback_per_pair,
     info_index_table,
     prune_confidence_set,
-    reward_radii,
     reward_stats,
     run_ptum,
     select_query,
     stop_margin,
     theta_eps_and_bound,
     transfer_gate,
-    transition_radii,
     transition_value_stats,
     uniform_pac_fallback,
 )
 
 
-def confidence_radii(n, sr, sp, approx, logs):
+def four_radii(n, sr, sp, approx, logs):
     """The four radii (reward, transition, reward-std, transition-std) of
-    ``reward_radii`` and ``transition_radii``."""
-    (c_r, c_sr), (c_p, c_sp) = (reward_radii(n, sr, approx, logs),
-                                transition_radii(n, sp, approx, logs))
+    ``confidence_radii``, the reward half at gamma = 0."""
+    (c_r, c_sr), (c_p, c_sp) = (confidence_radii(n, sr, 0.0, approx, logs),
+                                confidence_radii(n, sp, approx.gamma, approx, logs))
     return c_r, c_p, c_sr, c_sp
 
 
@@ -168,7 +167,7 @@ class TestConfidenceRadii:
                                        np.atleast_2d(v_ref))
         if v_ref.ndim == 1:
             sp = sp[0]
-        return confidence_radii(emp.counts[0, 0], sr, sp, approx,
+        return four_radii(emp.counts[0, 0], sr, sp, approx,
                                 _log_terms(approx, n, delta))
 
     def test_no_samples_gives_infinite_radii(self):
@@ -205,7 +204,7 @@ class TestConfidenceRadii:
 
     def test_value_stack_gives_one_transition_radius_per_row(self):
         emp = EmpiricalModel(3, 1, [0.0, 1.0])
-        emp.add_counts([2, 5, 3], [10, 0], at=(0, 0))
+        add_pair_counts(emp, 0, 0, [2, 5, 3], [10, 0])
         stack = np.array([[0.0, 1.0, 2.0], [4.0, 0.0, 1.0], [3.0, 3.0, 3.0]])
         approx = uniform_set(3, 1)
         c_r, c_p, c_sr, c_sp = self.radii(emp, stack, approx)
@@ -242,7 +241,7 @@ class TestStackedStatistics:
         logs = _log_terms(approx, 500, 0.05)
         r_mean, sr = reward_stats(reward_counts, n, support)
         pv, sp = transition_value_stats(next_counts, n, values)
-        radii = confidence_radii(n, sr, sp, approx, logs)
+        radii = four_radii(n, sr, sp, approx, logs)
         _, sp_first = transition_value_stats(next_counts, n, values[:1])
         assert sp_first[:, 0] == pytest.approx(sp[:, 0], rel=1e-12)
         for i in range(B):
@@ -250,9 +249,9 @@ class TestStackedStatistics:
                     transition_value_stats(next_counts[i], n[i], values))
             assert np.array_equal(rows[0], (r_mean[i], sr[i]))
             assert all(np.array_equal(x, y[i]) for x, y in zip(rows[1], (pv, sp)))
-            one = confidence_radii(n[i], sr[i], sp[i], approx, logs)
+            one = four_radii(n[i], sr[i], sp[i], approx, logs)
             assert all(np.array_equal(x, y[i]) for x, y in zip(one, radii))
-            single = confidence_radii(n[i:i + 1], sr[i:i + 1], sp[i, 0:1][None], approx, logs)
+            single = four_radii(n[i:i + 1], sr[i:i + 1], sp[i, 0:1][None], approx, logs)
             assert single[1][0, 0] == radii[1][i, 0]
         assert all(np.all(np.isinf(r[n <= 1])) for r in radii)
         assert np.all(np.isfinite(radii[0][n > 1]))
@@ -265,8 +264,8 @@ class TestStackedStatistics:
                                                              seed):
         rng = np.random.default_rng(seed)
         emp = EmpiricalModel(S, 2, np.linspace(0.0, 1.0, U))
-        emp.add_counts(rng.multinomial(before, np.full(S, 1.0 / S)),
-                       rng.multinomial(before, np.full(U, 1.0 / U)), at=(S - 1, 1))
+        add_pair_counts(emp, S - 1, 1, rng.multinomial(before, np.full(S, 1.0 / S)),
+                        rng.multinomial(before, np.full(U, 1.0 / U)))
         next_states, reward_indices = rng.integers(S, size=B), rng.integers(U, size=B)
         start = min(start, B)
         full = emp.snapshots(S - 1, 1, next_states, reward_indices)
@@ -339,7 +338,7 @@ class TestPruning:
         emp = EmpiricalModel(approx.num_states, 1, approx.models[0].reward_support)
         reward_counts = np.zeros(approx.models[0].num_rewards, dtype=int)
         reward_counts[0] = sum(next_counts)
-        emp.add_counts(next_counts, reward_counts, at=(0, 0))
+        add_pair_counts(emp, 0, 0, next_counts, reward_counts)
         return emp, prune_confidence_set({0, 1}, emp, approx,
                                          _log_terms(approx, 1000, 0.1))
 
@@ -772,6 +771,14 @@ class TestDiagnostics:
             theta_eps_and_bound(ApproxModelSet(fam, 1e-6), 0, eps=0.0, delta=0.1, n=100)
         assert theta_eps_and_bound(ApproxModelSet(fam), 0, eps=0.0, delta=0.1,
                                    n=100)[0] == {1, 2}
+
+
+def add_pair_counts(emp, s, a, next_counts, reward_counts):
+    """Add one pair's next-state (S,) and reward (U,) count rows at (s, a)
+    of ``emp``, as whole tables through ``add_counts``."""
+    tables = [np.zeros_like(x) for x in (emp.next_counts, emp.reward_counts)]
+    tables[0][s, a], tables[1][s, a] = next_counts, reward_counts
+    emp.add_counts(*tables)
 
 
 def add_sample(emp, s, a, next_state, reward_value):
@@ -1297,7 +1304,7 @@ def dense_conditions(idx, s, a, n, reward_counts, next_counts, support, approx, 
     pass without skipping, kept as the reference."""
     r_mean, sr = reward_stats(reward_counts, n, support)
     pv_hat, sp = transition_value_stats(next_counts, n, approx.values)
-    c_r, c_p, c_sr, c_sp = confidence_radii(n, sr, sp, approx, logs)
+    c_r, c_p, c_sr, c_sp = four_radii(n, sr, sp, approx, logs)
     reward = ((np.abs(r_mean[:, None] - approx.rewards[idx, s, a]) > c_r[:, None])
               | (np.abs(sr[:, None] - approx.sigma_r[idx, s, a]) > c_sr[:, None]))
     transition = (

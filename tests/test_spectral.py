@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_ptum import add_pair_counts
 
-from seqtransfer.envs import TaskChain
 from seqtransfer.harness import random_hmm_family, simulate_hmm_observations
-from seqtransfer.mdp import TabularMdp
 from seqtransfer.ptum import EmpiricalModel
 from seqtransfer.spectral import (
     RTP_STEP_TOL,
@@ -68,7 +67,7 @@ class TestLayout:
 
     def test_vectorize_requires_samples(self):
         emp = EmpiricalModel(2, 1, [0.0, 1.0])
-        emp.add_counts([0, 1], [0, 1], at=(0, 0))   # one sample: state 1, reward 1
+        add_pair_counts(emp, 0, 0, [0, 1], [0, 1])   # one sample: state 1, reward 1
         with pytest.raises(ValueError):
             emp.frequencies()
         with pytest.raises(ValueError):
@@ -76,7 +75,7 @@ class TestLayout:
 
     def test_vectorize_empirical_frequencies(self):
         emp = EmpiricalModel(1, 1, [0.0, 1.0])
-        emp.add_counts([2], [1, 1], at=(0, 0))   # two samples: rewards 1 and 0
+        add_pair_counts(emp, 0, 0, [2], [1, 1])   # two samples: rewards 1 and 0
         vec = ObservationLayout(1, 1, 2).vectorize(*emp.frequencies())
         assert np.array_equal(vec, [0.5, 0.5, 1.0])
 

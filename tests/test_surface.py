@@ -6,7 +6,8 @@ wraps methods by their names as strings).  Dunder methods are called by
 the language, not by name, and are left out.  A definition only the tests
 reach belongs in the tests, unless it is on ``TEST_ONLY`` with the reason
 it stays in ``src/``.  No module imports another module's private name,
-unless it is on ``PRIVATE_IMPORTS`` with the reason.
+unless it is on ``PRIVATE_IMPORTS`` with the reason.  No module of
+``src/`` or ``tests/`` imports a name it never uses.
 """
 import ast
 from pathlib import Path
@@ -111,3 +112,31 @@ def test_no_module_imports_another_modules_private_name():
                           if alias.name.startswith("_") and not alias.name.endswith("__")}
     assert found - PRIVATE_IMPORTS.keys() == set(), "make public or keep at home"
     assert PRIVATE_IMPORTS.keys() - found == set(), "drop these from PRIVATE_IMPORTS"
+
+
+def unused_imports(tree) -> set:
+    """The names a module's imports bind that it never names, in code or in
+    ``__all__``; ``from __future__`` imports bind none."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return {f"{name} (line {line})" for name, line in bound.items() if name not in used}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {}
+    for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        unused = unused_imports(ast.parse(path.read_text()))
+        if unused:
+            found[path.relative_to(ROOT).as_posix()] = sorted(unused)
+    assert found == {}, "delete these imports"
