@@ -25,20 +25,19 @@ from .mdp import VALUE_TOL, TabularMdp, plan, policy_values, value_iteration
 INF = math.inf
 
 
-def transfer_gate(delta_max: float, eps: float, gamma: float) -> bool:
-    """True iff model uncertainty is small enough to enter transfer mode.
+def stop_margin(eps: float, delta_max: float, gamma: float) -> float:
+    """Slack of the stopping condition, eps - 2*delta*(1+gamma)/(1-gamma);
+    the transfer gate, the stop test and Theta_eps's threshold read it."""
+    return eps - 2.0 * delta_max * (1.0 + gamma) / (1.0 - gamma)
 
-    The threshold is eps*(1-gamma)/(4*(1+gamma)); the comparison is strict,
-    except that delta_max = 0 always passes so that exact models admit
-    eps = 0 (exact identification).
-    """
+
+def transfer_gate(delta_max: float, eps: float, gamma: float) -> bool:
+    """True iff model uncertainty is small enough to enter transfer mode: the
+    stop margin exceeds eps/2 (delta_max < eps*(1-gamma)/(4*(1+gamma))), or
+    delta_max = 0, so that exact models admit eps = 0."""
     if delta_max < 0 or eps < 0 or not 0.0 <= gamma < 1.0:
         raise ValueError("negative uncertainty/accuracy or invalid discount")
-    if delta_max == 0.0:
-        return True
-    if eps == 0.0:
-        raise ValueError("eps = 0 requires exact models (delta_max = 0)")
-    return delta_max < eps * (1.0 - gamma) / (4.0 * (1.0 + gamma))
+    return delta_max == 0.0 or stop_margin(eps, delta_max, gamma) > eps / 2.0
 
 
 class ApproxModelSet:
@@ -412,14 +411,6 @@ def prune_confidence_set(active, emp: EmpiricalModel, approx: ApproxModelSet,
     return set(idx[keep].tolist())
 
 
-def stop_margin(eps: float, delta_max: float, gamma: float) -> float:
-    """Slack of the stopping condition: eps - 2*delta*(1+gamma)/(1-gamma)."""
-    margin = eps - 2.0 * delta_max * (1.0 + gamma) / (1.0 - gamma)
-    if margin < 0:
-        raise ValueError("stopping margin negative; the transfer gate should have failed")
-    return margin
-
-
 def _screened_out(idx, approx: ApproxModelSet, margin: float):
     """The pairs (theta, theta' != theta) of ``idx`` that ``check_stop`` rules out."""
     rel = 64.0 * (approx.num_states + 2) * np.finfo(float).eps * (1.0 + approx.gamma)
@@ -441,6 +432,7 @@ def check_stop(active, approx: ApproxModelSet, eps: float):
     max|V| (u machine epsilon) and less for Q and the comparisons: in all at
     most tol = VALUE_TOL + 64(S+2)u(1+gamma)/(1-gamma)(1 + v_scale + margin)
     (``extremes``; v_scale >= max|V*|).  So the result is the exhaustive test's.
+    A negative margin (a closed transfer gate) raises.
 
     The stopping model is memoized on ``approx`` per (sorted active tuple,
     eps); each call hands back a fresh, writable copy of its policy.
@@ -450,21 +442,20 @@ def check_stop(active, approx: ApproxModelSet, eps: float):
     idx = sorted(active)
     key = (tuple(idx), eps)
     if key not in approx._stops:
-        approx._stops[key] = _stopping_model(idx, approx, eps)
+        margin = stop_margin(eps, approx.delta, approx.gamma)
+        if margin < 0:
+            raise ValueError("stopping margin negative; the transfer gate should have failed")
+        for theta, out in zip(idx, _screened_out(idx, approx, margin).any(axis=1)):
+            others = [j for j in idx if j != theta]
+            if not out and (not others or np.all(policy_values(
+                    [approx.models[j] for j in others], approx.policies[theta])
+                    >= approx.values[others] - margin)):
+                break
+        else:
+            theta = None
+        approx._stops[key] = theta
     theta = approx._stops[key]
     return None if theta is None else (theta, approx.policies[theta].copy())
-
-
-def _stopping_model(idx, approx: ApproxModelSet, eps: float):
-    """``check_stop``'s model for the sorted active list ``idx``, or None."""
-    margin = stop_margin(eps, approx.delta, approx.gamma)
-    for theta, out in zip(idx, _screened_out(idx, approx, margin).any(axis=1)):
-        others = [j for j in idx if j != theta]
-        if not out and (not others or np.all(policy_values(
-                [approx.models[j] for j in others], approx.policies[theta])
-                >= approx.values[others] - margin)):
-            return theta
-    return None
 
 
 def info_index_table(approx: ApproxModelSet) -> np.ndarray:
@@ -679,11 +670,12 @@ def run_ptum(approx: ApproxModelSet, g: GenerativeModel, eps: float, delta: floa
 
 def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: float,
                         n: int):
-    """The set of models that must be eliminated before stopping, and the
-    worst-case query bound for doing so.  Diagnostic only.  Rejects a
-    ``star``, ``eps``, ``delta`` or ``n`` that ``run_ptum`` cannot use, and
-    a model set whose uncertainty level closes ``transfer_gate`` at ``eps``,
-    where ``run_ptum`` falls back without eliminating."""
+    """Theta_eps, the models whose reward gap to ``star`` exceeds kappa =
+    (1-gamma) * ``stop_margin`` / 4 or whose transition gap exceeds
+    kappa/gamma, and the worst-case query bound for separating them (a run
+    may stop without eliminating them).  Diagnostic only.  Rejects inputs
+    ``run_ptum`` cannot use, and a set whose ``transfer_gate`` is closed at
+    ``eps``, where ``run_ptum`` falls back without eliminating."""
     k = approx.num_models
     if not 0 <= star < k:
         raise ValueError(f"the true task must be in [0, {k}), got {star}")
@@ -695,7 +687,7 @@ def theta_eps_and_bound(approx: ApproxModelSet, star: int, eps: float, delta: fl
     gamma = approx.gamma
     if not transfer_gate(approx.delta, eps, gamma):
         raise ValueError("transfer gate fails for these parameters")
-    kappa = (1.0 - gamma) * eps / 4.0 - approx.delta * (1.0 + gamma) / 2.0
+    kappa = (1.0 - gamma) * stop_margin(eps, approx.delta, gamma) / 4.0
     S, A = approx.num_states, approx.num_actions
     r_dev, p_dev = approx.sup_gaps(star)
     p_thresh = kappa / gamma if gamma > 0 else INF

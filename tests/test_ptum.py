@@ -107,12 +107,36 @@ class TestTransferGate:
         assert transfer_gate(0.0, 0.0, 0.99)
 
     def test_eps_zero_with_uncertainty_rejected(self):
-        with pytest.raises(ValueError):
-            transfer_gate(0.01, 0.0, 0.99)
+        assert not transfer_gate(0.01, 0.0, 0.99)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             transfer_gate(-0.1, 0.1, 0.9)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 0.9999])
+    @pytest.mark.parametrize("eps", [0.05, 0.5, 4.0])
+    def test_gate_and_its_readers_agree(self, eps, gamma):
+        # The gate is open exactly below the paper's threshold.  There
+        # run_ptum runs elimination, and the stop test and the diagnostic
+        # accept the set; elsewhere run_ptum falls back at the gate and the
+        # diagnostic refuses the set.
+        fam = small_family(gamma=gamma)
+        threshold = eps * (1.0 - gamma) / (4.0 * (1.0 + gamma))
+        for factor in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0):
+            approx = ApproxModelSet(fam, threshold * factor)
+            is_open = transfer_gate(approx.delta, eps, gamma)
+            assert is_open == (factor < 1.0)
+            res = run_ptum(approx, GenerativeModel(fam[0]), eps, 0.1, 50,
+                           np.random.default_rng(0))
+            assert (res.mode == "fallback-gate") == (not is_open)
+            if is_open:
+                assert stop_margin(eps, approx.delta, gamma) > 0
+                check_stop(set(range(len(fam))), approx, eps)
+                theta_eps_and_bound(approx, 0, eps, 0.1, 50)
+            else:
+                with pytest.raises(ValueError):
+                    theta_eps_and_bound(approx, 0, eps, 0.1, 50)
+        assert not transfer_gate(threshold, 0.0, gamma)
 
 
 def uniform_set(S, A, k=3, gamma=0.9, delta=0.0):
@@ -399,8 +423,10 @@ class TestStopping:
         assert check_stop(set(range(7)), approx, eps=1.0) is None
 
     def test_negative_margin_rejected(self):
+        approx = ApproxModelSet(small_family(), 0.1)
+        assert stop_margin(0.1, approx.delta, approx.gamma) < 0
         with pytest.raises(ValueError):
-            stop_margin(eps=0.1, delta_max=0.1, gamma=0.99)
+            check_stop({0, 1}, approx, eps=0.1)
 
 
 @functools.lru_cache(maxsize=4)
@@ -756,8 +782,8 @@ class TestDiagnostics:
     def test_gate_failure_raises(self):
         fam = small_family()
         # transfer_gate's threshold at eps = 0.1 and gamma = 0.9.  Below
-        # twice it, kappa is still positive, yet run_ptum falls back at the
-        # gate, so the diagnostic must refuse the set there too.
+        # twice it the stop margin, and so kappa, is still positive, yet
+        # run_ptum falls back at the gate, so the diagnostic refuses the set.
         gate = 0.1 * (1.0 - 0.9) / (4.0 * (1.0 + 0.9))
         for level in (0.5, gate, 1.5 * gate, 1.99 * gate):
             approx = ApproxModelSet(fam, level)

@@ -5,12 +5,15 @@ planner, a batched sampler) runs these.  They pin what each run decided,
 not how fast: the task path, each transfer task's mode, elimination queries
 tau, charged queries, candidate-set size, eps-optimality and whether the
 true task was a candidate, which estimates degraded, and for
-two-rooms identification the stop step, queries, mode and survivors.  The
+two-rooms identification the stop step, queries, mode and survivors; and a
+sha256 over every task record of the benchmark's sequential pair.  The
 pinned values were recorded from the per-model planner (one
 ``value_iteration`` per model, one ``policy_evaluation`` per pair).
 """
+import functools
 import hashlib
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -149,22 +152,45 @@ def test_two_rooms_stream_decisions():
     assert two_rooms_streams() == TWO_ROOMS_STREAMS
 
 
-def benchmark_pair():
-    """The pre-elimination and static runs of ``bench/workloads.py``'s
-    ``SequentialObjectworld`` on its fixed stream, summarised as
-    ``BENCHMARK_PAIR`` is."""
+@functools.cache
+def benchmark_pair_records():
+    """The ``TaskRecord`` lists of the pre-elimination and static runs of
+    ``bench/workloads.py``'s ``SequentialObjectworld`` on its fixed stream."""
     workload = workloads.SequentialObjectworld
     family, chain, configs = workload(0).setup()
-    out = []
-    for cfg in configs:
-        records = run_sequential(cfg, family, chain, run_rng(*workload.STREAM)).records
-        out.append((sum(r.queries for r in records if r.h >= workload.STARTUP),
-                    [(r.h, r.true_in_active) for r in records if not r.eps_optimal]))
-    return out
+    return [run_sequential(cfg, family, chain, run_rng(*workload.STREAM)).records
+            for cfg in configs]
+
+
+def benchmark_pair():
+    """``benchmark_pair_records`` summarised as ``BENCHMARK_PAIR`` is."""
+    startup = workloads.SequentialObjectworld.STARTUP
+    return [(sum(r.queries for r in records if r.h >= startup),
+             [(r.h, r.true_in_active) for r in records if not r.eps_optimal])
+            for records in benchmark_pair_records()]
 
 
 def test_benchmark_pair_decisions():
     assert benchmark_pair() == BENCHMARK_PAIR
+
+
+# sha256 of every TaskRecord field of both benchmark-pair runs, floats as
+# eight significant digits: the last bits of LAPACK's results may differ
+# between CPUs, while the decisions and counts do not.
+BENCHMARK_PAIR_FINGERPRINT = "bb0e0d156c0ac4c974442085a2cf5e306737447b28215d65b56bd57b9d4a63ab"
+
+
+def benchmark_pair_fingerprint():
+    h = hashlib.sha256()
+    for records in benchmark_pair_records():
+        for r in records:
+            h.update(repr([f"{x:.8g}" if isinstance(x, float) else x
+                           for x in astuple(r)]).encode())
+    return h.hexdigest()
+
+
+def test_benchmark_pair_fingerprint():
+    assert benchmark_pair_fingerprint() == BENCHMARK_PAIR_FINGERPRINT
 
 
 # sha256 fingerprints of identification runs (``identification_fingerprints``),
